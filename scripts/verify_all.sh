@@ -2,6 +2,7 @@
 # Run every built-in verification target of the CLI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 targets=(s5-60 family-x schur-degenerate fermat-degenerate z0
          hessian-universal example-6-4 config-table)
 status=0

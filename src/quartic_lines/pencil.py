@@ -16,6 +16,7 @@ chart, x4 at infinity) and param is the pencil parameter.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,16 +28,6 @@ from .geometry import (Line, QuarticSurface, canonical_point, kernel_vector,
                        normalize_line)
 from .poly import (Poly, SparsePoly, binary_roots, divide_by_linear,
                    sylvester_resultant)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // _gcd(a, b)
 
 
 # -- positions on the lambda-line ---------------------------------------------
@@ -206,8 +197,6 @@ class FiberReport:
         }
 
 
-_P2_DIRECT_MAX_Q = 1024
-
 # 3x3 frames over the prime field (rows of x = frame . y; the images of e1,
 # i.e. first columns, are pairwise distinct) used to dodge degenerate
 # elimination directions
@@ -231,33 +220,6 @@ def _apply_frame(p: SparsePoly, frame) -> SparsePoly:
                 img = img + SparsePoly.variable(j, n, p.spec)
         images[i] = img
     return p.substitute(images)
-
-
-def _eval_grid3(p: SparsePoly, grids, spec: FieldSpec):
-    val = np.zeros(grids[0].shape, dtype=np.uint32)
-    for e, c in p.terms.items():
-        term = np.full(grids[0].shape, np.uint32(c))
-        for g, k in zip(grids, e):
-            if k:
-                term = spec.mul_arr(term, spec.pow_arr(g, k))
-        val = val ^ term
-    return val
-
-
-def _p2_chart(chart: int, q: int):
-    nfree = 2 - chart
-    n = q ** nfree
-    idx = np.arange(n, dtype=np.int64)
-    coords = []
-    for c in range(3):
-        if c < chart:
-            coords.append(np.zeros(n, dtype=np.uint32))
-        elif c == chart:
-            coords.append(np.ones(n, dtype=np.uint32))
-        else:
-            j = c - chart - 1
-            coords.append(((idx // (q ** j)) % q).astype(np.uint32))
-    return coords
 
 
 def _univariate3(g: SparsePoly, var: int, tail: Sequence[int]) -> Poly:
@@ -308,25 +270,11 @@ def _cubic_singular_points(cubic: SparsePoly, spec: FieldSpec
     """Spec-rational singular points of a ternary cubic: common zeros of
     the three partials.  (The cubic itself vanishes automatically at such
     points: odd degree plus the Euler relation in characteristic 2.)"""
-    partials = [cubic.derivative(i) for i in range(3)]
-    live = [p for p in partials if not p.is_zero()]
-    if not live:
+    if all(cubic.derivative(i).is_zero() for i in range(3)):
         raise InconsistencyError("cubic with identically vanishing partials")
-    q = spec.size
-    if q <= _P2_DIRECT_MAX_Q:
-        found = []
-        for chart in range(3):
-            coords = _p2_chart(chart, q)
-            mask = np.ones(coords[0].shape, dtype=bool)
-            for p in live:
-                mask &= _eval_grid3(p, coords, spec) == 0
-                if not mask.any():
-                    break
-            for i in np.nonzero(mask)[0].tolist():
-                found.append(tuple(int(coords[c][i]) for c in range(3)))
-        return sorted(found)
-    # large field: eliminate y1 in a frame where the partials cooperate,
-    # scan candidate (y2 : y3) directions, lift y1 by univariate gcd
+    # eliminate y1 in a frame where the partials cooperate, find the
+    # candidate (y2 : y3) directions as roots of binary forms, lift y1 by
+    # univariate gcd
     for frame in _FRAMES:
         moved = _apply_frame(cubic, frame)
         parts = [moved.derivative(i) for i in range(3)]
@@ -602,14 +550,17 @@ def _split_conic(conic: SparsePoly, nucleus) -> List[Tuple[int, int, int]]:
 
 
 def classify_fiber(cubic: SparsePoly,
-                   position: Optional[PencilPosition] = None,
-                   max_point_ext: int = 6) -> FiberReport:
+                   position: Optional[PencilPosition] = None) -> FiberReport:
     """Kodaira type of a reduced plane cubic over GF(2^k).
 
-    Singular points are searched over extensions of degree <= max_point_ext
-    (within the GF(2^16) cap); tangent cones and component matching then
-    happen in one working field, enlarged as needed until every relevant
-    binary form splits."""
+    A reduced plane cubic has at most three singular points and the set is
+    Galois-stable, so every singular point has degree <= 3 over the cubic's
+    field; a degree-3 point only occurs as the vertices of a triangle of
+    conjugate lines, which then leaves no room for a point of lower degree.
+    Singular points are therefore searched over extensions of degree 1, 2
+    and 3 (within the GF(2^16) cap, flagged when the cap may hide one);
+    tangent cones and component matching then happen in one working field,
+    enlarged as needed until every relevant binary form splits."""
     if cubic.nvars != 3 or cubic.spec is None:
         raise UsageError("fiber must be a ternary form over a field")
     if cubic.is_zero() or not cubic.is_homogeneous(3):
@@ -617,12 +568,7 @@ def classify_fiber(cubic: SparsePoly,
     base = cubic.spec
     k = base.degree
 
-    flags: List[str] = []
-    reachable = [d for d in range(1, max_point_ext + 1)
-                 if k * d <= MAX_DEGREE]
-    if max(reachable, default=0) < 3:
-        flags.append("singular-point search capped at extension degree "
-                     f"{max(reachable, default=0)}")
+    reachable = [d for d in (1, 2, 3) if k * d <= MAX_DEGREE]
     per_level: Dict[int, List[Tuple[int, int, int]]] = {}
     sing: List[Tuple[Tuple[int, int, int], int]] = []
     for d in reachable:
@@ -644,13 +590,15 @@ def classify_fiber(cubic: SparsePoly,
                 sing.append((pt, d))
         per_level[d] = pts
 
+    flags: List[str] = []
+    top = reachable[-1]
+    if top == 1 or (top == 2 and not sing):
+        flags.append("singular-point search capped at extension degree "
+                     f"{top}")
     if not sing:
         return FiberReport(position, "smooth", k, [], [], 0, flags)
 
-    base_mult = 1
-    for _, d in sing:
-        base_mult = _lcm(base_mult, d)
-    wd = k * base_mult
+    wd = k * math.lcm(*(d for _, d in sing))
     if wd > MAX_DEGREE:
         raise CapabilityError(
             "fiber classification needs fields beyond GF(2^16)")
@@ -832,7 +780,9 @@ def _lambda_discriminant(pencil: ResidualPencil) -> Poly:
 
     Strategy: in each of several coordinate frames, eliminate y1 from the
     three partials of the fiber cubic by formal resultants, then eliminate
-    (y2 : y3) by a binary-form resultant, leaving a condition in lambda.
+    (y2 : y3) by a binary-form resultant, leaving a condition in lambda
+    (the second resultant's entries are univariate in lambda, so it runs
+    over GF(2^k)[lambda]).
     A frame can only miss a singular fiber whose every singular point sits
     at the image of e1; the frames have pairwise distinct e1-images, so
     the product of two usable frame conditions misses nothing."""
@@ -862,13 +812,13 @@ def _lambda_discriminant(pencil: ResidualPencil) -> Poly:
             dm = pure[0].as_univariate(3)
         else:
             for ca, cb in itertools.combinations(conds, 2):
-                fa = _binary_collect(ca, 1, 2)
-                fb = _binary_collect(cb, 1, 2)
+                fa = [e.as_univariate(3) for e in _binary_collect(ca, 1, 2)]
+                fb = [e.as_univariate(3) for e in _binary_collect(cb, 1, 2)]
                 if len(fa) < 2 or len(fb) < 2:
                     continue
-                r = sylvester_resultant(fa, fb, zero4)
+                r = sylvester_resultant(fa, fb, Poly.zero(spec))
                 if not r.is_zero():
-                    dm = r.as_univariate(3)
+                    dm = r
                     break
         if dm is not None and not dm.is_zero():
             discs.append(dm)
@@ -882,8 +832,8 @@ def _lambda_discriminant(pencil: ResidualPencil) -> Poly:
     return out
 
 
-def singular_fibers(pencil: ResidualPencil, max_ext: int = 6,
-                    max_point_ext: int = 6) -> List[FiberReport]:
+def singular_fibers(pencil: ResidualPencil,
+                    max_ext: int = 6) -> List[FiberReport]:
     """All singular fibers at positions of degree <= max_ext over the
     pencil's field.  Full Galois orbits are reported: conjugate positions
     each get their own report, so component counts add up to the geometric
@@ -892,7 +842,7 @@ def singular_fibers(pencil: ResidualPencil, max_ext: int = 6,
     k = spec.degree
     disc = _lambda_discriminant(pencil)
     if disc.is_zero():
-        _probe_generic_smoothness(pencil, max_point_ext)
+        _probe_generic_smoothness(pencil)
         raise CapabilityError(
             "lambda-discriminant degenerated in every frame")
 
@@ -917,21 +867,18 @@ def singular_fibers(pencil: ResidualPencil, max_ext: int = 6,
             if known:
                 continue
             pos = PencilPosition("finite", r, m)
-            rep = classify_fiber(residual_cubic(pencil, pos), pos,
-                                 max_point_ext)
+            rep = classify_fiber(residual_cubic(pencil, pos), pos)
             if rep.kodaira != "smooth":
                 reports.append(rep)
         seen_levels[m] = roots
 
-    rep = classify_fiber(residual_cubic(pencil, POS_INF), POS_INF,
-                         max_point_ext)
+    rep = classify_fiber(residual_cubic(pencil, POS_INF), POS_INF)
     if rep.kodaira != "smooth":
         reports.append(rep)
     return reports
 
 
-def _probe_generic_smoothness(pencil: ResidualPencil,
-                              max_point_ext: int) -> None:
+def _probe_generic_smoothness(pencil: ResidualPencil) -> None:
     """Distinguish a generically singular pencil (an inconsistency for a
     smooth quartic) from a mere elimination failure."""
     k = pencil.spec.degree
@@ -939,7 +886,7 @@ def _probe_generic_smoothness(pencil: ResidualPencil,
     probe_spec = pencil.spec if ext == 1 else FieldSpec.default(k * ext)
     for bits in range(2, min(probe_spec.size, 8)):
         pos = PencilPosition("finite", bits, ext)
-        rep = classify_fiber(residual_cubic(pencil, pos), pos, max_point_ext)
+        rep = classify_fiber(residual_cubic(pencil, pos), pos)
         if rep.kodaira == "smooth":
             return
     raise InconsistencyError(
@@ -1218,7 +1165,7 @@ def _audit_one_fiber(pencil: ResidualPencil, fib: FiberReport,
     work = None
     div_roots = None
     for extra in (1, 2, 3, 6):
-        wd = _lcm(pf.degree * extra, fib.work_degree)
+        wd = math.lcm(pf.degree * extra, fib.work_degree)
         if wd > MAX_DEGREE:
             continue
         target = FieldSpec.default(wd)

@@ -10,9 +10,10 @@ Two representations:
   with spec=None they are signed Python integers (exact integer ring, used
   for universal constructions that must divide out integer constants).
 
-Resultants of binary forms go through a generic division-free determinant,
-so the same code path serves field coefficients, univariate polynomial
-coefficients and multivariate symbolic coefficients.
+Resultants of binary forms are Sylvester determinants: fraction-free
+elimination when the entries are univariate polynomials, a generic
+division-free expansion for field elements and multivariate symbolic
+entries.
 """
 
 from __future__ import annotations
@@ -457,8 +458,6 @@ class SparsePoly:
         """Replace variables by polynomials; unmapped variables persist."""
         images = {}
         for v, img in mapping.items():
-            self_var = SparsePoly.variable(v, self.nvars, self.spec)
-            _ = self_var  # nvars check below
             if img.nvars != self.nvars or img.spec != self.spec:
                 raise ValueError("substitution image in wrong ring")
             images[v] = img
@@ -584,16 +583,32 @@ def det_generic(rows: List[List[object]], zero: object) -> object:
     return zero if out is None else out
 
 
-def sylvester_resultant(f: Sequence[object], g: Sequence[object],
-                        zero: object) -> object:
-    """Resultant of two binary forms from their coefficient sequences.
+def _bareiss_det(rows: List[List[Poly]]) -> Poly:
+    """Determinant over GF(2^k)[x] by fraction-free elimination (Bareiss
+    1968): O(n^3) ring operations, every division exact and checked by
+    `Poly.exact_div`.  Row swaps only flip the sign, a no-op in
+    characteristic 2."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    prev = Poly.one(m[0][0].spec)
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
+        if piv is None:
+            return Poly.zero(prev.spec)
+        m[k], m[piv] = m[piv], m[k]
+        pk = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            for j in range(k + 1, n):
+                m[i][j] = (pk * m[i][j] - mik * m[k][j]).exact_div(prev)
+        prev = pk
+    return m[n - 1][n - 1]
 
-    f has formal degree m = len(f)-1 with f[i] the coefficient of
-    x^(m-i) y^i (same for g); entries may be field elements, univariate
-    polynomials, or symbolic multivariate polynomials.  Using the formal
-    (padded) degrees means a drop in actual degree corresponds to common
-    roots at [0:1], which is exactly the projective convention needed here.
-    """
+
+def sylvester_matrix(f: Sequence[object], g: Sequence[object],
+                     zero: object) -> List[List[object]]:
+    """The (m+n) x (m+n) Sylvester matrix of two binary forms of formal
+    degrees m = len(f)-1 and n = len(g)-1 (coefficients x-major)."""
     m, n = len(f) - 1, len(g) - 1
     if m < 1 or n < 1:
         raise ValueError("forms must have formal degree >= 1")
@@ -603,6 +618,24 @@ def sylvester_resultant(f: Sequence[object], g: Sequence[object],
         rows.append([zero] * i + list(f) + [zero] * (size - m - 1 - i))
     for i in range(m):
         rows.append([zero] * i + list(g) + [zero] * (size - n - 1 - i))
+    return rows
+
+
+def sylvester_resultant(f: Sequence[object], g: Sequence[object],
+                        zero: object) -> object:
+    """Resultant of two binary forms from their coefficient sequences.
+
+    f has formal degree m = len(f)-1 with f[i] the coefficient of
+    x^(m-i) y^i (same for g); entries may be field elements, univariate
+    polynomials, or symbolic multivariate polynomials.  Using the formal
+    (padded) degrees means a drop in actual degree corresponds to common
+    roots at [0:1], which is exactly the projective convention needed here.
+    Univariate `Poly` entries are eliminated fraction-free; any other ring
+    goes through the division-free `det_generic`.
+    """
+    rows = sylvester_matrix(f, g, zero)
+    if isinstance(zero, Poly):
+        return _bareiss_det(rows)
     return det_generic(rows, zero)
 
 

@@ -9,8 +9,10 @@ from quartic_lines.pencil import (POS_INF, POS_ZERO, ResidualPencil,
                                   ramification_type, residual_cubic,
                                   second_kind_fiber_audit, singular_fibers)
 from quartic_lines.poly import SparsePoly
-from quartic_lines.surfaces import (get_surface, s5_mu0_seed_line,
-                                    s5_mu0_surface)
+from quartic_lines.surfaces import get_surface, s5_mu0_seed_line
+
+
+GF256 = FieldSpec.default(8)
 
 
 def xyz(spec):
@@ -18,58 +20,64 @@ def xyz(spec):
 
 
 def test_classify_triangle_is_i3(gf4):
-    x, y, z = xyz(gf4)
-    rep = classify_fiber(x * y * z)
-    assert rep.kodaira == "I3"
-    assert rep.component_count() == 3
-    assert len(rep.singular_points) == 3
-    assert all(s.local_type == "node" for s in rep.singular_points)
+    for spec in (gf4, GF256):
+        x, y, z = xyz(spec)
+        rep = classify_fiber(x * y * z)
+        assert rep.kodaira == "I3"
+        assert rep.component_count() == 3
+        assert len(rep.singular_points) == 3
+        assert all(s.local_type == "node" for s in rep.singular_points)
 
 
 def test_classify_nodal_irreducible_is_i1(gf4):
-    x, y, z = xyz(gf4)
-    # node at (0:0:1) with split tangents x and y
-    f = x * y * z + x ** 3 + y ** 3
-    rep = classify_fiber(f)
-    assert rep.kodaira == "I1"
-    # irreducible: no line components
-    assert rep.component_count() == 0
-    assert rep.singular_points[0].local_type == "node"
+    for spec in (gf4, GF256):
+        x, y, z = xyz(spec)
+        # node at (0:0:1) with split tangents x and y
+        f = x * y * z + x ** 3 + y ** 3
+        rep = classify_fiber(f)
+        assert rep.kodaira == "I1"
+        # irreducible: no line components
+        assert rep.component_count() == 0
+        assert rep.singular_points[0].local_type == "node"
 
 
 def test_classify_cusp_is_ii(gf4):
-    x, y, z = xyz(gf4)
-    rep = classify_fiber(z * y * y + x ** 3)
-    assert rep.kodaira == "II"
-    assert rep.singular_points[0].local_type == "cusp"
+    for spec in (gf4, GF256):
+        x, y, z = xyz(spec)
+        rep = classify_fiber(z * y * y + x ** 3)
+        assert rep.kodaira == "II"
+        assert rep.singular_points[0].local_type == "cusp"
 
 
 def test_classify_conic_plus_secant_line(gf4):
-    x, y, z = xyz(gf4)
-    # smooth conic xz + y^2 with the line y = 0 meeting it at (1:0:0) and
-    # (0:0:1): two nodes
-    rep = classify_fiber((x * z + y * y) * y)
-    assert rep.kodaira == "I2"
-    # only the line is counted; the conic is not a line component
-    assert rep.component_count() == 1
-    assert len(rep.singular_points) == 2
+    for spec in (gf4, GF256):
+        x, y, z = xyz(spec)
+        # smooth conic xz + y^2 with the line y = 0 meeting it at (1:0:0) and
+        # (0:0:1): two nodes
+        rep = classify_fiber((x * z + y * y) * y)
+        assert rep.kodaira == "I2"
+        # only the line is counted; the conic is not a line component
+        assert rep.component_count() == 1
+        assert len(rep.singular_points) == 2
 
 
 def test_classify_conic_plus_tangent_line(gf4):
-    x, y, z = xyz(gf4)
-    # line x = 0 is tangent to xz + y^2 at (0:0:1)
-    rep = classify_fiber((x * z + y * y) * x)
-    assert rep.kodaira == "III"
-    assert rep.component_count() == 1
-    assert len(rep.singular_points) == 1
+    for spec in (gf4, GF256):
+        x, y, z = xyz(spec)
+        # line x = 0 is tangent to xz + y^2 at (0:0:1)
+        rep = classify_fiber((x * z + y * y) * x)
+        assert rep.kodaira == "III"
+        assert rep.component_count() == 1
+        assert len(rep.singular_points) == 1
 
 
 def test_classify_concurrent_lines_is_iv(gf4):
-    x, y, z = xyz(gf4)
-    rep = classify_fiber(x ** 3 + y ** 3)  # three lines through (0:0:1)
-    assert rep.kodaira == "IV"
-    assert rep.component_count() == 3
-    assert rep.singular_points[0].local_type == "triple"
+    for spec in (gf4, GF256):
+        x, y, z = xyz(spec)
+        rep = classify_fiber(x ** 3 + y ** 3)  # three lines through (0:0:1)
+        assert rep.kodaira == "IV"
+        assert rep.component_count() == 3
+        assert rep.singular_points[0].local_type == "triple"
 
 
 def test_classify_iv_with_hidden_components(gf2):
@@ -83,9 +91,20 @@ def test_classify_iv_with_hidden_components(gf2):
 
 
 def test_classify_smooth(gf4):
-    x, y, z = xyz(gf4)
-    rep = classify_fiber(x ** 3 + y ** 3 + z ** 3)
-    assert rep.kodaira == "smooth"
+    for spec in (gf4, GF256):
+        x, y, z = xyz(spec)
+        rep = classify_fiber(x ** 3 + y ** 3 + z ** 3)
+        assert rep.kodaira == "smooth"
+
+
+def test_truncation_flag_only_when_a_point_can_hide():
+    # over GF(256) the search reaches degree 2 only: a singular point found
+    # rules out a degree-3 orbit, an empty search does not
+    x, y, z = xyz(GF256)
+    assert classify_fiber(x * y * z).flags == []
+    smooth = classify_fiber(x ** 3 + y ** 3 + z ** 3)
+    assert smooth.flags == [
+        "singular-point search capped at extension degree 2"]
 
 
 def test_z0_axis_pencil_full_dossier(gf4):

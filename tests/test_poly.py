@@ -1,14 +1,13 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from quartic_lines.errors import UsageError
 from quartic_lines.field import FieldSpec
 from quartic_lines.poly import (Poly, SparsePoly, binary_roots, det_generic,
                                 divide_by_linear, squarefree_test,
-                                sylvester_resultant)
+                                sylvester_matrix, sylvester_resultant)
 
+SPEC16 = FieldSpec.default(4)
 SPEC8 = FieldSpec.default(3)
 SPEC4 = FieldSpec.default(2)
 
@@ -89,6 +88,17 @@ def test_resultant_of_binary_forms_matches_root_products():
     # sharing the root [1:1]
     g2 = [Poly.one(SPEC4), Poly.one(SPEC4), zero]     # u^2 + uv = u(u+v)
     assert sylvester_resultant(f, g2, zero).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(polys(SPEC16, 2), min_size=2, max_size=4),
+       st.lists(polys(SPEC16, 2), min_size=2, max_size=4))
+def test_poly_resultant_matches_generic_expansion(f, g):
+    # binary forms over GF(16)[lambda]: the fraction-free elimination used
+    # for Poly entries agrees with the division-free expansion
+    zero = Poly.zero(SPEC16)
+    want = det_generic(sylvester_matrix(f, g, zero), zero)
+    assert sylvester_resultant(f, g, zero) == want
 
 
 def test_det_generic_matches_fraction_elimination():
