@@ -13,29 +13,22 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .errors import CapabilityError, InconsistencyError, UsageError
-from .field import MAX_DEGREE, FieldSpec
-from .geometry import (IntersectionGraph, Line, QuarticSurface,
-                       count_candidate_lines, detect_configurations,
+from .field import FieldSpec
+from .geometry import (IntersectionGraph, Line, detect_configurations,
                        enumerate_lines, singular_point_search)
 from .lattice import GramLattice, gram_from_graph
 from .pencil import (POS_ZERO, ResidualPencil, euler_budget_audit,
-                     fiber_line_count, ramification_type,
-                     second_kind_fiber_audit, singular_fibers)
-from .poly import Poly
-from .segre import (build_dossier, char2_hessian, coplanar_line_multiplicity,
-                    family_z_531_instance, family_z_fiber_lines,
-                    family_z_valency_criterion, hessian_vanishes_at,
-                    hessian_vanishes_on_line, universal_hessian)
-from .surfaces import get_surface, s5_mu0_seed_line
-from .tate import (WeierstrassModel, build_integral_model,
-                   enumerate_fiber_configs, example_6_4_instance,
-                   tate_classify)
+                     fiber_line_count, singular_fibers)
+from .segre import (build_dossier, char2_hessian, family_z_valency_criterion,
+                    universal_hessian)
+from .surfaces import get_surface
+from .tate import (WeierstrassModel, enumerate_fiber_configs,
+                   example_6_4_instance, tate_classify)
 
 
 def _threads(args) -> Optional[int]:
@@ -425,8 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="built-in verification targets")
     sp.add_argument("target")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized subchecks")
 
     return p
 

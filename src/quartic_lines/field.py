@@ -479,16 +479,3 @@ def _deflate(coeffs: Sequence[int], r: int, spec: FieldSpec):
         if i > 0:
             quot[i - 1] = acc
     return quot, acc
-
-
-def find_roots(coeffs: Sequence[FieldElement]) -> dict:
-    """Root-with-multiplicity map for a univariate polynomial given by its
-    FieldElement coefficients (index i = coefficient of x^i)."""
-    if not coeffs:
-        raise FieldError("find_roots: zero polynomial")
-    spec = coeffs[0].spec
-    for c in coeffs:
-        if c.spec != spec:
-            raise FieldError("mixed fields in coefficient list")
-    return {FieldElement(r, spec): m
-            for r, m in find_roots_int([c.bits for c in coeffs], spec)}

@@ -80,6 +80,27 @@ def rref(rows: Sequence[Sequence[int]], spec: FieldSpec
     return mat, pivots
 
 
+def restrict_form(form: SparsePoly, p1: Sequence[int],
+                  p2: Sequence[int]) -> List[int]:
+    """Coefficients of form(s*p1 + t*p2) as a binary form in (s, t),
+    s-major."""
+    mul = form.spec.mul_int
+    out = [0] * (form.total_degree() + 1)
+    for e, c in form.terms.items():
+        factor = [c]
+        for i, k in enumerate(e):
+            for _ in range(k):
+                nxt = [0] * (len(factor) + 1)
+                for j, fc in enumerate(factor):
+                    if fc:
+                        nxt[j] ^= mul(fc, p1[i])
+                        nxt[j + 1] ^= mul(fc, p2[i])
+                factor = nxt
+        for j, fc in enumerate(factor):
+            out[j] ^= fc
+    return out
+
+
 def mat_rank(rows: Sequence[Sequence[int]], spec: FieldSpec) -> int:
     return len(rref(rows, spec)[1])
 
@@ -168,12 +189,6 @@ class Line:
         for v in range(self.spec.size):
             pt = tuple(a ^ mul(v, b) for a, b in zip(r1, r2))
             yield canonical_point(pt, self.spec)
-
-    def point_at(self, u: int, v: int) -> Row:
-        mul = self.spec.mul_int
-        r1, r2 = self.rows
-        return canonical_point(
-            tuple(mul(u, a) ^ mul(v, b) for a, b in zip(r1, r2)), self.spec)
 
     def contains(self, pt: Sequence[int]) -> bool:
         stacked = [list(self.rows[0]), list(self.rows[1]), list(pt)]
@@ -286,24 +301,7 @@ class QuarticSurface:
     def restrict_to_line(self, line: Line) -> List[int]:
         """Coefficients [c0..c4] of the binary quartic f(u r1 + v r2),
         c_i = coefficient of u^(4-i) v^i."""
-        spec = self.spec
-        mul = spec.mul_int
-        r1, r2 = line.rows
-        out = [0] * 5
-        for e, c in self.f.terms.items():
-            factor = [c]  # binary form coefficients, u-major
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    nxt = [0] * (len(factor) + 1)
-                    a, b = r1[i], r2[i]
-                    for j, fc in enumerate(factor):
-                        if fc:
-                            nxt[j] ^= mul(fc, a)
-                            nxt[j + 1] ^= mul(fc, b)
-                    factor = nxt
-            for j, fc in enumerate(factor):
-                out[j] ^= fc
-        return out
+        return restrict_form(self.f, *line.rows)
 
     def contains_line(self, line: Line) -> bool:
         if line.spec != self.spec:

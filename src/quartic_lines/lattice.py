@@ -5,82 +5,51 @@ in 0 or 1 points, so an intersection graph determines an integer Gram
 matrix.  The classes may be dependent; the span discriminant is the
 determinant of a Gram basis of the abstract lattice they generate,
 corrected by the squared index of the chosen basis sublattice.  All
-arithmetic is exact (integers and fractions); no floating point.
+arithmetic is exact, fraction-free over the integers; no floating point.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InconsistencyError, UsageError
 from .geometry import IntersectionGraph
 
 
-Matrix = List[List[Fraction]]
+def _eliminate(rows: Sequence[Sequence[int]]
+               ) -> Tuple[List[int], List[int], int]:
+    """Fraction-free (Bareiss 1968) row echelon form over the integers.
 
-
-def _rank(mat: Matrix) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    m = [row[:] for row in mat]
-    rows, cols = len(m), len(m[0]) if m else 0
-    rank = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def _det(mat: Matrix) -> Fraction:
-    """Determinant over the rationals by elimination with pivoting."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
-
-
-def _solve(mat: Matrix, rhs: List[Fraction]) -> List[Fraction]:
-    """Solve a nonsingular square system exactly."""
-    n = len(mat)
-    m = [mat[r][:] + [rhs[r]] for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:  # pragma: no cover - caller guarantees nonsingular
-            raise InconsistencyError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    Rows are taken in the given order.  Each is reduced by the pivot rows
+    kept before it and is kept itself when a nonzero entry remains, so the
+    kept rows are the greedy independent subset and every other row lies
+    in their rational span.  After k pivots each entry is a (k+1)-minor of
+    the input, so every division is exact; it is checked all the same.
+    Returns (ids of the kept rows, their pivot columns, last pivot); the
+    last pivot is the minor on those rows and columns (1 if none)."""
+    echelon: List[Tuple[List[int], int]] = []
+    ids: List[int] = []
+    last = 1
+    for i, row in enumerate(rows):
+        row = list(row)
+        prev = 1
+        for piv, c in echelon:
+            p, f = piv[c], row[c]
+            row = [p * a - f * b for a, b in zip(row, piv)]
+            if any(a % prev for a in row):
+                raise InconsistencyError(
+                    "inexact division in fraction-free elimination")
+            row = [a // prev for a in row]
+            prev = p
+        col = next((c for c, a in enumerate(row) if a), None)
+        if col is not None:
+            echelon.append((row, col))
+            ids.append(i)
+            last = row[col]
+    return ids, [c for _, c in echelon], last
 
 
 def _hnf_determinant(rows: List[List[int]], r: int) -> int:
@@ -131,85 +100,51 @@ class GramLattice:
     def n(self) -> int:
         return len(self.gram)
 
-    def _fractions(self) -> Matrix:
-        return [[Fraction(x) for x in row] for row in self.gram]
-
     def rank(self) -> int:
         if self._rank_cache is None:
-            object.__setattr__(self, "_rank_cache", _rank(self._fractions()))
+            object.__setattr__(self, "_rank_cache",
+                               len(_eliminate(self.gram)[0]))
         return self._rank_cache
 
     def _span_data(self, subset: Optional[Sequence[int]] = None
                    ) -> Tuple[int, int, Tuple[int, ...]]:
+        """(discriminant, index, basis) for the greedy basis taken in the
+        given preference order, then in generator order."""
         r = self.rank()
         if r == 0:
             return 0, 1, ()
-        g = self._fractions()
-        basis = self._find_basis(subset)
-        sub = [[g[i][j] for j in basis] for i in basis]
-        d0 = _det(sub)
-        if d0 == 0:  # pragma: no cover - _find_basis guarantees nonsingular
-            raise InconsistencyError("singular basis Gram")
-        # coordinates of every generator in the chosen basis: solve
-        # G[basis, basis] * c = G[basis, gen]
-        coords: List[List[Fraction]] = []
-        for gen in range(self.n):
-            rhs = [g[i][gen] for i in basis]
-            c = _solve(sub, rhs)
-            # consistency: the generator must actually lie in the span
-            for other in range(self.n):
-                lhs = sum(ci * g[bi][other] for ci, bi in zip(c, basis))
-                if lhs != g[gen][other]:
-                    raise InconsistencyError(
-                        "generator outside the span of the chosen basis; "
-                        "rank computation inconsistent")
-            coords.append(c)
-        denom = 1
-        for row in coords:
-            for x in row:
-                denom = denom * x.denominator // _gcd(denom, x.denominator)
-        scaled = [[int(x * denom) for x in row] for row in coords]
-        lattice_det = _hnf_determinant(scaled, r)
-        index, rem = divmod(denom ** r, lattice_det)
-        if rem:  # pragma: no cover - basis rows give index | denom^r
-            raise InconsistencyError("index is not integral")
-        disc_num, disc_rem = divmod(int(d0), index * index)
-        if disc_rem:
-            raise InconsistencyError("discriminant not divisible by index^2")
-        return disc_num, index, tuple(basis)
-
-    def _find_basis(self, subset: Optional[Sequence[int]] = None
-                    ) -> List[int]:
-        """Greedy r-subset of generators with nonsingular Gram, optionally
-        seeded with a caller-chosen preference order."""
-        r = self.rank()
-        g = self._fractions()
+        g = self.gram
         order = list(subset) if subset is not None else []
-        order += [i for i in range(self.n) if i not in set(order)]
-        # generators whose Gram rows are linearly independent: for a
-        # symmetric matrix the principal submatrix on such an index set is
-        # automatically nonsingular once the set reaches full rank
-        basis: List[int] = []
-        echelon: List[List[Fraction]] = []
-        for i in order:
-            row = g[i][:]
-            for piv in echelon:
-                lead = next(c for c in range(self.n) if piv[c])
-                if row[lead]:
-                    f = row[lead] / piv[lead]
-                    row = [a - f * b for a, b in zip(row, piv)]
-            if any(row):
-                basis.append(i)
-                echelon.append(row)
-                if len(basis) == r:
-                    sub = [[g[a][b] for b in basis] for a in basis]
-                    if _rank(sub) != r:  # pragma: no cover - see above
-                        raise InconsistencyError(
-                            "independent rows gave a singular principal "
-                            "submatrix")
-                    return basis
-        raise InconsistencyError(
-            "no nonsingular generator subset of the computed rank")
+        seen = set(order)
+        order += [i for i in range(self.n) if i not in seen]
+        # one pass over all generators: the kept ones are the basis, and
+        # every other one reduced to zero, i.e. lies in their span
+        kept = _eliminate([g[i] for i in order])[0]
+        basis = [order[k] for k in kept]
+        if len(basis) != r:
+            raise InconsistencyError(
+                f"generators span rank {len(basis)} in one order and {r} "
+                "in another; rank computation inconsistent")
+        # a symmetric matrix is nonsingular on a maximal independent set
+        # of its rows; the pivot columns permute the basis columns
+        kept, cols, last = _eliminate([[g[a][b] for b in basis]
+                                       for a in basis])
+        if len(kept) != r:  # pragma: no cover - see above
+            raise InconsistencyError("singular basis Gram")
+        inversions = sum(a > b for a, b in itertools.combinations(cols, 2))
+        d0 = -last if inversions % 2 else last
+        # pairing with the basis maps the span injectively onto the lattice
+        # of columns of G[basis, *], and the basis sublattice onto the
+        # columns of G[basis, basis], of covolume |d0|
+        covolume = _hnf_determinant([[g[j][b] for b in basis]
+                                     for j in range(self.n)], r)
+        index, rem = divmod(abs(d0), covolume)
+        if rem:  # pragma: no cover - the basis columns are among them
+            raise InconsistencyError("index is not integral")
+        disc, rem = divmod(d0, index * index)
+        if rem:
+            raise InconsistencyError("discriminant not divisible by index^2")
+        return disc, index, tuple(basis)
 
     def span_discriminant(self, subset: Optional[Sequence[int]] = None
                           ) -> int:
@@ -261,12 +196,6 @@ class GramLattice:
                 "discriminant": self.span_discriminant(),
                 "index": self.span_index(),
                 "basis-line-ids": list(self.basis_ids())}
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def gram_from_graph(graph: IntersectionGraph) -> GramLattice:

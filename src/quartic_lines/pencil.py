@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import CapabilityError, InconsistencyError, UsageError
 from .field import MAX_DEGREE, FieldSpec
-from .geometry import (Line, QuarticSurface, canonical_point, kernel_vector,
-                       normalize_line)
+from .geometry import (Line, QuarticSurface, _univariate_in, canonical_point,
+                       kernel_vector, mat_inverse, normalize_line,
+                       restrict_form, rref)
 from .poly import (Poly, SparsePoly, binary_roots, divide_by_linear,
                    sylvester_resultant)
 
@@ -118,9 +119,6 @@ class ResidualPencil:
         if pos.ext == 1:
             return self.spec
         return FieldSpec.default(self.spec.degree * pos.ext)
-
-    def lambda_degree(self) -> int:
-        return self.g.degree_in(3)
 
 
 def _shift_down(p: SparsePoly, var: int) -> SparsePoly:
@@ -222,26 +220,6 @@ def _apply_frame(p: SparsePoly, frame) -> SparsePoly:
     return p.substitute(images)
 
 
-def _univariate3(g: SparsePoly, var: int, tail: Sequence[int]) -> Poly:
-    """Specialize all variables except `var` (tail in increasing index
-    order, skipping `var`), leaving a univariate Poly."""
-    spec = g.spec
-    coeffs = [0] * (max(g.degree_in(var), 0) + 1)
-    mul, powi = spec.mul_int, spec.pow_int
-    for e, c in g.terms.items():
-        t = c
-        j = 0
-        for i, k in enumerate(e):
-            if i == var:
-                continue
-            if k:
-                t = mul(t, powi(tail[j], k))
-            j += 1
-        if t:
-            coeffs[e[var]] ^= t
-    return Poly(spec, coeffs)
-
-
 def _binary_collect(p: SparsePoly, vi: int, vj: int) -> List[SparsePoly]:
     """Coefficients of p as a binary form in (vi, vj), vi-major; entries
     are polynomials in the remaining variables.  Input must be homogeneous
@@ -306,7 +284,7 @@ def _cubic_singular_points(cubic: SparsePoly, spec: FieldSpec
         if all(p.evaluate([1, 0, 0]) == 0 for p in parts):
             found.append((1, 0, 0))
         for y2, y3 in sorted(cands):
-            unis = [_univariate3(p, 0, (y2, y3)) for p in parts]
+            unis = [_univariate_in(p, 0, (y2, y3)) for p in parts]
             if all(u.is_zero() for u in unis):
                 raise InconsistencyError(
                     "cubic singular along a whole line (non-reduced)")
@@ -389,46 +367,24 @@ def _divide_by_conic(p: SparsePoly, q: SparsePoly
         cols.append(qi)
         monos.update(qi.terms)
     monos.update(p.terms)
-    rows = []
-    for e in sorted(monos):
-        rows.append([cols[0].terms.get(e, 0), cols[1].terms.get(e, 0),
-                     cols[2].terms.get(e, 0), p.terms.get(e, 0)])
-    # gaussian elimination on a 3-unknown system with consistency check
-    sol = [None, None, None]
-    pivots = []
-    r = 0
-    ncols = 3
-    mat = [list(row) for row in rows]
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = spec.inv_int(mat[r][c])
-        mat[r] = [spec.mul_int(inv, v) for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a ^ spec.mul_int(f, b)
-                          for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(mat)):
-        if mat[i][3]:
-            return None
-    for row, c in zip(mat, pivots):
-        sol[c] = row[3]
-    out = tuple(0 if s is None else s for s in sol)
-    if not any(out):
+    rows = [[cols[0].terms.get(e, 0), cols[1].terms.get(e, 0),
+             cols[2].terms.get(e, 0), p.terms.get(e, 0)]
+            for e in sorted(monos)]
+    red, pivots = rref(rows, spec)
+    if 3 in pivots:  # a pivot in the right-hand column: inconsistent
         return None
-    return out
+    sol = [0, 0, 0]
+    for row, c in zip(red, pivots):
+        sol[c] = row[3]
+    if not any(sol):
+        return None
+    return tuple(sol)
 
 
 def _pull_back_form(form: Sequence[int], m: Sequence[Sequence[int]],
                     spec: FieldSpec) -> Tuple[int, int, int]:
     """Transport a linear form from y-coordinates to x-coordinates, where
     x = y . m (rows): the x-form coefficients are m^{-1} . form."""
-    from .geometry import mat_inverse
     minv = mat_inverse(m, spec)
     out = [0, 0, 0]
     for d in range(3):
@@ -446,29 +402,6 @@ def _direction_point(pt: Sequence[int], uv: Tuple[int, int],
     d = [0, 0, 0]
     d[others[0]], d[others[1]] = uv
     return tuple(d)
-
-
-def _restrict_form(form: SparsePoly, p1: Sequence[int],
-                   p2: Sequence[int]) -> List[int]:
-    """Coefficients of form(s*p1 + t*p2) as a binary form in (s, t),
-    s-major."""
-    spec = form.spec
-    mul = spec.mul_int
-    d = form.total_degree()
-    out = [0] * (d + 1)
-    for e, c in form.terms.items():
-        factor = [c]
-        for i, k in enumerate(e):
-            for _ in range(k):
-                nxt = [0] * (len(factor) + 1)
-                for j, fc in enumerate(factor):
-                    if fc:
-                        nxt[j] ^= mul(fc, p1[i])
-                        nxt[j + 1] ^= mul(fc, p2[i])
-                factor = nxt
-        for j, fc in enumerate(factor):
-            out[j] ^= fc
-    return out
 
 
 def _line_form_through(p1: Sequence[int], p2: Sequence[int],
@@ -533,7 +466,7 @@ def _split_conic(conic: SparsePoly, nucleus) -> List[Tuple[int, int, int]]:
     if aux is None:  # pragma: no cover - some probe always separates
         raise InconsistencyError("no transversal line found")
     base_pts = _form_two_points(aux, work)
-    quad = _restrict_form(conic, base_pts[0], base_pts[1])
+    quad = restrict_form(conic, base_pts[0], base_pts[1])
     roots = binary_roots(quad, work)
     if sum(m for _, m in roots) < 2:
         return []
@@ -688,7 +621,7 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
         singularities.append(CubicSingularity(ptw, d, local))
         for uv in dirs:
             dpt = _direction_point(ptw, uv, pivot)
-            if not any(_restrict_form(cw, ptw, dpt)):
+            if not any(restrict_form(cw, ptw, dpt)):
                 add_component(_line_form_through(ptw, dpt, work))
 
     components = list(comp_forms)
@@ -740,7 +673,7 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
     elif ncomp == 1:
         form = components[0]
         conic = divide_by_linear(cw, form)
-        quad = _restrict_form(conic, *_form_two_points(form, work))
+        quad = restrict_form(conic, *_form_two_points(form, work))
         # distinct intersection points iff the cross coefficient survives
         kod = "I2" if quad[1] != 0 else "III"
     elif ncomp == 3:

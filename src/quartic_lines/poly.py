@@ -21,8 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .field import (FieldElement, FieldEmbedding, FieldError, FieldSpec,
-                    find_roots_int)
+from .field import FieldEmbedding, FieldError, FieldSpec, find_roots_int
 
 
 class Poly:
@@ -54,13 +53,6 @@ class Poly:
     @classmethod
     def constant(cls, spec: FieldSpec, c: int) -> "Poly":
         return cls(spec, (c,))
-
-    @classmethod
-    def from_elements(cls, coeffs: Sequence[FieldElement]) -> "Poly":
-        if not coeffs:
-            raise ValueError("empty coefficient list")
-        spec = coeffs[0].spec
-        return cls(spec, [c.bits for c in coeffs])
 
     # -- basics ---------------------------------------------------------------
 
@@ -203,11 +195,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = mul(acc, x) ^ c
         return acc
-
-    def __call__(self, x: FieldElement) -> FieldElement:
-        if x.spec != self.spec:
-            raise FieldError("evaluation point in the wrong field")
-        return FieldElement(self.eval_int(x.bits), self.spec)
 
     def compose(self, inner: "Poly") -> "Poly":
         """Substitution x -> inner(x)."""
@@ -442,16 +429,6 @@ class SparsePoly:
             coeffs[e[var]] ^= c
         return Poly(self.spec, coeffs)
 
-    @classmethod
-    def from_univariate(cls, p: Poly, var: int, nvars: int) -> "SparsePoly":
-        terms = {}
-        for i, c in enumerate(p.coeffs):
-            if c:
-                e = [0] * nvars
-                e[var] = i
-                terms[tuple(e)] = c
-        return cls(nvars, p.spec, terms)
-
     # -- substitution and evaluation ------------------------------------------
 
     def substitute(self, mapping: Dict[int, "SparsePoly"]) -> "SparsePoly":
@@ -509,11 +486,6 @@ class SparsePoly:
                 total += t
         return total
 
-    def eval_elements(self, point: Sequence[FieldElement]) -> FieldElement:
-        if self.spec is None:
-            raise ValueError("not a field polynomial")
-        return FieldElement(self.evaluate([p.bits for p in point]), self.spec)
-
     # -- coefficient-ring changes ---------------------------------------------
 
     def reduce_mod2(self, spec: FieldSpec) -> "SparsePoly":
@@ -528,13 +500,6 @@ class SparsePoly:
             raise FieldError("embedding source mismatch")
         return SparsePoly(self.nvars, emb.target,
                           {e: emb.apply_int(c) for e, c in self.terms.items()})
-
-    def extend_vars(self, nvars: int) -> "SparsePoly":
-        if nvars < self.nvars:
-            raise ValueError("cannot drop variables")
-        pad = (0,) * (nvars - self.nvars)
-        return SparsePoly(nvars, self.spec,
-                          {e + pad: c for e, c in self.terms.items()})
 
     def drop_vars(self, keep: Sequence[int]) -> "SparsePoly":
         """Project onto a subset of variables; others must not occur."""

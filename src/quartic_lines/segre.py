@@ -18,10 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, InconsistencyError, UsageError
 from .field import FieldSpec
-from .geometry import Line, QuarticSurface, canonical_point
+from .geometry import Line, QuarticSurface, restrict_form
 from .pencil import (POS_INF, FiberReport, PencilPosition, RamificationData,
-                     ResidualPencil, _form_two_points, _restrict_form,
-                     fiber_line_count, ramification_type, singular_fibers)
+                     ResidualPencil, _form_two_points, fiber_line_count,
+                     ramification_type, singular_fibers)
 from .poly import Poly, SparsePoly, sylvester_resultant
 from .surfaces import family_z_surface
 
@@ -291,7 +291,7 @@ def hessian_vanishes_on_line(cubic: SparsePoly,
     if h.is_zero():
         return True
     p1, p2 = _form_two_points(tuple(line_form), cubic.spec)
-    return not any(_restrict_form(h, p1, p2))
+    return not any(restrict_form(h, p1, p2))
 
 
 def hessian_vanishes_at(cubic: SparsePoly, point: Sequence[int]) -> bool:

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from quartic_lines.cli import main
 
 

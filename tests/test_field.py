@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from quartic_lines.field import MAX_DEGREE, FieldSpec
 

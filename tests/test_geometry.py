@@ -1,17 +1,15 @@
 import pytest
 
-from quartic_lines.errors import InconsistencyError, UsageError
-from quartic_lines.field import FieldSpec
-from quartic_lines.geometry import (IntersectionGraph, Line, QuarticSurface,
-                                    axis_line, count_candidate_lines,
+from quartic_lines.errors import UsageError
+from quartic_lines.geometry import (Line, QuarticSurface, axis_line,
+                                    count_candidate_lines,
                                     detect_configurations, enumerate_lines,
                                     lines_meet, normalize_line, orbit,
                                     singular_point_search,
                                     square_fibration_partition,
                                     surface_preserved_by)
 from quartic_lines.poly import SparsePoly
-from quartic_lines.surfaces import (family_z_surface, get_surface,
-                                    s5_generators, s5_mu0_surface,
+from quartic_lines.surfaces import (get_surface, s5_generators,
                                     schur_char2_surface)
 
 

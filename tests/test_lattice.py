@@ -80,3 +80,42 @@ def test_s5_lattice_invariants(s5_graph):
     data = lat.to_json()
     assert data["rank"] == 20 and data["discriminant"] == -55
     assert len(data["basis-line-ids"]) == 20
+
+
+def _negative_cartan(n, edges):
+    return tuple(tuple(-2 if i == j else int((i, j) in edges or
+                                              (j, i) in edges)
+                       for j in range(n)) for i in range(n))
+
+
+def _chain(n):
+    return {(i, i + 1) for i in range(n - 1)}
+
+
+# root lattices (Gram = -Cartan): (gram, rank, discriminant, index, basis)
+ROOT_LATTICES = [
+    pytest.param(_negative_cartan(n, _chain(n)), n, (-1) ** n * (n + 1), 1,
+                 tuple(range(n)), id=f"A{n}") for n in range(1, 9)
+] + [
+    pytest.param(_negative_cartan(4, {(0, 1), (0, 2), (0, 3)}), 4, 4, 1,
+                 (0, 1, 2, 3), id="D4"),
+    pytest.param(_negative_cartan(8, _chain(7) | {(2, 7)}), 8, 1, 1,
+                 tuple(range(8)), id="E8"),
+    # A2 generated by 2*a1, a2, a1: the basis (2*a1, a2) has index 2
+    pytest.param(((-8, 2, -4), (2, -2, 1), (-4, 1, -2)), 2, 3, 2, (0, 1),
+                 id="A2-index2"),
+]
+
+
+@pytest.mark.parametrize("gram, rank, disc, index, basis", ROOT_LATTICES)
+def test_closed_form_invariants(gram, rank, disc, index, basis):
+    g = GramLattice(gram)
+    assert g.rank() == rank
+    assert g.span_discriminant() == disc
+    assert g.span_index() == index
+    assert g.basis_ids() == basis
+
+
+def test_rank_above_22_is_rejected():
+    with pytest.raises(InconsistencyError):
+        GramLattice(_negative_cartan(23, set()))

@@ -3,14 +3,12 @@ import random
 import pytest
 
 from quartic_lines.errors import UsageError
-from quartic_lines.field import FieldSpec
-from quartic_lines.geometry import QuarticSurface, axis_line
-from quartic_lines.pencil import POS_ZERO, ResidualPencil
+from quartic_lines.geometry import axis_line
+from quartic_lines.pencil import ResidualPencil
 from quartic_lines.poly import SparsePoly
 from quartic_lines.segre import (build_dossier, char2_hessian,
                                  coplanar_line_multiplicity,
-                                 divisibility_audit, family_z_531_instance,
-                                 family_z_fiber_lines,
+                                 family_z_531_instance, family_z_fiber_lines,
                                  family_z_symbolic_resultant,
                                  family_z_valency_criterion,
                                  hessian_vanishes_at,

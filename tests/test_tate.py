@@ -5,8 +5,8 @@ import pytest
 from quartic_lines.errors import UsageError
 from quartic_lines.field import FieldSpec
 from quartic_lines.poly import Poly
-from quartic_lines.tate import (LocalFiberReport, WeierstrassModel,
-                                build_integral_model, classify_all,
+from quartic_lines.tate import (WeierstrassModel, build_integral_model,
+                                classify_all,
                                 enumerate_fiber_configs, example_6_4_instance,
                                 finite_places, max_line_bearing_fibers,
                                 ord_delta_total, qe_height_obstruction,
