@@ -76,7 +76,6 @@ class CensusReport:
     graph: IntersectionGraph
     dossiers: List[dict] = field(default_factory=list)
     case: Optional[str] = None
-    smooth_level: Optional[int] = None
     lattice: Optional[GramLattice] = None
     audits: List[dict] = field(default_factory=list)
 
@@ -103,8 +102,6 @@ class CensusReport:
             out["dossiers"] = self.dossiers
         if self.case is not None:
             out["configuration-case"] = self.case
-        if self.smooth_level is not None:
-            out["smoothness-certificate-level"] = self.smooth_level
         if self.lattice is not None:
             out["lattice"] = self.lattice.to_json()
         if self.audits:

@@ -12,6 +12,7 @@ a field spec serializes as {"degree": k, "modulus": hex}.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -38,6 +39,7 @@ DEFAULT_MODULI = {
 }
 
 MAX_DEGREE = 16
+_LIST_TABLE_MAX_SIZE = 4096
 
 
 class FieldError(ValueError):
@@ -75,7 +77,7 @@ class FieldSpec:
 
     __slots__ = (
         "degree", "modulus", "order", "size",
-        "_exp", "_log", "_embeddings", "_gen",
+        "_exp", "_log", "_exps", "_logs", "_embeddings", "_gen",
     )
 
     def __init__(self, degree: int, modulus: Optional[int] = None):
@@ -94,6 +96,8 @@ class FieldSpec:
         self.order = self.size - 1
         self._exp = None
         self._log = None
+        self._exps = None
+        self._logs = None
         self._embeddings = {}
         self._gen = None
 
@@ -181,19 +185,38 @@ class FieldSpec:
             self._build_tables()
         return self._log
 
+    def _scalar_tables(self) -> None:
+        # Copies of the tables for the int-level methods: a list indexes
+        # several times faster than a numpy array, but its int objects take
+        # megabytes above 4096 elements, where 2-byte arrays are kept.
+        if self._exp is None:
+            self._build_tables()
+        exps, logs = self._exp[:self.order], self._log
+        if self.size <= _LIST_TABLE_MAX_SIZE:
+            exps, logs = exps.tolist(), logs.tolist()
+        else:
+            exps = array("H", exps.astype(np.uint16).tobytes())
+            logs = array("H", logs.astype(np.uint16).tobytes())
+        self._exps = exps + exps
+        self._logs = logs
+
     def mul_int(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is None:
-            self._build_tables()
-        return int(self._exp[int(self._log[a]) + int(self._log[b])])
+        logs = self._logs
+        if logs is None:
+            self._scalar_tables()
+            logs = self._logs
+        return self._exps[logs[a] + logs[b]]
 
     def inv_int(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse in GF(2^k)")
-        if self._exp is None:
-            self._build_tables()
-        return int(self._exp[self.order - int(self._log[a])]) if a != 1 else 1
+        if a == 1:
+            return 1
+        if self._logs is None:
+            self._scalar_tables()
+        return self._exps[self.order - self._logs[a]]
 
     def pow_int(self, a: int, e: int) -> int:
         if a == 0:
@@ -202,9 +225,9 @@ class FieldSpec:
             if e < 0:
                 raise ZeroDivisionError("0 to a negative power")
             return 0
-        if self._exp is None:
-            self._build_tables()
-        return int(self._exp[(int(self._log[a]) * e) % self.order])
+        if self._logs is None:
+            self._scalar_tables()
+        return self._exps[(self._logs[a] * e) % self.order]
 
     def sqrt_int(self, a: int) -> int:
         # Squaring is a bijection in characteristic 2: sqrt = a^(2^(k-1)).

@@ -479,7 +479,9 @@ def count_candidate_lines(q: int) -> int:
 
 
 _DIRECT_SCAN_MAX_Q = 64
-_ELIMINATION_MAX_Q = 4096
+# Infinitely many common zeros of the x1-resultants are listed on the P^2
+# grid, 3 q^2 points.
+_GRID_MAX_Q = 4096
 
 
 def _eval_on_grid(p: SparsePoly, grids: List[np.ndarray],
@@ -553,14 +555,14 @@ def _univariate_in(g: SparsePoly, var: int, tail: Sequence[int]) -> Poly:
     return Poly(spec, coeffs)
 
 
-def _singular_points_elimination(forms: List[SparsePoly],
-                                 spec: FieldSpec) -> List[Row]:
-    """Project out x1 by resultants, scan P^2, lift candidates."""
-    q = spec.size
+def _x1_resultants(forms: List[SparsePoly]) -> List[SparsePoly]:
+    """The first two nonzero resultants in x1 of pairs of the forms: forms
+    in (x2, x3, x4) vanishing on the projection of every common zero."""
     with_x1 = [g for g in forms if not g.is_zero() and g.degree_in(0) >= 1]
     if len(with_x1) < 2:
         raise CapabilityError(
             "degenerate elimination: too few forms involve x1")
+    spec = forms[0].spec
     resultants = []
     for ga, gb in itertools.combinations(with_x1, 2):
         ca = [ga.coefficient_in(0, k)
@@ -576,11 +578,61 @@ def _singular_points_elimination(forms: List[SparsePoly],
         raise CapabilityError(
             "all elimination resultants vanish identically; "
             "use a smaller field for the direct scan")
-    found = []
-    # candidate [1:0:0:0] never appears in the x2,x3,x4 projective scan
-    if _verify_singular(forms, (1, 0, 0, 0)):
-        found.append((1, 0, 0, 0))
-    nonzero_forms = [g for g in forms if not g.is_zero()]
+    return resultants
+
+
+def _x2_coefficients(r: SparsePoly) -> List[Poly]:
+    """r(x1, x2, x3, 1) as a polynomial in x2 (x1 does not occur): its
+    coefficients in GF(2^k)[x3], highest power of x2 first."""
+    n = r.degree_in(1)
+    rows = [[0] * (r.degree_in(2) + 1) for _ in range(n + 1)]
+    for e, c in r.terms.items():
+        rows[n - e[1]][e[2]] ^= c
+    return [Poly(r.spec, row) for row in rows]
+
+
+def _x3_eliminant(resultants: List[SparsePoly]) -> Optional[Poly]:
+    """S(x3) vanishing at x3 = a whenever the resultants have a common zero
+    (x2, a, 1); None when there is no such S (fewer than two resultants, or
+    Res_x2 vanishes identically)."""
+    if len(resultants) < 2:
+        return None
+    ca, cb = (_x2_coefficients(r) for r in resultants)
+    if len(ca) == 1 or len(cb) == 1:  # free of x2: its own x3-eliminant
+        s = ca[0] if len(ca) == 1 else cb[0]
+    else:
+        s = sylvester_resultant(ca, cb, Poly.zero(resultants[0].spec))
+    return None if s.is_zero() else s
+
+
+def _candidate_tails(resultants: List[SparsePoly], s: Poly
+                     ) -> Optional[List[Tuple[int, int, int]]]:
+    """The common zeros (x2 : x3 : x4) of the resultants in P^2(GF(q)):
+    on each line x3 = a x4 with S(a) = 0, on the line x4 = 0, and the
+    point [1:0:0].  None when the resultants vanish on a whole line."""
+    tails = [(1, 0, 0)]
+    for x3, x4 in [(1, 0)] + [(a, 1) for a, _ in s.roots()]:
+        unis = [u for u in (_univariate_in(r, 1, (0, x3, x4))
+                            for r in resultants) if not u.is_zero()]
+        if not unis:
+            return None
+        g = unis[0] if len(unis) == 1 else unis[0].gcd(unis[1])
+        if g.degree() >= 1:
+            tails += [(x2, x3, x4) for x2, _ in g.roots()]
+    return tails
+
+
+def _grid_tails(resultants: List[SparsePoly],
+                spec: FieldSpec) -> List[Tuple[int, int, int]]:
+    """The common zeros of the resultants in P^2(GF(q)) by evaluation on
+    every point: the listing when there are infinitely many."""
+    q = spec.size
+    if q > _GRID_MAX_Q:
+        raise CapabilityError(
+            "the elimination resultants share a curve of zeros; listing "
+            f"them on the P^2 grid over GF(2^{spec.degree}) is refused "
+            f"for q > {_GRID_MAX_Q}")
+    tails = []
     for chart in range(1, 4):
         coords = _chart_points(chart, q)
         mask = None
@@ -589,32 +641,44 @@ def _singular_points_elimination(forms: List[SparsePoly],
             mask = v if mask is None else (mask & v)
             if not mask.any():
                 break
-        for i in np.nonzero(mask)[0].tolist():
-            tail = tuple(int(coords[c][i]) for c in range(1, 4))
-            unis = [_univariate_in(g, 0, tail) for g in nonzero_forms]
-            if all(u.is_zero() for u in unis):
-                if q > _DIRECT_SCAN_MAX_Q:
-                    raise CapabilityError(
-                        "surface is singular along a whole line over a "
-                        "large field; point listing refused")
-                for x1 in range(q):
-                    pt = canonical_point((x1,) + tail, spec)
-                    if _verify_singular(forms, pt):
-                        found.append(pt)
+        tails += [tuple(int(coords[c][i]) for c in range(1, 4))
+                  for i in np.nonzero(mask)[0].tolist()]
+    return tails
+
+
+def _singular_points_elimination(forms: List[SparsePoly],
+                                 resultants: List[SparsePoly],
+                                 s: Optional[Poly],
+                                 spec: FieldSpec) -> List[Row]:
+    """Lift the common zeros of the x1-resultants to P^3: at each one, the
+    x1 are the roots of the gcd of the forms, checked on all five."""
+    tails = None if s is None else _candidate_tails(resultants, s)
+    if tails is None:
+        tails = _grid_tails(resultants, spec)
+    found = []
+    # candidate [1:0:0:0] never appears in the (x2 : x3 : x4) projection
+    if _verify_singular(forms, (1, 0, 0, 0)):
+        found.append((1, 0, 0, 0))
+    nonzero_forms = [g for g in forms if not g.is_zero()]
+    for tail in tails:
+        g = None
+        for form in nonzero_forms:
+            u = _univariate_in(form, 0, tail)
+            if u.is_zero():
                 continue
-            g = None
-            for u in unis:
-                if u.is_zero():
-                    continue
-                g = u if g is None else g.gcd(u)
-                if g.degree() == 0:
-                    break
-            if g is None or g.degree() < 1:
-                continue
-            for r_bits, _ in g.roots():
-                pt = canonical_point((r_bits,) + tail, spec)
-                if _verify_singular(forms, pt):
-                    found.append(pt)
+            g = u if g is None else g.gcd(u)
+            if g.degree() == 0:
+                break
+        if g is None:
+            raise CapabilityError(
+                "surface is singular along a whole line over a "
+                "large field; point listing refused")
+        if g.degree() < 1:
+            continue
+        for r_bits, _ in g.roots():
+            pt = canonical_point((r_bits,) + tail, spec)
+            if _verify_singular(forms, pt):
+                found.append(pt)
     return sorted(set(found))
 
 
@@ -633,32 +697,42 @@ def singular_point_search(surface: QuarticSurface,
                           max_ext: int = 6) -> List[SingularPoint]:
     """All singular points over GF(2^(k*m)) for m <= max_ext.
 
-    An empty result is a certificate up to the achieved level, not a
-    smoothness proof.  Levels whose field exceeds the elimination-scan
-    budget raise CapabilityError; callers wanting a partial certificate
-    should lower max_ext.
+    An empty result certifies smoothness over GF(2^(k*max_ext)), not over
+    the algebraic closure.  Every level up to GF(2^16) is reached: fields
+    of at most 64 elements by evaluation on P^3, larger ones by eliminating
+    x1 and x2 with resultants (computed once, over the surface's field)
+    and root finding in one variable.  When those resultants share a curve
+    of zeros, as for a surface singular along a curve, their points are
+    listed on the P^2 grid instead, up to GF(4096).  CapabilityError is
+    raised for a target field beyond GF(2^16), for a larger grid, and for
+    a singular line through [1:0:0:0] over a field above 64 elements.
     """
     if max_ext < 1:
         raise UsageError("max_ext must be >= 1")
     k = surface.spec.degree
+    if k * max_ext > MAX_DEGREE:
+        raise CapabilityError(
+            f"target field GF(2^{k * max_ext}) exceeds the 2^{MAX_DEGREE} "
+            "limit")
     results: List[SingularPoint] = []
     seen_by_level: Dict[int, List[Row]] = {}
+    eliminants = None  # (x1-resultants, S(x3)) over the surface's field
     for m in range(1, max_ext + 1):
-        if k * m > MAX_DEGREE:
-            break
         target = surface.spec if m == 1 else FieldSpec.default(k * m)
-        q = target.size
-        if q > _ELIMINATION_MAX_Q:
-            raise CapabilityError(
-                f"singular-point scan at GF(2^{k * m}) exceeds the "
-                f"desk-scale budget (q > {_ELIMINATION_MAX_Q}); "
-                "lower max_ext for a partial certificate")
         surf = surface.base_change(target)
         forms = [surf.f] + surf.partials()
-        if q <= _DIRECT_SCAN_MAX_Q:
+        if target.size <= _DIRECT_SCAN_MAX_Q:
             pts = _singular_points_direct(forms, target)
         else:
-            pts = _singular_points_elimination(forms, target)
+            if eliminants is None:
+                rs = _x1_resultants([surface.f] + surface.partials())
+                eliminants = (rs, _x3_eliminant(rs))
+            rs, s = eliminants
+            if m > 1:
+                emb = surface.spec.embedding_to(target)
+                rs = [r.embed(emb) for r in rs]
+                s = None if s is None else s.embed(emb)
+            pts = _singular_points_elimination(forms, rs, s, target)
         # drop points already found over subfields
         fresh = []
         for pt in sorted(set(pts)):

@@ -914,25 +914,12 @@ def _eval_form(form: Sequence[int], u0: int, v0: int,
 
 def _form_root_multiplicity(form: Sequence[int], root: Tuple[int, int],
                             spec: FieldSpec) -> int:
-    """Multiplicity of a projective root in a binary form (u-major)."""
-    u0, v0 = root
-    w = (0, 1) if u0 else (1, 0)
-    mul = spec.mul_int
+    """Multiplicity of a projective root in a binary form (u-major): the
+    order in t of form(s*root + t*w) for a second point w."""
     d = len(form) - 1
-    out = [0] * (d + 1)
-    for i, c in enumerate(form):
-        if not c:
-            continue
-        factor = [c]
-        for base in ((u0, w[0]),) * (d - i) + ((v0, w[1]),) * i:
-            nxt = [0] * (len(factor) + 1)
-            for j, fc in enumerate(factor):
-                if fc:
-                    nxt[j] ^= mul(fc, base[0])
-                    nxt[j + 1] ^= mul(fc, base[1])
-            factor = nxt
-        for j, fc in enumerate(factor):
-            out[j] ^= fc
+    w = (0, 1) if root[0] else (1, 0)
+    binary = SparsePoly(2, spec, {(d - i, i): c for i, c in enumerate(form)})
+    out = restrict_form(binary, root, w)
     return next((j for j, c in enumerate(out) if c), d + 1)
 
 
