@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Paired benchmark of the working tree against an earlier revision.
+
+    python3 scripts/bench.py --parent HEAD~1 --pairs 10 --workload scan \
+        --out BENCH.json
+
+Extracts REV with `git archive` into a temporary directory and runs the
+unchanged `perfbench/run.py --trace 0` of each side in a fresh process, for
+the `run_seconds` of the working tree's BENCHMARK.json, pair by pair, with
+seed i on both sides of pair i (1, 2, ...) and the side that goes first
+alternating.  For every end-to-end metric it prints each side's
+median and quartiles and the number of pairs the working tree won (every
+metric is lower-is-better), and writes the same figures, the raw runs and
+the per-workload `# report` figures to the JSON file named by `--out`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from typing import Dict, List
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", "-C", ROOT, *args], check=True,
+                          capture_output=True).stdout
+
+
+def extract(rev: str, dest: str) -> None:
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar",
+                                             rev))) as tar:
+        tar.extractall(dest)
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run: its result line plus the `# report` figures."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, os.path.join(tree, "perfbench", "run.py"),
+         "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        capture_output=True, text=True, env=env, cwd=tree)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"bench: run failed in {tree} (exit {proc.returncode})\n"
+                 + proc.stderr)
+    result = json.loads(lines[-1])
+    report = next(json.loads(ln[len("# report "):]) for ln in lines
+                  if ln.startswith("# report "))
+    values = {k: v["value"] for k, v in result["metrics"].items()}
+    values.update({f"report.{k}": v["value"] for k, v in report.items()})
+    return {"seed": seed, "failed": result["failed"],
+            "attempted": result["attempted"], "values": values}
+
+
+def spread(xs: List[float]) -> Dict[str, float]:
+    med = statistics.median(xs)
+    if len(xs) < 2:
+        return {"median": med, "q1": med, "q3": med}
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def summarize(runs: Dict[str, List[dict]]) -> dict:
+    parent, change = runs["parent"], runs["change"]
+    out = {}
+    for name in parent[0]["values"]:
+        a = [r["values"][name] for r in parent]
+        b = [r["values"][name] for r in change]
+        out[name] = {"parent": spread(a), "change": spread(b),
+                     "change_won": sum(y < x for x, y in zip(a, b)),
+                     "pairs": len(a)}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True, help="git revision")
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--workload", action="append", required=True,
+                    choices=("record", "scan", "sweep"))
+    ap.add_argument("--out", default="BENCH.json")
+    args = ap.parse_args(argv)
+    parent_rev = git("rev-parse", args.parent).decode().strip()
+    head = git("rev-parse", "HEAD").decode().strip()
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        seconds = json.load(fh)["run_seconds"]
+    doc = {"parent": parent_rev, "change": f"working tree on {head}",
+           "pairs": args.pairs, "seconds": seconds,
+           "seeds": list(range(1, args.pairs + 1)),
+           "python": sys.version.split()[0], "workloads": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        extract(parent_rev, tmp)
+        trees = {"parent": tmp, "change": ROOT}
+        for workload in args.workload:
+            runs: Dict[str, List[dict]] = {"parent": [], "change": []}
+            for i, seed in enumerate(doc["seeds"]):
+                order = ["parent", "change"] if i % 2 == 0 else \
+                    ["change", "parent"]
+                for side in order:
+                    runs[side].append(run_once(trees[side], workload, seed,
+                                               seconds))
+                print(f"# {workload} pair {i + 1}/{args.pairs} seed {seed}",
+                      file=sys.stderr, flush=True)
+            metrics = summarize(runs)
+            doc["workloads"][workload] = {
+                "metrics": metrics,
+                "failed": {side: sum(r["failed"] for r in rs)
+                           for side, rs in runs.items()},
+                "runs": runs}
+            for name, m in metrics.items():
+                p, c = m["parent"], m["change"]
+                print(f"{workload} {name}: parent {p['median']:.4g} "
+                      f"({p['q1']:.4g}-{p['q3']:.4g}) change "
+                      f"{c['median']:.4g} ({c['q1']:.4g}-{c['q3']:.4g}) "
+                      f"won {m['change_won']}/{m['pairs']}")
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,9 +1,10 @@
 """Command-line orchestrator: censuses, classifications, audits, and
 built-in verifications with machine-readable reports.
 
-Exit codes: 0 = pass, 1 = verification failure, 2 = input error.
-Reports are deterministic for fixed inputs (canonical ordering, no
-timestamps).  `QUARTIC_LINES_THREADS` overrides the worker count.
+Exit codes: 0 = pass, 1 = verification failure, 2 = input error,
+3 = a limit of the toolkit (CapabilityError, reported as
+"error: limit: ...").  Reports are deterministic for fixed inputs
+(canonical ordering, no timestamps).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -29,18 +29,6 @@ from .segre import (build_dossier, char2_hessian, family_z_valency_criterion,
 from .surfaces import get_surface
 from .tate import (WeierstrassModel, enumerate_fiber_configs,
                    example_6_4_instance, tate_classify)
-
-
-def _threads(args) -> Optional[int]:
-    env = os.environ.get("QUARTIC_LINES_THREADS")
-    if getattr(args, "threads", None):
-        return args.threads
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"bad QUARTIC_LINES_THREADS value {env!r}")
-    return None
 
 
 def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
@@ -109,11 +97,11 @@ class CensusReport:
         return out
 
 
-def _build_census(surface_id: str, ext: int, threads: Optional[int],
+def _build_census(surface_id: str, ext: int,
                   with_dossiers: bool = False,
                   with_lattice: bool = False) -> CensusReport:
     surface = get_surface(surface_id)
-    lines = enumerate_lines(surface, ext=ext, threads=threads)
+    lines = enumerate_lines(surface, ext=ext)
     graph = IntersectionGraph(lines)
     rep = CensusReport(surface.label, surface.spec.degree, ext, lines, graph)
     rep.case = detect_configurations(graph).case if lines else None
@@ -139,7 +127,7 @@ def _build_census(surface_id: str, ext: int, threads: Optional[int],
 
 
 def cmd_lines(args) -> int:
-    rep = _build_census(args.surface, args.ext, _threads(args))
+    rep = _build_census(args.surface, args.ext)
     rows = [[i, *[hex(c) for c in ln.rows[0]], *[hex(c) for c in ln.rows[1]],
              rep.graph.valency(i)]
             for i, ln in enumerate(rep.lines)]
@@ -151,7 +139,7 @@ def cmd_lines(args) -> int:
 
 def cmd_classify(args) -> int:
     surface = get_surface(args.surface)
-    lines = enumerate_lines(surface, ext=args.ext, threads=_threads(args))
+    lines = enumerate_lines(surface, ext=args.ext)
     if args.line is not None:
         if not 0 <= args.line < len(lines):
             raise UsageError(f"line index {args.line} out of range "
@@ -169,7 +157,7 @@ def cmd_classify(args) -> int:
 
 def cmd_fibers(args) -> int:
     surface = get_surface(args.surface)
-    lines = enumerate_lines(surface, ext=args.ext, threads=_threads(args))
+    lines = enumerate_lines(surface, ext=args.ext)
     if not 0 <= args.line < len(lines):
         raise UsageError(f"line index {args.line} out of range")
     pencil = ResidualPencil(surface, lines[args.line])
@@ -186,7 +174,7 @@ def cmd_fibers(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    rep = _build_census(args.surface, args.ext, _threads(args))
+    rep = _build_census(args.surface, args.ext)
     cfg = detect_configurations(rep.graph)
     payload = rep.to_json()
     payload["configurations"] = cfg.to_json()
@@ -196,8 +184,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    rep = _build_census(args.surface, args.ext, _threads(args),
-                        with_lattice=True)
+    rep = _build_census(args.surface, args.ext, with_lattice=True)
     if rep.lattice is None:
         raise UsageError("no lines found; empty lattice")
     payload = rep.lattice.to_json()
@@ -239,7 +226,7 @@ def cmd_configs(args) -> int:
 
 
 def _verify_s5_60(log) -> bool:
-    rep = _build_census("s5_mu0", 2, None, with_lattice=True)
+    rep = _build_census("s5_mu0", 2, with_lattice=True)
     ok = True
     ok &= _expect(log, "line count", len(rep.lines), 60)
     ok &= _expect(log, "valencies", set(rep.graph.valencies()), {17})
@@ -382,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="builtin id or JSON file path")
         sp.add_argument("--ext", type=int, default=1,
                         help="field extension degree for the census")
-        sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         if line_opt:
@@ -434,8 +420,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _DISPATCH[args.command](args)
-    except (UsageError, CapabilityError, FileNotFoundError,
-            json.JSONDecodeError, KeyError, ValueError) as exc:
+    except CapabilityError as exc:
+        sys.stderr.write(f"error: limit: {exc}\n")
+        return 3
+    except (UsageError, FileNotFoundError, json.JSONDecodeError, KeyError,
+            ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except InconsistencyError as exc:

@@ -6,18 +6,18 @@ normalized so the first nonzero coordinate is 1.  A line is the row span of
 a 2x4 matrix kept in reduced row echelon form, which is a unique
 representative, so lines compare and sort by their raw entries.
 
-Line enumeration sweeps the six Schubert cells of RREF pivot patterns --
-(q^2+1)(q^2+q+1) candidates in total -- with numpy-vectorized staged
-evaluation: a line lies on the surface iff the restricted binary quartic
-vanishes, which for q >= 4 is equivalent to vanishing at 5 distinct points
-of P^1.
+Line enumeration works from points: both RREF rows of a line on the
+surface are points of it, so each of the six Schubert cells of pivot
+patterns pairs the surface's points on two row charts (about q^2
+numpy-vectorized evaluations), keeps the pairs that meet the tangent
+condition, and confirms them exactly.  Singular points come from
+resultant elimination and one-variable root finding at every level.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -337,151 +337,7 @@ class QuarticSurface:
             return cls.from_json(json.load(fh))
 
 
-# -- line enumeration ---------------------------------------------------------
-
-
-_CHUNK = 1 << 20
-
-
-def _cell_free_positions(p1: int, p2: int) -> List[Tuple[int, int]]:
-    """Free (row, column) slots of the RREF pattern with pivots (p1, p2)."""
-    slots = [(0, c) for c in range(p1 + 1, 4) if c != p2]
-    slots += [(1, c) for c in range(p2 + 1, 4)]
-    return slots
-
-
-def _enumerate_cell(f: SparsePoly, spec: FieldSpec, p1: int, p2: int,
-                    lo: int, hi: int) -> List[Tuple[Row, Row]]:
-    """Surviving candidate lines of one Schubert-cell index range."""
-    q = spec.size
-    slots = _cell_free_positions(p1, p2)
-    idx = np.arange(lo, hi, dtype=np.int64)
-
-    # 5 sample points of P^1 are enough to kill a binary quartic (q >= 4);
-    # for q = 2 the three rational points are a filter before an exact check.
-    samples = [(1, 0), (0, 1), (1, 1)]
-    if q >= 4:
-        samples += [(1, 2), (1, 3)]
-
-    max_exp = [f.degree_in(i) for i in range(4)]
-
-    def row_entries(which_row, digits):
-        ent = []
-        for c in range(4):
-            if (which_row == 0 and c == p1) or (which_row == 1 and c == p2):
-                ent.append(None)  # pivot: constant one
-            else:
-                j = next((k for k, s in enumerate(slots)
-                          if s == (which_row, c)), None)
-                ent.append(digits[j] if j is not None else 0)
-        return ent
-
-    for u, v in samples:
-        if len(idx) == 0:
-            break
-        digits = []
-        rest = idx
-        for _ in slots:
-            digits.append((rest % q).astype(np.uint32))
-            rest = rest // q
-        r1 = row_entries(0, digits)
-        r2 = row_entries(1, digits)
-        coords = []
-        for c in range(4):
-            a = np.uint32(1) if r1[c] is None else r1[c]
-            b = np.uint32(1) if r2[c] is None else r2[c]
-            pa = spec.mul_arr(np.broadcast_to(np.asarray(a, dtype=np.uint32),
-                                              idx.shape),
-                              np.uint32(u))
-            pb = spec.mul_arr(np.broadcast_to(np.asarray(b, dtype=np.uint32),
-                                              idx.shape),
-                              np.uint32(v))
-            coords.append(pa ^ pb)
-        # precompute needed powers of each coordinate
-        pows = []
-        for c in range(4):
-            pc = [None] * (max_exp[c] + 1)
-            for k in range(1, max_exp[c] + 1):
-                pc[k] = spec.pow_arr(coords[c], k)
-            pows.append(pc)
-        val = np.zeros(idx.shape, dtype=np.uint32)
-        for e, cf in f.terms.items():
-            term = np.broadcast_to(np.uint32(cf), idx.shape)
-            for c in range(4):
-                if e[c]:
-                    term = spec.mul_arr(term, pows[c][e[c]])
-            val = val ^ term
-        idx = idx[val == 0]
-
-    out = []
-    for i in idx.tolist():
-        digits = []
-        rest = i
-        for _ in slots:
-            digits.append(rest % q)
-            rest //= q
-        r1 = [0] * 4
-        r2 = [0] * 4
-        r1[p1] = 1
-        r2[p2] = 1
-        for (row, col), d in zip(slots, digits):
-            (r1 if row == 0 else r2)[col] = d
-        out.append((tuple(r1), tuple(r2)))
-    return out
-
-
-def enumerate_lines(surface: QuarticSurface, ext: int = 1,
-                    threads: Optional[int] = None) -> List[Line]:
-    """All lines of P^3(GF(2^(k*ext))) on the surface, canonically sorted."""
-    if ext < 1:
-        raise UsageError("extension degree must be >= 1")
-    k = surface.spec.degree
-    if k * ext > MAX_DEGREE:
-        raise CapabilityError(
-            f"target field GF(2^{k * ext}) exceeds the 2^{MAX_DEGREE} limit")
-    target = surface.spec if ext == 1 else FieldSpec.default(k * ext)
-    surf = surface.base_change(target)
-    q = target.size
-    fq = surf.f
-
-    tasks = []
-    for p1, p2 in SCHUBERT_CELLS:
-        total = q ** len(_cell_free_positions(p1, p2))
-        for lo in range(0, total, _CHUNK):
-            tasks.append((p1, p2, lo, min(lo + _CHUNK, total)))
-
-    def run(task):
-        p1, p2, lo, hi = task
-        return _enumerate_cell(fq, target, p1, p2, lo, hi)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(run, tasks))
-    else:
-        chunks = [run(t) for t in tasks]
-
-    lines = []
-    for rows_list in chunks:
-        for r1, r2 in rows_list:
-            line = Line(target, [r1, r2], _canonical=True)
-            if q >= 4 or surf.contains_line(line):
-                lines.append(line)
-    lines.sort(key=Line.key)
-    return lines
-
-
-def count_candidate_lines(q: int) -> int:
-    """|Gr(2,4)(F_q)| = (q^2+1)(q^2+q+1)."""
-    return (q * q + 1) * (q * q + q + 1)
-
-
-# -- singular point search ----------------------------------------------------
-
-
-_DIRECT_SCAN_MAX_Q = 64
-# Infinitely many common zeros of the x1-resultants are listed on the P^2
-# grid, 3 q^2 points.
-_GRID_MAX_Q = 4096
+# -- evaluation on grids of points -------------------------------------------
 
 
 def _eval_on_grid(p: SparsePoly, grids: List[np.ndarray],
@@ -496,44 +352,113 @@ def _eval_on_grid(p: SparsePoly, grids: List[np.ndarray],
     return val
 
 
-def _verify_singular(forms: List[SparsePoly], pt: Sequence[int]) -> bool:
-    return all(g.evaluate(list(pt)) == 0 for g in forms)
-
-
-def _chart_points(chart: int, q: int) -> List[np.ndarray]:
-    """Meshgrid coordinate arrays for the chart where coordinate `chart` is
-    the leading 1 (coordinates below it are 0, above it free)."""
-    nfree = 3 - chart
-    n = q ** nfree
+def _chart(lead: int, free: Sequence[int], q: int) -> List[np.ndarray]:
+    """Coordinate arrays of the q^len(free) points whose coordinate `lead`
+    is 1, whose `free` coordinates run over GF(q) and whose others are 0."""
+    n = q ** len(free)
     idx = np.arange(n, dtype=np.int64)
-    coords = []
-    for c in range(4):
-        if c < chart:
-            coords.append(np.zeros(n, dtype=np.uint32))
-        elif c == chart:
-            coords.append(np.ones(n, dtype=np.uint32))
-        else:
-            j = c - chart - 1
-            coords.append(((idx // (q ** j)) % q).astype(np.uint32))
+    coords = [np.zeros(n, dtype=np.uint32) for _ in range(4)]
+    coords[lead] = np.ones(n, dtype=np.uint32)
+    for j, c in enumerate(free):
+        coords[c] = ((idx // q ** j) % q).astype(np.uint32)
     return coords
 
 
-def _singular_points_direct(forms: List[SparsePoly],
-                            spec: FieldSpec) -> List[Row]:
-    q = spec.size
-    found = []
-    for chart in range(4):
-        coords = _chart_points(chart, q)
-        mask = np.ones(coords[0].shape, dtype=bool)
-        for g in forms:
-            if g.is_zero():
-                continue
-            mask &= _eval_on_grid(g, coords, spec) == 0
-            if not mask.any():
-                break
-        for i in np.nonzero(mask)[0].tolist():
-            found.append(tuple(int(coords[c][i]) for c in range(4)))
-    return found
+# -- line enumeration ---------------------------------------------------------
+
+
+def _cell_free_positions(p1: int, p2: int) -> List[Tuple[int, int]]:
+    """Free (row, column) slots of the RREF pattern with pivots (p1, p2)."""
+    slots = [(0, c) for c in range(p1 + 1, 4) if c != p2]
+    slots += [(1, c) for c in range(p2 + 1, 4)]
+    return slots
+
+
+def _cell_lines(surf: QuarticSurface, partials: List[SparsePoly],
+                p1: int, p2: int) -> List[Line]:
+    """The lines on the surface in the Schubert cell with pivots (p1, p2).
+
+    Both RREF rows of such a line are points of the surface: row 1 in the
+    chart x_{p1} = 1 with zeros before p1 and at p2, row 2 in the chart
+    x_{p2} = 1 with zeros before p2.  A pair (P, Q) must meet the tangent
+    condition grad f(P).Q = 0, the s^3 t coefficient of f(sP + tQ); then
+    f(sP + tQ) has a double root at (1:0) and a root at (0:1), and two more
+    at t = 1, 2 make five, so it vanishes.  GF(2) has no element 2, and
+    its few survivors are checked with contains_line.
+    """
+    spec = surf.spec
+    slots = _cell_free_positions(p1, p2)
+    rows = []
+    for row, lead in enumerate((p1, p2)):
+        coords = _chart(lead, [c for r, c in slots if r == row], spec.size)
+        on = _eval_on_grid(surf.f, coords, spec) == 0
+        rows.append(np.stack([c[on] for c in coords]))
+    ps, qs = rows
+    grad = [_eval_on_grid(g, list(ps), spec) for g in partials]
+    pairs = []
+    for j, qpt in enumerate(qs.T.tolist()):
+        dot = grad[p2].copy()  # qpt is 0 before p2 and 1 at p2
+        for c in range(p2 + 1, 4):
+            if qpt[c]:
+                dot ^= spec.mul_arr(grad[c], qpt[c])
+        pairs += [(i, j) for i in np.nonzero(dot == 0)[0].tolist()]
+    if not pairs:
+        return []
+    pi, qj = np.array(pairs, dtype=np.int64).T
+    p, q = ps[:, pi], qs[:, qj]
+    if spec.size >= 4:
+        on = ((_eval_on_grid(surf.f, list(p ^ q), spec) == 0)
+              & (_eval_on_grid(surf.f, list(p ^ spec.mul_arr(q, 2)), spec)
+                 == 0))
+        p, q = p[:, on], q[:, on]
+    lines = [Line(spec, r, _canonical=True)
+             for r in zip(p.T.tolist(), q.T.tolist())]
+    if spec.size < 4:
+        lines = [ln for ln in lines if surf.contains_line(ln)]
+    return lines
+
+
+def enumerate_lines(surface: QuarticSurface, ext: int = 1) -> List[Line]:
+    """All lines of P^3(GF(2^(k*ext))) on the surface, canonically sorted."""
+    if ext < 1:
+        raise UsageError("extension degree must be >= 1")
+    k = surface.spec.degree
+    if k * ext > MAX_DEGREE:
+        raise CapabilityError(
+            f"target field GF(2^{k * ext}) exceeds the 2^{MAX_DEGREE} limit")
+    target = surface.spec if ext == 1 else FieldSpec.default(k * ext)
+    surf = surface.base_change(target)
+    partials = surf.partials()
+    lines = []
+    for p1, p2 in SCHUBERT_CELLS:
+        lines += _cell_lines(surf, partials, p1, p2)
+    lines.sort(key=Line.key)
+    return lines
+
+
+def count_candidate_lines(q: int) -> int:
+    """|Gr(2,4)(F_q)| = (q^2+1)(q^2+q+1)."""
+    return (q * q + 1) * (q * q + q + 1)
+
+
+# -- singular point search ----------------------------------------------------
+
+
+# Infinitely many common zeros of the x1-resultants are listed on the P^2
+# grid, 3 q^2 points.
+_GRID_MAX_Q = 4096
+# Invertible changes of coordinates x -> x.M over GF(2), tried in turn
+# while the elimination degenerates; the first is the identity.
+_FRAMES = (
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((1, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)),
+    ((1, 0, 1, 1), (1, 1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1)),
+    ((0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 0), (0, 0, 1, 1)),
+)
+
+
+def _verify_singular(forms: List[SparsePoly], pt: Sequence[int]) -> bool:
+    return all(g.evaluate(list(pt)) == 0 for g in forms)
 
 
 def _univariate_in(g: SparsePoly, var: int, tail: Sequence[int]) -> Poly:
@@ -576,8 +501,7 @@ def _x1_resultants(forms: List[SparsePoly]) -> List[SparsePoly]:
             break
     if not resultants:
         raise CapabilityError(
-            "all elimination resultants vanish identically; "
-            "use a smaller field for the direct scan")
+            "degenerate elimination: all x1-resultants vanish identically")
     return resultants
 
 
@@ -634,7 +558,7 @@ def _grid_tails(resultants: List[SparsePoly],
             f"for q > {_GRID_MAX_Q}")
     tails = []
     for chart in range(1, 4):
-        coords = _chart_points(chart, q)
+        coords = _chart(chart, range(chart + 1, 4), q)
         mask = None
         for r in resultants:
             v = _eval_on_grid(r, coords, spec) == 0
@@ -671,8 +595,8 @@ def _singular_points_elimination(forms: List[SparsePoly],
                 break
         if g is None:
             raise CapabilityError(
-                "surface is singular along a whole line over a "
-                "large field; point listing refused")
+                "degenerate elimination: the forms vanish on a whole line "
+                "through [1:0:0:0]")
         if g.degree() < 1:
             continue
         for r_bits, _ in g.roots():
@@ -693,19 +617,78 @@ class SingularPoint:
                 "field": self.spec.to_json()}
 
 
+def _frame_eliminants(surface: QuarticSurface, frame) -> tuple:
+    """The surface moved by the frame, with its x1-resultants and S(x3),
+    all over the surface's own field."""
+    moved = surface.transform(frame)
+    rs = _x1_resultants([moved.f] + moved.partials())
+    return moved, rs, _x3_eliminant(rs)
+
+
+def _singular_points_in_frame(eliminants: tuple, frame,
+                              target: FieldSpec) -> List[Row]:
+    """The singular points over `target` found by elimination in the
+    frame, mapped back to the surface's coordinates."""
+    moved, rs, s = eliminants
+    surf = moved.base_change(target)
+    if target != moved.spec:
+        emb = moved.spec.embedding_to(target)
+        rs = [r.embed(emb) for r in rs]
+        s = None if s is None else s.embed(emb)
+    pts = _singular_points_elimination([surf.f] + surf.partials(), rs, s,
+                                       target)
+    return sorted({canonical_point(vec_mat(pt, frame, target), target)
+                   for pt in pts})
+
+
+def _singular_points_centred(surface: QuarticSurface,
+                             target: FieldSpec) -> List[Row]:
+    """The singular points over `target` by elimination in frames over
+    `target` centred at points off the surface, tried in turn: such a
+    centre is not singular, so no line of singular points passes through
+    it.  Over GF(2), where every point may lie on the surface, they are
+    the GF(2)-points among those over GF(4)."""
+    if target.size == 2:
+        return [pt for pt in _singular_points_centred(surface,
+                                                      FieldSpec.default(2))
+                if max(pt) == 1]
+    surf = surface.base_change(target)
+    unit = _FRAMES[0]
+    exc = None
+    # a nonzero quartic form is nonzero somewhere on {0..4}^4, and over
+    # GF(4) somewhere on GF(4)^4
+    for c in itertools.product(range(min(target.size, 5)), repeat=4):
+        lead = next((i for i in range(4) if c[i]), None)
+        if lead is None or c[lead] != 1 or surf.f.evaluate(list(c)) == 0:
+            continue
+        frame = (c,) + unit[:lead] + unit[lead + 1:]
+        try:
+            return _singular_points_in_frame(_frame_eliminants(surf, frame),
+                                             frame, target)
+        except CapabilityError as err:
+            exc = err
+    raise CapabilityError("singular-point elimination degenerates in every "
+                          f"coordinate frame; last: {exc}") from exc
+
+
 def singular_point_search(surface: QuarticSurface,
                           max_ext: int = 6) -> List[SingularPoint]:
     """All singular points over GF(2^(k*m)) for m <= max_ext.
 
     An empty result certifies smoothness over GF(2^(k*max_ext)), not over
-    the algebraic closure.  Every level up to GF(2^16) is reached: fields
-    of at most 64 elements by evaluation on P^3, larger ones by eliminating
-    x1 and x2 with resultants (computed once, over the surface's field)
-    and root finding in one variable.  When those resultants share a curve
-    of zeros, as for a surface singular along a curve, their points are
-    listed on the P^2 grid instead, up to GF(4096).  CapabilityError is
-    raised for a target field beyond GF(2^16), for a larger grid, and for
-    a singular line through [1:0:0:0] over a field above 64 elements.
+    the algebraic closure.  Every level up to GF(2^16) is reached by the
+    same elimination: x1 and x2 are eliminated with resultants (computed
+    once, over the surface's field), x3 is found by root finding in one
+    variable, and every candidate is lifted and checked on all five forms.
+    When the resultants share a curve of zeros, as for a surface singular
+    along a curve, their points are listed on the P^2 grid instead, up to
+    GF(4096).  An elimination that degenerates (too few forms in x1, all
+    resultants zero, a singular line through the projection centre, a grid
+    past GF(4096)) is retried in the next fixed coordinate frame over
+    GF(2), and after the last, level by level, in frames over the target
+    field centred at points off the surface.  CapabilityError is raised for
+    a target field beyond GF(2^16) and when the elimination degenerates in
+    every frame.
     """
     if max_ext < 1:
         raise UsageError("max_ext must be >= 1")
@@ -716,26 +699,23 @@ def singular_point_search(surface: QuarticSurface,
             "limit")
     results: List[SingularPoint] = []
     seen_by_level: Dict[int, List[Row]] = {}
-    eliminants = None  # (x1-resultants, S(x3)) over the surface's field
+    frame, eliminants = 0, None
     for m in range(1, max_ext + 1):
         target = surface.spec if m == 1 else FieldSpec.default(k * m)
-        surf = surface.base_change(target)
-        forms = [surf.f] + surf.partials()
-        if target.size <= _DIRECT_SCAN_MAX_Q:
-            pts = _singular_points_direct(forms, target)
+        while frame < len(_FRAMES):
+            try:
+                if eliminants is None:
+                    eliminants = _frame_eliminants(surface, _FRAMES[frame])
+                pts = _singular_points_in_frame(eliminants, _FRAMES[frame],
+                                                target)
+                break
+            except CapabilityError:
+                frame, eliminants = frame + 1, None
         else:
-            if eliminants is None:
-                rs = _x1_resultants([surface.f] + surface.partials())
-                eliminants = (rs, _x3_eliminant(rs))
-            rs, s = eliminants
-            if m > 1:
-                emb = surface.spec.embedding_to(target)
-                rs = [r.embed(emb) for r in rs]
-                s = None if s is None else s.embed(emb)
-            pts = _singular_points_elimination(forms, rs, s, target)
+            pts = _singular_points_centred(surface, target)
         # drop points already found over subfields
         fresh = []
-        for pt in sorted(set(pts)):
+        for pt in pts:
             known = False
             for d, old_pts in seen_by_level.items():
                 if m % d != 0:
@@ -748,7 +728,7 @@ def singular_point_search(surface: QuarticSurface,
                     break
             if not known:
                 fresh.append(pt)
-        seen_by_level[m] = sorted(set(pts))
+        seen_by_level[m] = pts
         for pt in fresh:
             results.append(SingularPoint(pt, m, target))
     return results

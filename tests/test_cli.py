@@ -36,12 +36,11 @@ def test_lines_out_file(tmp_path, capsys):
     assert data["surface"] == "z0"
 
 
-def test_lines_deterministic_across_threads(tmp_path, capsys):
+def test_lines_deterministic_across_runs(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(capsys, "lines", "--surface", "z0", "--ext", "1",
-               "--out", str(p1))[0] == 0
-    assert run(capsys, "lines", "--surface", "z0", "--ext", "1",
-               "--threads", "4", "--out", str(p2))[0] == 0
+    for path in (p1, p2):
+        assert run(capsys, "lines", "--surface", "z0", "--ext", "1",
+                   "--out", str(path))[0] == 0
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -121,10 +120,8 @@ def test_verify_exit_codes(capsys):
     assert code == 2
 
 
-def test_thread_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("QUARTIC_LINES_THREADS", "2")
-    code, out, _ = run(capsys, "lines", "--surface", "z0", "--ext", "1")
-    assert code == 0
-    monkeypatch.setenv("QUARTIC_LINES_THREADS", "zebra")
-    code, _, err = run(capsys, "lines", "--surface", "z0", "--ext", "1")
-    assert code == 2
+def test_limit_is_not_an_input_error(capsys):
+    # z0 lives over GF(4): a census over GF(2^18) is past the GF(2^16) limit
+    code, out, err = run(capsys, "lines", "--surface", "z0", "--ext", "9")
+    assert code == 3 and out == ""
+    assert err.startswith("error: limit:") and "2^16" in err

@@ -2,14 +2,18 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from quartic_lines.errors import CapabilityError, UsageError
 from quartic_lines.field import FieldSpec
-from quartic_lines.geometry import (Line, QuarticSurface,
-                                    _candidate_tails,
-                                    _singular_points_direct,
+from quartic_lines.geometry import (_FRAMES, SCHUBERT_CELLS,
+                                    IntersectionGraph, Line, QuarticSurface,
+                                    _candidate_tails, _cell_free_positions,
+                                    _chart, _eval_on_grid,
+                                    _frame_eliminants,
                                     _singular_points_elimination,
+                                    _singular_points_in_frame,
                                     _x1_resultants, _x3_eliminant,
                                     axis_line, count_candidate_lines,
                                     detect_configurations, enumerate_lines,
@@ -23,6 +27,8 @@ from quartic_lines.surfaces import (get_surface, s5_generators,
 
 QUARTIC_MONOMIALS = [(a, b, c, 4 - a - b - c) for a in range(5)
                      for b in range(5 - a) for c in range(5 - a - b)]
+# quartic monomials vanishing on the axis line {x3 = x4 = 0}
+AXIS_MONOMIALS = [e for e in QUARTIC_MONOMIALS if e[2] + e[3] >= 1]
 
 
 def test_candidate_line_counts():
@@ -75,6 +81,25 @@ def _singular_quartic(spec, rng):
         m = [[rng.randrange(spec.size) for _ in range(4)] for _ in range(4)]
         if mat_rank(m, spec) == 4:
             return surf.transform(m)
+
+
+def _singular_points_direct(forms, spec):
+    """The common zeros of the forms by evaluation on every point of
+    P^3(GF(q)), chart by chart: the oracle for the elimination."""
+    q = spec.size
+    found = []
+    for chart in range(4):
+        coords = _chart(chart, range(chart + 1, 4), q)
+        mask = np.ones(coords[0].shape, dtype=bool)
+        for g in forms:
+            if g.is_zero():
+                continue
+            mask &= _eval_on_grid(g, coords, spec) == 0
+            if not mask.any():
+                break
+        for i in np.nonzero(mask)[0].tolist():
+            found.append(tuple(int(coords[c][i]) for c in range(4)))
+    return found
 
 
 @pytest.mark.parametrize("k,count", [(4, 3), (6, 2)])
@@ -135,14 +160,19 @@ def test_singular_orbit_first_seen_over_gf256():
         ((1, 93, 127, 249), 4), ((1, 93, 146, 68), 4)]
 
 
-def test_singular_along_a_conic_falls_back_to_the_grid(gf2):
+def _conic_surface():
+    """A GF(2) quartic in (a, b)^2, singular along the conic {a = b = 0}."""
+    gf2 = FieldSpec.default(1)
     x = [SparsePoly.variable(i, 4, gf2) for i in range(4)]
     a = x[1] + x[2]
     b = x[0] * x[3] + x[2] ** 2 + x[1] * x[3]
-    # in (a, b)^2: singular along the conic {a = b = 0}
     f = a ** 2 * (x[0] ** 2 + x[3] ** 2) + a * b * x[0] + b ** 2
-    surf = QuarticSurface(f)
-    rs = _x1_resultants([f] + surf.partials())
+    return QuarticSurface(f), a, b
+
+
+def test_singular_along_a_conic_falls_back_to_the_grid(gf2):
+    surf, a, b = _conic_surface()
+    rs = _x1_resultants([surf.f] + surf.partials())
     assert _x3_eliminant(rs) is None
     pts = singular_point_search(surf, max_ext=7)
     on_conic = [p for p in pts
@@ -153,6 +183,70 @@ def test_singular_along_a_conic_falls_back_to_the_grid(gf2):
     # smallest level that holds it
     new = {1: 3, 2: 2, 3: 6, 4: 12, 5: 30, 6: 54, 7: 126}
     assert Counter(p.ext for p in on_conic) == new
+
+
+def test_degenerate_elimination_retries_in_another_frame(gf2):
+    # d/dx1 vanishes, so f is the only form involving x1
+    x = [SparsePoly.variable(i, 4, gf2) for i in range(4)]
+    surf = QuarticSurface(x[0] ** 4 + x[1] * x[2] ** 3 + x[2] * x[3] ** 3
+                          + x[3] * x[1] ** 3)
+    with pytest.raises(CapabilityError, match="too few forms"):
+        _x1_resultants([surf.f] + surf.partials())
+    # the answer the P^3 evaluation scan gave at max_ext=6
+    want = [((1, 1, 1, 1), 1), ((1, 2, 4, 6), 3), ((1, 3, 5, 7), 3),
+            ((1, 4, 6, 2), 3), ((1, 5, 7, 3), 3), ((1, 6, 2, 4), 3),
+            ((1, 7, 3, 5), 3)]
+    assert [(p.point, p.ext) for p in
+            singular_point_search(surf, max_ext=6)] == want
+    assert [(p.point, p.ext) for p in
+            singular_point_search(surf, max_ext=7)] == want
+
+
+def test_elimination_centred_off_the_surface(gf2):
+    # four planes in general position: singular along their six lines, and
+    # the projection centre of every fixed frame lies on one of them
+    x = [SparsePoly.variable(i, 4, gf2) for i in range(4)]
+    planes = [x[2], x[1] + x[3], x[0] + x[1] + x[2], x[2] + x[3]]
+    surf = QuarticSurface(planes[0] * planes[1] * planes[2] * planes[3])
+    for frame in _FRAMES:
+        with pytest.raises(CapabilityError, match="whole line"):
+            _singular_points_in_frame(_frame_eliminants(surf, frame), frame,
+                                      gf2)
+    # the answer the P^3 evaluation scan gave at max_ext=6: the points of
+    # the six lines, 6 * 2^m - 2 over GF(2^m)
+    pts = singular_point_search(surf, max_ext=6)
+    assert sorted(Counter(p.ext for p in pts).items()) == [
+        (1, 10), (2, 12), (3, 36), (4, 72), (5, 180), (6, 324)]
+    assert [p.point for p in pts if p.ext == 1] == [
+        (0, 0, 0, 1), (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 1, 1), (1, 0, 0, 0),
+        (1, 0, 1, 0), (1, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 1), (1, 1, 1, 1)]
+    for p in pts:
+        emb = gf2.embedding_to(p.spec)
+        assert sum(h.embed(emb).evaluate(list(p.point)) == 0
+                   for h in planes) >= 2
+
+
+def test_elimination_over_gf4_when_every_gf2_point_is_on_the_surface(gf2):
+    # three planes of a pencil and a fourth plane: every point of
+    # P^3(GF(2)) lies on the surface, which is singular along four lines
+    # through [0:0:0:1], 4q + 1 points over GF(q)
+    x = [SparsePoly.variable(i, 4, gf2) for i in range(4)]
+    surf = QuarticSurface(x[1] * x[2] * (x[1] + x[2]) * (x[0] + x[1] + x[2]))
+    assert all(surf.f.evaluate(list(c)) == 0
+               for c in itertools.product((0, 1), repeat=4))
+    for frame in _FRAMES:
+        with pytest.raises(CapabilityError):
+            _singular_points_in_frame(_frame_eliminants(surf, frame), frame,
+                                      gf2)
+    # the answer the P^3 evaluation scan gave at max_ext=6
+    pts = singular_point_search(surf, max_ext=6)
+    assert sorted(Counter(p.ext for p in pts).items()) == [
+        (1, 9), (2, 8), (3, 24), (4, 48), (5, 120), (6, 216)]
+    assert [p.point for p in pts if p.ext <= 2] == [
+        (0, 0, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1), (1, 0, 0, 0), (1, 0, 0, 1),
+        (1, 0, 1, 0), (1, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 1),
+        (0, 1, 1, 2), (0, 1, 1, 3), (1, 0, 0, 2), (1, 0, 0, 3), (1, 0, 1, 2),
+        (1, 0, 1, 3), (1, 1, 0, 2), (1, 1, 0, 3)]
 
 
 def test_z0_certificate_reaches_gf65536():
@@ -179,18 +273,57 @@ def sum_mul(spec, a, b, i, j):
     return out
 
 
-def test_enumerate_lines_gf2_matches_brute_force(gf2):
+def _gf2_quartic():
     # x1*x2^3 + x2*x1^3 + x3*x4^3 + x4*x3^3 over GF(2)
-    x = [SparsePoly.variable(i, 4, gf2) for i in range(4)]
-    f = x[0] * x[1] ** 3 + x[1] * x[0] ** 3 + x[2] * x[3] ** 3 \
-        + x[3] * x[2] ** 3
-    surf = QuarticSurface(f)
-    lines = enumerate_lines(surf, ext=1)
-    assert len(lines) == len({ln.rows for ln in lines})
-    for ln in lines:
-        assert surf.contains_line(ln)
-    # census can never exceed the candidate count
-    assert len(lines) <= count_candidate_lines(2)
+    x = [SparsePoly.variable(i, 4, FieldSpec.default(1)) for i in range(4)]
+    return QuarticSurface(x[0] * x[1] ** 3 + x[1] * x[0] ** 3
+                          + x[2] * x[3] ** 3 + x[3] * x[2] ** 3)
+
+
+def _gf4_axis_quartic(seed):
+    """A seeded squarefree GF(4) quartic through the axis line."""
+    gf4 = FieldSpec.default(2)
+    rng = random.Random(f"axis:{seed}")
+    while True:
+        terms = {e: c for e in AXIS_MONOMIALS if (c := rng.randrange(4))}
+        try:
+            return QuarticSurface(SparsePoly(4, gf4, terms))
+        except UsageError:
+            continue
+
+
+def _all_lines(spec):
+    """Every line of P^3(GF(q)), one RREF matrix per Schubert cell slot."""
+    for p1, p2 in SCHUBERT_CELLS:
+        slots = _cell_free_positions(p1, p2)
+        for digits in itertools.product(range(spec.size), repeat=len(slots)):
+            rows = [[0] * 4, [0] * 4]
+            rows[0][p1] = rows[1][p2] = 1
+            for (r, c), d in zip(slots, digits):
+                rows[r][c] = d
+            yield Line(spec, rows, _canonical=True)
+
+
+@pytest.mark.parametrize("make,ext", [
+    (_gf2_quartic, 1), (z0_surface, 1),
+    (lambda: _gf4_axis_quartic(0), 1), (lambda: _gf4_axis_quartic(1), 1),
+    # grad f = 0 along the conic: no pair is cut by the tangent condition
+    (lambda: _conic_surface()[0], 1), (lambda: _conic_surface()[0], 2),
+], ids=["gf2-quartic", "z0-gf4", "axis-gf4-0", "axis-gf4-1", "conic-gf2",
+        "conic-gf4"])
+def test_enumerate_lines_matches_brute_force(make, ext):
+    surf = make()
+    big = surf.base_change(FieldSpec.default(surf.spec.degree * ext))
+    brute = sorted((ln for ln in _all_lines(big.spec)
+                    if big.contains_line(ln)), key=Line.key)
+    assert enumerate_lines(surf, ext=ext) == brute
+
+
+def test_record_census_over_gf256(s5_surface):
+    lines = enumerate_lines(s5_surface, ext=4)
+    assert lines[0].spec.size == 256
+    assert len(lines) == 60
+    assert set(IntersectionGraph(lines).valencies()) == {17}
 
 
 def test_normalize_line_moves_line_to_axis(gf4):
