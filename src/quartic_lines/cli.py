@@ -161,10 +161,12 @@ def cmd_fibers(args) -> int:
     if not 0 <= args.line < len(lines):
         raise UsageError(f"line index {args.line} out of range")
     pencil = ResidualPencil(surface, lines[args.line])
-    fibers = singular_fibers(pencil)
+    flags: List[str] = []
+    fibers = singular_fibers(pencil, flags=flags)
     euler, fits = euler_budget_audit(fibers)
     payload = {"line": lines[args.line].to_json(),
                "fibers": [f.to_json() for f in fibers],
+               "flags": flags,
                "fiber-line-count": fiber_line_count(fibers),
                "euler-lower-bound": euler, "euler-fits-24": fits}
     rows = [[f.kodaira, f.position.chart if f.position else "",

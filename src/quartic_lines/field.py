@@ -6,6 +6,13 @@ followed by reduction modulo a fixed irreducible polynomial; inversion,
 powers and square roots go through log/antilog tables of the cyclic
 multiplicative group (order 2^k - 1).
 
+Univariate polynomials over these fields are int lists (`poly_add`,
+`poly_mul`, `poly_divmod`, `poly_gcd`: the kernels behind `poly.Poly`).
+Roots are found by factoring, never by evaluating at every element: the
+squarefree part, its gcd with x^q - x, and trace splitting into linear
+factors (`find_roots_int`); `root_orbits` groups the roots over
+extensions by their degree through distinct-degree factorization.
+
 Field elements serialize as lowercase hex of the bitmask ("0x6" = t^2 + t);
 a field spec serializes as {"degree": k, "modulus": hex}.
 """
@@ -338,17 +345,12 @@ def _prime_step_embedding(source: FieldSpec, target: FieldSpec) -> "FieldEmbeddi
     """Embedding for one tower step: lexicographically smallest root."""
     if source.degree == 1:
         return FieldEmbedding(source, target, 1)
-    # Evaluate the source modulus (a GF(2) polynomial) at all target elements.
-    xs = np.arange(target.size, dtype=np.uint32)
-    vals = np.zeros(target.size, dtype=np.uint32)
-    for i in range(source.degree, -1, -1):
-        vals = target.mul_arr(vals, xs)
-        if (source.modulus >> i) & 1:
-            vals ^= np.uint32(1)
-    roots = np.nonzero(vals == 0)[0]
-    if len(roots) == 0:  # pragma: no cover - impossible: modulus irreducible
+    # The source modulus has 0/1 coefficients, the same in every field.
+    modulus = [(source.modulus >> i) & 1 for i in range(source.degree + 1)]
+    roots = find_roots_int(modulus, target)
+    if not roots:  # pragma: no cover - impossible: modulus irreducible
         raise FieldError("internal error: modulus has no root in extension")
-    return FieldEmbedding(source, target, int(roots.min()))
+    return FieldEmbedding(source, target, roots[0][0])
 
 
 class FieldEmbedding:
@@ -458,39 +460,251 @@ class FieldElement:
         return hex(self.bits)
 
 
+# -- univariate polynomials as int lists --------------------------------------
+#
+# Little-endian lists of coefficient bitmasks with no trailing zeros; the
+# zero polynomial is [].  `poly.Poly` keeps its coefficients in this form
+# and calls these helpers for sums, products, remainders and gcds.
+
+
+def _trim(cs: list) -> list:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _tables(spec: FieldSpec):
+    if spec._logs is None:
+        spec._scalar_tables()
+    return spec._exps, spec._logs
+
+
+def poly_mul(a: Sequence[int], b: Sequence[int], spec: FieldSpec) -> list:
+    """Product of two trimmed coefficient lists."""
+    if not a or not b:
+        return []
+    exps, logs = _tables(spec)
+    lb = [(j, logs[c]) for j, c in enumerate(b) if c]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            la = logs[c]
+            for j, l in lb:
+                out[i + j] ^= exps[la + l]
+    return out
+
+
+def poly_divmod(a: Sequence[int], b: Sequence[int], spec: FieldSpec):
+    """(quotient, remainder) of trimmed coefficient lists, b nonzero."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = _trim(list(a))
+    d = len(b) - 1
+    if len(rem) <= d:
+        return [], rem
+    exps, logs = _tables(spec)
+    order = spec.order
+    lead = logs[b[-1]]
+    lb = [(i, logs[c]) for i, c in enumerate(b[:-1]) if c]
+    quot = [0] * (len(rem) - d)
+    for shift in range(len(rem) - 1 - d, -1, -1):
+        c = rem[shift + d]
+        if c:
+            lq = (logs[c] - lead) % order
+            quot[shift] = exps[lq]
+            for i, l in lb:
+                rem[shift + i] ^= exps[lq + l]
+    return quot, _trim(rem[:d])
+
+
+def poly_monic(a: Sequence[int], spec: FieldSpec) -> list:
+    if not a:
+        return []
+    inv = spec.inv_int(a[-1])
+    return [spec.mul_int(inv, c) for c in a]
+
+
+def poly_gcd(a: Sequence[int], b: Sequence[int], spec: FieldSpec) -> list:
+    """Monic gcd (the zero polynomial when both are zero)."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, poly_divmod(a, b, spec)[1]
+    return poly_monic(a, spec)
+
+
+def poly_add(a: Sequence[int], b: Sequence[int]) -> list:
+    """Sum (and difference) of two coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] ^= c
+    return _trim(out)
+
+
+def _square_mod(h: Sequence[int], g: Sequence[int], spec: FieldSpec) -> list:
+    # characteristic 2: (sum c_i x^i)^2 = sum c_i^2 x^(2i)
+    exps, logs = _tables(spec)
+    sq = [0] * (2 * len(h) - 1) if h else []
+    for i, c in enumerate(h):
+        if c:
+            sq[2 * i] = exps[2 * logs[c]]
+    return poly_divmod(sq, g, spec)[1]
+
+
+def _frobenius(h: Sequence[int], g: Sequence[int], spec: FieldSpec) -> list:
+    """h^q mod g, q the size of the coefficient field."""
+    for _ in range(spec.degree):
+        h = _square_mod(h, g, spec)
+    return h
+
+
+def _squarefree_part(f: Sequence[int], spec: FieldSpec) -> list:
+    """Product of the distinct monic irreducible factors of nonzero f.
+
+    gcd(f, f') keeps every factor of even multiplicity whole and every
+    factor of odd multiplicity e to the power e - 1; f / gcd(f, f') is the
+    product of the odd-multiplicity factors.  Stripping those from the gcd
+    leaves a square, whose square root holds the rest (f' = 0 means f is a
+    square: coefficient square roots)."""
+    f = poly_monic(f, spec)
+    out = [1]
+    while len(f) > 1:
+        df = _trim([c if i % 2 else 0 for i, c in enumerate(f)][1:])
+        if df:
+            c = poly_gcd(f, df, spec)
+            odd = poly_divmod(f, c, spec)[0]
+            out = poly_mul(out, odd, spec)
+            y = poly_gcd(odd, c, spec)
+            while len(y) > 1:
+                c = poly_divmod(c, y, spec)[0]
+                y = poly_gcd(y, c, spec)
+            f = c
+        else:
+            f = [spec.sqrt_int(c) for c in f[::2]]
+    return out
+
+
+def _split_linear(g: Sequence[int], spec: FieldSpec, start: int = 0) -> list:
+    """Roots of a monic squarefree g that is a product of linear factors.
+
+    gcd(g, Tr(b x)) with the absolute trace Tr(y) = sum_{i<k} y^(2^i) keeps
+    the roots r with Tr(b r) = 0.  The trace form is nondegenerate, so for
+    two distinct roots some b of the basis 1, t, ..., t^(k-1) tells them
+    apart; a b that splits nothing of g splits nothing of its factors, so
+    factors continue with the next b."""
+    if len(g) <= 2:
+        return [g[0]] if len(g) == 2 else []
+    mul = spec.mul_int
+    powers = [[0, 1]]                   # x^(2^i) mod g, i < k
+    for _ in range(spec.degree - 1):
+        powers.append(_square_mod(powers[-1], g, spec))
+    for j in range(start, spec.degree):
+        b, tr = 1 << j, []
+        for xp in powers:               # Tr(b x) = sum b^(2^i) x^(2^i)
+            tr = poly_add(tr, [mul(b, c) for c in xp])
+            b = mul(b, b)
+        a = poly_gcd(g, tr, spec)
+        if 1 < len(a) < len(g):
+            rest = poly_divmod(g, a, spec)[0]
+            return (_split_linear(a, spec, j + 1)
+                    + _split_linear(rest, spec, j + 1))
+    raise FieldError(  # pragma: no cover - the trace form is nondegenerate
+        "internal error: trace splitting found no separating element")
+
+
+def _strip_zero_root(coeffs: Sequence[int]):
+    """(trimmed coefficients, multiplicity of the root 0)."""
+    cs = _trim(list(coeffs))
+    if not cs:
+        raise FieldError("find_roots: zero polynomial")
+    zeros = 0
+    while cs[zeros] == 0:
+        zeros += 1
+    return cs, zeros
+
+
 def find_roots_int(coeffs: Sequence[int], spec: FieldSpec) -> list:
     """All roots in the coefficient field of sum(coeffs[i] x^i), with
-    multiplicities, by exhaustive evaluation followed by deflation.
+    multiplicities.
+
+    The roots of the squarefree part r (root 0 set aside) that lie in
+    GF(q) are those of gcd(r, x^q - x), which trace splitting breaks into
+    linear factors (Cantor-Zassenhaus 1981; von zur Gathen-Gerhard,
+    Modern Computer Algebra, ch. 14).  Multiplicities come from repeated
+    synthetic division of the input.
 
     Returns [(root_bits, multiplicity), ...] sorted by root bitmask.
     """
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        raise FieldError("find_roots: zero polynomial")
-    if len(cs) == 1:
-        return []
-    # Vectorized Horner over every field element.
-    xs = np.arange(spec.size, dtype=np.uint32)
-    vals = np.full(spec.size, np.uint32(cs[-1]))
-    for c in reversed(cs[:-1]):
-        vals = spec.mul_arr(vals, xs) ^ np.uint32(c)
-    roots = [int(r) for r in np.nonzero(vals == 0)[0]]
-    out = []
-    for r in roots:
+    cs, zeros = _strip_zero_root(coeffs)
+    roots = []
+    if len(cs) - zeros > 1:
+        r = _squarefree_part(cs[zeros:], spec)
+        x = poly_divmod([0, 1], r, spec)[1]
+        g = poly_gcd(r, poly_add(_frobenius(x, r, spec), x), spec)
+        roots = _split_linear(g, spec)
+    out = [(0, zeros)] if zeros else []
+    for root in sorted(roots):
         mult = 0
         work = cs
-        while True:
-            quot, rem = _deflate(work, r, spec)
+        while len(work) > 1:
+            quot, rem = _deflate(work, root, spec)
             if rem != 0:
                 break
             mult += 1
             work = quot
-            if len(work) <= 1:
-                break
-        out.append((r, mult))
+        out.append((root, mult))
     return out
+
+
+def root_orbits(coeffs: Sequence[int], spec: FieldSpec, cap: int):
+    """Roots of sum(coeffs[i] x^i) over the extensions of the coefficient
+    field GF(q), grouped by their degree over it.
+
+    Distinct-degree factorization of the squarefree part: for d = 1, 2, ...
+    the product of its irreducible factors of degree d is
+    gcd(rest, x^(q^d) - x).  A product of degree d <= cap is split into
+    linear factors over GF(q^d) (`spec` itself for d = 1, else the default
+    GF(2^(k d))) by trace splitting.
+
+    The cap is lowered to the largest d with GF(2^(k d)) at most
+    GF(2^16).  Returns (levels, beyond): levels[d - 1] = (field, roots) for
+    d = 1..cap, roots the sorted bitmasks in field of the roots of exact
+    degree d; beyond lists the degree of every orbit of degree > cap, in
+    ascending order.
+    """
+    k = spec.degree
+    cap = min(cap, MAX_DEGREE // k)
+    fields = [spec if d == 1 else FieldSpec.default(k * d)
+              for d in range(1, cap + 1)]
+    cs, zeros = _strip_zero_root(coeffs)
+    found = {1: [0]} if zeros else {}
+    beyond = []
+    rest = _squarefree_part(cs[zeros:], spec)
+    h = x = [0, 1]
+    d = 0
+    while len(rest) > 1:
+        d += 1
+        if len(rest) - 1 < 2 * d:      # no two factors left: irreducible
+            d, g = len(rest) - 1, rest
+        else:
+            h = _frobenius(h, rest, spec)
+            g = poly_gcd(rest, poly_add(h, x), spec)
+            if len(g) == 1:
+                continue
+        if d <= cap:
+            target = fields[d - 1]
+            lin = g
+            if d > 1:
+                emb = spec.embedding_to(target)
+                lin = [emb.apply_int(c) for c in g]
+            found.setdefault(d, []).extend(_split_linear(lin, target))
+        else:
+            beyond += [d] * ((len(g) - 1) // d)
+        rest = poly_divmod(rest, g, spec)[0]
+        h = poly_divmod(h, rest, spec)[1]
+    return ([(fld, sorted(found.get(d, []))) for d, fld in
+             enumerate(fields, 1)], beyond)
 
 
 def _deflate(coeffs: Sequence[int], r: int, spec: FieldSpec):

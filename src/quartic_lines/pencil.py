@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapabilityError, InconsistencyError, UsageError
-from .field import MAX_DEGREE, FieldSpec
+from .field import MAX_DEGREE, FieldSpec, root_orbits
 from .geometry import (Line, QuarticSurface, _univariate_in, canonical_point,
                        kernel_vector, mat_inverse, normalize_line,
                        restrict_form, rref)
@@ -765,14 +765,15 @@ def _lambda_discriminant(pencil: ResidualPencil) -> Poly:
     return out
 
 
-def singular_fibers(pencil: ResidualPencil,
-                    max_ext: int = 6) -> List[FiberReport]:
+def singular_fibers(pencil: ResidualPencil, max_ext: int = 6,
+                    flags: Optional[List[str]] = None) -> List[FiberReport]:
     """All singular fibers at positions of degree <= max_ext over the
-    pencil's field.  Full Galois orbits are reported: conjugate positions
-    each get their own report, so component counts add up to the geometric
-    valency of the line."""
+    pencil's field (and at most GF(2^16)).  Full Galois orbits are
+    reported: conjugate positions each get their own report, so component
+    counts add up to the geometric valency of the line.  Each degree of a
+    discriminant orbit past that cap is appended to `flags`, when given,
+    as "fiber orbit of degree d not classified"."""
     spec = pencil.spec
-    k = spec.degree
     disc = _lambda_discriminant(pencil)
     if disc.is_zero():
         _probe_generic_smoothness(pencil)
@@ -780,30 +781,16 @@ def singular_fibers(pencil: ResidualPencil,
             "lambda-discriminant degenerated in every frame")
 
     reports: List[FiberReport] = []
-    seen_levels: Dict[int, List[int]] = {}
-    for m in range(1, max_ext + 1):
-        if k * m > MAX_DEGREE:
-            break
-        target = spec if m == 1 else FieldSpec.default(k * m)
-        dm = disc if m == 1 else disc.embed(spec.embedding_to(target))
-        roots = [r for r, _ in dm.roots()]
+    levels, beyond = root_orbits(disc.coeffs, spec, max_ext)
+    for m, (_, roots) in enumerate(levels, 1):
         for r in roots:
-            known = False
-            for dd, old in seen_levels.items():
-                if m % dd:
-                    continue
-                src = spec if dd == 1 else FieldSpec.default(k * dd)
-                emb = src.embedding_to(target)
-                if any(emb.apply_int(o) == r for o in old):
-                    known = True
-                    break
-            if known:
-                continue
             pos = PencilPosition("finite", r, m)
             rep = classify_fiber(residual_cubic(pencil, pos), pos)
             if rep.kodaira != "smooth":
                 reports.append(rep)
-        seen_levels[m] = roots
+    if flags is not None:
+        flags.extend(f"fiber orbit of degree {d} not classified"
+                     for d in sorted(set(beyond)))
 
     rep = classify_fiber(residual_cubic(pencil, POS_INF), POS_INF)
     if rep.kodaira != "smooth":

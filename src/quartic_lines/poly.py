@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .field import FieldEmbedding, FieldError, FieldSpec, find_roots_int
+from .field import (FieldEmbedding, FieldError, FieldSpec, find_roots_int,
+                    poly_add, poly_divmod, poly_gcd, poly_monic, poly_mul)
 
 
 class Poly:
@@ -89,13 +90,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if other.spec != self.spec:
             raise FieldError("polynomials over different fields")
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] ^= c
-        return Poly(self.spec, out)
+        return Poly(self.spec, poly_add(self.coeffs, other.coeffs))
 
     __sub__ = __add__
 
@@ -105,17 +100,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if other.spec != self.spec:
             raise FieldError("polynomials over different fields")
-        if not self.coeffs or not other.coeffs:
-            return Poly(self.spec)
-        mul = self.spec.mul_int
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] ^= mul(a, b)
-        return Poly(self.spec, out)
+        return Poly(self.spec, poly_mul(self.coeffs, other.coeffs, self.spec))
 
     def scale(self, c: int) -> "Poly":
         mul = self.spec.mul_int
@@ -138,23 +123,8 @@ class Poly:
         return out
 
     def divmod(self, other: "Poly") -> Tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        spec = self.spec
-        mul, inv = spec.mul_int, spec.inv_int
-        rem = list(self.coeffs)
-        d = other.degree()
-        lead_inv = inv(other.leading())
-        quot = [0] * max(0, len(rem) - d)
-        while len(rem) - 1 >= d and rem:
-            q = mul(rem[-1], lead_inv)
-            shift = len(rem) - 1 - d
-            quot[shift] = q
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] ^= mul(q, c)
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(spec, quot), Poly(spec, rem)
+        quot, rem = poly_divmod(self.coeffs, other.coeffs, self.spec)
+        return Poly(self.spec, quot), Poly(self.spec, rem)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
@@ -169,17 +139,10 @@ class Poly:
         return q
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
+        return Poly(self.spec, poly_gcd(self.coeffs, other.coeffs, self.spec))
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(self.spec.inv_int(self.leading()))
+        return Poly(self.spec, poly_monic(self.coeffs, self.spec))
 
     def derivative(self) -> "Poly":
         # characteristic 2: even-exponent terms die, odd survive shifted down

@@ -215,6 +215,7 @@ class LineDossier:
                 "ram-type": self.ram_label(), "valency": self.valency,
                 "valency-bound": self.valency_bound(),
                 "R": [hex(c) for c in self.R.coeffs],
+                "fibers": [f.to_json() for f in self.fibers],
                 "audits": [a.to_json() for a in self.audits],
                 "flags": self.flags}
 
@@ -236,7 +237,7 @@ def build_dossier(surface: QuarticSurface, line: Line,
                      "no ramification data")
     except CapabilityError as exc:
         flags.append(str(exc))
-    fibers = singular_fibers(pencil, max_ext)
+    fibers = singular_fibers(pencil, max_ext, flags)
     valency = fiber_line_count(fibers)
     dossier = LineDossier(line, kind, r, r_inf, valency, pencil, fibers,
                           ram, [], flags)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import CapabilityError, InconsistencyError, UsageError
-from .field import MAX_DEGREE, FieldSpec
+from .field import MAX_DEGREE, FieldSpec, root_orbits
 from .poly import Poly
 
 _BIG = 10 ** 9
@@ -316,36 +316,20 @@ def tate_classify(model: WeierstrassModel, place: Place
 
 def finite_places(model: WeierstrassModel, max_ext: int = 6
                   ) -> List[Place]:
-    """Zeroes of the discriminant over extensions up to max_ext, grouped
-    at their minimal level (one representative per conjugacy orbit)."""
+    """Zeroes of the discriminant of degree <= max_ext (and at most
+    GF(2^16)), one per conjugacy orbit: the orbit's smallest bitmask at
+    its own level."""
     spec = model.spec
-    delta = model.discriminant()
+    levels, _ = root_orbits(model.discriminant().coeffs, spec, max_ext)
     out: List[Place] = []
-    seen: dict = {}
-    for d in range(1, max_ext + 1):
-        if spec.degree * d > MAX_DEGREE:
-            break
-        target = spec if d == 1 else FieldSpec.default(spec.degree * d)
-        dd = delta if d == 1 else delta.embed(spec.embedding_to(target))
-        for r, _m in dd.roots():
-            known = False
-            for lv, old in seen.items():
-                if d % lv:
-                    continue
-                src = spec if lv == 1 else FieldSpec.default(spec.degree * lv)
-                emb = src.embedding_to(target)
-                if any(emb.apply_int(o) == r for o in old):
-                    known = True
-                    break
-            if not known:
+    for d, (target, roots) in enumerate(levels, 1):
+        left = set(roots)
+        for r in roots:
+            if r in left:
                 out.append(r if d == 1 else (r, d))
-                # store the whole orbit under the relative Frobenius so
-                # conjugates found at this level are not listed again
-                orbit, cur = [], r
-                while cur not in orbit:
-                    orbit.append(cur)
-                    cur = target.pow_int(cur, 2 ** spec.degree)
-                seen.setdefault(d, []).extend(orbit)
+                for _ in range(d):      # the orbit under x -> x^q
+                    left.discard(r)
+                    r = target.pow_int(r, spec.size)
     return out
 
 

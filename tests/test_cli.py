@@ -51,6 +51,7 @@ def test_classify_single_line(capsys):
     data = json.loads(out)
     assert len(data) == 1
     assert data[0]["kind"] in ("first", "second")
+    assert [f["kodaira"] for f in data[0]["fibers"]] == ["IV"] * 6
 
 
 def test_classify_bad_index(capsys):
@@ -65,6 +66,7 @@ def test_fibers(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["euler-fits-24"] is True
+    assert data["flags"] == []
     assert data["fiber-line-count"] == sum(
         len(f["components"]) + f["hidden-components"]
         for f in data["fibers"])

@@ -1,7 +1,13 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quartic_lines.field import MAX_DEGREE, FieldSpec
+from quartic_lines.field import (MAX_DEGREE, FieldError, FieldSpec, _deflate,
+                                 _prime_factors, _prime_step_embedding,
+                                 find_roots_int, root_orbits)
+from quartic_lines.poly import Poly
 
 SPECS = [FieldSpec.default(k) for k in (1, 2, 3, 4, 8)]
 
@@ -73,3 +79,147 @@ def test_element_wrappers():
     assert (g * g.inverse()) == spec.one
     assert (g + g) == spec.zero
     assert (g ** spec.size + g) == spec.zero  # x^q = x
+
+
+def _find_roots_exhaustive(coeffs, spec):
+    """The oracle: evaluate at every field element, then deflate."""
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    xs = np.arange(spec.size, dtype=np.uint32)
+    vals = np.full(spec.size, np.uint32(cs[-1]))
+    for c in reversed(cs[:-1]):
+        vals = spec.mul_arr(vals, xs) ^ np.uint32(c)
+    out = []
+    for r in np.nonzero(vals == 0)[0].tolist():
+        mult, work = 0, cs
+        while len(work) > 1:
+            quot, rem = _deflate(work, r, spec)
+            if rem:
+                break
+            mult, work = mult + 1, quot
+        out.append((r, mult))
+    return out
+
+
+def _random_poly(rng, spec, degree):
+    return Poly(spec, [rng.randrange(spec.size) for _ in range(degree)] + [1])
+
+
+@pytest.mark.parametrize("k", range(1, MAX_DEGREE + 1))
+def test_find_roots_matches_exhaustive_evaluation(k):
+    spec = FieldSpec.default(k)
+    rng = random.Random(1000 + k)
+    x = Poly.x(spec)
+    cases = []
+    for trial in range(8):
+        f = _random_poly(rng, spec, rng.randrange(0, 5))
+        for _ in range(rng.randrange(0, 6)):     # repeated roots
+            r = rng.randrange(spec.size)
+            f = f * Poly(spec, [r, 1]) ** rng.randrange(1, 5)
+        if trial % 2:
+            f = f * x ** (trial // 2 + 1)        # the root 0
+        if trial % 3 == 0:
+            f = f * f                            # a perfect square: f' = 0
+        cases.append(f)
+    cases.append(Poly.constant(spec, 5 % spec.size or 1))
+    for f in cases:
+        assert find_roots_int(f.coeffs, spec) == \
+            _find_roots_exhaustive(f.coeffs, spec), f
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_find_roots_past_the_field_size(k):
+    # multiples of x^q - x have every element as a root
+    spec = FieldSpec.default(k)
+    rng = random.Random(k)
+    field_poly = Poly(spec, [0, 1]) + Poly.x(spec) ** spec.size
+    for _ in range(10):
+        f = field_poly * _random_poly(rng, spec, rng.randrange(0, 9))
+        if rng.randrange(2):
+            f = f * field_poly ** rng.randrange(1, 3)
+        roots = find_roots_int(f.coeffs, spec)
+        assert [r for r, _ in roots] == list(range(spec.size))
+        assert roots == _find_roots_exhaustive(f.coeffs, spec)
+
+
+def test_find_roots_rejects_the_zero_polynomial():
+    with pytest.raises(FieldError):
+        find_roots_int([0, 0], FieldSpec.default(3))
+
+
+def test_prime_steps_embed_at_the_smallest_root():
+    for m in range(2, MAX_DEGREE // 2 + 1):
+        for n in range(2 * m, MAX_DEGREE + 1, m):
+            if len(_prime_factors(n // m)) > 1:
+                continue
+            src, dst = FieldSpec.default(m), FieldSpec.default(n)
+            modulus = [(src.modulus >> i) & 1 for i in range(m + 1)]
+            smallest = _find_roots_exhaustive(modulus, dst)[0][0]
+            assert _prime_step_embedding(src, dst).gen_image == smallest
+
+
+def _orbit(spec, field, alpha):
+    """The conjugates of alpha over spec, inside field."""
+    out = [alpha]
+    while True:
+        nxt = field.pow_int(out[-1], spec.size)
+        if nxt == alpha:
+            return out
+        out.append(nxt)
+
+
+def _pull_back(poly, spec, field):
+    """Coefficients of a polynomial over field that lie in spec's image."""
+    emb = spec.embedding_to(field)
+    inverse = {emb.apply_int(a): a for a in range(spec.size)}
+    return Poly(spec, [inverse[c] for c in poly.coeffs])
+
+
+@pytest.mark.parametrize("k,cap,degrees", [
+    (1, 4, (1, 2, 3, 3, 5, 7, 7, 9, 16)),
+    (2, 3, (1, 2, 2, 3, 4, 4, 5, 8)),
+    (3, 2, (1, 2, 3, 5, 5)),
+])
+def test_root_orbits_reproduce_the_squarefree_part(k, cap, degrees):
+    """f is a product of powers of x and of the minimal polynomials of
+    distinct orbits of chosen degrees; the orbits up to the cap are listed
+    in full, those past it by degree, and together they make up the
+    squarefree part."""
+    spec = FieldSpec.default(k)
+    rng = random.Random(k)
+    f, squarefree = Poly.x(spec) ** 2, Poly.x(spec)
+    chosen = {1: {0}}
+    for d in degrees:
+        field = spec if d == 1 else FieldSpec.default(k * d)
+        while True:
+            alpha = rng.randrange(1, field.size)
+            orbit = _orbit(spec, field, alpha)
+            if len(orbit) == d and alpha not in chosen.get(d, ()):
+                break
+        chosen.setdefault(d, set()).update(orbit)
+        minpoly = Poly.one(field)
+        for r in orbit:
+            minpoly = minpoly * Poly(field, [r, 1])
+        minpoly = _pull_back(minpoly, spec, field)
+        f = f * minpoly ** rng.randrange(1, 4)
+        squarefree = squarefree * minpoly
+    levels, beyond = root_orbits(f.coeffs, spec, cap)
+    assert beyond == sorted(d for d in degrees if d > cap)
+    product = Poly.one(spec)
+    for d, (field, roots) in enumerate(levels, 1):
+        assert field == (spec if d == 1 else FieldSpec.default(k * d))
+        assert roots == sorted(chosen.get(d, ()))
+        linear = Poly.one(field)
+        for r in roots:
+            linear = linear * Poly(field, [r, 1])
+        product = product * _pull_back(linear, spec, field)
+    assert squarefree.degree() == product.degree() + sum(beyond)
+    assert (squarefree % product).is_zero()
+
+
+def test_root_orbits_stop_at_gf65536():
+    # t^5 + t^2 + 1 stays irreducible over GF(16): degrees 5 and 4 are coprime
+    levels, beyond = root_orbits([1, 0, 1, 0, 0, 1], FieldSpec.default(4), 6)
+    assert [roots for _, roots in levels] == [[]] * 4
+    assert beyond == [5]

@@ -1,14 +1,19 @@
+import random
+
 import pytest
+from test_acceptance import SEED, _random_smooth_surface_with_line
 
 from quartic_lines.errors import UsageError
-from quartic_lines.field import FieldSpec
+from quartic_lines.field import MAX_DEGREE, FieldSpec
 from quartic_lines.geometry import axis_line
-from quartic_lines.pencil import (POS_INF, POS_ZERO, ResidualPencil,
+from quartic_lines.pencil import (POS_INF, POS_ZERO, PencilPosition,
+                                  ResidualPencil, _lambda_discriminant,
                                   classify_fiber, euler_budget_audit,
                                   fiber_line_count, geometric_valency,
                                   ramification_type, residual_cubic,
                                   second_kind_fiber_audit, singular_fibers)
 from quartic_lines.poly import SparsePoly
+from quartic_lines.segre import build_dossier
 from quartic_lines.surfaces import get_surface, s5_mu0_seed_line
 
 
@@ -159,3 +164,61 @@ def test_residual_cubic_is_cubic(gf4):
     for pos in (POS_ZERO, POS_INF):
         cubic = residual_cubic(pencil, pos)
         assert cubic.is_homogeneous(3)
+
+
+def _level_scan_fibers(pencil, max_ext=6):
+    """The former search: root the lambda-discriminant in every GF(2^(k m))
+    up to the cap, skip the roots already seen in a subfield, classify."""
+    spec = pencil.spec
+    disc = _lambda_discriminant(pencil)
+    reports, seen = [], []                  # seen: (field, roots) per level
+    for m in range(1, max_ext + 1):
+        if spec.degree * m > MAX_DEGREE:
+            break
+        target = spec if m == 1 else FieldSpec.default(spec.degree * m)
+        roots = [r for r, _ in
+                 disc.embed(spec.embedding_to(target)).roots()]
+        known = {field.embedding_to(target).apply_int(r)
+                 for d, (field, old) in enumerate(seen, 1) if m % d == 0
+                 for r in old}
+        for r in roots:
+            if r not in known:
+                pos = PencilPosition("finite", r, m)
+                reports.append(
+                    classify_fiber(residual_cubic(pencil, pos), pos))
+        seen.append((target, roots))
+    reports.append(classify_fiber(residual_cubic(pencil, POS_INF), POS_INF))
+    return [r.to_json() for r in reports if r.kodaira != "smooth"]
+
+
+def _sweep_surfaces(count):
+    """The first seeded random GF(8) surfaces of acceptance test 07b."""
+    rng = random.Random(SEED)
+    return [_random_smooth_surface_with_line(rng, FieldSpec.default(3))
+            for _ in range(count)]
+
+
+def test_singular_fibers_match_the_level_scan(s5_surface):
+    gf4, gf8 = FieldSpec.default(2), FieldSpec.default(3)
+    pencils = [ResidualPencil(get_surface("z0"), axis_line(gf4)),
+               ResidualPencil(s5_surface, s5_mu0_seed_line())]
+    pencils += [ResidualPencil(surf, axis_line(gf8))
+                for surf in _sweep_surfaces(3)]
+    for pencil in pencils:
+        assert [r.to_json() for r in singular_fibers(pencil)] == \
+            _level_scan_fibers(pencil)
+
+
+def test_unclassified_fiber_orbits_are_flagged():
+    # the first 07b surface: its lambda-discriminant has irreducible
+    # factors of degree 6 and 10 over GF(8), past GF(2^15)
+    surf = _sweep_surfaces(1)[0]
+    flags = []
+    pencil = ResidualPencil(surf, axis_line(FieldSpec.default(3)))
+    fibers = singular_fibers(pencil, flags=flags)
+    want = ["fiber orbit of degree 6 not classified",
+            "fiber orbit of degree 10 not classified"]
+    assert flags == want
+    dossier = build_dossier(surf, axis_line(FieldSpec.default(3)))
+    assert dossier.flags == want
+    assert dossier.to_json()["fibers"] == [f.to_json() for f in fibers]
