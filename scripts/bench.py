@@ -12,6 +12,9 @@ alternating.  For every end-to-end metric it prints each side's
 median and quartiles and the number of pairs the working tree won (every
 metric is lower-is-better), and writes the same figures, the raw runs and
 the per-workload `# report` figures to the JSON file named by `--out`.
+It also times one run of the tier-1 suite (`python -m pytest -q
+--continue-on-collection-errors` with `src` on the path) in each side's
+tree, parent first, and writes that wall time under `tier1`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from typing import Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -60,6 +64,21 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     values.update({f"report.{k}": v["value"] for k, v in report.items()})
     return {"seed": seed, "failed": result["failed"],
             "attempted": result["attempted"], "values": values}
+
+
+def time_suite(tree: str) -> dict:
+    """Wall time, exit status and last output line of one tier-1 run."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = "src"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q",
+         "--continue-on-collection-errors"],
+        capture_output=True, text=True, env=env, cwd=tree)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit": proc.returncode,
+            "summary": lines[-1] if lines else ""}
 
 
 def spread(xs: List[float]) -> Dict[str, float]:
@@ -123,6 +142,11 @@ def main(argv=None) -> int:
                       f"({p['q1']:.4g}-{p['q3']:.4g}) change "
                       f"{c['median']:.4g} ({c['q1']:.4g}-{c['q3']:.4g}) "
                       f"won {m['change_won']}/{m['pairs']}")
+        doc["tier1"] = {side: time_suite(trees[side])
+                        for side in ("parent", "change")}
+        for side, t in doc["tier1"].items():
+            print(f"tier1 {side}: {t['wall_s']:.1f} s, exit {t['exit']}, "
+                  f"{t['summary']}")
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

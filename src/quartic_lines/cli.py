@@ -62,7 +62,6 @@ class CensusReport:
     ext: int
     lines: List[Line]
     graph: IntersectionGraph
-    dossiers: List[dict] = field(default_factory=list)
     case: Optional[str] = None
     lattice: Optional[GramLattice] = None
     audits: List[dict] = field(default_factory=list)
@@ -71,12 +70,6 @@ class CensusReport:
         vals = self.graph.valencies()
         if len(vals) != len(self.lines):
             raise InconsistencyError("graph size differs from line count")
-        for d in self.dossiers:
-            idx = d["index"]
-            if d.get("valency") is not None and d["valency"] != vals[idx]:
-                raise InconsistencyError(
-                    f"line {idx}: dossier valency {d['valency']} != graph "
-                    f"valency {vals[idx]}")
 
     def to_json(self) -> dict:
         self.check_consistency()
@@ -86,8 +79,6 @@ class CensusReport:
                "line-count": len(self.lines),
                "lines": [ln.to_json() for ln in self.lines],
                "valencies": self.graph.valencies()}
-        if self.dossiers:
-            out["dossiers"] = self.dossiers
         if self.case is not None:
             out["configuration-case"] = self.case
         if self.lattice is not None:
@@ -98,26 +89,12 @@ class CensusReport:
 
 
 def _build_census(surface_id: str, ext: int,
-                  with_dossiers: bool = False,
                   with_lattice: bool = False) -> CensusReport:
     surface = get_surface(surface_id)
     lines = enumerate_lines(surface, ext=ext)
     graph = IntersectionGraph(lines)
     rep = CensusReport(surface.label, surface.spec.degree, ext, lines, graph)
     rep.case = detect_configurations(graph).case if lines else None
-    if with_dossiers:
-        for i, ln in enumerate(lines):
-            d = build_dossier(surface, ln)
-            entry = d.to_json()
-            entry["index"] = i
-            # dossier valency counts fiber lines; the graph valency counts
-            # censused neighbors, which can lag at small extensions
-            if d.valency != graph.valency(i):
-                entry["valency"] = None
-                entry.setdefault("flags", []).append(
-                    "geometric valency differs from censused valency "
-                    f"({d.valency} vs {graph.valency(i)})")
-            rep.dossiers.append(entry)
     if with_lattice and lines:
         rep.lattice = gram_from_graph(graph)
     return rep

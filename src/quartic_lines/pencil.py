@@ -243,16 +243,40 @@ def _coeff_list(p: SparsePoly, var: int) -> List[SparsePoly]:
     return [p.coefficient_in(var, k) for k in range(d, -1, -1)]
 
 
-def _cubic_singular_points(cubic: SparsePoly, spec: FieldSpec
-                           ) -> List[Tuple[int, int, int]]:
-    """Spec-rational singular points of a ternary cubic: common zeros of
-    the three partials.  (The cubic itself vanishes automatically at such
-    points: odd degree plus the Euler relation in characteristic 2.)"""
+def _y1_gcd(parts: Sequence[SparsePoly], y2: int, y3: int) -> Optional[Poly]:
+    """gcd in y1 of the partials on the line through (1:0:0) and
+    (0:y2:y3); None when it is constant."""
+    unis = [_univariate_in(p, 0, (y2, y3)) for p in parts]
+    if all(u.is_zero() for u in unis):
+        raise InconsistencyError(
+            "cubic singular along a whole line (non-reduced)")
+    g = None
+    for u in unis:
+        if not u.is_zero():
+            g = u if g is None else g.gcd(u)
+    return g if g is not None and g.degree() >= 1 else None
+
+
+def _cubic_singular_points(cubic: SparsePoly, top: int
+                           ) -> List[Tuple[Tuple[int, int, int], int]]:
+    """Singular points of degree d <= top over the cubic's field GF(q):
+    common zeros of the three partials, each as (point canonical in
+    GF(q^d), d), sorted by degree, then point.  (The cubic itself vanishes
+    automatically at such points: odd degree plus the Euler relation in
+    characteristic 2.)
+
+    In a frame where the partials cooperate, y1 is eliminated by
+    resultants.  The directions (y2 : y3) of the singular points are the
+    common roots of the <= 3 binary conditions left: the roots of the gcd
+    of their dehomogenizations in t = y3/y2, plus (0 : 1) when every
+    condition drops degree.  `root_orbits` splits that gcd by degree.  A
+    rational direction can carry a conjugate pair or triple of points, so
+    its y1-gcd is split by `root_orbits` too; a direction of degree d > 1
+    carries points of degree d only, found by root finding over GF(q^d).
+    Every candidate is checked on all partials."""
+    spec = cubic.spec
     if all(cubic.derivative(i).is_zero() for i in range(3)):
         raise InconsistencyError("cubic with identically vanishing partials")
-    # eliminate y1 in a frame where the partials cooperate, find the
-    # candidate (y2 : y3) directions as roots of binary forms, lift y1 by
-    # univariate gcd
     for frame in _FRAMES:
         moved = _apply_frame(cubic, frame)
         parts = [moved.derivative(i) for i in range(3)]
@@ -266,48 +290,62 @@ def _cubic_singular_points(cubic: SparsePoly, spec: FieldSpec
                                         SparsePoly.zero(3, spec))
                 if not r.is_zero():
                     conds.append(r)
-        if not conds:
-            continue
-        cands = None
+        dehom = []                        # (cond(1, t), formal degree)
         for cond in conds[:3]:
-            coeffs = []
-            for entry in _binary_collect(cond, 1, 2):
-                coeffs.append(0 if entry.is_zero()
-                              else entry.evaluate([0, 0, 0]))
-            if not any(coeffs) or len(coeffs) < 2:
-                continue
-            pts = {pt for pt, _ in binary_roots(coeffs, spec)}
-            cands = pts if cands is None else (cands & pts)
-        if cands is None:
+            coeffs = [0 if entry.is_zero() else entry.evaluate([0, 0, 0])
+                      for entry in _binary_collect(cond, 1, 2)]
+            if any(coeffs) and len(coeffs) >= 2:
+                dehom.append((Poly(spec, coeffs), len(coeffs) - 1))
+        if not dehom:
             continue
-        found = []
+        g = dehom[0][0]
+        for p, _ in dehom[1:]:
+            g = g.gcd(p)
+        levels, _ = root_orbits(g.coeffs, spec, top)
+        at_inf = all(p.degree() < deg for p, deg in dehom)
+
+        level_parts = {1: parts}
+
+        def on_level(d: int) -> List[SparsePoly]:
+            if d not in level_parts:
+                emb = spec.embedding_to(levels[d - 1][0])
+                level_parts[d] = [p.embed(emb) for p in parts]
+            return level_parts[d]
+
+        found = []                        # (y, degree)
         if all(p.evaluate([1, 0, 0]) == 0 for p in parts):
-            found.append((1, 0, 0))
-        for y2, y3 in sorted(cands):
-            unis = [_univariate_in(p, 0, (y2, y3)) for p in parts]
-            if all(u.is_zero() for u in unis):
-                raise InconsistencyError(
-                    "cubic singular along a whole line (non-reduced)")
-            g = None
-            for u in unis:
-                if u.is_zero():
+            found.append(((1, 0, 0), 1))
+        for d, (_, roots) in enumerate(levels, 1):
+            dirs = [(1, r) for r in roots]
+            if d == 1 and at_inf:
+                dirs.append((0, 1))
+            for y2, y3 in dirs:
+                g1 = _y1_gcd(on_level(d), y2, y3)
+                if g1 is None:
                     continue
-                g = u if g is None else g.gcd(u)
-            if g is None or g.degree() < 1:
-                continue
-            for r_bits, _m in g.roots():
-                if all(p.evaluate([r_bits, y2, y3]) == 0 for p in parts):
-                    found.append((r_bits, y2, y3))
-        out = []
-        mul = spec.mul_int
-        for y in set(found):
+                if d > 1:
+                    lifts = {d: [r for r, _ in g1.roots()]}
+                else:
+                    lifts = {e: rs for e, (_, rs) in enumerate(
+                        root_orbits(g1.coeffs, spec, top)[0], 1)}
+                for e, rs in lifts.items():
+                    z2, z3 = y2, y3
+                    if e > d:
+                        emb = spec.embedding_to(levels[e - 1][0])
+                        z2, z3 = emb.apply_int(y2), emb.apply_int(y3)
+                    for r in rs:
+                        if all(p.evaluate([r, z2, z3]) == 0
+                               for p in on_level(e)):
+                            found.append(((r, z2, z3), e))
+        out = set()
+        for y, e in found:
             x = [0, 0, 0]
             for i in range(3):
                 for j in range(3):
                     if frame[i][j]:
-                        x[i] ^= mul(1, y[j])
-            out.append(canonical_point(tuple(x), spec))
-        return sorted(set(out))
+                        x[i] ^= y[j]
+            out.add((canonical_point(tuple(x), levels[e - 1][0]), e))
+        return sorted(out, key=lambda pe: (pe[1], pe[0]))
     raise CapabilityError(
         "singular-point elimination degenerated in every frame")
 
@@ -490,41 +528,20 @@ def classify_fiber(cubic: SparsePoly,
     Galois-stable, so every singular point has degree <= 3 over the cubic's
     field; a degree-3 point only occurs as the vertices of a triangle of
     conjugate lines, which then leaves no room for a point of lower degree.
-    Singular points are therefore searched over extensions of degree 1, 2
-    and 3 (within the GF(2^16) cap, flagged when the cap may hide one);
-    tangent cones and component matching then happen in one working field,
-    enlarged as needed until every relevant binary form splits."""
+    Singular points of degree 1, 2 and 3 come from one elimination over
+    the cubic's field (within the GF(2^16) cap, flagged when the cap may
+    hide one); tangent cones and component matching then happen in one
+    working field, enlarged as needed until every relevant binary form
+    splits."""
     if cubic.nvars != 3 or cubic.spec is None:
         raise UsageError("fiber must be a ternary form over a field")
     if cubic.is_zero() or not cubic.is_homogeneous(3):
         raise InconsistencyError("residual fiber is not a cubic form")
-    base = cubic.spec
-    k = base.degree
-
-    reachable = [d for d in (1, 2, 3) if k * d <= MAX_DEGREE]
-    per_level: Dict[int, List[Tuple[int, int, int]]] = {}
-    sing: List[Tuple[Tuple[int, int, int], int]] = []
-    for d in reachable:
-        target = base if d == 1 else FieldSpec.default(k * d)
-        cd = cubic if d == 1 else cubic.embed(base.embedding_to(target))
-        pts = _cubic_singular_points(cd, target)
-        for pt in pts:
-            known = False
-            for dd, old in per_level.items():
-                if d % dd:
-                    continue
-                src = base if dd == 1 else FieldSpec.default(k * dd)
-                emb = src.embedding_to(target)
-                if any(tuple(emb.apply_int(c) for c in op) == pt
-                       for op in old):
-                    known = True
-                    break
-            if not known:
-                sing.append((pt, d))
-        per_level[d] = pts
+    k = cubic.spec.degree
+    top = min(3, MAX_DEGREE // k)
+    sing = _cubic_singular_points(cubic, top)
 
     flags: List[str] = []
-    top = reachable[-1]
     if top == 1 or (top == 2 and not sing):
         flags.append("singular-point search capped at extension degree "
                      f"{top}")
@@ -535,7 +552,7 @@ def classify_fiber(cubic: SparsePoly,
     if wd > MAX_DEGREE:
         raise CapabilityError(
             "fiber classification needs fields beyond GF(2^16)")
-    work = base if wd == k else FieldSpec.default(wd)
+    work = cubic.spec if wd == k else FieldSpec.default(wd)
     return _classify_in_field(cubic, sing, work, position, flags)
 
 
@@ -941,9 +958,10 @@ def ramification_type(pencil: ResidualPencil) -> RamificationData:
     if not any(a) or not any(b):
         raise UsageError("degenerate restriction: A or B vanishes, the "
                          "map to the lambda-line is not finite of degree 3")
-    res = sylvester_resultant([spec.element(c) for c in a],
-                              [spec.element(c) for c in b], spec.zero)
-    if not res:
+    res = sylvester_resultant([Poly.constant(spec, c) for c in a],
+                              [Poly.constant(spec, c) for c in b],
+                              Poly.zero(spec))
+    if res.is_zero():
         raise UsageError("A and B share a root: the restriction to the "
                          "line is degenerate")
     au, av = _form_derivs(a, spec)
@@ -953,47 +971,30 @@ def ramification_type(pencil: ResidualPencil) -> RamificationData:
     if not any(w):
         raise InconsistencyError(
             "vanishing Wronskian for a separable degree-3 map")
-    k = spec.degree
-    points: List[RamificationPoint] = []
-    budget = 4
-    seen: Dict[int, List[Tuple[int, int]]] = {}
-    for d in (1, 2, 3, 4):
-        if k * d > MAX_DEGREE or budget <= 0:
-            break
-        target = spec if d == 1 else FieldSpec.default(k * d)
-        emb = None if d == 1 else spec.embedding_to(target)
-        wd = w if emb is None else [emb.apply_int(c) for c in w]
-        roots = binary_roots(wd, target)
-        for (u0, v0), mult in roots:
-            known = False
-            for dd, old in seen.items():
-                if d % dd:
-                    continue
-                src = spec if dd == 1 else FieldSpec.default(k * dd)
-                e2 = src.embedding_to(target)
-                if any((e2.apply_int(ou), e2.apply_int(ov)) == (u0, v0)
-                       for ou, ov in old):
-                    known = True
-                    break
-            if known:
-                continue
-            ad = a if emb is None else [emb.apply_int(c) for c in a]
-            bd = b if emb is None else [emb.apply_int(c) for c in b]
-            a0 = _eval_form(ad, u0, v0, target)
-            b0 = _eval_form(bd, u0, v0, target)
-            fiber_form = [target.mul_int(b0, x) ^ target.mul_int(a0, y)
-                          for x, y in zip(ad, bd)]
-            e = _form_root_multiplicity(fiber_form, (u0, v0), target)
-            if e not in (2, 3):
-                raise InconsistencyError(
-                    f"ramification index {e} outside {{2, 3}}")
-            image = _minimal_position(target.div_int(a0, b0), d, spec) \
-                if b0 else POS_INF
-            points.append(RamificationPoint((u0, v0), d, image, e))
-            budget -= mult
-        seen[d] = [r for r, _ in roots]
-    if budget > 0:
+    # roots of W(1, t) by degree, then (0 : 1) when W drops degree there
+    levels, beyond = root_orbits(w, spec, 4)
+    if beyond:
         raise CapabilityError("ramification points escape the field cap")
+    roots = [(d, target, (1, t)) for d, (target, ts) in enumerate(levels, 1)
+             for t in ts]
+    if not w[-1]:
+        roots.insert(len(levels[0][1]), (1, spec, (0, 1)))
+    points: List[RamificationPoint] = []
+    for d, target, (u0, v0) in roots:
+        emb = None if d == 1 else spec.embedding_to(target)
+        ad = a if emb is None else [emb.apply_int(c) for c in a]
+        bd = b if emb is None else [emb.apply_int(c) for c in b]
+        a0 = _eval_form(ad, u0, v0, target)
+        b0 = _eval_form(bd, u0, v0, target)
+        fiber_form = [target.mul_int(b0, x) ^ target.mul_int(a0, y)
+                      for x, y in zip(ad, bd)]
+        e = _form_root_multiplicity(fiber_form, (u0, v0), target)
+        if e not in (2, 3):
+            raise InconsistencyError(
+                f"ramification index {e} outside {{2, 3}}")
+        image = _minimal_position(target.div_int(a0, b0), d, spec) \
+            if b0 else POS_INF
+        points.append(RamificationPoint((u0, v0), d, image, e))
     if len(points) not in (1, 2):
         raise InconsistencyError(
             f"{len(points)} ramification points; characteristic 2 allows "

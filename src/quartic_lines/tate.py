@@ -316,11 +316,16 @@ def tate_classify(model: WeierstrassModel, place: Place
 
 def finite_places(model: WeierstrassModel, max_ext: int = 6
                   ) -> List[Place]:
-    """Zeroes of the discriminant of degree <= max_ext (and at most
-    GF(2^16)), one per conjugacy orbit: the orbit's smallest bitmask at
-    its own level."""
+    """Zeroes of the discriminant, one per conjugacy orbit: the orbit's
+    smallest bitmask at its own level.  An orbit of degree past max_ext
+    (or past GF(2^16)) raises CapabilityError naming its degree."""
     spec = model.spec
-    levels, _ = root_orbits(model.discriminant().coeffs, spec, max_ext)
+    levels, beyond = root_orbits(model.discriminant().coeffs, spec, max_ext)
+    if beyond:
+        raise CapabilityError(
+            "discriminant orbit of degree "
+            f"{', '.join(map(str, sorted(set(beyond))))} past the field cap "
+            f"(max_ext={max_ext}, at most GF(2^{MAX_DEGREE}))")
     out: List[Place] = []
     for d, (target, roots) in enumerate(levels, 1):
         left = set(roots)

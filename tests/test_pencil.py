@@ -5,14 +5,20 @@ from test_acceptance import SEED, _random_smooth_surface_with_line
 
 from quartic_lines.errors import UsageError
 from quartic_lines.field import MAX_DEGREE, FieldSpec
-from quartic_lines.geometry import axis_line
-from quartic_lines.pencil import (POS_INF, POS_ZERO, PencilPosition,
-                                  ResidualPencil, _lambda_discriminant,
-                                  classify_fiber, euler_budget_audit,
-                                  fiber_line_count, geometric_valency,
-                                  ramification_type, residual_cubic,
-                                  second_kind_fiber_audit, singular_fibers)
-from quartic_lines.poly import SparsePoly
+from quartic_lines.geometry import _univariate_in, axis_line, canonical_point
+from quartic_lines.pencil import (_FRAMES, POS_INF, POS_ZERO, PencilPosition,
+                                  ResidualPencil, _apply_frame,
+                                  _binary_collect, _coeff_list,
+                                  _cubic_singular_points, _eval_form,
+                                  _form_derivs, _form_mul,
+                                  _form_root_multiplicity, _lambda_discriminant,
+                                  _minimal_position, classify_fiber,
+                                  euler_budget_audit, fiber_line_count,
+                                  geometric_valency, ramification_type,
+                                  residual_cubic, second_kind_fiber_audit,
+                                  singular_fibers)
+from quartic_lines.poly import (SparsePoly, binary_roots, squarefree_test,
+                                sylvester_resultant)
 from quartic_lines.segre import build_dossier
 from quartic_lines.surfaces import get_surface, s5_mu0_seed_line
 
@@ -222,3 +228,197 @@ def test_unclassified_fiber_orbits_are_flagged():
     dossier = build_dossier(surf, axis_line(FieldSpec.default(3)))
     assert dossier.flags == want
     assert dossier.to_json()["fibers"] == [f.to_json() for f in fibers]
+
+
+def _singular_points_over(cubic, spec):
+    """The former per-field search: the spec-rational singular points of a
+    ternary cubic over spec, by elimination in the first usable frame."""
+    for frame in _FRAMES:
+        moved = _apply_frame(cubic, frame)
+        parts = [p for p in (moved.derivative(i) for i in range(3))
+                 if not p.is_zero()]
+        with1 = [p for p in parts if p.degree_in(0) >= 1]
+        conds = [p for p in parts if p.degree_in(0) == 0]
+        if len(with1) >= 2:
+            c0 = _coeff_list(with1[0], 0)
+            for other in with1[1:]:
+                r = sylvester_resultant(c0, _coeff_list(other, 0),
+                                        SparsePoly.zero(3, spec))
+                if not r.is_zero():
+                    conds.append(r)
+        cands = None
+        for cond in conds[:3]:
+            coeffs = [0 if e.is_zero() else e.evaluate([0, 0, 0])
+                      for e in _binary_collect(cond, 1, 2)]
+            if not any(coeffs) or len(coeffs) < 2:
+                continue
+            pts = {pt for pt, _ in binary_roots(coeffs, spec)}
+            cands = pts if cands is None else (cands & pts)
+        if cands is None:
+            continue
+        found = []
+        if all(p.evaluate([1, 0, 0]) == 0 for p in parts):
+            found.append((1, 0, 0))
+        for y2, y3 in sorted(cands):
+            unis = [u for u in (_univariate_in(p, 0, (y2, y3))
+                                for p in parts) if not u.is_zero()]
+            g = unis[0]
+            for u in unis[1:]:
+                g = g.gcd(u)
+            for r, _ in (g.roots() if g.degree() >= 1 else []):
+                if all(p.evaluate([r, y2, y3]) == 0 for p in parts):
+                    found.append((r, y2, y3))
+        out = set()
+        for y in found:
+            x = [0, 0, 0]
+            for i in range(3):
+                for j in range(3):
+                    if frame[i][j]:
+                        x[i] ^= y[j]
+            out.add(canonical_point(tuple(x), spec))
+        return sorted(out)
+    raise AssertionError("every frame degenerated")
+
+
+def _level_scan_singular_points(cubic):
+    """The former search of `classify_fiber`: the cubic embedded in
+    GF(q), GF(q^2), GF(q^3) (within GF(2^16)), each searched on its own,
+    the points already seen in a subfield dropped."""
+    base, k = cubic.spec, cubic.spec.degree
+    out, seen = [], {}
+    for d in (d for d in (1, 2, 3) if k * d <= MAX_DEGREE):
+        target = base if d == 1 else FieldSpec.default(k * d)
+        cd = cubic if d == 1 else cubic.embed(base.embedding_to(target))
+        pts = _singular_points_over(cd, target)
+        known = {tuple(src.embedding_to(target).apply_int(c) for c in pt)
+                 for dd, (src, old) in seen.items() if d % dd == 0
+                 for pt in old}
+        out += [(pt, d) for pt in pts if pt not in known]
+        seen[d] = (target, pts)
+    return out
+
+
+def _seeded_reduced_cubic(rng, spec, kind):
+    """A random reduced cubic: singular at a random rational point (kind
+    0), a line times a conic (1) or three lines (2)."""
+    x = xyz(spec)
+
+    def linear():
+        return sum((v.scale(rng.randrange(spec.size)) for v in x),
+                   SparsePoly.zero(3, spec))
+
+    while True:
+        if kind == 0:
+            # no monomial of degree >= 2 in z: singular at (0:0:1), then a
+            # change of coordinates moves the point
+            f = SparsePoly(3, spec, {
+                (a, b, 3 - a - b): rng.randrange(spec.size)
+                for a in range(4) for b in range(4 - a) if a + b >= 2})
+            f = f.substitute({0: linear(), 1: linear(), 2: linear()})
+        elif kind == 1:
+            f = linear() * (linear() * linear() + linear() * linear())
+        else:
+            f = linear() * linear() * linear()
+        if f.is_homogeneous(3) and not f.is_zero() and squarefree_test(f)[0]:
+            return f
+
+
+def _conjugate_triangle():
+    # L = x + a y + a^2 z over GF(8) and its two conjugates: a GF(2) cubic
+    # whose three vertices form one orbit of degree 3
+    gf8 = FieldSpec.default(3)
+    x, y, z = xyz(gf8)
+    f = SparsePoly.constant(3, gf8, 1)
+    a = 2
+    for _ in range(3):
+        f = f * (x + y.scale(a) + z.scale(gf8.mul_int(a, a)))
+        a = gf8.mul_int(a, a)
+    assert set(f.terms.values()) == {1}
+    return SparsePoly(3, FieldSpec.default(1), f.terms)
+
+
+def _line_and_conic(spec):
+    # z = 0 meets the smooth conic x^2 + xy + y^2 + xz in a conjugate
+    # pair over GF(2)
+    x, y, z = xyz(spec)
+    return z * (x * x + x * y + y * y + x * z)
+
+
+def _pair_through_the_centre(spec):
+    # (x1 + x3)(x2^2 + x1 x2 + x1 x3): nodes at (1 : w : 1), w^2 + w + 1 = 0,
+    # on the line x1 = x3 through (1:1:1), the projection centre of the
+    # first frame; in its coordinates the pair shares the direction (1 : 0)
+    x, y, z = xyz(spec)
+    return (x + z) * (y * y + x * y + x * z)
+
+
+_CUBIC_CASES = {
+    **{f"seeded-gf{2 ** k}-{i}":
+       (lambda k=k, i=i: _seeded_reduced_cubic(
+           random.Random(f"fiber-cubic:{k}:{i}"), FieldSpec.default(k),
+           i % 3))
+       for k, count in ((1, 6), (2, 6), (4, 4)) for i in range(count)},
+    "conjugate-triangle": _conjugate_triangle,
+    "line-and-conic": lambda: _line_and_conic(FieldSpec.default(1)),
+    "pair-through-the-centre":
+        lambda: _pair_through_the_centre(FieldSpec.default(1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_CUBIC_CASES))
+def test_cubic_singular_points_match_the_level_scan(name):
+    cubic = _CUBIC_CASES[name]()
+    got = _cubic_singular_points(cubic, min(3, MAX_DEGREE // cubic.spec.degree))
+    assert got == _level_scan_singular_points(cubic)
+    want_degrees = {"conjugate-triangle": [3, 3, 3],
+                    "line-and-conic": [2, 2],
+                    "pair-through-the-centre": [2, 2]}.get(name)
+    if want_degrees is not None:
+        assert [d for _, d in got] == want_degrees
+
+
+def _level_scan_ramification(pencil):
+    """The former ramification search: the roots of the Wronskian in every
+    GF(2^(k d)), d <= 4, the roots already seen in a subfield skipped."""
+    spec, a, b = pencil.spec, pencil.A, pencil.B
+    au, av = _form_derivs(a, spec)
+    bu, bv = _form_derivs(b, spec)
+    w = [x ^ y for x, y in zip(_form_mul(au, bv, spec),
+                               _form_mul(av, bu, spec))]
+    points, seen = [], {}
+    for d in (d for d in (1, 2, 3, 4) if spec.degree * d <= MAX_DEGREE):
+        target = spec if d == 1 else FieldSpec.default(spec.degree * d)
+        emb = spec.embedding_to(target)
+        wd, ad, bd = ([emb.apply_int(c) for c in f] for f in (w, a, b))
+        roots = [r for r, _ in binary_roots(wd, target)]
+        known = {tuple(src.embedding_to(target).apply_int(c) for c in r)
+                 for dd, (src, old) in seen.items() if d % dd == 0
+                 for r in old}
+        for u0, v0 in roots:
+            if (u0, v0) in known:
+                continue
+            a0 = _eval_form(ad, u0, v0, target)
+            b0 = _eval_form(bd, u0, v0, target)
+            form = [target.mul_int(b0, x) ^ target.mul_int(a0, y)
+                    for x, y in zip(ad, bd)]
+            image = _minimal_position(target.div_int(a0, b0), d, spec) \
+                if b0 else POS_INF
+            points.append({"pos": [hex(u0), hex(v0)], "ext": d,
+                           "image": image.to_json(),
+                           "e": _form_root_multiplicity(form, (u0, v0),
+                                                        target)})
+        seen[d] = (target, roots)
+    return points
+
+
+def test_ramification_matches_the_level_scan(s5_surface):
+    gf4, gf8 = FieldSpec.default(2), FieldSpec.default(3)
+    pencils = [ResidualPencil(get_surface("z0"), axis_line(gf4)),
+               ResidualPencil(s5_surface, s5_mu0_seed_line())]
+    # 07b surfaces 1 and 4: two points of degree 2; a rational point and
+    # the point (0 : 1)
+    pencils += [ResidualPencil(surf, axis_line(gf8))
+                for surf in _sweep_surfaces(5)[1::3]]
+    for pencil in pencils:
+        assert ramification_type(pencil).to_json()["points"] == \
+            _level_scan_ramification(pencil)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from quartic_lines.errors import UsageError
+from quartic_lines.errors import CapabilityError, UsageError
 from quartic_lines.field import FieldSpec
 from quartic_lines.poly import Poly
 from quartic_lines.tate import (WeierstrassModel, build_integral_model,
@@ -113,6 +113,19 @@ def test_finite_places_groups_conjugates():
     places = finite_places(m)
     assert places == [0, (2, 2)] or places == [0, (3, 2)]
     assert ord_delta_total(m) % 12 == 0
+
+
+def test_orbit_past_the_cap_is_not_dropped():
+    # Delta = a6 = (t^7 + t + 1) t^3: an orbit of degree 7 besides t = 0
+    spec, t, one, zero = gf2_polys()
+    a6 = (t ** 7 + t + one) * t ** 3
+    m = WeierstrassModel(spec, (one, zero, zero, zero, a6))
+    with pytest.raises(CapabilityError, match="degree 7"):
+        finite_places(m, max_ext=6)
+    with pytest.raises(CapabilityError, match="degree 7"):
+        ord_delta_total(m, max_ext=6)
+    assert finite_places(m, max_ext=7) == [0, (2, 7)]
+    assert ord_delta_total(m, max_ext=7) == 24
 
 
 def test_catalog_discriminant_sums():
