@@ -351,18 +351,41 @@ def _cubic_singular_points(cubic: SparsePoly, top: int
 
 
 def _local_quadratic(cubic: SparsePoly, pt: Sequence[int]):
-    """Local expansion at a singular point.
+    """Local expansion at a singular point pt, canonical with pivot p.
 
-    Returns (quad, cone3, pivot, moved, m): the quadratic part [a, b, c]
-    (a u^2 + b uv + c v^2), the degree-3 part [t0..t3] in (u, v) (u-major),
-    the pivot index, the translated cubic, and the translation matrix m
-    (rows; x = y . m maps the point to the pivot vertex).  u, v are the
-    two non-pivot variables in increasing order."""
+    In y-coordinates with x = y . m (m: the identity with row p replaced
+    by pt) the cubic is s * Q(w) + C(w), s = y_p and w the other two
+    coordinates, because the s^3 and s^2 parts f(pt) and grad f(pt) . w
+    vanish at a singular point.  Q is sum_i pt_i * df/dx_i and C is f, both
+    restricted to {x_p = 0}.  Returns (quad, cone3, pivot, m): Q as
+    [a, b, c] (a u^2 + b uv + c v^2), C as [t0..t3] in (u, v) (u-major),
+    the pivot index and m (rows).  u, v are the two non-pivot variables in
+    increasing order."""
     spec = cubic.spec
     pt = canonical_point(pt, spec)
     pivot = next(i for i in range(3) if pt[i])
+    if any(cubic.derivative(i).evaluate(list(pt)) for i in range(3)):
+        raise InconsistencyError(
+            "local expansion requested at a non-singular point")
     m = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     m[pivot] = list(pt)
+    v = [i for i in range(3) if i != pivot][1]
+    mul = spec.mul_int
+    quad = [0, 0, 0]
+    cone3 = [0, 0, 0, 0]
+    for e, c in cubic.terms.items():
+        if e[pivot] == 0:
+            cone3[e[v]] ^= c
+        for i in range(3):
+            # d/dx_i keeps x^e (char 2: odd e_i) as x^(e - e_i) on {x_p = 0}
+            if e[i] % 2 and e[pivot] == (i == pivot) and pt[i]:
+                quad[e[v] - (i == v)] ^= mul(pt[i], c)
+    return quad, cone3, pivot, m
+
+
+def _translate(cubic: SparsePoly, m: Sequence[Sequence[int]]) -> SparsePoly:
+    """The cubic in y-coordinates, x = y . m (rows)."""
+    spec = cubic.spec
     images = {}
     for c in range(3):
         img = SparsePoly.zero(3, spec)
@@ -370,25 +393,7 @@ def _local_quadratic(cubic: SparsePoly, pt: Sequence[int]):
             if m[j][c]:
                 img = img + SparsePoly.variable(j, 3, spec).scale(m[j][c])
         images[c] = img
-    moved = cubic.substitute(images)
-    others = [i for i in range(3) if i != pivot]
-    quad = [0, 0, 0]
-    cone3 = [0, 0, 0, 0]
-    for e, c in moved.terms.items():
-        if e[pivot] >= 2:
-            raise InconsistencyError(
-                "local expansion requested at a non-singular point")
-        if e[pivot] == 1:
-            eu, ev = e[others[0]], e[others[1]]
-            if (eu, ev) == (2, 0):
-                quad[0] ^= c
-            elif (eu, ev) == (1, 1):
-                quad[1] ^= c
-            else:
-                quad[2] ^= c
-        else:
-            cone3[e[others[1]]] ^= c
-    return quad, cone3, pivot, moved, m
+    return cubic.substitute(images)
 
 
 def _divide_by_conic(p: SparsePoly, q: SparsePoly
@@ -588,7 +593,7 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
         ptw = canonical_point(
             tuple(src.embedding_to(work).apply_int(c) for c in pt)
             if src != work else tuple(pt), work)
-        quad, cone3, pivot, moved, tmat = _local_quadratic(cw, ptw)
+        quad, cone3, pivot, tmat = _local_quadratic(cw, ptw)
         others = [i for i in range(3) if i != pivot]
         if any(quad):
             if quad[1] != 0:
@@ -608,7 +613,7 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
                         tuple(2 * a for a in e_u): quad[0],
                         tuple(a + b for a, b in zip(e_u, e_v)): quad[1],
                         tuple(2 * a for a in e_v): quad[2]})
-                    lin = _divide_by_conic(moved, qcone)
+                    lin = _divide_by_conic(_translate(cw, tmat), qcone)
                     if lin is not None:
                         hidden += 2
                         add_component(_pull_back_form(lin, tmat, work))
@@ -625,7 +630,7 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
                                          "is singular along a curve")
             # a triple point on a cubic means the cubic equals its own
             # tangent cone: three concurrent lines
-            if any(e[pivot] for e in moved.terms):
+            if any(e[pivot] for e in _translate(cw, tmat).terms):
                 raise InconsistencyError(
                     "triple point but the cubic is not its tangent cone")
             forced_kod = "IV"
@@ -726,20 +731,29 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
 def _lambda_discriminant(pencil: ResidualPencil) -> Poly:
     """A univariate polynomial in lambda vanishing at every singular
     finite fiber (spurious extra roots allowed; they are filtered by the
-    classifier).
+    classifier); zero when every frame degenerates.
 
-    Strategy: in each of several coordinate frames, eliminate y1 from the
+    Strategy: in the first usable coordinate frame, eliminate y1 from the
     three partials of the fiber cubic by formal resultants, then eliminate
     (y2 : y3) by a binary-form resultant, leaving a condition in lambda
     (the second resultant's entries are univariate in lambda, so it runs
     over GF(2^k)[lambda]).
-    A frame can only miss a singular fiber whose every singular point sits
-    at the image of e1; the frames have pairwise distinct e1-images, so
-    the product of two usable frame conditions misses nothing."""
+    The frame can only miss a singular fiber whose every singular point
+    sits at its centre P, the image of e1.  The fibers singular at P are
+    the roots of the gcd over i of dg/dx_i(P, lambda), so the frame
+    condition times that gcd misses nothing.  A frame whose centre gcd
+    vanishes identically (every fiber singular at P, so the surface is
+    singular) is skipped."""
     spec = pencil.spec
     zero4 = SparsePoly.zero(4, spec)
-    discs: List[Poly] = []
     for frame in _FRAMES:
+        centre = [frame[i][0] for i in range(3)]
+        at_centre = Poly.zero(spec)
+        for i in range(3):
+            at_centre = at_centre.gcd(
+                _univariate_in(pencil.g.derivative(i), 3, centre))
+        if at_centre.is_zero():
+            continue
         moved = _apply_frame(pencil.g, frame)
         parts = [moved.derivative(i) for i in range(3)]
         parts = [p for p in parts if not p.is_zero()]
@@ -771,15 +785,8 @@ def _lambda_discriminant(pencil: ResidualPencil) -> Poly:
                     dm = r
                     break
         if dm is not None and not dm.is_zero():
-            discs.append(dm)
-        if len(discs) >= 2:
-            break
-    if len(discs) < 2:
-        return Poly.zero(spec)
-    out = discs[0]
-    for d in discs[1:]:
-        out = out * d
-    return out
+            return dm * at_centre
+    return Poly.zero(spec)
 
 
 def singular_fibers(pencil: ResidualPencil, max_ext: int = 6,

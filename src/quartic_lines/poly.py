@@ -10,7 +10,8 @@ Two representations:
   with spec=None they are signed Python integers (exact integer ring, used
   for universal constructions that must divide out integer constants).
 
-Resultants of binary forms are Sylvester determinants: fraction-free
+Resultants of binary forms are determinants of the hybrid Bezout matrix
+(of size max(m, n), not the m + n of the Sylvester matrix): fraction-free
 elimination when the entries are univariate polynomials, a generic
 division-free expansion for field elements and multivariate symbolic
 entries.
@@ -533,19 +534,30 @@ def _bareiss_det(rows: List[List[Poly]]) -> Poly:
     return m[n - 1][n - 1]
 
 
-def sylvester_matrix(f: Sequence[object], g: Sequence[object],
-                     zero: object) -> List[List[object]]:
-    """The (m+n) x (m+n) Sylvester matrix of two binary forms of formal
-    degrees m = len(f)-1 and n = len(g)-1 (coefficients x-major)."""
-    m, n = len(f) - 1, len(g) - 1
-    if m < 1 or n < 1:
-        raise ValueError("forms must have formal degree >= 1")
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + list(f) + [zero] * (size - m - 1 - i))
+def _hybrid_bezout_matrix(f: Sequence[object], g: Sequence[object],
+                          zero: object) -> List[List[object]]:
+    """The n x n hybrid Bezout matrix of two binary forms with formal
+    degrees n = len(f)-1 >= m = len(g)-1 >= 1 (coefficients x-major).
+
+    With a and b the little-endian coefficients (b padded with zeros to
+    length n+1), the first m rows are Bezout rows
+    B_ij = sum_{k=0}^{min(i, n-1-j)} (a_{j+k+1} b_{i-k} - a_{i-k} b_{j+k+1}),
+    built by the recurrence B_ij = a_{j+1} b_i - a_i b_{j+1} + B_{i-1,j+1};
+    the last n-m rows are the coefficients of x^k g for k < n-m.  Its
+    determinant is the resultant up to sign (Cox-Little-O'Shea, *Using
+    Algebraic Geometry*, ch. 3)."""
+    n, m = len(f) - 1, len(g) - 1
+    a = list(reversed(f))
+    b = list(reversed(g)) + [zero] * (n - m)
+    rows: List[List[object]] = []
+    prev = [zero] * n
     for i in range(m):
-        rows.append([zero] * i + list(g) + [zero] * (size - n - 1 - i))
+        row = [a[j + 1] * b[i] - a[i] * b[j + 1]
+               + (prev[j + 1] if j + 1 < n else zero) for j in range(n)]
+        rows.append(row)
+        prev = row
+    for k in range(n - m):
+        rows.append([zero] * k + b[:m + 1] + [zero] * (n - m - 1 - k))
     return rows
 
 
@@ -558,10 +570,17 @@ def sylvester_resultant(f: Sequence[object], g: Sequence[object],
     polynomials, or symbolic multivariate polynomials.  Using the formal
     (padded) degrees means a drop in actual degree corresponds to common
     roots at [0:1], which is exactly the projective convention needed here.
+    The determinant taken is that of the hybrid Bezout matrix, of size
+    max(m, n) rather than the m + n of the Sylvester matrix; it equals the
+    Sylvester determinant up to sign, exactly in characteristic 2.
     Univariate `Poly` entries are eliminated fraction-free; any other ring
     goes through the division-free `det_generic`.
     """
-    rows = sylvester_matrix(f, g, zero)
+    if len(f) < 2 or len(g) < 2:
+        raise ValueError("forms must have formal degree >= 1")
+    if len(f) < len(g):
+        f, g = g, f
+    rows = _hybrid_bezout_matrix(f, g, zero)
     if isinstance(zero, Poly):
         return _bareiss_det(rows)
     return det_generic(rows, zero)

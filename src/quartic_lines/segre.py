@@ -92,6 +92,7 @@ def char2_hessian(g: SparsePoly,
         term = SparsePoly.monomial(nv, spec, tuple(rest)).scale(c)
         coeffs[m] = coeffs.get(m, zero) + term
 
+    powers: Dict[Tuple[int, int], SparsePoly] = {}
     out = zero
     for e13, c in universal_hessian().terms.items():
         if c % 2 == 0:
@@ -105,7 +106,9 @@ def char2_hessian(g: SparsePoly,
             if a is None or a.is_zero():
                 factor = zero
                 break
-            piece = a ** k
+            piece = powers.get((idx, k))
+            if piece is None:
+                piece = powers[idx, k] = a ** k
             factor = piece if factor is None else factor * piece
         if factor is not None and factor.is_zero():
             continue

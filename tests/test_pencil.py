@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 from test_acceptance import SEED, _random_smooth_surface_with_line
 
 from quartic_lines.errors import UsageError
-from quartic_lines.field import MAX_DEGREE, FieldSpec
-from quartic_lines.geometry import _univariate_in, axis_line, canonical_point
+from quartic_lines.field import MAX_DEGREE, FieldSpec, root_orbits
+from quartic_lines.geometry import (QuarticSurface, _univariate_in, axis_line,
+                                    canonical_point, singular_point_search)
 from quartic_lines.pencil import (_FRAMES, POS_INF, POS_ZERO, PencilPosition,
                                   ResidualPencil, _apply_frame,
                                   _binary_collect, _coeff_list,
@@ -17,8 +19,8 @@ from quartic_lines.pencil import (_FRAMES, POS_INF, POS_ZERO, PencilPosition,
                                   geometric_valency, ramification_type,
                                   residual_cubic, second_kind_fiber_audit,
                                   singular_fibers)
-from quartic_lines.poly import (SparsePoly, binary_roots, squarefree_test,
-                                sylvester_resultant)
+from quartic_lines.poly import (Poly, SparsePoly, binary_roots,
+                                squarefree_test, sylvester_resultant)
 from quartic_lines.segre import build_dossier
 from quartic_lines.surfaces import get_surface, s5_mu0_seed_line
 
@@ -157,7 +159,6 @@ def test_degenerate_restriction_raises(gf4):
     x = [SparsePoly.variable(i, 4, gf4) for i in range(4)]
     f = x[2] * x[0] ** 3 + x[3] * x[0] ** 3 + x[2] ** 4 + x[3] ** 4 \
         + x[0] * x[1] ** 2 * x[3] + x[1] * x[2] ** 3
-    from quartic_lines.geometry import QuarticSurface
     surf = QuarticSurface(f, check=True)
     pencil = ResidualPencil(surf, axis_line(gf4))
     with pytest.raises(UsageError):
@@ -228,6 +229,110 @@ def test_unclassified_fiber_orbits_are_flagged():
     dossier = build_dossier(surf, axis_line(FieldSpec.default(3)))
     assert dossier.flags == want
     assert dossier.to_json()["fibers"] == [f.to_json() for f in fibers]
+
+
+def _frame_condition(pencil, frame):
+    """The former per-frame condition of `_lambda_discriminant`: y1, then
+    (y2 : y3) eliminated in one frame, with no centre test; None when the
+    frame degenerates."""
+    spec = pencil.spec
+    moved = _apply_frame(pencil.g, frame)
+    parts = [p for p in (moved.derivative(i) for i in range(3))
+             if not p.is_zero()]
+    if len(parts) < 2:
+        return None
+    with1 = [p for p in parts if p.degree_in(0) >= 1]
+    conds = [p for p in parts if p.degree_in(0) == 0]
+    if len(with1) >= 2:
+        c0 = _coeff_list(with1[0], 0)
+        for other in with1[1:]:
+            r = sylvester_resultant(c0, _coeff_list(other, 0),
+                                    SparsePoly.zero(4, spec))
+            if not r.is_zero():
+                conds.append(r)
+    pure = [c for c in conds
+            if max((e[1] + e[2] for e in c.terms), default=0) == 0]
+    if pure:
+        return pure[0].as_univariate(3)
+    for ca, cb in itertools.combinations(conds, 2):
+        fa = [e.as_univariate(3) for e in _binary_collect(ca, 1, 2)]
+        fb = [e.as_univariate(3) for e in _binary_collect(cb, 1, 2)]
+        if len(fa) >= 2 and len(fb) >= 2:
+            r = sylvester_resultant(fa, fb, Poly.zero(spec))
+            if not r.is_zero():
+                return r
+    return None
+
+
+def _two_frame_product(pencil):
+    """The former lambda-discriminant: the product of the conditions of
+    the first two usable frames."""
+    conds = [c for c in (_frame_condition(pencil, fr) for fr in _FRAMES)
+             if c is not None]
+    return conds[0] * conds[1]
+
+
+def _fibers_from(pencil, disc, max_ext=6):
+    """`singular_fibers` on a given discriminant: reports and flags."""
+    reports = []
+    levels, beyond = root_orbits(disc.coeffs, pencil.spec, max_ext)
+    for m, (_, roots) in enumerate(levels, 1):
+        for r in roots:
+            pos = PencilPosition("finite", r, m)
+            reports.append(classify_fiber(residual_cubic(pencil, pos), pos))
+    reports.append(classify_fiber(residual_cubic(pencil, POS_INF), POS_INF))
+    flags = [f"fiber orbit of degree {d} not classified"
+             for d in sorted(set(beyond))]
+    return [r for r in reports if r.kodaira != "smooth"], flags
+
+
+def test_lambda_discriminant_covers_the_two_frame_product(s5_surface):
+    gf4, gf8 = FieldSpec.default(2), FieldSpec.default(3)
+    pencils = [ResidualPencil(get_surface("z0"), axis_line(gf4)),
+               ResidualPencil(s5_surface, s5_mu0_seed_line())]
+    pencils += [ResidualPencil(surf, axis_line(gf8))
+                for surf in _sweep_surfaces(3)]
+    for pencil in pencils:
+        spec = pencil.spec
+        disc = _lambda_discriminant(pencil)
+        want, want_flags = _fibers_from(pencil, _two_frame_product(pencil))
+        for rep in want:
+            pos = rep.position
+            if pos.is_infinite():
+                continue
+            target = pencil.position_field(pos)
+            on = disc if target == spec else \
+                disc.embed(spec.embedding_to(target))
+            assert on.eval_int(pos.bits) == 0, pos
+        flags = []
+        got = singular_fibers(pencil, flags=flags)
+        assert [r.to_json() for r in got] == [r.to_json() for r in want]
+        assert flags == want_flags
+
+
+def test_fiber_singular_only_at_the_frame_centre():
+    # a smooth quartic over GF(4) through the axis line (no singular point
+    # up to GF(4096)) whose fiber at lambda = 2 is of type III, singular
+    # only at the first frame's centre (1:1:1): that frame's condition
+    # misses lambda = 2, the centre gcd catches it
+    gf4 = FieldSpec.default(2)
+    f = SparsePoly(4, gf4, {
+        (0, 0, 2, 2): 2, (0, 0, 3, 1): 2, (0, 0, 4, 0): 2, (0, 1, 2, 1): 3,
+        (0, 1, 3, 0): 2, (0, 2, 0, 2): 3, (0, 2, 1, 1): 2, (0, 2, 2, 0): 2,
+        (0, 3, 0, 1): 3, (0, 3, 1, 0): 1, (1, 0, 0, 3): 3, (1, 0, 2, 1): 3,
+        (1, 0, 3, 0): 1, (1, 2, 0, 1): 1, (1, 2, 1, 0): 2, (2, 0, 0, 2): 1,
+        (2, 1, 1, 0): 3, (3, 0, 0, 1): 1, (3, 0, 1, 0): 1})
+    surf = QuarticSurface(f, "centre")
+    assert singular_point_search(surf, max_ext=6) == []
+    pencil = ResidualPencil(surf, axis_line(gf4))
+    lam = PencilPosition("finite", 2, 1)
+    assert _cubic_singular_points(residual_cubic(pencil, lam), 3) == \
+        [((1, 1, 1), 1)]
+    assert _frame_condition(pencil, _FRAMES[0]).eval_int(2) != 0
+    assert _lambda_discriminant(pencil).eval_int(2) == 0
+    fibers = {r.position: r for r in singular_fibers(pencil)}
+    assert fibers[lam].kodaira == "III"
+    assert [s.point for s in fibers[lam].singular_points] == [(1, 1, 1)]
 
 
 def _singular_points_over(cubic, spec):

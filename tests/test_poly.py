@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from quartic_lines.field import FieldSpec
 from quartic_lines.poly import (Poly, SparsePoly, binary_roots, det_generic,
                                 divide_by_linear, squarefree_test,
-                                sylvester_matrix, sylvester_resultant)
+                                sylvester_resultant)
 
 SPEC16 = FieldSpec.default(4)
 SPEC8 = FieldSpec.default(3)
@@ -15,6 +15,27 @@ SPEC4 = FieldSpec.default(2)
 def polys(spec, max_deg=5):
     return st.lists(st.integers(0, spec.size - 1),
                     max_size=max_deg + 1).map(lambda c: Poly(spec, c))
+
+
+def sparse_polys(nvars, spec, max_terms=3, max_exp=2):
+    monos = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    return st.dictionaries(monos, st.integers(1, spec.size - 1),
+                           max_size=max_terms).map(
+        lambda t: SparsePoly(nvars, spec, t))
+
+
+def sylvester_matrix(f, g, zero):
+    """The (m+n) x (m+n) Sylvester matrix of two binary forms of formal
+    degrees m = len(f)-1 and n = len(g)-1 (coefficients x-major): the
+    oracle for `sylvester_resultant`."""
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n
+    rows = []
+    for i in range(n):
+        rows.append([zero] * i + list(f) + [zero] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([zero] * i + list(g) + [zero] * (size - n - 1 - i))
+    return rows
 
 
 @given(polys(SPEC8), polys(SPEC8), polys(SPEC8))
@@ -88,6 +109,13 @@ def test_resultant_of_binary_forms_matches_root_products():
     # sharing the root [1:1]
     g2 = [Poly.one(SPEC4), Poly.one(SPEC4), zero]     # u^2 + uv = u(u+v)
     assert sylvester_resultant(f, g2, zero).is_zero()
+    # formal leading zeros and unequal degrees: h = u*v^2 and v share
+    # [1:0]; h and u + v share nothing, Res = h(1, 1) = 1 either way round
+    one = Poly.one(SPEC4)
+    h = [zero, zero, one, zero]
+    assert sylvester_resultant(h, [zero, one], zero).is_zero()
+    assert sylvester_resultant(h, [one, one], zero) == one
+    assert sylvester_resultant([one, one], h, zero) == one
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,6 +125,36 @@ def test_poly_resultant_matches_generic_expansion(f, g):
     # binary forms over GF(16)[lambda]: the fraction-free elimination used
     # for Poly entries agrees with the division-free expansion
     zero = Poly.zero(SPEC16)
+    want = det_generic(sylvester_matrix(f, g, zero), zero)
+    assert sylvester_resultant(f, g, zero) == want
+
+
+def _forms(entries, max_deg):
+    """Binary forms of formal degree 1..max_deg, the leading (x^deg)
+    coefficient forced to zero when the flag is set."""
+    return st.tuples(st.lists(entries, min_size=2, max_size=max_deg + 1),
+                     st.booleans()).map(
+        lambda fz: [fz[0][0] - fz[0][0]] + fz[0][1:] if fz[1] else fz[0])
+
+
+_ENTRY_RINGS = {
+    "poly": (polys(SPEC16, 3), Poly.zero(SPEC16), 4),
+    "sparse3": (sparse_polys(3, SPEC4), SparsePoly.zero(3, SPEC4), 3),
+    "sparse4": (sparse_polys(4, SPEC4), SparsePoly.zero(4, SPEC4), 3),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_resultant_matches_sylvester_determinant(data):
+    # the hybrid Bezout determinant against the Sylvester determinant, for
+    # unequal formal degrees (either side larger), formal leading zeros on
+    # either side, formal degree 1, Poly and 3- and 4-variable SparsePoly
+    # entries
+    ring = data.draw(st.sampled_from(sorted(_ENTRY_RINGS)))
+    entries, zero, max_deg = _ENTRY_RINGS[ring]
+    f = data.draw(_forms(entries, max_deg))
+    g = data.draw(_forms(entries, max_deg))
     want = det_generic(sylvester_matrix(f, g, zero), zero)
     assert sylvester_resultant(f, g, zero) == want
 
