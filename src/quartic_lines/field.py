@@ -20,7 +20,7 @@ a field spec serializes as {"degree": k, "modulus": hex}.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -78,8 +78,7 @@ class FieldSpec:
     """A binary field GF(2^k) with a fixed irreducible modulus.
 
     Immutable and shareable; all arithmetic helpers are pure.  The int-level
-    methods (`mul_int` etc.) operate on raw bitmasks and are the hot path;
-    `element()` wraps a bitmask into a FieldElement.
+    methods (`mul_int` etc.) operate on raw bitmasks.
     """
 
     __slots__ = (
@@ -266,28 +265,6 @@ class FieldSpec:
             out = np.where(zero, np.uint32(0), out)
         return out
 
-    # -- elements -------------------------------------------------------------
-
-    def element(self, bits: int) -> "FieldElement":
-        return FieldElement(bits, self)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
-    @property
-    def gen(self) -> "FieldElement":
-        """The residue class of t (the polynomial-basis generator)."""
-        return FieldElement(0b10 if self.degree > 1 else 1, self)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for bits in range(self.size):
-            yield FieldElement(bits, self)
-
     # -- canonical subfield embeddings ---------------------------------------
 
     def embedding_to(self, target: "FieldSpec") -> "FieldEmbedding":
@@ -313,7 +290,7 @@ class FieldSpec:
                 emb = _prime_step_embedding(self, target)
             else:
                 emb = FieldEmbedding(self, target,
-                                     self.gen.bits if self.degree > 1 else 1)
+                                     2 if self.degree > 1 else 1)
         else:
             primes = _prime_factors(ratio)
             chain = [self]
@@ -376,11 +353,6 @@ class FieldEmbedding:
             i += 1
         return out
 
-    def __call__(self, a: "FieldElement") -> "FieldElement":
-        if a.spec != self.source:
-            raise FieldError("element does not belong to the embedding source")
-        return FieldElement(self.apply_int(a.bits), self.target)
-
     def apply_arr(self, a: np.ndarray) -> np.ndarray:
         if self._table is None:
             table = np.zeros(self.source.size, dtype=np.uint32)
@@ -394,70 +366,6 @@ class FieldEmbedding:
             raise FieldError("embeddings do not compose")
         return FieldEmbedding(self.source, then.target,
                               then.apply_int(self.gen_image))
-
-
-class FieldElement:
-    """An immutable element of a fixed GF(2^k)."""
-
-    __slots__ = ("bits", "spec")
-
-    def __init__(self, bits: int, spec: FieldSpec):
-        if not (0 <= bits < spec.size):
-            raise FieldError(f"bitmask {bits:#x} out of range for {spec!r}")
-        self.bits = bits
-        self.spec = spec
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other)!r}")
-        if other.spec != self.spec:
-            raise FieldError("elements belong to different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.bits ^ other.bits, self.spec)
-
-    __sub__ = __add__  # characteristic 2
-
-    def __neg__(self) -> "FieldElement":
-        return self
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec.mul_int(self.bits, other.bits), self.spec)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec.div_int(self.bits, other.bits), self.spec)
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.spec.pow_int(self.bits, e), self.spec)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec.inv_int(self.bits), self.spec)
-
-    def sqrt(self) -> "FieldElement":
-        """The unique square root (Frobenius is bijective in char 2)."""
-        return FieldElement(self.spec.sqrt_int(self.bits), self.spec)
-
-    def embed(self, target: FieldSpec) -> "FieldElement":
-        return self.spec.embedding_to(target)(self)
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldElement)
-                and other.bits == self.bits and other.spec == self.spec)
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.spec.degree, self.spec.modulus))
-
-    def __repr__(self) -> str:
-        return f"<{hex(self.bits)} in GF(2^{self.spec.degree})>"
-
-    def to_hex(self) -> str:
-        return hex(self.bits)
 
 
 # -- univariate polynomials as int lists --------------------------------------

@@ -11,7 +11,14 @@ surface are points of it, so each of the six Schubert cells of pivot
 patterns pairs the surface's points on two row charts (about q^2
 numpy-vectorized evaluations), keeps the pairs that meet the tangent
 condition, and confirms them exactly.  Singular points come from
-resultant elimination and one-variable root finding at every level.
+resultant elimination and one-variable root finding at every level, each
+listed at the smallest level whose field holds its coordinates.
+
+The elimination kernel is shared with `pencil`, which finds the singular
+points of fiber cubics the same way: `first_variable_conditions` (the
+forms free of x1, then the resultants in x1), `gcd_at_tail` (the gcd in
+one variable with the others fixed) and `SparsePoly.linear_change` (the
+frame moves).
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -287,15 +294,7 @@ class QuarticSurface:
 
     def transform(self, m: Sequence[Sequence[int]]) -> "QuarticSurface":
         """Coordinate change x -> x.M: returns the surface with form f(y M)."""
-        spec = self.spec
-        images = {}
-        for c in range(4):
-            img = SparsePoly.zero(4, spec)
-            for j in range(4):
-                if m[j][c]:
-                    img = img + SparsePoly.variable(j, 4, spec).scale(m[j][c])
-            images[c] = img
-        return QuarticSurface(self.f.substitute(images), self.label,
+        return QuarticSurface(self.f.linear_change(m), self.label,
                               check=False)
 
     def restrict_to_line(self, line: Line) -> List[int]:
@@ -441,24 +440,13 @@ def count_candidate_lines(q: int) -> int:
     return (q * q + 1) * (q * q + q + 1)
 
 
-# -- singular point search ----------------------------------------------------
-
-
-# Infinitely many common zeros of the x1-resultants are listed on the P^2
-# grid, 3 q^2 points.
-_GRID_MAX_Q = 4096
-# Invertible changes of coordinates x -> x.M over GF(2), tried in turn
-# while the elimination degenerates; the first is the identity.
-_FRAMES = (
-    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
-    ((1, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)),
-    ((1, 0, 1, 1), (1, 1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1)),
-    ((0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 0), (0, 0, 1, 1)),
-)
-
-
-def _verify_singular(forms: List[SparsePoly], pt: Sequence[int]) -> bool:
-    return all(g.evaluate(list(pt)) == 0 for g in forms)
+# -- elimination of the first variable ----------------------------------------
+#
+# The common zeros of a form and its partials (singular points of the
+# quartic here, of a fiber cubic in `pencil`) are found in three steps:
+# conditions on the other variables after eliminating x1 by resultants
+# (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3), their common zeros,
+# and at each of those the gcd in x1 of the forms.
 
 
 def _univariate_in(g: SparsePoly, var: int, tail: Sequence[int]) -> Poly:
@@ -480,29 +468,75 @@ def _univariate_in(g: SparsePoly, var: int, tail: Sequence[int]) -> Poly:
     return Poly(spec, coeffs)
 
 
-def _x1_resultants(forms: List[SparsePoly]) -> List[SparsePoly]:
-    """The first two nonzero resultants in x1 of pairs of the forms: forms
-    in (x2, x3, x4) vanishing on the projection of every common zero."""
-    with_x1 = [g for g in forms if not g.is_zero() and g.degree_in(0) >= 1]
+def _x1_coefficients(g: SparsePoly) -> List[SparsePoly]:
+    """The coefficients of g in x1, highest power first."""
+    by_power = g.coefficients_in(0)
+    zero = SparsePoly.zero(g.nvars, g.spec)
+    return [by_power.get(k, zero) for k in range(g.degree_in(0), -1, -1)]
+
+
+def first_variable_conditions(forms: Sequence[SparsePoly]
+                              ) -> Iterator[SparsePoly]:
+    """Forms free of x1 vanishing on the projection from [1:0:...:0] of
+    every common zero of the forms: the nonzero forms free of x1, then the
+    nonzero resultants in x1 of the first form that involves x1 with each
+    later one.  Lazy, so a caller that takes a few conditions forms only
+    the resultants it reads."""
+    forms = [g for g in forms if not g.is_zero()]
+    yield from (g for g in forms if g.degree_in(0) == 0)
+    with_x1 = [g for g in forms if g.degree_in(0) >= 1]
     if len(with_x1) < 2:
-        raise CapabilityError(
-            "degenerate elimination: too few forms involve x1")
-    spec = forms[0].spec
-    resultants = []
-    for ga, gb in itertools.combinations(with_x1, 2):
-        ca = [ga.coefficient_in(0, k)
-              for k in range(ga.degree_in(0), -1, -1)]
-        cb = [gb.coefficient_in(0, k)
-              for k in range(gb.degree_in(0), -1, -1)]
-        r = sylvester_resultant(ca, cb, SparsePoly.zero(4, spec))
+        return
+    first = _x1_coefficients(with_x1[0])
+    zero = SparsePoly.zero(with_x1[0].nvars, with_x1[0].spec)
+    for other in with_x1[1:]:
+        r = sylvester_resultant(first, _x1_coefficients(other), zero)
         if not r.is_zero():
-            resultants.append(r)
-        if len(resultants) == 2:
+            yield r
+
+
+def gcd_at_tail(forms: Sequence[SparsePoly], var: int,
+                tail: Sequence[int]) -> Optional[Poly]:
+    """The monic gcd in `var` of the forms with the other variables set to
+    `tail`, stopping once it is constant; None when every form vanishes
+    there."""
+    g = Poly.zero(forms[0].spec)
+    for form in forms:
+        g = g.gcd(_univariate_in(form, var, tail))
+        if g.degree() == 0:
             break
-    if not resultants:
+    return None if g.is_zero() else g
+
+
+# -- singular point search ----------------------------------------------------
+
+
+# Infinitely many common zeros of the x1-conditions are listed on the P^2
+# grid, 3 q^2 points.
+_GRID_MAX_Q = 4096
+# Invertible changes of coordinates x -> x.M over GF(2), tried in turn
+# while the elimination degenerates; the first is the identity.
+_FRAMES = (
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((1, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)),
+    ((1, 0, 1, 1), (1, 1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1)),
+    ((0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 0), (0, 0, 1, 1)),
+)
+
+
+def _verify_singular(forms: List[SparsePoly], pt: Sequence[int]) -> bool:
+    return all(g.evaluate(list(pt)) == 0 for g in forms)
+
+
+def _x1_resultants(forms: List[SparsePoly]) -> List[SparsePoly]:
+    """The first two conditions on (x2 : x3 : x4) left after eliminating
+    x1 from the forms (`first_variable_conditions`)."""
+    conds = list(itertools.islice(first_variable_conditions(forms), 2))
+    if not conds:
         raise CapabilityError(
-            "degenerate elimination: all x1-resultants vanish identically")
-    return resultants
+            "degenerate elimination: no condition is left after "
+            "eliminating x1")
+    return conds
 
 
 def _x2_coefficients(r: SparsePoly) -> List[Poly]:
@@ -515,52 +549,50 @@ def _x2_coefficients(r: SparsePoly) -> List[Poly]:
     return [Poly(r.spec, row) for row in rows]
 
 
-def _x3_eliminant(resultants: List[SparsePoly]) -> Optional[Poly]:
-    """S(x3) vanishing at x3 = a whenever the resultants have a common zero
-    (x2, a, 1); None when there is no such S (fewer than two resultants, or
-    Res_x2 vanishes identically)."""
-    if len(resultants) < 2:
+def _x3_eliminant(conds: List[SparsePoly]) -> Optional[Poly]:
+    """S(x3) vanishing at x3 = a whenever the conditions have a common zero
+    (x2, a, 1); None when there is no such S (fewer than two conditions,
+    or Res_x2 vanishes identically)."""
+    if len(conds) < 2:
         return None
-    ca, cb = (_x2_coefficients(r) for r in resultants)
+    ca, cb = (_x2_coefficients(r) for r in conds)
     if len(ca) == 1 or len(cb) == 1:  # free of x2: its own x3-eliminant
         s = ca[0] if len(ca) == 1 else cb[0]
     else:
-        s = sylvester_resultant(ca, cb, Poly.zero(resultants[0].spec))
+        s = sylvester_resultant(ca, cb, Poly.zero(conds[0].spec))
     return None if s.is_zero() else s
 
 
-def _candidate_tails(resultants: List[SparsePoly], s: Poly
+def _candidate_tails(conds: List[SparsePoly], s: Poly
                      ) -> Optional[List[Tuple[int, int, int]]]:
-    """The common zeros (x2 : x3 : x4) of the resultants in P^2(GF(q)):
+    """The common zeros (x2 : x3 : x4) of the conditions in P^2(GF(q)):
     on each line x3 = a x4 with S(a) = 0, on the line x4 = 0, and the
-    point [1:0:0].  None when the resultants vanish on a whole line."""
+    point [1:0:0].  None when the conditions vanish on a whole line."""
     tails = [(1, 0, 0)]
     for x3, x4 in [(1, 0)] + [(a, 1) for a, _ in s.roots()]:
-        unis = [u for u in (_univariate_in(r, 1, (0, x3, x4))
-                            for r in resultants) if not u.is_zero()]
-        if not unis:
+        g = gcd_at_tail(conds, 1, (0, x3, x4))
+        if g is None:
             return None
-        g = unis[0] if len(unis) == 1 else unis[0].gcd(unis[1])
         if g.degree() >= 1:
             tails += [(x2, x3, x4) for x2, _ in g.roots()]
     return tails
 
 
-def _grid_tails(resultants: List[SparsePoly],
+def _grid_tails(conds: List[SparsePoly],
                 spec: FieldSpec) -> List[Tuple[int, int, int]]:
-    """The common zeros of the resultants in P^2(GF(q)) by evaluation on
+    """The common zeros of the conditions in P^2(GF(q)) by evaluation on
     every point: the listing when there are infinitely many."""
     q = spec.size
     if q > _GRID_MAX_Q:
         raise CapabilityError(
-            "the elimination resultants share a curve of zeros; listing "
+            "the elimination conditions share a curve of zeros; listing "
             f"them on the P^2 grid over GF(2^{spec.degree}) is refused "
             f"for q > {_GRID_MAX_Q}")
     tails = []
     for chart in range(1, 4):
         coords = _chart(chart, range(chart + 1, 4), q)
         mask = None
-        for r in resultants:
+        for r in conds:
             v = _eval_on_grid(r, coords, spec) == 0
             mask = v if mask is None else (mask & v)
             if not mask.any():
@@ -571,28 +603,20 @@ def _grid_tails(resultants: List[SparsePoly],
 
 
 def _singular_points_elimination(forms: List[SparsePoly],
-                                 resultants: List[SparsePoly],
+                                 conds: List[SparsePoly],
                                  s: Optional[Poly],
                                  spec: FieldSpec) -> List[Row]:
-    """Lift the common zeros of the x1-resultants to P^3: at each one, the
+    """Lift the common zeros of the x1-conditions to P^3: at each one, the
     x1 are the roots of the gcd of the forms, checked on all five."""
-    tails = None if s is None else _candidate_tails(resultants, s)
+    tails = None if s is None else _candidate_tails(conds, s)
     if tails is None:
-        tails = _grid_tails(resultants, spec)
+        tails = _grid_tails(conds, spec)
     found = []
     # candidate [1:0:0:0] never appears in the (x2 : x3 : x4) projection
     if _verify_singular(forms, (1, 0, 0, 0)):
         found.append((1, 0, 0, 0))
-    nonzero_forms = [g for g in forms if not g.is_zero()]
     for tail in tails:
-        g = None
-        for form in nonzero_forms:
-            u = _univariate_in(form, 0, tail)
-            if u.is_zero():
-                continue
-            g = u if g is None else g.gcd(u)
-            if g.degree() == 0:
-                break
+        g = gcd_at_tail(forms, 0, tail)
         if g is None:
             raise CapabilityError(
                 "degenerate elimination: the forms vanish on a whole line "
@@ -618,7 +642,7 @@ class SingularPoint:
 
 
 def _frame_eliminants(surface: QuarticSurface, frame) -> tuple:
-    """The surface moved by the frame, with its x1-resultants and S(x3),
+    """The surface moved by the frame, with its x1-conditions and S(x3),
     all over the surface's own field."""
     moved = surface.transform(frame)
     rs = _x1_resultants([moved.f] + moved.partials())
@@ -673,22 +697,25 @@ def _singular_points_centred(surface: QuarticSurface,
 
 def singular_point_search(surface: QuarticSurface,
                           max_ext: int = 6) -> List[SingularPoint]:
-    """All singular points over GF(2^(k*m)) for m <= max_ext.
+    """All singular points over GF(2^(k*m)) for m <= max_ext, each listed
+    once, at the smallest level that holds it.
 
     An empty result certifies smoothness over GF(2^(k*max_ext)), not over
     the algebraic closure.  Every level up to GF(2^16) is reached by the
-    same elimination: x1 and x2 are eliminated with resultants (computed
-    once, over the surface's field), x3 is found by root finding in one
-    variable, and every candidate is lifted and checked on all five forms.
-    When the resultants share a curve of zeros, as for a surface singular
-    along a curve, their points are listed on the P^2 grid instead, up to
-    GF(4096).  An elimination that degenerates (too few forms in x1, all
-    resultants zero, a singular line through the projection centre, a grid
-    past GF(4096)) is retried in the next fixed coordinate frame over
-    GF(2), and after the last, level by level, in frames over the target
-    field centred at points off the surface.  CapabilityError is raised for
-    a target field beyond GF(2^16) and when the elimination degenerates in
-    every frame.
+    same elimination: x1 is eliminated by `first_variable_conditions` (the
+    first two are kept) and x2 by a resultant, both once over the surface's
+    field; x3 is found by root finding in one variable, and every candidate
+    is lifted by `gcd_at_tail` and checked on all five forms.  When the
+    conditions share a curve of zeros, as for a surface singular along a
+    curve, their points are listed on the P^2 grid instead, up to
+    GF(4096).  An elimination that degenerates (no condition left, a
+    singular line through the projection centre, a grid past GF(4096)) is
+    retried in the next fixed coordinate frame over GF(2), and after the
+    last, level by level, in frames over the target field centred at points
+    off the surface.  A point found at level m is new unless its canonical
+    coordinates all lie in GF(2^(k*d)) for a proper divisor d of m.
+    CapabilityError is raised for a target field beyond GF(2^16) and when
+    the elimination degenerates in every frame.
     """
     if max_ext < 1:
         raise UsageError("max_ext must be >= 1")
@@ -698,7 +725,6 @@ def singular_point_search(surface: QuarticSurface,
             f"target field GF(2^{k * max_ext}) exceeds the 2^{MAX_DEGREE} "
             "limit")
     results: List[SingularPoint] = []
-    seen_by_level: Dict[int, List[Row]] = {}
     frame, eliminants = 0, None
     for m in range(1, max_ext + 1):
         target = surface.spec if m == 1 else FieldSpec.default(k * m)
@@ -713,24 +739,11 @@ def singular_point_search(surface: QuarticSurface,
                 frame, eliminants = frame + 1, None
         else:
             pts = _singular_points_centred(surface, target)
-        # drop points already found over subfields
-        fresh = []
+        subfields = [2 ** (k * d) for d in range(1, m) if m % d == 0]
         for pt in pts:
-            known = False
-            for d, old_pts in seen_by_level.items():
-                if m % d != 0:
-                    continue
-                src = surface.spec if d == 1 else FieldSpec.default(k * d)
-                emb = src.embedding_to(target)
-                if any(tuple(emb.apply_int(c) for c in op) == pt
-                       for op in old_pts):
-                    known = True
-                    break
-            if not known:
-                fresh.append(pt)
-        seen_by_level[m] = pts
-        for pt in fresh:
-            results.append(SingularPoint(pt, m, target))
+            if not any(all(target.pow_int(c, q) == c for c in pt)
+                       for q in subfields):
+                results.append(SingularPoint(pt, m, target))
     return results
 
 
@@ -765,9 +778,6 @@ class IntersectionGraph:
         if i == j:
             raise UsageError("no self-intersection point")
         return self.points.get((min(i, j), max(i, j)))
-
-    def neighbors(self, i: int) -> List[int]:
-        return [j for j in range(len(self.lines)) if self.adj[i, j]]
 
 
 @dataclass

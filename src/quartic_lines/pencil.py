@@ -24,9 +24,10 @@ import numpy as np
 
 from .errors import CapabilityError, InconsistencyError, UsageError
 from .field import MAX_DEGREE, FieldSpec, root_orbits
-from .geometry import (Line, QuarticSurface, _univariate_in, canonical_point,
-                       kernel_vector, mat_inverse, normalize_line,
-                       restrict_form, rref)
+from .geometry import (Line, QuarticSurface, canonical_point,
+                       first_variable_conditions, gcd_at_tail, kernel_vector,
+                       mat_inverse, normalize_line, restrict_form, rref,
+                       vec_mat)
 from .poly import (Poly, SparsePoly, binary_roots, divide_by_linear,
                    sylvester_resultant)
 
@@ -195,29 +196,24 @@ class FiberReport:
         }
 
 
-# 3x3 frames over the prime field (rows of x = frame . y; the images of e1,
-# i.e. first columns, are pairwise distinct) used to dodge degenerate
-# elimination directions
+# Changes of coordinates x = y.m over the prime field, tried in turn while
+# the elimination degenerates; each frame's centre, the image of (1:0:0),
+# is its row 0, and the four centres are pairwise distinct
 _FRAMES = (
-    ((1, 0, 0), (1, 1, 0), (1, 0, 1)),
     ((1, 1, 1), (0, 1, 0), (0, 0, 1)),
-    ((0, 0, 1), (1, 0, 1), (0, 1, 1)),
-    ((0, 1, 1), (0, 0, 1), (1, 0, 1)),
+    ((1, 0, 0), (1, 1, 0), (1, 0, 1)),
+    ((0, 1, 0), (0, 0, 1), (1, 1, 1)),
+    ((0, 0, 1), (1, 0, 0), (1, 1, 1)),
 )
 
 
-def _apply_frame(p: SparsePoly, frame) -> SparsePoly:
-    """Substitute x_i -> sum_j frame[i][j] * y_j on the first three
-    variables (any trailing variables are untouched)."""
-    n = p.nvars
-    images = {}
-    for i in range(3):
-        img = SparsePoly.zero(n, p.spec)
-        for j in range(3):
-            if frame[i][j]:
-                img = img + SparsePoly.variable(j, n, p.spec)
-        images[i] = img
-    return p.substitute(images)
+def _frame_conditions(p: SparsePoly, frame):
+    """The nonzero partials in the first three variables of p moved by the
+    frame, and the lazy conditions left after eliminating y1 from them."""
+    moved = p.linear_change(frame)
+    parts = [d for d in (moved.derivative(i) for i in range(3))
+             if not d.is_zero()]
+    return parts, first_variable_conditions(parts)
 
 
 def _binary_collect(p: SparsePoly, vi: int, vj: int) -> List[SparsePoly]:
@@ -237,26 +233,6 @@ def _binary_collect(p: SparsePoly, vi: int, vj: int) -> List[SparsePoly]:
     return out
 
 
-def _coeff_list(p: SparsePoly, var: int) -> List[SparsePoly]:
-    """Coefficients of p in var, highest power first."""
-    d = p.degree_in(var)
-    return [p.coefficient_in(var, k) for k in range(d, -1, -1)]
-
-
-def _y1_gcd(parts: Sequence[SparsePoly], y2: int, y3: int) -> Optional[Poly]:
-    """gcd in y1 of the partials on the line through (1:0:0) and
-    (0:y2:y3); None when it is constant."""
-    unis = [_univariate_in(p, 0, (y2, y3)) for p in parts]
-    if all(u.is_zero() for u in unis):
-        raise InconsistencyError(
-            "cubic singular along a whole line (non-reduced)")
-    g = None
-    for u in unis:
-        if not u.is_zero():
-            g = u if g is None else g.gcd(u)
-    return g if g is not None and g.degree() >= 1 else None
-
-
 def _cubic_singular_points(cubic: SparsePoly, top: int
                            ) -> List[Tuple[Tuple[int, int, int], int]]:
     """Singular points of degree d <= top over the cubic's field GF(q):
@@ -265,33 +241,23 @@ def _cubic_singular_points(cubic: SparsePoly, top: int
     automatically at such points: odd degree plus the Euler relation in
     characteristic 2.)
 
-    In a frame where the partials cooperate, y1 is eliminated by
-    resultants.  The directions (y2 : y3) of the singular points are the
-    common roots of the <= 3 binary conditions left: the roots of the gcd
-    of their dehomogenizations in t = y3/y2, plus (0 : 1) when every
-    condition drops degree.  `root_orbits` splits that gcd by degree.  A
-    rational direction can carry a conjugate pair or triple of points, so
-    its y1-gcd is split by `root_orbits` too; a direction of degree d > 1
-    carries points of degree d only, found by root finding over GF(q^d).
-    Every candidate is checked on all partials."""
+    In a frame where the partials cooperate, y1 is eliminated by the
+    shared kernel `first_variable_conditions`.  The directions (y2 : y3)
+    of the singular points are the common roots of the <= 3 binary
+    conditions left: the roots of the gcd of their dehomogenizations in
+    t = y3/y2, plus (0 : 1) when every condition drops degree.
+    `root_orbits` splits that gcd by degree.  A rational direction can
+    carry a conjugate pair or triple of points, so its y1-gcd
+    (`gcd_at_tail`) is split by `root_orbits` too; a direction of degree
+    d > 1 carries points of degree d only, found by root finding over
+    GF(q^d).  Every candidate is checked on all partials."""
     spec = cubic.spec
     if all(cubic.derivative(i).is_zero() for i in range(3)):
         raise InconsistencyError("cubic with identically vanishing partials")
     for frame in _FRAMES:
-        moved = _apply_frame(cubic, frame)
-        parts = [moved.derivative(i) for i in range(3)]
-        parts = [p for p in parts if not p.is_zero()]
-        with1 = [p for p in parts if p.degree_in(0) >= 1]
-        conds = [p for p in parts if 0 <= p.degree_in(0) < 1]
-        if len(with1) >= 2:
-            c0 = _coeff_list(with1[0], 0)
-            for other in with1[1:]:
-                r = sylvester_resultant(c0, _coeff_list(other, 0),
-                                        SparsePoly.zero(3, spec))
-                if not r.is_zero():
-                    conds.append(r)
+        parts, conds = _frame_conditions(cubic, frame)
         dehom = []                        # (cond(1, t), formal degree)
-        for cond in conds[:3]:
+        for cond in itertools.islice(conds, 3):
             coeffs = [0 if entry.is_zero() else entry.evaluate([0, 0, 0])
                       for entry in _binary_collect(cond, 1, 2)]
             if any(coeffs) and len(coeffs) >= 2:
@@ -320,8 +286,11 @@ def _cubic_singular_points(cubic: SparsePoly, top: int
             if d == 1 and at_inf:
                 dirs.append((0, 1))
             for y2, y3 in dirs:
-                g1 = _y1_gcd(on_level(d), y2, y3)
+                g1 = gcd_at_tail(on_level(d), 0, (y2, y3))
                 if g1 is None:
+                    raise InconsistencyError(
+                        "cubic singular along a whole line (non-reduced)")
+                if g1.degree() < 1:
                     continue
                 if d > 1:
                     lifts = {d: [r for r, _ in g1.roots()]}
@@ -337,14 +306,9 @@ def _cubic_singular_points(cubic: SparsePoly, top: int
                         if all(p.evaluate([r, z2, z3]) == 0
                                for p in on_level(e)):
                             found.append(((r, z2, z3), e))
-        out = set()
-        for y, e in found:
-            x = [0, 0, 0]
-            for i in range(3):
-                for j in range(3):
-                    if frame[i][j]:
-                        x[i] ^= y[j]
-            out.add((canonical_point(tuple(x), levels[e - 1][0]), e))
+        out = {(canonical_point(vec_mat(y, frame, levels[e - 1][0]),
+                                levels[e - 1][0]), e)
+               for y, e in found}
         return sorted(out, key=lambda pe: (pe[1], pe[0]))
     raise CapabilityError(
         "singular-point elimination degenerated in every frame")
@@ -383,17 +347,18 @@ def _local_quadratic(cubic: SparsePoly, pt: Sequence[int]):
     return quad, cone3, pivot, m
 
 
-def _translate(cubic: SparsePoly, m: Sequence[Sequence[int]]) -> SparsePoly:
-    """The cubic in y-coordinates, x = y . m (rows)."""
-    spec = cubic.spec
-    images = {}
-    for c in range(3):
-        img = SparsePoly.zero(3, spec)
-        for j in range(3):
-            if m[j][c]:
-                img = img + SparsePoly.variable(j, 3, spec).scale(m[j][c])
-        images[c] = img
-    return cubic.substitute(images)
+def _chart_form(coeffs: Sequence[int], pivot: int, s_power: int,
+                spec: FieldSpec) -> SparsePoly:
+    """The binary form sum_j coeffs[j] u^(d-j) v^j in the two non-pivot
+    variables u, v (in increasing order), times y_pivot^s_power."""
+    u, v = (i for i in range(3) if i != pivot)
+    d = len(coeffs) - 1
+    terms = {}
+    for j, c in enumerate(coeffs):
+        e = [0, 0, 0]
+        e[u], e[v], e[pivot] = d - j, j, s_power
+        terms[tuple(e)] = c
+    return SparsePoly(3, spec, terms)
 
 
 def _divide_by_conic(p: SparsePoly, q: SparsePoly
@@ -594,7 +559,6 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
             tuple(src.embedding_to(work).apply_int(c) for c in pt)
             if src != work else tuple(pt), work)
         quad, cone3, pivot, tmat = _local_quadratic(cw, ptw)
-        others = [i for i in range(3) if i != pivot]
         if any(quad):
             if quad[1] != 0:
                 local = "node"
@@ -603,17 +567,13 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
                     dirs = [r for r, _ in roots]
                 else:
                     # conjugate tangent directions: both or neither are
-                    # components, decided by conic divisibility
+                    # components, decided by conic divisibility of the
+                    # moved cubic s Q(w) + C(w)
                     dirs = []
-                    e_u = [0, 0, 0]
-                    e_u[others[0]] = 1
-                    e_v = [0, 0, 0]
-                    e_v[others[1]] = 1
-                    qcone = SparsePoly(3, work, {
-                        tuple(2 * a for a in e_u): quad[0],
-                        tuple(a + b for a, b in zip(e_u, e_v)): quad[1],
-                        tuple(2 * a for a in e_v): quad[2]})
-                    lin = _divide_by_conic(_translate(cw, tmat), qcone)
+                    lin = _divide_by_conic(
+                        _chart_form(quad, pivot, 1, work)
+                        + _chart_form(cone3, pivot, 0, work),
+                        _chart_form(quad, pivot, 0, work))
                     if lin is not None:
                         hidden += 2
                         add_component(_pull_back_form(lin, tmat, work))
@@ -628,11 +588,8 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
             if not any(cone3):
                 raise InconsistencyError("zero tangent cone: fiber cubic "
                                          "is singular along a curve")
-            # a triple point on a cubic means the cubic equals its own
-            # tangent cone: three concurrent lines
-            if any(e[pivot] for e in _translate(cw, tmat).terms):
-                raise InconsistencyError(
-                    "triple point but the cubic is not its tangent cone")
+            # with Q = 0 the moved cubic is C(w), its own tangent cone:
+            # three concurrent lines
             forced_kod = "IV"
             roots = binary_roots(cone3, work)
             if any(m > 1 for _, m in roots):
@@ -745,28 +702,12 @@ def _lambda_discriminant(pencil: ResidualPencil) -> Poly:
     vanishes identically (every fiber singular at P, so the surface is
     singular) is skipped."""
     spec = pencil.spec
-    zero4 = SparsePoly.zero(4, spec)
+    partials = [pencil.g.derivative(i) for i in range(3)]
     for frame in _FRAMES:
-        centre = [frame[i][0] for i in range(3)]
-        at_centre = Poly.zero(spec)
-        for i in range(3):
-            at_centre = at_centre.gcd(
-                _univariate_in(pencil.g.derivative(i), 3, centre))
-        if at_centre.is_zero():
+        at_centre = gcd_at_tail(partials, 3, frame[0])
+        if at_centre is None:
             continue
-        moved = _apply_frame(pencil.g, frame)
-        parts = [moved.derivative(i) for i in range(3)]
-        parts = [p for p in parts if not p.is_zero()]
-        if len(parts) < 2:
-            continue
-        with1 = [p for p in parts if p.degree_in(0) >= 1]
-        conds = [p for p in parts if 0 <= p.degree_in(0) < 1]
-        if len(with1) >= 2:
-            c0 = _coeff_list(with1[0], 0)
-            for other in with1[1:]:
-                r = sylvester_resultant(c0, _coeff_list(other, 0), zero4)
-                if not r.is_zero():
-                    conds.append(r)
+        conds = list(_frame_conditions(pencil.g, frame)[1])
         if len(conds) < 2:
             continue
         dm: Optional[Poly] = None

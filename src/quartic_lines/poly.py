@@ -426,6 +426,19 @@ class SparsePoly:
             out = out + term
         return out
 
+    def linear_change(self, m: Sequence[Sequence[int]]) -> "SparsePoly":
+        """The form in y with x = y.m on the first len(m) variables
+        (x_c -> sum_j m[j][c] y_j); later variables are untouched."""
+        images = {}
+        for c in range(len(m)):
+            img = SparsePoly.zero(self.nvars, self.spec)
+            for j in range(len(m)):
+                if m[j][c]:
+                    img = img + SparsePoly.variable(
+                        j, self.nvars, self.spec).scale(m[j][c])
+            images[c] = img
+        return self.substitute(images)
+
     def evaluate(self, vals: Sequence[int]) -> int:
         """Evaluate at a point given by raw coefficients (bitmasks or ints)."""
         if len(vals) != self.nvars:

@@ -49,13 +49,13 @@ def _symmetric_pencil_form(spec: FieldSpec, mu: int) -> SparsePoly:
     return f5.substitute({4: x5_image}).drop_vars([0, 1, 2, 3])
 
 
-def fifth_root_alpha(spec16: Optional[FieldSpec] = None):
+def fifth_root_alpha(spec16: Optional[FieldSpec] = None) -> int:
     """The fifth root of unity in GF(16) with smallest bitmask."""
     spec16 = spec16 or FieldSpec.default(4)
     for a in range(2, spec16.size):
         if spec16.pow_int(a, 5) == 1 and a != 1:
             # a^4+a^3+a^2+a+1 = 0 follows from order 5
-            return spec16.element(a)
+            return a
     raise RuntimeError("no fifth root of unity in GF(16)?")  # pragma: no cover
 
 
@@ -63,7 +63,7 @@ def s5_mu0_surface() -> QuarticSurface:
     """The 60-line record surface, defined over GF(4)."""
     spec16 = FieldSpec.default(4)
     spec4 = FieldSpec.default(2)
-    a = fifth_root_alpha(spec16).bits
+    a = fifth_root_alpha(spec16)
     mu0_16 = 1 ^ spec16.pow_int(a, 2) ^ spec16.pow_int(a, 3)
     emb = spec4.embedding_to(spec16)
     mu0 = next((c for c in range(4) if emb.apply_int(c) == mu0_16), None)
@@ -77,7 +77,7 @@ def s5_mu0_seed_line() -> Line:
     """The marked line of the record surface, over GF(16):
     x3 = x2 + (a^3+a+1)x1, x4 = (a^3+a^2+a+1)x2 + a*x1."""
     spec16 = FieldSpec.default(4)
-    a = fifth_root_alpha(spec16).bits
+    a = fifth_root_alpha(spec16)
     p = spec16.pow_int
     c31 = p(a, 3) ^ a ^ 1
     c42 = p(a, 3) ^ p(a, 2) ^ a ^ 1

@@ -74,11 +74,12 @@ def test_degree_cap():
 
 
 def test_element_wrappers():
+    # g g^-1 = 1, g + g = 0 and g^q = g on the int-level kernels
     spec = FieldSpec.default(3)
-    g = spec.gen
-    assert (g * g.inverse()) == spec.one
-    assert (g + g) == spec.zero
-    assert (g ** spec.size + g) == spec.zero  # x^q = x
+    g = 0b10
+    assert spec.mul_int(g, spec.inv_int(g)) == 1
+    assert g ^ g == 0
+    assert spec.pow_int(g, spec.size) == g  # x^q = x
 
 
 def _find_roots_exhaustive(coeffs, spec):

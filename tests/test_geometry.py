@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from quartic_lines import geometry
 from quartic_lines.errors import CapabilityError, UsageError
 from quartic_lines.field import FieldSpec
 from quartic_lines.geometry import (_FRAMES, SCHUBERT_CELLS,
@@ -185,21 +186,57 @@ def test_singular_along_a_conic_falls_back_to_the_grid(gf2):
     assert Counter(p.ext for p in on_conic) == new
 
 
-def test_degenerate_elimination_retries_in_another_frame(gf2):
-    # d/dx1 vanishes, so f is the only form involving x1
+def _fermat_like_surface(gf2):
+    # d/dx1 vanishes and d/dx2, d/dx3, d/dx4 are free of x1
     x = [SparsePoly.variable(i, 4, gf2) for i in range(4)]
-    surf = QuarticSurface(x[0] ** 4 + x[1] * x[2] ** 3 + x[2] * x[3] ** 3
+    return QuarticSurface(x[0] ** 4 + x[1] * x[2] ** 3 + x[2] * x[3] ** 3
                           + x[3] * x[1] ** 3)
-    with pytest.raises(CapabilityError, match="too few forms"):
-        _x1_resultants([surf.f] + surf.partials())
-    # the answer the P^3 evaluation scan gave at max_ext=6
-    want = [((1, 1, 1, 1), 1), ((1, 2, 4, 6), 3), ((1, 3, 5, 7), 3),
-            ((1, 4, 6, 2), 3), ((1, 5, 7, 3), 3), ((1, 6, 2, 4), 3),
-            ((1, 7, 3, 5), 3)]
-    assert [(p.point, p.ext) for p in
-            singular_point_search(surf, max_ext=6)] == want
-    assert [(p.point, p.ext) for p in
-            singular_point_search(surf, max_ext=7)] == want
+
+
+# the answer the P^3 evaluation scan gave at max_ext=6
+_FERMAT_LIKE_POINTS = [
+    ((1, 1, 1, 1), 1), ((1, 2, 4, 6), 3), ((1, 3, 5, 7), 3),
+    ((1, 4, 6, 2), 3), ((1, 5, 7, 3), 3), ((1, 6, 2, 4), 3),
+    ((1, 7, 3, 5), 3)]
+
+
+def test_degenerate_elimination_retries_in_another_frame(gf2):
+    # singular along the line {x2 = x3 = 0} through [1:0:0:0], the centre
+    # of the identity frame, and through none of the other frame centres
+    x = [SparsePoly.variable(i, 4, gf2) for i in range(4)]
+    surf = QuarticSurface(x[1] ** 2 * (x[0] ** 2 + x[2] * x[3])
+                          + x[1] * x[2] * x[0] * x[3]
+                          + x[2] ** 2 * (x[3] ** 2 + x[0] * x[2]))
+    with pytest.raises(CapabilityError, match="whole line"):
+        _singular_points_in_frame(_frame_eliminants(surf, _FRAMES[0]),
+                                  _FRAMES[0], gf2)
+    pts = singular_point_search(surf, max_ext=6)
+    assert len({(p.point, p.ext) for p in pts}) == len(pts)
+    for m in range(1, 7):
+        spec = FieldSpec.default(m)
+        moved = surf.base_change(spec)
+        direct = set(_singular_points_direct([moved.f] + moved.partials(),
+                                             spec))
+        assert direct == {tuple(p.spec.embedding_to(spec).apply_int(c)
+                                for c in p.point)
+                          for p in pts if m % p.ext == 0}
+        assert len(direct) == 2 ** m + 2   # the line and one more point
+    surf = _fermat_like_surface(gf2)
+    for max_ext in (6, 7):
+        assert [(p.point, p.ext) for p in
+                singular_point_search(surf, max_ext=max_ext)] == \
+            _FERMAT_LIKE_POINTS
+
+
+def test_conditions_free_of_x1_need_no_grid(gf2, monkeypatch):
+    # the identity frame keeps d/dx2 and d/dx3 as its conditions, whose
+    # common zeros are finite: no level falls back to the P^2 grid
+    def refuse(*args):
+        raise AssertionError("P^2 grid listing")
+
+    monkeypatch.setattr(geometry, "_grid_tails", refuse)
+    pts = singular_point_search(_fermat_like_surface(gf2), max_ext=12)
+    assert [(p.point, p.ext) for p in pts] == _FERMAT_LIKE_POINTS
 
 
 def test_elimination_centred_off_the_surface(gf2):

@@ -1,6 +1,9 @@
-"""Every name a module under src/ or tests/ imports is used in it."""
+"""Every name a module under src/ or tests/ imports is used in it, and
+every module-level private function in src/ is referenced somewhere in
+src/ or tests/ outside its own definition."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,3 +33,38 @@ def _unused_imports(tree: ast.AST) -> list:
                          ids=[str(p.relative_to(ROOT)) for p in SOURCES])
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+SRC = sorted((ROOT / "src").rglob("*.py"))
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names a tree refers to: bare names, attributes, imported names and
+    string constants (as in monkeypatch.setattr(module, "_name", ...))."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
+    return out
+
+
+def test_no_unreferenced_private_functions():
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    total = Counter()
+    for tree in trees.values():
+        total += _references(tree)
+    unused = []
+    for path in SRC:
+        for node in trees[path].body:
+            name = getattr(node, "name", "")
+            if (isinstance(node, ast.FunctionDef) and name.startswith("_")
+                    and not name.startswith("__")
+                    and total[name] == _references(node)[name]):
+                unused.append(f"{path.relative_to(ROOT)}:{name}")
+    assert unused == []

@@ -4,17 +4,18 @@ import random
 import pytest
 from test_acceptance import SEED, _random_smooth_surface_with_line
 
-from quartic_lines.errors import UsageError
+from quartic_lines.errors import InconsistencyError, UsageError
 from quartic_lines.field import MAX_DEGREE, FieldSpec, root_orbits
 from quartic_lines.geometry import (QuarticSurface, _univariate_in, axis_line,
-                                    canonical_point, singular_point_search)
+                                    canonical_point, singular_point_search,
+                                    vec_mat)
 from quartic_lines.pencil import (_FRAMES, POS_INF, POS_ZERO, PencilPosition,
-                                  ResidualPencil, _apply_frame,
-                                  _binary_collect, _coeff_list,
+                                  ResidualPencil, _binary_collect,
                                   _cubic_singular_points, _eval_form,
                                   _form_derivs, _form_mul,
                                   _form_root_multiplicity, _lambda_discriminant,
-                                  _minimal_position, classify_fiber,
+                                  _local_quadratic, _minimal_position,
+                                  classify_fiber,
                                   euler_budget_audit, fiber_line_count,
                                   geometric_valency, ramification_type,
                                   residual_cubic, second_kind_fiber_audit,
@@ -108,6 +109,15 @@ def test_classify_smooth(gf4):
         x, y, z = xyz(spec)
         rep = classify_fiber(x ** 3 + y ** 3 + z ** 3)
         assert rep.kodaira == "smooth"
+
+
+def test_local_expansion_refused_at_a_smooth_point(gf4):
+    # (1:1:0) lies on the Fermat cubic, but d/dx = x^2 does not vanish
+    # there.  Past this check the moved cubic is s Q(w) + C(w), so at a
+    # triple point (Q = 0) the cubic is its own tangent cone.
+    x, y, z = xyz(gf4)
+    with pytest.raises(InconsistencyError, match="non-singular"):
+        _local_quadratic(x ** 3 + y ** 3 + z ** 3, (1, 1, 0))
 
 
 def test_truncation_flag_only_when_a_point_can_hide():
@@ -231,12 +241,17 @@ def test_unclassified_fiber_orbits_are_flagged():
     assert dossier.to_json()["fibers"] == [f.to_json() for f in fibers]
 
 
+def _coeffs_in_y1(p):
+    """The coefficients of p in its first variable, highest power first."""
+    return [p.coefficient_in(0, k) for k in range(p.degree_in(0), -1, -1)]
+
+
 def _frame_condition(pencil, frame):
     """The former per-frame condition of `_lambda_discriminant`: y1, then
     (y2 : y3) eliminated in one frame, with no centre test; None when the
     frame degenerates."""
     spec = pencil.spec
-    moved = _apply_frame(pencil.g, frame)
+    moved = pencil.g.linear_change(frame)
     parts = [p for p in (moved.derivative(i) for i in range(3))
              if not p.is_zero()]
     if len(parts) < 2:
@@ -244,9 +259,9 @@ def _frame_condition(pencil, frame):
     with1 = [p for p in parts if p.degree_in(0) >= 1]
     conds = [p for p in parts if p.degree_in(0) == 0]
     if len(with1) >= 2:
-        c0 = _coeff_list(with1[0], 0)
+        c0 = _coeffs_in_y1(with1[0])
         for other in with1[1:]:
-            r = sylvester_resultant(c0, _coeff_list(other, 0),
+            r = sylvester_resultant(c0, _coeffs_in_y1(other),
                                     SparsePoly.zero(4, spec))
             if not r.is_zero():
                 conds.append(r)
@@ -339,15 +354,15 @@ def _singular_points_over(cubic, spec):
     """The former per-field search: the spec-rational singular points of a
     ternary cubic over spec, by elimination in the first usable frame."""
     for frame in _FRAMES:
-        moved = _apply_frame(cubic, frame)
+        moved = cubic.linear_change(frame)
         parts = [p for p in (moved.derivative(i) for i in range(3))
                  if not p.is_zero()]
         with1 = [p for p in parts if p.degree_in(0) >= 1]
         conds = [p for p in parts if p.degree_in(0) == 0]
         if len(with1) >= 2:
-            c0 = _coeff_list(with1[0], 0)
+            c0 = _coeffs_in_y1(with1[0])
             for other in with1[1:]:
-                r = sylvester_resultant(c0, _coeff_list(other, 0),
+                r = sylvester_resultant(c0, _coeffs_in_y1(other),
                                         SparsePoly.zero(3, spec))
                 if not r.is_zero():
                     conds.append(r)
@@ -373,15 +388,8 @@ def _singular_points_over(cubic, spec):
             for r, _ in (g.roots() if g.degree() >= 1 else []):
                 if all(p.evaluate([r, y2, y3]) == 0 for p in parts):
                     found.append((r, y2, y3))
-        out = set()
-        for y in found:
-            x = [0, 0, 0]
-            for i in range(3):
-                for j in range(3):
-                    if frame[i][j]:
-                        x[i] ^= y[j]
-            out.add(canonical_point(tuple(x), spec))
-        return sorted(out)
+        return sorted({canonical_point(vec_mat(y, frame, spec), spec)
+                       for y in found})
     raise AssertionError("every frame degenerated")
 
 
