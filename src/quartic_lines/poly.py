@@ -20,10 +20,14 @@ entries.
 from __future__ import annotations
 
 import itertools
+from operator import add, xor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .field import (FieldEmbedding, FieldError, FieldSpec, find_roots_int,
-                    poly_add, poly_divmod, poly_gcd, poly_monic, poly_mul)
+from .field import (FieldEmbedding, FieldError, FieldSpec, _tables,
+                    find_roots_int, poly_add, poly_divmod, poly_gcd,
+                    poly_monic, poly_mul)
+
+Terms = Dict[Tuple[int, ...], int]
 
 
 class Poly:
@@ -119,8 +123,9 @@ class Poly:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def divmod(self, other: "Poly") -> Tuple["Poly", "Poly"]:
@@ -202,6 +207,30 @@ class Poly:
         return Poly(emb.target, [emb.apply_int(c) for c in self.coeffs])
 
 
+def _mul_terms(a: Terms, b: Terms, spec: Optional[FieldSpec]) -> Terms:
+    """Product of two term dicts without zero coefficients, with cancelled
+    terms dropped (a zero left in would read logs[0], a valid index, in the
+    next product).  Field coefficients multiply in the log domain."""
+    out: Terms = {}
+    get = out.get
+    if spec is None:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+    else:
+        exps, logs = _tables(spec)
+        lb = [(e2, logs[c2]) for e2, c2 in b.items()]
+        for e1, c1 in a.items():
+            l1 = logs[c1]
+            for e2, l2 in lb:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) ^ exps[l1 + l2]
+    for e in [e for e, c in out.items() if not c]:
+        del out[e]
+    return out
+
+
 class SparsePoly:
     """Multivariate polynomial over GF(2^k) (spec set) or over Z (spec None).
 
@@ -279,19 +308,7 @@ class SparsePoly:
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         self._check(other)
-        out: Dict[Tuple[int, ...], int] = {}
-        if self.spec is not None:
-            mul = self.spec.mul_int
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, 0) ^ mul(c1, c2)
-        else:
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, 0) + c1 * c2
-        return self._like(out)
+        return self._like(_mul_terms(self.terms, other.terms, self.spec))
 
     def scale(self, c: int) -> "SparsePoly":
         if self.spec is not None:
@@ -305,8 +322,9 @@ class SparsePoly:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def derivative(self, var: int) -> "SparsePoly":
@@ -396,48 +414,41 @@ class SparsePoly:
     # -- substitution and evaluation ------------------------------------------
 
     def substitute(self, mapping: Dict[int, "SparsePoly"]) -> "SparsePoly":
-        """Replace variables by polynomials; unmapped variables persist."""
-        images = {}
-        for v, img in mapping.items():
+        """Replace variables by polynomials; unmapped variables persist.
+
+        Each term's image, its coefficient and unmapped part times the
+        cached powers of the images of its mapped variables, is multiplied
+        out as term dicts and added into one output dict."""
+        for img in mapping.values():
             if img.nvars != self.nvars or img.spec != self.spec:
                 raise ValueError("substitution image in wrong ring")
-            images[v] = img
-        pow_cache: Dict[Tuple[int, int], SparsePoly] = {}
-
-        def img_pow(v: int, k: int) -> SparsePoly:
-            key = (v, k)
-            got = pow_cache.get(key)
-            if got is None:
-                got = images[v] ** k
-                pow_cache[key] = got
-            return got
-
-        out = SparsePoly.zero(self.nvars, self.spec)
+        plus = add if self.spec is None else xor
+        powers: Dict[Tuple[int, int], Terms] = {}
+        out: Terms = {}
         for e, c in self.terms.items():
             fixed = list(e)
-            factors = []
-            for v in images:
-                if e[v]:
-                    factors.append(img_pow(v, e[v]))
-                    fixed[v] = 0
-            term = SparsePoly(self.nvars, self.spec, {tuple(fixed): c})
-            for f in factors:
-                term = term * f
-            out = out + term
-        return out
+            for v in mapping:
+                fixed[v] = 0
+            image = {tuple(fixed): c}
+            for v, img in mapping.items():
+                k = e[v]
+                if k:
+                    pk = powers.get((v, k))
+                    if pk is None:
+                        pk = powers[v, k] = (img ** k).terms
+                    image = _mul_terms(image, pk, self.spec)
+            for te, tc in image.items():
+                out[te] = plus(out.get(te, 0), tc)
+        return self._like(out)
 
     def linear_change(self, m: Sequence[Sequence[int]]) -> "SparsePoly":
         """The form in y with x = y.m on the first len(m) variables
         (x_c -> sum_j m[j][c] y_j); later variables are untouched."""
-        images = {}
-        for c in range(len(m)):
-            img = SparsePoly.zero(self.nvars, self.spec)
-            for j in range(len(m)):
-                if m[j][c]:
-                    img = img + SparsePoly.variable(
-                        j, self.nvars, self.spec).scale(m[j][c])
-            images[c] = img
-        return self.substitute(images)
+        unit = [tuple(int(i == j) for i in range(self.nvars))
+                for j in range(len(m))]
+        return self.substitute({c: self._like({unit[j]: m[j][c]
+                                               for j in range(len(m))})
+                                for c in range(len(m))})
 
     def evaluate(self, vals: Sequence[int]) -> int:
         """Evaluate at a point given by raw coefficients (bitmasks or ints)."""
@@ -624,37 +635,36 @@ def divide_by_linear(p: SparsePoly, ell: Sequence[int]
                      ) -> Optional[SparsePoly]:
     """Exact quotient p / ell for a linear form ell (or None if not divisible).
 
-    Long division in the pivot variable with multivariate coefficients;
-    characteristic-2 field coefficients only.
+    Synthetic division in the pivot variable, the first with a nonzero
+    coefficient in ell: the terms of one remainder dict are cleared from
+    the highest pivot degree down, each quotient term q cancelling its
+    term and adding q times the rest of ell one pivot degree lower.  None
+    when any remainder is left.  Characteristic-2 field coefficients only.
     """
     if p.spec is None:
         raise ValueError("field coefficients required")
-    spec = p.spec
     pivot = next((i for i, c in enumerate(ell) if c), None)
     if pivot is None:
         raise ValueError("zero linear form")
-    c_piv = ell[pivot]
-    inv_piv = spec.inv_int(c_piv)
-    rest = SparsePoly(p.nvars, spec,
-                      {tuple(1 if j == i else 0 for j in range(p.nvars)): c
-                       for i, c in enumerate(ell) if c and i != pivot})
-    cofs = p.coefficients_in(pivot)
-    top = max(cofs, default=0)
-    acc = [cofs.get(k, SparsePoly.zero(p.nvars, spec))
-           for k in range(top + 1)]
-    quot = [SparsePoly.zero(p.nvars, spec) for _ in range(max(top, 1))]
-    for k in range(top, 0, -1):
-        q = acc[k].scale(inv_piv)
-        quot[k - 1] = q
-        acc[k] = SparsePoly.zero(p.nvars, spec)
-        acc[k - 1] = acc[k - 1] + q * rest  # char 2: subtraction == addition
-    if not acc[0].is_zero():
+    exps, logs = _tables(p.spec)
+    inv_piv = p.spec.order - logs[ell[pivot]]
+    rest = [(i, logs[c]) for i, c in enumerate(ell) if c and i != pivot]
+    rem = dict(p.terms)
+    quot: Terms = {}
+    for k in range(p.degree_in(pivot), 0, -1):
+        for e in [e for e in rem if e[pivot] == k]:
+            c = rem.pop(e)
+            if not c:
+                continue
+            qe = e[:pivot] + (k - 1,) + e[pivot + 1:]
+            q = quot[qe] = exps[logs[c] + inv_piv]
+            lq = logs[q]
+            for i, li in rest:
+                ne = qe[:i] + (qe[i] + 1,) + qe[i + 1:]
+                rem[ne] = rem.get(ne, 0) ^ exps[lq + li]
+    if any(rem.values()):
         return None
-    xp = SparsePoly.variable(pivot, p.nvars, spec)
-    out = SparsePoly.zero(p.nvars, spec)
-    for k, q in enumerate(quot):
-        out = out + q * xp ** k
-    return out
+    return p._like(quot)
 
 
 def _linear_forms(nvars: int, spec: FieldSpec) -> Iterable[Tuple[int, ...]]:

@@ -22,7 +22,7 @@ from .geometry import Line, QuarticSurface, restrict_form
 from .pencil import (POS_INF, FiberReport, PencilPosition, RamificationData,
                      ResidualPencil, _form_two_points, fiber_line_count,
                      ramification_type, singular_fibers)
-from .poly import Poly, SparsePoly, sylvester_resultant
+from .poly import Poly, SparsePoly, _mul_terms, sylvester_resultant
 from .surfaces import family_z_surface
 
 #: the ten degree-3 monomials in three variables, canonical order
@@ -65,6 +65,16 @@ def universal_hessian() -> SparsePoly:
     return SparsePoly(nv, None, table)
 
 
+@lru_cache(maxsize=2)
+def _odd_terms(on_line: bool) -> tuple:
+    """The universal terms with odd coefficient, as ((index, power) for
+    each a_m that occurs, (x1, x2, x3)-exponents).  With on_line, only the
+    22 of the 60 whose x3-exponent is 0: those that survive on {x3 = 0}."""
+    return tuple((tuple((i, k) for i, k in enumerate(e[:10]) if k), e[10:])
+                 for e, c in universal_hessian().terms.items()
+                 if c % 2 and not (on_line and e[12]))
+
+
 def char2_hessian(g: SparsePoly,
                   x_vars: Sequence[int] = (0, 1, 2)) -> SparsePoly:
     """Specialize the universal table modulo 2 at the coefficients of g.
@@ -73,14 +83,18 @@ def char2_hessian(g: SparsePoly,
     the remaining variables of its ring (pencil parameters, symbolic
     coefficients) ride along inside the a_m coefficients.
     """
+    return _specialize(g, x_vars, _odd_terms(False))
+
+
+def _specialize(g: SparsePoly, x_vars: Sequence[int], terms) -> SparsePoly:
+    """The given odd universal terms at the coefficients of g, summed into
+    one dict; the powers of the a_m are cached as term dicts."""
     if g.spec is None:
         raise UsageError("field coefficients required")
     if len(x_vars) != 3:
         raise UsageError("exactly three cubic variables required")
-    nv = g.nvars
-    spec = g.spec
-    zero = SparsePoly.zero(nv, spec)
-    coeffs: Dict[Tuple[int, int, int], SparsePoly] = {}
+    nv, spec = g.nvars, g.spec
+    coeffs: Dict[Tuple[int, ...], dict] = {}
     for e, c in g.terms.items():
         m = tuple(e[v] for v in x_vars)
         if sum(m) != 3:
@@ -89,35 +103,27 @@ def char2_hessian(g: SparsePoly,
         rest = list(e)
         for v in x_vars:
             rest[v] = 0
-        term = SparsePoly.monomial(nv, spec, tuple(rest)).scale(c)
-        coeffs[m] = coeffs.get(m, zero) + term
+        coeffs.setdefault(m, {})[tuple(rest)] = c
 
-    powers: Dict[Tuple[int, int], SparsePoly] = {}
-    out = zero
-    for e13, c in universal_hessian().terms.items():
-        if c % 2 == 0:
-            continue
-        factor = None
-        for idx in range(10):
-            k = e13[idx]
-            if not k:
-                continue
+    powers: Dict[Tuple[int, int], dict] = {}
+    out: Dict[Tuple[int, ...], int] = {}
+    for a_exps, x_exps in terms:
+        mono = [0] * nv
+        for v, k in zip(x_vars, x_exps):
+            mono[v] = k
+        factor = {tuple(mono): 1}
+        for idx, k in a_exps:
             a = coeffs.get(MONOMIALS3[idx])
-            if a is None or a.is_zero():
-                factor = zero
+            if a is None:
                 break
             piece = powers.get((idx, k))
             if piece is None:
-                piece = powers[idx, k] = a ** k
-            factor = piece if factor is None else factor * piece
-        if factor is not None and factor.is_zero():
-            continue
-        mono = [0] * nv
-        for i in range(3):
-            mono[x_vars[i]] = e13[10 + i]
-        mpoly = SparsePoly.monomial(nv, spec, tuple(mono))
-        out = out + (mpoly if factor is None else factor * mpoly)
-    return out
+                piece = powers[idx, k] = (SparsePoly(nv, spec, a) ** k).terms
+            factor = _mul_terms(factor, piece, spec)
+        else:
+            for e, c in factor.items():
+                out[e] = out.get(e, 0) ^ c
+    return SparsePoly(nv, spec, out)
 
 
 # -- the resultant R ----------------------------------------------------------
@@ -151,7 +157,8 @@ def segre_resultant(pencil: ResidualPencil, chart: str = "finite") -> Poly:
     if chart not in ("finite", "inf"):
         raise UsageError(f"unknown chart {chart!r}")
     g = pencil.g if chart == "finite" else pencil.g_inf
-    h = char2_hessian(g, (0, 1, 2))
+    # only h on {z = 0} is read: specialise the terms free of z alone
+    h = _specialize(g, (0, 1, 2), _odd_terms(True))
     gc = _binary_cubic_in_lambda(g)
     hc = _binary_cubic_in_lambda(h)
     r = sylvester_resultant(gc, hc, Poly.zero(pencil.spec))

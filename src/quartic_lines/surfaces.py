@@ -22,6 +22,7 @@ Ids accepted by `get_surface`:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import UsageError
@@ -108,10 +109,12 @@ def family_x_form(spec: FieldSpec, lam: int) -> SparsePoly:
             + x[0] * x[1] * x[3] ** 2 + x[2] ** 4)
 
 
+@lru_cache(maxsize=None)
 def default_family_x_lambda(spec: Optional[FieldSpec] = None
                             ) -> Tuple[FieldSpec, int]:
     """Smallest lambda in the base field whose member has [0:0:0:1] as its
-    only singular point up to extension degree 4."""
+    only singular point up to extension degree 4 (searched once per
+    field)."""
     spec = spec or FieldSpec.default(1)
     for lam in range(spec.size):
         try:

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from quartic_lines import geometry
+from quartic_lines import geometry, surfaces
 from quartic_lines.errors import CapabilityError, UsageError
 from quartic_lines.field import FieldSpec
 from quartic_lines.geometry import (_FRAMES, SCHUBERT_CELLS,
@@ -414,3 +414,19 @@ def test_smooth_census_valencies_match_graph(s5_graph):
     vals = s5_graph.valencies()
     assert len(vals) == len(s5_graph)
     assert all(0 <= v < len(s5_graph) for v in vals)
+
+
+def test_default_family_x_lambda_is_searched_once_per_field(gf2,
+                                                            monkeypatch):
+    spec, lam = surfaces.default_family_x_lambda(gf2)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return singular_point_search(*args, **kwargs)
+
+    monkeypatch.setattr(surfaces, "singular_point_search", counting)
+    assert surfaces.default_family_x_lambda(gf2) == (spec, lam)
+    assert surfaces.family_x_surface(spec=gf2).label == \
+        f"family_x:{hex(lam)}@1"
+    assert calls == []

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quartic_lines.field import FieldSpec
@@ -238,3 +239,123 @@ def test_reverse_and_compose():
     g = f.compose(shift)
     for v in range(4):
         assert g.eval_int(v) == f.eval_int(v ^ 1)
+
+
+_POWER_BASES = {
+    "Poly": lambda: Poly(SPEC16, [3, 0, 7, 1]),
+    "SparsePoly GF(16)": lambda: SparsePoly(3, SPEC16, {
+        (1, 0, 0): 1, (0, 1, 1): 9, (0, 0, 2): 14}),
+    "SparsePoly Z": lambda: SparsePoly(2, None, {(1, 0): 3, (0, 1): -1,
+                                                 (0, 0): 2}),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(_POWER_BASES))
+@pytest.mark.parametrize("k", range(10))
+def test_power_is_the_repeated_product(ring, k):
+    p = _POWER_BASES[ring]()
+    want = p ** 0
+    assert want == (Poly.one(SPEC16) if ring == "Poly"
+                    else SparsePoly.constant(p.nvars, p.spec, 1))
+    for _ in range(k):
+        want = want * p
+    assert p ** k == want
+
+
+def _mat_point(y, m, spec):
+    """x = y.m on the first len(m) coordinates, the rest copied."""
+    n = len(m)
+    x = list(y)
+    for c in range(n):
+        if spec is None:
+            x[c] = sum(y[j] * m[j][c] for j in range(n))
+        else:
+            acc = 0
+            for j in range(n):
+                acc ^= spec.mul_int(y[j], m[j][c])
+            x[c] = acc
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_linear_change_matches_evaluation_at_the_moved_point(data):
+    # f.linear_change(m)(y) == f(y.m), over GF(16) and over Z, with m on
+    # all four variables or on the first three
+    spec = data.draw(st.sampled_from([SPEC16, None]))
+    coeffs = st.integers(1, 15) if spec else st.integers(-9, 9)
+    monos = st.tuples(*[st.integers(0, 3)] * 4)
+    f = SparsePoly(4, spec, data.draw(st.dictionaries(monos, coeffs,
+                                                      max_size=6)))
+    n = data.draw(st.sampled_from([3, 4]))
+    entries = st.integers(0, 15) if spec else st.integers(-3, 3)
+    m = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    moved = f.linear_change(m)
+    for _ in range(4):
+        y = data.draw(st.lists(entries, min_size=4, max_size=4))
+        assert moved.evaluate(y) == f.evaluate(_mat_point(y, m, spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4]), st.data())
+def test_divide_by_linear_undoes_the_product(nvars, data):
+    f = data.draw(sparse_polys(nvars, SPEC16, max_terms=6, max_exp=3))
+    lead_zeros = data.draw(st.integers(0, nvars - 1))
+    ell = [0] * lead_zeros + data.draw(st.lists(
+        st.integers(0, 15), min_size=nvars - lead_zeros,
+        max_size=nvars - lead_zeros).filter(lambda t: t[0]))
+    lin = SparsePoly(nvars, SPEC16, {
+        tuple(int(i == j) for i in range(nvars)): c
+        for j, c in enumerate(ell)})
+    assert divide_by_linear(f * lin, ell) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4]), st.data())
+def test_divide_by_linear_refuses_a_form_alive_on_the_hyperplane(nvars,
+                                                                  data):
+    # a point of {ell = 0} where f is nonzero proves ell does not divide f
+    f = data.draw(sparse_polys(nvars, SPEC16, max_terms=6, max_exp=3))
+    ell = data.draw(st.lists(st.integers(0, 15), min_size=nvars,
+                             max_size=nvars).filter(any))
+    pivot = next(i for i, c in enumerate(ell) if c)
+    pt = data.draw(st.lists(st.integers(0, 15), min_size=nvars,
+                            max_size=nvars))
+    pt[pivot] = 0
+    rest = 0
+    for c, v in zip(ell, pt):
+        rest ^= SPEC16.mul_int(c, v)
+    pt[pivot] = SPEC16.div_int(rest, ell[pivot])
+    if f.evaluate(pt) != 0:
+        assert divide_by_linear(f, ell) is None
+
+
+def test_divide_by_linear_with_leading_zero_coefficients():
+    x = [SparsePoly.variable(i, 4, SPEC16) for i in range(4)]
+    lin = x[2].scale(5) + x[3].scale(11)
+    q = x[0] ** 2 * x[3] + x[1] * x[2] ** 2 + x[3] ** 3
+    assert divide_by_linear(lin * q, (0, 0, 5, 11)) == q
+    assert divide_by_linear(q, (0, 0, 5, 11)) is None
+
+
+def test_three_factor_product_with_a_cancelled_middle_term():
+    # (x + a y)^2 = x^2 + a^2 y^2: the cross term cancels and must be gone
+    # before the next product, or its zero coefficient reads a logarithm;
+    # substitute chains the image products as plain term dicts
+    a = 6
+    a2 = SPEC16.mul_int(a, a)
+    x, y = (SparsePoly.variable(i, 2, SPEC16) for i in range(2))
+    lin = x + y.scale(a)
+    assert (lin * lin).terms == {(2, 0): 1, (0, 2): a2}
+    want = SparsePoly(2, SPEC16, {(3, 0): 1, (2, 1): 1, (1, 2): a2,
+                                  (0, 3): a2})
+    assert lin * lin * (x + y) == want
+    v = [SparsePoly.variable(i, 5, SPEC16) for i in range(5)]
+    lin5 = v[3] + v[4].scale(a)
+    chained = (v[0] * v[1] * v[2]).substitute({0: lin5, 1: lin5,
+                                               2: v[3] + v[4]})
+    assert chained == SparsePoly(5, SPEC16, {
+        (0, 0, 0) + e: c for e, c in want.terms.items()})
+    assert chained.evaluate([0, 0, 0, 7, 9]) == SPEC16.mul_int(
+        SPEC16.pow_int(7 ^ SPEC16.mul_int(a, 9), 2), 7 ^ 9)

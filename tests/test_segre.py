@@ -1,12 +1,15 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from quartic_lines.errors import UsageError
-from quartic_lines.geometry import axis_line
+from quartic_lines.geometry import QuarticSurface, axis_line, enumerate_lines
 from quartic_lines.pencil import ResidualPencil
 from quartic_lines.poly import SparsePoly
-from quartic_lines.segre import (build_dossier, char2_hessian,
+from quartic_lines.segre import (_odd_terms, _specialize, build_dossier,
+                                 char2_hessian,
                                  coplanar_line_multiplicity,
                                  family_z_531_instance, family_z_fiber_lines,
                                  family_z_symbolic_resultant,
@@ -141,3 +144,49 @@ def test_plane_position_roundtrip(gf4):
     assert pos.chart in ("finite", "inf")
     with pytest.raises(UsageError):
         plane_position(pencil, (1, 0, 0, 0))  # does not contain the line
+
+
+def _axis_pencils(spec, count, rng):
+    """Residual pencils of the axis line on random quartics through it."""
+    monos = [(i, j, k, 4 - i - j - k) for i in range(5) for j in range(5 - i)
+             for k in range(5 - i - j) if i + j < 4]
+    out = []
+    while len(out) < count:
+        f = SparsePoly(4, spec, {e: rng.randrange(spec.size) for e in monos})
+        try:
+            out.append(ResidualPencil(QuarticSurface(f, "random"),
+                                      axis_line(spec)))
+        except UsageError:
+            continue
+    return out
+
+
+def test_on_line_hessian_is_the_hessian_at_z_zero(s5_surface, s5_lines, gf8):
+    # segre_resultant specialises only the universal terms free of z: that
+    # must be char2_hessian with z set to 0, in both charts
+    pencils = [ResidualPencil(s5_surface, ln) for ln in s5_lines[::12]]
+    pencils += _axis_pencils(gf8, 4, random.Random(11))
+    assert len(_odd_terms(True)) == 22 and len(_odd_terms(False)) == 60
+    for pencil in pencils:
+        for g in (pencil.g, pencil.g_inf):
+            full = char2_hessian(g, (0, 1, 2))
+            want = SparsePoly(4, g.spec, {e: c for e, c in full.terms.items()
+                                          if e[2] == 0})
+            assert _specialize(g, (0, 1, 2), _odd_terms(True)) == want
+
+
+def _digest(dossiers):
+    return hashlib.sha256(json.dumps([d.to_json() for d in dossiers],
+                                     sort_keys=True).encode()).hexdigest()
+
+
+def test_dossiers_are_byte_identical_to_the_pinned_digests(s5_dossiers):
+    # the sorted-key JSON of the 7 z0 dossiers and of 4 record dossiers,
+    # pinned so that a rewrite of a kernel under the dossiers shows any
+    # change in them
+    z0 = get_surface("z0")
+    assert _digest(build_dossier(z0, ln)
+                   for ln in enumerate_lines(z0, ext=1)) == \
+        "f8af91897390b848ac274594384371bf071109a50dfa6ce366273ec121fdd487"
+    assert _digest(s5_dossiers[i] for i in (0, 19, 38, 57)) == \
+        "e6a91581133176c9345cf9ec76fc4b0269f341d20dbe14d2547cdcf57cce7987"
