@@ -388,7 +388,8 @@ def _tables(spec: FieldSpec):
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int], spec: FieldSpec) -> list:
-    """Product of two trimmed coefficient lists."""
+    """Product of two coefficient lists; untrimmed (formal-degree) lists
+    give the formal product, of length len(a) + len(b) - 1."""
     if not a or not b:
         return []
     exps, logs = _tables(spec)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapabilityError, InconsistencyError, UsageError
-from .field import MAX_DEGREE, FieldSpec, root_orbits
+from .field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
 from .geometry import (Line, QuarticSurface, canonical_point,
                        first_variable_conditions, gcd_at_tail, kernel_vector,
                        mat_inverse, normalize_line, restrict_form, rref,
@@ -825,18 +825,6 @@ class RamificationData:
                 "type": self.type}
 
 
-def _form_mul(a: Sequence[int], b: Sequence[int], spec: FieldSpec
-              ) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    mul = spec.mul_int
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] ^= mul(x, y)
-    return out
-
-
 def _form_derivs(f: Sequence[int], spec: FieldSpec
                  ) -> Tuple[List[int], List[int]]:
     """(df/du, df/dv) of a binary form (u-major, formal degree len-1);
@@ -914,8 +902,8 @@ def ramification_type(pencil: ResidualPencil) -> RamificationData:
                          "line is degenerate")
     au, av = _form_derivs(a, spec)
     bu, bv = _form_derivs(b, spec)
-    w = [x ^ y for x, y in zip(_form_mul(au, bv, spec),
-                               _form_mul(av, bu, spec))]
+    w = [x ^ y for x, y in zip(poly_mul(au, bv, spec),
+                               poly_mul(av, bu, spec))]
     if not any(w):
         raise InconsistencyError(
             "vanishing Wronskian for a separable degree-3 map")

@@ -15,11 +15,17 @@ Resultants of binary forms are determinants of the hybrid Bezout matrix
 elimination when the entries are univariate polynomials, a generic
 division-free expansion for field elements and multivariate symbolic
 entries.
+
+Squarefreeness of a form of degree <= 4 needs no search in characteristic
+2: since d(ell^2 h) = ell^2 dh, a repeated linear factor ell shows up as
+ell^2 times a constant among the partials of order deg - 2, and is then
+confirmed by division (`squarefree_test`).
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from operator import add, xor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -667,15 +673,13 @@ def divide_by_linear(p: SparsePoly, ell: Sequence[int]
     return p._like(quot)
 
 
-def _linear_forms(nvars: int, spec: FieldSpec) -> Iterable[Tuple[int, ...]]:
-    """Normalized nonzero linear forms (first nonzero coefficient = 1)."""
-    for pivot in range(nvars):
-        tails = itertools.product(range(spec.size), repeat=nvars - pivot - 1)
-        for tail in tails:
-            yield (0,) * pivot + (1,) + tail
-
-
-SQUAREFREE_SCAN_LIMIT = 300_000
+def _square_root(p: SparsePoly) -> Optional[SparsePoly]:
+    """The g with g^2 = p when every exponent of p is even, else None: in
+    characteristic 2, (sum a_e x^e)^2 = sum a_e^2 x^(2e)."""
+    if any(k % 2 for e in p.terms for k in e):
+        return None
+    return p._like({tuple(k // 2 for k in e): p.spec.sqrt_int(c)
+                    for e, c in p.terms.items()})
 
 
 def squarefree_test(p: SparsePoly) -> Tuple[bool, Optional[SparsePoly]]:
@@ -683,36 +687,41 @@ def squarefree_test(p: SparsePoly) -> Tuple[bool, Optional[SparsePoly]]:
 
     Over a perfect field of characteristic 2 a repeated factor of a form of
     degree <= 4 is either (a) visible as a perfect square -- every exponent
-    even -- or (b) a repeated linear factor defined over the coefficient
+    even -- or (b) a repeated linear factor ell defined over the coefficient
     field itself (a conjugate pair of repeated linear factors multiplies to
-    a perfect square, case (a)).  So: check the even-exponent square case,
-    then scan the finitely many normalized linear forms for ell^2 | p.
+    a perfect square, case (a)).  In case (b), p = ell^2 h with h not a
+    perfect square, and d(ell^2 h)/dx_i = ell^2 dh/dx_i in characteristic 2:
+    some partial of order deg p - 2 in distinct variables is a nonzero
+    multiple of ell^2: for a quartic d_j d_i p = m_j ell^2 with m = d_i h,
+    and for a cubic p = ell^2 m and d_i p = m_i ell^2.  Each such partial
+    whose terms are all squares, sum c_k x_k^2, names the candidate
+    ell = sum sqrt(c_k) x_k, kept when two `divide_by_linear` calls confirm
+    ell^2 | p.  At most six candidates, exact at every field size.
 
-    Returns (True, None) or (False, witness) where witness**2 divides p.
+    Returns (True, None) or (False, witness) where witness**2 divides p;
+    a linear witness is normalized to leading coefficient 1.  Raises
+    ValueError unless p is a form of degree <= 4 over a field.
     """
     if p.spec is None:
         raise ValueError("field coefficients required")
-    if p.is_zero():
-        return False, p
-    spec = p.spec
-    if all(k % 2 == 0 for e in p.terms for k in e):
-        root = SparsePoly(p.nvars, spec,
-                          {tuple(k // 2 for k in e): spec.sqrt_int(c)
-                           for e, c in p.terms.items()})
+    d = p.total_degree()
+    if d > 4 or not p.is_homogeneous():
+        raise ValueError("squarefree_test needs a form of degree <= 4")
+    root = _square_root(p)   # also the zero form, as its own witness
+    if root is not None:
         return False, root
-    count = (spec.size ** p.nvars - 1) // (spec.size - 1) if spec.size > 1 else 0
-    if count > SQUAREFREE_SCAN_LIMIT:
-        raise ValueError(
-            f"squarefree scan over GF(2^{spec.degree}) in {p.nvars} variables "
-            "is too large; work over a smaller coefficient field")
-    for ell in _linear_forms(p.nvars, spec):
-        q = divide_by_linear(p, ell)
-        if q is None:
+    if d < 3:
+        return True, None   # a form of degree <= 2 that is not a square
+    units = [tuple(int(i == j) for j in range(p.nvars))
+             for i in range(p.nvars)]
+    for vs in itertools.combinations(range(p.nvars), d - 2):
+        part = reduce(SparsePoly.derivative, vs, p)
+        ell = None if part.is_zero() else _square_root(part)
+        if ell is None:
             continue
-        q2 = divide_by_linear(q, ell)
-        if q2 is not None:
-            return False, SparsePoly(
-                p.nvars, spec,
-                {tuple(1 if j == i else 0 for j in range(p.nvars)): c
-                 for i, c in enumerate(ell) if c})
+        coeffs = [ell.terms.get(u, 0) for u in units]
+        q = divide_by_linear(p, coeffs)
+        if q is not None and divide_by_linear(q, coeffs) is not None:
+            lead = next(c for c in coeffs if c)
+            return False, ell.scale(p.spec.inv_int(lead))
     return True, None

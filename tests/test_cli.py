@@ -1,6 +1,9 @@
 import json
 
 from quartic_lines.cli import main
+from quartic_lines.field import FieldSpec
+from quartic_lines.geometry import QuarticSurface
+from quartic_lines.surfaces import get_surface
 
 
 def run(capsys, *argv):
@@ -107,6 +110,19 @@ def test_configs_subcommand(capsys):
                        "--min-lines", "21")
     assert code == 0
     assert len(json.loads(out)) == 7
+
+
+def test_surface_file_over_gf256_is_checked_and_censused(tmp_path, capsys):
+    # the squarefree check is exact at every field size: the record
+    # surface written over GF(2^8) loads, and its 60 lines are all there
+    record = get_surface("s5_mu0")
+    big = FieldSpec.default(8)
+    f = record.f.embed(record.spec.embedding_to(big))
+    path = tmp_path / "s5_mu0_gf256.json"
+    path.write_text(json.dumps(QuarticSurface(f, "s5_mu0").to_json()))
+    code, out, err = run(capsys, "lines", "--surface", str(path))
+    assert code == 0, err
+    assert json.loads(out)["line-count"] == 60
 
 
 def test_unknown_surface_is_input_error(capsys):

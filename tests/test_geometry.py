@@ -62,6 +62,22 @@ def test_surface_rejects_non_quartic(gf4):
         QuarticSurface((x[0] + x[1]) ** 4)
 
 
+@pytest.mark.parametrize("k", [8, 12, 16])
+def test_record_surface_over_a_large_field_passes_the_squarefree_check(k):
+    record = get_surface("s5_mu0")
+    big = FieldSpec.default(k)
+    f = record.f.embed(record.spec.embedding_to(big))
+    assert QuarticSurface(f, "s5_mu0").spec == big
+
+
+def test_surface_with_a_repeated_plane_over_gf256_names_it():
+    spec = FieldSpec.default(8)
+    x = [SparsePoly.variable(i, 4, spec) for i in range(4)]
+    ell = x[0] + x[2].scale(0x35)
+    with pytest.raises(UsageError, match="not squarefree"):
+        QuarticSurface(ell * ell * (x[1] * x[3] + x[0] * x[2].scale(7)))
+
+
 def test_fourth_power_diagnostic(gf2):
     with pytest.raises(UsageError, match="4th power"):
         get_surface("fermat_char2")

@@ -1,6 +1,7 @@
 """Every name a module under src/ or tests/ imports is used in it, and
-every module-level private function in src/ is referenced somewhere in
-src/ or tests/ outside its own definition."""
+every module-level private function and every module-level assigned name
+in src/ is referenced somewhere in src/ or tests/ outside its own
+definition."""
 
 import ast
 from collections import Counter
@@ -54,7 +55,9 @@ def _references(tree: ast.AST) -> Counter:
     return out
 
 
-def test_no_unreferenced_private_functions():
+def _unreferenced(is_candidate) -> list:
+    """Module-level definitions in src/ that is_candidate(node) selects and
+    that nothing in src/ or tests/ refers to outside the definition."""
     trees = {path: ast.parse(path.read_text()) for path in SOURCES}
     total = Counter()
     for tree in trees.values():
@@ -62,9 +65,28 @@ def test_no_unreferenced_private_functions():
     unused = []
     for path in SRC:
         for node in trees[path].body:
-            name = getattr(node, "name", "")
-            if (isinstance(node, ast.FunctionDef) and name.startswith("_")
-                    and not name.startswith("__")
-                    and total[name] == _references(node)[name]):
-                unused.append(f"{path.relative_to(ROOT)}:{name}")
-    assert unused == []
+            for name in is_candidate(node):
+                if total[name] == _references(node)[name]:
+                    unused.append(f"{path.relative_to(ROOT)}:{name}")
+    return unused
+
+
+def test_no_unreferenced_private_functions():
+    def private_function(node):
+        name = getattr(node, "name", "")
+        if (isinstance(node, ast.FunctionDef) and name.startswith("_")
+                and not name.startswith("__")):
+            yield name
+    assert _unreferenced(private_function) == []
+
+
+def test_no_unreferenced_module_level_names():
+    def assigned_names(node):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id
+    assert _unreferenced(assigned_names) == []

@@ -5,15 +5,15 @@ import pytest
 from test_acceptance import SEED, _random_smooth_surface_with_line
 
 from quartic_lines.errors import InconsistencyError, UsageError
-from quartic_lines.field import MAX_DEGREE, FieldSpec, root_orbits
+from quartic_lines.field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
 from quartic_lines.geometry import (QuarticSurface, _univariate_in, axis_line,
                                     canonical_point, singular_point_search,
                                     vec_mat)
 from quartic_lines.pencil import (_FRAMES, POS_INF, POS_ZERO, PencilPosition,
                                   ResidualPencil, _binary_collect,
                                   _cubic_singular_points, _eval_form,
-                                  _form_derivs, _form_mul,
-                                  _form_root_multiplicity, _lambda_discriminant,
+                                  _form_derivs, _form_root_multiplicity,
+                                  _lambda_discriminant,
                                   _local_quadratic, _minimal_position,
                                   classify_fiber,
                                   euler_budget_audit, fiber_line_count,
@@ -496,8 +496,8 @@ def _level_scan_ramification(pencil):
     spec, a, b = pencil.spec, pencil.A, pencil.B
     au, av = _form_derivs(a, spec)
     bu, bv = _form_derivs(b, spec)
-    w = [x ^ y for x, y in zip(_form_mul(au, bv, spec),
-                               _form_mul(av, bu, spec))]
+    w = [x ^ y for x, y in zip(poly_mul(au, bv, spec),
+                               poly_mul(av, bu, spec))]
     points, seen = [], {}
     for d in (d for d in (1, 2, 3, 4) if spec.degree * d <= MAX_DEGREE):
         target = spec if d == 1 else FieldSpec.default(spec.degree * d)

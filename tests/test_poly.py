@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -229,6 +231,134 @@ def test_squarefree_test_detects_square():
     assert not ok and witness is not None
     ok2, _ = squarefree_test(x[0] * x[1] * x[2] * x[3])
     assert ok2
+
+
+def _squarefree_scan(p):
+    """The former squarefree test, the oracle: the perfect-square case, then
+    every normalized linear form ell (first nonzero coefficient 1) scanned
+    for ell^2 | p."""
+    spec = p.spec
+    if all(k % 2 == 0 for e in p.terms for k in e):
+        return False, SparsePoly(p.nvars, spec,
+                                 {tuple(k // 2 for k in e): spec.sqrt_int(c)
+                                  for e, c in p.terms.items()})
+    for pivot in range(p.nvars):
+        for tail in itertools.product(range(spec.size),
+                                      repeat=p.nvars - pivot - 1):
+            ell = (0,) * pivot + (1,) + tail
+            q = divide_by_linear(p, ell)
+            if q is not None and divide_by_linear(q, ell) is not None:
+                return False, _linear(p.nvars, spec, ell)
+    return True, None
+
+
+def _linear(nvars, spec, ell):
+    return SparsePoly(nvars, spec,
+                      {tuple(int(i == j) for j in range(nvars)): c
+                       for i, c in enumerate(ell) if c})
+
+
+def _random_form(rng, nvars, spec, d):
+    return SparsePoly(nvars, spec, {
+        e: rng.randrange(spec.size)
+        for e in itertools.product(range(d + 1), repeat=nvars) if sum(e) == d})
+
+
+def _random_linear(rng, nvars, spec):
+    while True:
+        ell = [rng.randrange(spec.size) for _ in range(nvars)]
+        if any(ell):
+            return _linear(nvars, spec, ell)
+
+
+def _squarefree_cases(k, nvars, d, per_kind, seed):
+    """Seeded forms of degree d: random, ell^2 h (ell^2 m for a cubic),
+    q q' and, for quartics, q^2."""
+    spec = FieldSpec.default(k)
+    rng = random.Random(seed)
+    makers = {
+        "random": lambda: _random_form(rng, nvars, spec, d),
+        "ell^2 h": lambda: (_random_linear(rng, nvars, spec) ** 2
+                            * _random_form(rng, nvars, spec, d - 2)),
+        "q q'": lambda: (_random_form(rng, nvars, spec, 2)
+                         * _random_form(rng, nvars, spec, d - 2)),
+    }
+    if d == 4:
+        makers["q^2"] = lambda: _random_form(rng, nvars, spec, 2) ** 2
+    out = []
+    for kind, make in makers.items():
+        for _ in range(per_kind):
+            f = make()
+            if not f.is_zero():
+                out.append((kind, f))
+    return out
+
+
+@pytest.mark.parametrize("k,nvars,d,per_kind", [
+    (1, 3, 3, 40), (1, 3, 4, 40), (1, 4, 3, 40), (1, 4, 4, 40),
+    (2, 3, 3, 25), (2, 3, 4, 25), (2, 4, 3, 10), (2, 4, 4, 10),
+    (3, 3, 3, 10), (3, 3, 4, 10), (3, 4, 3, 6), (3, 4, 4, 6)])
+def test_squarefree_test_matches_the_linear_form_scan(k, nvars, d, per_kind):
+    cases = _squarefree_cases(k, nvars, d, per_kind,
+                              seed=100 * k + 10 * nvars + d)
+    verdicts = set()
+    for kind, f in cases:
+        got = squarefree_test(f)
+        assert got == _squarefree_scan(f), (kind, f)
+        ok, w = got
+        verdicts.add(ok)
+        if ok:
+            continue
+        if w.total_degree() == 1:
+            ell = _linear_coeffs(w)
+            q = divide_by_linear(f, ell)
+            assert q is not None and divide_by_linear(q, ell) is not None
+        else:
+            assert w * w == f
+    assert verdicts == {True, False}
+
+
+def _linear_coeffs(w):
+    n = w.nvars
+    return [w.terms.get(tuple(int(i == j) for j in range(n)), 0)
+            for i in range(n)]
+
+
+def _proportional(w, ell):
+    """w and ell are linear forms, equal up to a nonzero scalar."""
+    a, b, mul = _linear_coeffs(w), _linear_coeffs(ell), w.spec.mul_int
+    return (w.total_degree() == 1 == ell.total_degree()
+            and all(mul(a[i], b[j]) == mul(a[j], b[i])
+                    for i, j in itertools.combinations(range(len(a)), 2)))
+
+
+@pytest.mark.parametrize("k", [1, 8])
+def test_squarefree_witness_of_a_repeated_linear_factor(k):
+    spec = FieldSpec.default(k)
+    rng = random.Random(k)
+    checked = 0
+    for nvars in (3, 4):
+        for _ in range(3):
+            ell = _random_linear(rng, nvars, spec)
+            h = _random_form(rng, nvars, spec, 2)
+            m = _random_form(rng, nvars, spec, 1)
+            for f in (ell * ell * h, ell * ell * m):
+                if f.is_zero():
+                    continue
+                ok, w = squarefree_test(f)
+                assert not ok
+                if w.total_degree() == 1:   # else h is a square, and f too
+                    assert _proportional(w, ell)
+                    checked += 1
+    assert checked >= 8
+
+
+def test_squarefree_test_refuses_what_is_not_a_form_of_degree_at_most_4():
+    x = [SparsePoly.variable(i, 3, SPEC4) for i in range(3)]
+    with pytest.raises(ValueError):
+        squarefree_test(x[0] ** 5 + x[1] ** 4 * x[2])
+    with pytest.raises(ValueError):
+        squarefree_test(x[0] ** 3 + x[1])
 
 
 def test_reverse_and_compose():
