@@ -4,7 +4,10 @@
     python3 scripts/bench.py --parent HEAD~1 --pairs 10 --workload scan \
         --out BENCH.json
 
-Extracts REV with `git archive` into a temporary directory and runs the
+Extracts REV with `git archive` into a temporary directory, byte-compiles
+both trees with `compileall` (so no run compiles a module at import, even
+under PYTHONDONTWRITEBYTECODE=1, and `setup_s` and `peak_rss_mb` measure
+run-time set-up and memory only) and runs the
 unchanged `perfbench/run.py --trace 0` of each side in a fresh process, for
 the `run_seconds` of the working tree's BENCHMARK.json, pair by pair, with
 seed i on both sides of pair i (1, 2, ...) and the side that goes first
@@ -20,6 +23,7 @@ tree, parent first, and writes that wall time under `tier1`.
 from __future__ import annotations
 
 import argparse
+import compileall
 import io
 import json
 import os
@@ -116,10 +120,14 @@ def main(argv=None) -> int:
     doc = {"parent": parent_rev, "change": f"working tree on {head}",
            "pairs": args.pairs, "seconds": seconds,
            "seeds": list(range(1, args.pairs + 1)),
-           "python": sys.version.split()[0], "workloads": {}}
+           "python": sys.version.split()[0], "bytecode": "precompiled",
+           "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         extract(parent_rev, tmp)
         trees = {"parent": tmp, "change": ROOT}
+        for tree in trees.values():
+            if not compileall.compile_dir(tree, quiet=1):
+                sys.exit(f"bench: byte-compiling {tree} failed")
         for workload in args.workload:
             runs: Dict[str, List[dict]] = {"parent": [], "change": []}
             for i, seed in enumerate(doc["seeds"]):

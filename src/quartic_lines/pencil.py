@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,13 +146,28 @@ def _swap_vars(p: SparsePoly, i: int, j: int) -> SparsePoly:
 def residual_cubic(pencil: ResidualPencil,
                    pos: PencilPosition) -> SparsePoly:
     """The residual cubic at a pencil position, as a ternary cubic in
-    (x1, x2, z) over the position's field."""
+    (x1, x2, z) over the position's field: the pencil form of the
+    position's chart, embedded there, at param = the position
+    (`_at_lambda`)."""
     target = pencil.position_field(pos)
     g = pencil.g_inf if pos.is_infinite() else pencil.g
     if target != pencil.spec:
         g = g.embed(pencil.spec.embedding_to(target))
-    lam = SparsePoly.constant(4, target, pos.bits)
-    return g.substitute({3: lam}).drop_vars([0, 1, 2])
+    return _at_lambda(g, pos.bits)
+
+
+def _at_lambda(g: SparsePoly, lam: int) -> SparsePoly:
+    """A form in (y1, y2, y3, param) at param = lam, as a form in
+    (y1, y2, y3): one pass over the terms, the powers of lam cached."""
+    mul = g.spec.mul_int
+    powers = [1]
+    out: Dict[Tuple[int, ...], int] = {}
+    for e, c in g.terms.items():
+        while len(powers) <= e[3]:
+            powers.append(mul(powers[-1], lam))
+        key = e[:3]
+        out[key] = out.get(key, 0) ^ mul(c, powers[e[3]])
+    return SparsePoly(3, g.spec, out)
 
 
 # -- plane cubic classification -----------------------------------------------
@@ -233,6 +248,15 @@ def _binary_collect(p: SparsePoly, vi: int, vj: int) -> List[SparsePoly]:
     return out
 
 
+def _dehomogenized(spec: FieldSpec, binaries
+                   ) -> List[Tuple[Poly, int]]:
+    """(cond(1, t), formal degree) for each binary condition, given by its
+    coefficient list in (y2, y3), y2-major, that is neither zero nor free
+    of (y2 : y3)."""
+    return [(Poly(spec, cs), len(cs) - 1) for cs in binaries
+            if len(cs) >= 2 and any(cs)]
+
+
 def _cubic_singular_points(cubic: SparsePoly, top: int
                            ) -> List[Tuple[Tuple[int, int, int], int]]:
     """Singular points of degree d <= top over the cubic's field GF(q):
@@ -241,77 +265,98 @@ def _cubic_singular_points(cubic: SparsePoly, top: int
     automatically at such points: odd degree plus the Euler relation in
     characteristic 2.)
 
-    In a frame where the partials cooperate, y1 is eliminated by the
-    shared kernel `first_variable_conditions`.  The directions (y2 : y3)
-    of the singular points are the common roots of the <= 3 binary
-    conditions left: the roots of the gcd of their dehomogenizations in
-    t = y3/y2, plus (0 : 1) when every condition drops degree.
+    The cubic's own `_FRAMES` are tried in turn: in each, y1 is
+    eliminated from the moved partials by the shared kernel
+    `first_variable_conditions`, and `_frame_points` finds the points from
+    the <= 3 binary conditions left, unless none is left.  (A finite fiber
+    of a pencil first tries the lambda-discriminant's frame specialised at
+    its position, through the same step; see `classify_fiber`.)"""
+    spec = cubic.spec
+    if all(cubic.derivative(i).is_zero() for i in range(3)):
+        raise InconsistencyError("cubic with identically vanishing partials")
+    for fr in _FRAMES:
+        parts, conds = _frame_conditions(cubic, fr)
+        dehom = _dehomogenized(spec, (
+            [0 if entry.is_zero() else entry.evaluate([0, 0, 0])
+             for entry in _binary_collect(cond, 1, 2)]
+            for cond in itertools.islice(conds, 3)))
+        found = _frame_points(parts, dehom, fr, top)
+        if found is not None:
+            return found
+    raise CapabilityError(
+        "singular-point elimination degenerated in every frame")
+
+
+def _frame_points(parts: List[SparsePoly], dehom: List[Tuple[Poly, int]],
+                  frame, top: int
+                  ) -> Optional[List[Tuple[Tuple[int, int, int], int]]]:
+    """The singular points of degree <= top of a plane cubic from one
+    frame, as `_cubic_singular_points` returns them; None when no
+    condition is left.
+
+    `parts` are the cubic's nonzero partials moved by the frame (x = y.m)
+    and `dehom` the dehomogenizations in t = y3/y2 of binary conditions
+    in the elimination ideal of `parts` and k[y2, y3], each with its
+    formal degree.  Every singular point other than the frame's centre
+    (1:0:0) then has a direction (y2 : y3) that is a common root of the
+    conditions: a root of the gcd of their dehomogenizations, or (0 : 1)
+    when every condition drops degree.  The centre is checked directly.
     `root_orbits` splits that gcd by degree.  A rational direction can
     carry a conjugate pair or triple of points, so its y1-gcd
     (`gcd_at_tail`) is split by `root_orbits` too; a direction of degree
     d > 1 carries points of degree d only, found by root finding over
-    GF(q^d).  Every candidate is checked on all partials."""
-    spec = cubic.spec
-    if all(cubic.derivative(i).is_zero() for i in range(3)):
-        raise InconsistencyError("cubic with identically vanishing partials")
-    for frame in _FRAMES:
-        parts, conds = _frame_conditions(cubic, frame)
-        dehom = []                        # (cond(1, t), formal degree)
-        for cond in itertools.islice(conds, 3):
-            coeffs = [0 if entry.is_zero() else entry.evaluate([0, 0, 0])
-                      for entry in _binary_collect(cond, 1, 2)]
-            if any(coeffs) and len(coeffs) >= 2:
-                dehom.append((Poly(spec, coeffs), len(coeffs) - 1))
-        if not dehom:
-            continue
-        g = dehom[0][0]
-        for p, _ in dehom[1:]:
-            g = g.gcd(p)
-        levels, _ = root_orbits(g.coeffs, spec, top)
-        at_inf = all(p.degree() < deg for p, deg in dehom)
+    GF(q^d).  Every candidate is checked on all partials, so a common
+    root of the conditions that carries no singular point costs one check
+    and changes no answer."""
+    if not dehom:
+        return None
+    spec = dehom[0][0].spec
+    g = dehom[0][0]
+    for p, _ in dehom[1:]:
+        g = g.gcd(p)
+    levels, _ = root_orbits(g.coeffs, spec, top)
+    at_inf = all(p.degree() < deg for p, deg in dehom)
 
-        level_parts = {1: parts}
+    level_parts = {1: parts}
 
-        def on_level(d: int) -> List[SparsePoly]:
-            if d not in level_parts:
-                emb = spec.embedding_to(levels[d - 1][0])
-                level_parts[d] = [p.embed(emb) for p in parts]
-            return level_parts[d]
+    def on_level(d: int) -> List[SparsePoly]:
+        if d not in level_parts:
+            emb = spec.embedding_to(levels[d - 1][0])
+            level_parts[d] = [p.embed(emb) for p in parts]
+        return level_parts[d]
 
-        found = []                        # (y, degree)
-        if all(p.evaluate([1, 0, 0]) == 0 for p in parts):
-            found.append(((1, 0, 0), 1))
-        for d, (_, roots) in enumerate(levels, 1):
-            dirs = [(1, r) for r in roots]
-            if d == 1 and at_inf:
-                dirs.append((0, 1))
-            for y2, y3 in dirs:
-                g1 = gcd_at_tail(on_level(d), 0, (y2, y3))
-                if g1 is None:
-                    raise InconsistencyError(
-                        "cubic singular along a whole line (non-reduced)")
-                if g1.degree() < 1:
-                    continue
-                if d > 1:
-                    lifts = {d: [r for r, _ in g1.roots()]}
-                else:
-                    lifts = {e: rs for e, (_, rs) in enumerate(
-                        root_orbits(g1.coeffs, spec, top)[0], 1)}
-                for e, rs in lifts.items():
-                    z2, z3 = y2, y3
-                    if e > d:
-                        emb = spec.embedding_to(levels[e - 1][0])
-                        z2, z3 = emb.apply_int(y2), emb.apply_int(y3)
-                    for r in rs:
-                        if all(p.evaluate([r, z2, z3]) == 0
-                               for p in on_level(e)):
-                            found.append(((r, z2, z3), e))
-        out = {(canonical_point(vec_mat(y, frame, levels[e - 1][0]),
-                                levels[e - 1][0]), e)
-               for y, e in found}
-        return sorted(out, key=lambda pe: (pe[1], pe[0]))
-    raise CapabilityError(
-        "singular-point elimination degenerated in every frame")
+    found = []                            # (y, degree)
+    if all(p.evaluate([1, 0, 0]) == 0 for p in parts):
+        found.append(((1, 0, 0), 1))
+    for d, (_, roots) in enumerate(levels, 1):
+        dirs = [(1, r) for r in roots]
+        if d == 1 and at_inf:
+            dirs.append((0, 1))
+        for y2, y3 in dirs:
+            g1 = gcd_at_tail(on_level(d), 0, (y2, y3))
+            if g1 is None:
+                raise InconsistencyError(
+                    "cubic singular along a whole line (non-reduced)")
+            if g1.degree() < 1:
+                continue
+            if d > 1:
+                lifts = {d: [r for r, _ in g1.roots()]}
+            else:
+                lifts = {e: rs for e, (_, rs) in enumerate(
+                    root_orbits(g1.coeffs, spec, top)[0], 1)}
+            for e, rs in lifts.items():
+                z2, z3 = y2, y3
+                if e > d:
+                    emb = spec.embedding_to(levels[e - 1][0])
+                    z2, z3 = emb.apply_int(y2), emb.apply_int(y3)
+                for r in rs:
+                    if all(p.evaluate([r, z2, z3]) == 0
+                           for p in on_level(e)):
+                        found.append(((r, z2, z3), e))
+    out = {(canonical_point(vec_mat(y, frame, levels[e - 1][0]),
+                            levels[e - 1][0]), e)
+           for y, e in found}
+    return sorted(out, key=lambda pe: (pe[1], pe[0]))
 
 
 def _local_quadratic(cubic: SparsePoly, pt: Sequence[int]):
@@ -491,7 +536,8 @@ def _split_conic(conic: SparsePoly, nucleus) -> List[Tuple[int, int, int]]:
 
 
 def classify_fiber(cubic: SparsePoly,
-                   position: Optional[PencilPosition] = None) -> FiberReport:
+                   position: Optional[PencilPosition] = None, *,
+                   frame=None) -> FiberReport:
     """Kodaira type of a reduced plane cubic over GF(2^k).
 
     A reduced plane cubic has at most three singular points and the set is
@@ -502,14 +548,23 @@ def classify_fiber(cubic: SparsePoly,
     the cubic's field (within the GF(2^16) cap, flagged when the cap may
     hide one); tangent cones and component matching then happen in one
     working field, enlarged as needed until every relevant binary form
-    splits."""
+    splits.
+
+    `frame`, when given, is a frame already prepared for this cubic, as
+    (moved partials, dehomogenized conditions, frame): `singular_fibers`
+    passes the lambda-discriminant's frame specialised at the fiber's
+    position (`_PencilFrame.at`).  The singular points come from it
+    (`_frame_points`) unless it leaves no condition, and else from the
+    cubic's own frames (`_cubic_singular_points`)."""
     if cubic.nvars != 3 or cubic.spec is None:
         raise UsageError("fiber must be a ternary form over a field")
     if cubic.is_zero() or not cubic.is_homogeneous(3):
         raise InconsistencyError("residual fiber is not a cubic form")
     k = cubic.spec.degree
     top = min(3, MAX_DEGREE // k)
-    sing = _cubic_singular_points(cubic, top)
+    sing = None if frame is None else _frame_points(*frame, top)
+    if sing is None:
+        sing = _cubic_singular_points(cubic, top)
 
     flags: List[str] = []
     if top == 1 or (top == 2 and not sing):
@@ -685,10 +740,35 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
 # -- the lambda-discriminant and singular fibers ------------------------------
 
 
-def _lambda_discriminant(pencil: ResidualPencil) -> Poly:
+class _PencilFrame(NamedTuple):
+    """The frame of the lambda-discriminant, kept for the fibers: the
+    moved pencil partials, forms in (y1, y2, y3, lambda), and for each
+    condition on (y2 : y3) its coefficients as a binary form in (y2, y3),
+    y2-major, each a polynomial in lambda."""
+    frame: Tuple[Tuple[int, int, int], ...]
+    parts: List[SparsePoly]
+    conds: List[List[Poly]]
+
+    def embed(self, emb) -> "_PencilFrame":
+        return _PencilFrame(self.frame, [p.embed(emb) for p in self.parts],
+                            [[c.embed(emb) for c in cs] for cs in self.conds])
+
+    def at(self, lam: int):
+        """The frame of the fiber at lambda = lam, in the coefficient field,
+        as `classify_fiber` takes it."""
+        parts = [q for q in (_at_lambda(p, lam) for p in self.parts)
+                 if not q.is_zero()]
+        dehom = _dehomogenized(self.parts[0].spec, (
+            [c.eval_int(lam) for c in cs] for cs in self.conds))
+        return parts, dehom, self.frame
+
+
+def _lambda_discriminant(pencil: ResidualPencil
+                         ) -> Tuple[Poly, Optional[_PencilFrame]]:
     """A univariate polynomial in lambda vanishing at every singular
     finite fiber (spurious extra roots allowed; they are filtered by the
-    classifier); zero when every frame degenerates.
+    classifier), and the frame it was found in; zero and None when every
+    frame degenerates.
 
     Strategy: in the first usable coordinate frame, eliminate y1 from the
     three partials of the fiber cubic by formal resultants, then eliminate
@@ -707,27 +787,24 @@ def _lambda_discriminant(pencil: ResidualPencil) -> Poly:
         at_centre = gcd_at_tail(partials, 3, frame[0])
         if at_centre is None:
             continue
-        conds = list(_frame_conditions(pencil.g, frame)[1])
-        if len(conds) < 2:
+        parts, conds = _frame_conditions(pencil.g, frame)
+        coeffs = [[e.as_univariate(3) for e in _binary_collect(c, 1, 2)]
+                  for c in conds]
+        if len(coeffs) < 2:
             continue
         dm: Optional[Poly] = None
-        pure = [c for c in conds
-                if max((e[1] + e[2] for e in c.terms), default=0) == 0]
+        pure = [cs[0] for cs in coeffs if len(cs) == 1]
         if pure:
-            dm = pure[0].as_univariate(3)
+            dm = pure[0]
         else:
-            for ca, cb in itertools.combinations(conds, 2):
-                fa = [e.as_univariate(3) for e in _binary_collect(ca, 1, 2)]
-                fb = [e.as_univariate(3) for e in _binary_collect(cb, 1, 2)]
-                if len(fa) < 2 or len(fb) < 2:
-                    continue
+            for fa, fb in itertools.combinations(coeffs, 2):
                 r = sylvester_resultant(fa, fb, Poly.zero(spec))
                 if not r.is_zero():
                     dm = r
                     break
         if dm is not None and not dm.is_zero():
-            return dm * at_centre
-    return Poly.zero(spec)
+            return dm * at_centre, _PencilFrame(frame, parts, coeffs)
+    return Poly.zero(spec), None
 
 
 def singular_fibers(pencil: ResidualPencil, max_ext: int = 6,
@@ -737,9 +814,17 @@ def singular_fibers(pencil: ResidualPencil, max_ext: int = 6,
     reported: conjugate positions each get their own report, so component
     counts add up to the geometric valency of the line.  Each degree of a
     discriminant orbit past that cap is appended to `flags`, when given,
-    as "fiber orbit of degree d not classified"."""
+    as "fiber orbit of degree d not classified".
+
+    A finite fiber's singular points come from the lambda-discriminant's
+    frame, embedded once per level and specialised at the root: a formal
+    resultant is a polynomial identity in its inputs' coefficients, so it
+    commutes with setting lambda, and the specialised conditions lie in
+    the elimination ideal of the fiber's moved partials.  When they all
+    vanish at a root, the fiber falls back to its own frames.  The fiber
+    at infinity is searched in its own frames."""
     spec = pencil.spec
-    disc = _lambda_discriminant(pencil)
+    disc, frame = _lambda_discriminant(pencil)
     if disc.is_zero():
         _probe_generic_smoothness(pencil)
         raise CapabilityError(
@@ -747,10 +832,15 @@ def singular_fibers(pencil: ResidualPencil, max_ext: int = 6,
 
     reports: List[FiberReport] = []
     levels, beyond = root_orbits(disc.coeffs, spec, max_ext)
-    for m, (_, roots) in enumerate(levels, 1):
+    for m, (target, roots) in enumerate(levels, 1):
+        if not roots:
+            continue
+        on_level = frame if m == 1 else frame.embed(
+            spec.embedding_to(target))
         for r in roots:
             pos = PencilPosition("finite", r, m)
-            rep = classify_fiber(residual_cubic(pencil, pos), pos)
+            rep = classify_fiber(residual_cubic(pencil, pos), pos,
+                                 frame=on_level.at(r))
             if rep.kodaira != "smooth":
                 reports.append(rep)
     if flags is not None:

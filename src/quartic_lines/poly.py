@@ -314,7 +314,11 @@ class SparsePoly:
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         self._check(other)
-        return self._like(_mul_terms(self.terms, other.terms, self.spec))
+        # _mul_terms has dropped every zero already: wrap its dict as it is
+        out = SparsePoly.__new__(SparsePoly)
+        out.nvars, out.spec = self.nvars, self.spec
+        out.terms = _mul_terms(self.terms, other.terms, self.spec)
+        return out
 
     def scale(self, c: int) -> "SparsePoly":
         if self.spec is not None:

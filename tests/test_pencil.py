@@ -7,13 +7,13 @@ from test_acceptance import SEED, _random_smooth_surface_with_line
 from quartic_lines.errors import InconsistencyError, UsageError
 from quartic_lines.field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
 from quartic_lines.geometry import (QuarticSurface, _univariate_in, axis_line,
-                                    canonical_point, singular_point_search,
-                                    vec_mat)
+                                    canonical_point, enumerate_lines,
+                                    singular_point_search, vec_mat)
 from quartic_lines.pencil import (_FRAMES, POS_INF, POS_ZERO, PencilPosition,
                                   ResidualPencil, _binary_collect,
                                   _cubic_singular_points, _eval_form,
                                   _form_derivs, _form_root_multiplicity,
-                                  _lambda_discriminant,
+                                  _frame_points, _lambda_discriminant,
                                   _local_quadratic, _minimal_position,
                                   classify_fiber,
                                   euler_budget_audit, fiber_line_count,
@@ -187,7 +187,7 @@ def _level_scan_fibers(pencil, max_ext=6):
     """The former search: root the lambda-discriminant in every GF(2^(k m))
     up to the cap, skip the roots already seen in a subfield, classify."""
     spec = pencil.spec
-    disc = _lambda_discriminant(pencil)
+    disc, _ = _lambda_discriminant(pencil)
     reports, seen = [], []                  # seen: (field, roots) per level
     for m in range(1, max_ext + 1):
         if spec.degree * m > MAX_DEGREE:
@@ -309,7 +309,7 @@ def test_lambda_discriminant_covers_the_two_frame_product(s5_surface):
                 for surf in _sweep_surfaces(3)]
     for pencil in pencils:
         spec = pencil.spec
-        disc = _lambda_discriminant(pencil)
+        disc, _ = _lambda_discriminant(pencil)
         want, want_flags = _fibers_from(pencil, _two_frame_product(pencil))
         for rep in want:
             pos = rep.position
@@ -344,10 +344,111 @@ def test_fiber_singular_only_at_the_frame_centre():
     assert _cubic_singular_points(residual_cubic(pencil, lam), 3) == \
         [((1, 1, 1), 1)]
     assert _frame_condition(pencil, _FRAMES[0]).eval_int(2) != 0
-    assert _lambda_discriminant(pencil).eval_int(2) == 0
+    assert _lambda_discriminant(pencil)[0].eval_int(2) == 0
     fibers = {r.position: r for r in singular_fibers(pencil)}
     assert fibers[lam].kodaira == "III"
     assert [s.point for s in fibers[lam].singular_points] == [(1, 1, 1)]
+    # the discriminant's frame, specialised at lambda = 2, finds the
+    # centre by its direct check
+    frames = {pos: on_level.at(pos.bits)
+              for pos, _, _, on_level in _pencil_fiber_frames(pencil)}
+    assert frames[lam][2] == _FRAMES[0]
+    assert _frame_points(*frames[lam], 3) == [((1, 1, 1), 1)]
+
+
+def _pencil_fiber_frames(pencil, max_ext=6):
+    """Each finite root of the lambda-discriminant as (position, residual
+    cubic, top, the discriminant's frame over the position's field), the
+    frame embedded once per level as `singular_fibers` does."""
+    spec = pencil.spec
+    disc, frame = _lambda_discriminant(pencil)
+    levels, _ = root_orbits(disc.coeffs, spec, max_ext)
+    for m, (target, roots) in enumerate(levels, 1):
+        on_level = frame if m == 1 else frame.embed(
+            spec.embedding_to(target))
+        for r in roots:
+            pos = PencilPosition("finite", r, m)
+            yield (pos, residual_cubic(pencil, pos),
+                   min(3, MAX_DEGREE // target.degree), on_level)
+
+
+def test_fiber_frames_match_the_cubics_own_frames(s5_surface, s5_lines):
+    gf8 = FieldSpec.default(3)
+    z0 = get_surface("z0")
+    pencils = [ResidualPencil(s5_surface, s5_lines[i])
+               for i in (0, 12, 16, 31, 47)]
+    pencils += [ResidualPencil(z0, ln) for ln in enumerate_lines(z0, ext=1)]
+    pencils += [ResidualPencil(surf, axis_line(gf8))
+                for surf in _sweep_surfaces(3)]
+    assert len(pencils) == 15
+    seen = set()                    # (absolute degree, level, top)
+    singular = 0
+    for pencil in pencils:
+        for pos, cubic, top, on_level in _pencil_fiber_frames(pencil):
+            got = _frame_points(*on_level.at(pos.bits), top)
+            assert got is not None, pos
+            assert got == _cubic_singular_points(cubic, top), pos
+            seen.add((cubic.spec.degree, pos.ext, top))
+            singular += bool(got)
+    assert {(8, 2, 2), (15, 5, 1), (4, 2, 3)} <= seen
+    assert singular > 100
+
+
+def test_fiber_frame_without_conditions_falls_back_to_the_cubics_frames():
+    # zero every condition of the z0 axis pencil's frame: each finite
+    # fiber's search (five of type IV) must find no condition there and
+    # redo the elimination in the cubic's own frames, with the same answer
+    pencil = ResidualPencil(get_surface("z0"), axis_line(FieldSpec.default(2)))
+    singular = 0
+    for pos, cubic, top, on_level in _pencil_fiber_frames(pencil):
+        zero = Poly.zero(cubic.spec)
+        zeroed = on_level._replace(
+            conds=[[zero] * len(cs) for cs in on_level.conds]).at(pos.bits)
+        assert zeroed[1] == [] and zeroed[0]
+        assert _frame_points(*zeroed, top) is None
+        want = classify_fiber(cubic, pos).to_json()
+        assert classify_fiber(cubic, pos, frame=zeroed).to_json() == want
+        assert classify_fiber(cubic, pos, frame=on_level.at(
+            pos.bits)).to_json() == want
+        singular += want["kodaira"] != "smooth"
+    assert singular == 5
+
+
+def _residual_cubic_by_substitution(pencil, pos):
+    """The former `residual_cubic`: the chart's pencil form with param
+    substituted by the position, then dropped."""
+    target = pencil.position_field(pos)
+    g = pencil.g_inf if pos.is_infinite() else pencil.g
+    if target != pencil.spec:
+        g = g.embed(pencil.spec.embedding_to(target))
+    lam = SparsePoly.constant(4, target, pos.bits)
+    return g.substitute({3: lam}).drop_vars([0, 1, 2])
+
+
+def test_residual_cubic_matches_the_substitution(s5_surface):
+    for pencil in (ResidualPencil(get_surface("z0"),
+                                  axis_line(FieldSpec.default(2))),
+                   ResidualPencil(s5_surface, s5_mu0_seed_line())):
+        spec = pencil.spec
+        big = FieldSpec.default(2 * spec.degree)
+        _, frame = _lambda_discriminant(pencil)
+        positions = [POS_INF] + [PencilPosition("finite", b, 1)
+                                 for b in range(spec.size)]
+        positions += [PencilPosition("finite", b, 2)
+                      for b in range(2, big.size, big.size // 7)]
+        for pos in positions:
+            assert residual_cubic(pencil, pos) == \
+                _residual_cubic_by_substitution(pencil, pos), pos
+            if pos.is_infinite():
+                continue
+            # the frame's moved partials go through the same kernel
+            target = pencil.position_field(pos)
+            on = frame if target == spec else frame.embed(
+                spec.embedding_to(target))
+            lam = SparsePoly.constant(4, target, pos.bits)
+            want = [p.substitute({3: lam}).drop_vars([0, 1, 2])
+                    for p in on.parts]
+            assert on.at(pos.bits)[0] == [p for p in want if not p.is_zero()]
 
 
 def _singular_points_over(cubic, spec):

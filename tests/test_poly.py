@@ -489,3 +489,11 @@ def test_three_factor_product_with_a_cancelled_middle_term():
         (0, 0, 0) + e: c for e, c in want.terms.items()})
     assert chained.evaluate([0, 0, 0, 7, 9]) == SPEC16.mul_int(
         SPEC16.pow_int(7 ^ SPEC16.mul_int(a, 9), 2), 7 ^ 9)
+    # products wrap the dict of `_mul_terms` unfiltered: no zero may be
+    # left in it, over the field or over Z ((x + y)(x - y) = x^2 - y^2)
+    xz, yz = (SparsePoly.variable(i, 2, None) for i in range(2))
+    for prod in (lin * lin, lin * lin * (x + y), lin ** 4,
+                 (lin * lin) * (lin * lin), (xz + yz) * (xz - yz),
+                 (xz + yz) * (xz - yz) * (xz - yz)):
+        assert 0 not in prod.terms.values()
+    assert ((xz + yz) * (xz - yz)).terms == {(2, 0): 1, (0, 2): -1}
