@@ -8,9 +8,11 @@ types realizable by plane cubics), computes the ramification of the
 degree-3 map from the line to the lambda-line, and audits the interaction
 table between the two.
 
-Internal variable layout: residual cubics live in a 4-variable ring
-(x1, x2, z, param) where z is the plane coordinate (x3 on the finite
-chart, x4 at infinity) and param is the pencil parameter.
+Internal variable layout: the pencil form g lives in a 4-variable ring
+(x1, x2, z, lambda), where z = x3 is the plane coordinate and lambda the
+pencil parameter; it is read off the normalized quartic by an exponent
+map.  There is no second chart: the fiber at infinity is taken from the
+normalized quartic on {x3 = 0}, as a cubic in (x1, x2, x4).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class ResidualPencil:
     """The residual-cubic pencil of a line, in normalized coordinates."""
 
     __slots__ = ("surface", "line", "spec", "transform", "normalized",
-                 "g", "g_inf", "A", "B")
+                 "g", "A", "B")
 
     def __init__(self, surface: QuarticSurface, line: Line):
         spec = line.spec
@@ -79,42 +81,15 @@ class ResidualPencil:
         self.spec = spec
         self.transform = t
         self.normalized = sprime
-        fp = sprime.f
-        lam_z = SparsePoly.monomial(4, spec, (0, 0, 1, 1))
-        self.g = _shift_down(fp.substitute({3: lam_z}), 2)
-        gi = _shift_down(fp.substitute({2: lam_z}), 3)
-        self.g_inf = _swap_vars(gi, 2, 3)
+        # the cut by x4 = lambda*x3, divided by x3: c x1^i x2^j x3^k x4^l
+        # becomes c x1^i x2^j z^(k+l-1) lambda^l, an injective exponent map
+        # (normalize_line refuses monomials in x1, x2 only)
+        self.g = SparsePoly(4, spec, {(i, j, k + l - 1, l): c for (
+            i, j, k, l), c in sprime.f.terms.items()})
         # restriction to the line: g|_{z=0} = A(x1,x2) + lambda*B(x1,x2)
-        a = [0] * 4
-        b = [0] * 4
-        for e, c in self.g.terms.items():
-            if e[2] != 0:
-                continue
-            if e[3] == 0:
-                a[3 - e[0]] ^= c
-            elif e[3] == 1:
-                b[3 - e[0]] ^= c
-            else:
-                raise InconsistencyError(
-                    "restriction to the line has lambda-degree > 1")
-        self.A = a
-        self.B = b
-        for e in self.g.terms:
-            if e[3] > e[2] + 1:
-                raise InconsistencyError(
-                    "lambda-degree exceeds the z-degree budget")
-        # chart consistency: g_inf|_{z=0} must be B + mu*A
-        ai = [0] * 4
-        bi = [0] * 4
-        for e, c in self.g_inf.terms.items():
-            if e[2] != 0:
-                continue
-            if e[3] == 0:
-                bi[3 - e[0]] ^= c
-            elif e[3] == 1:
-                ai[3 - e[0]] ^= c
-        if ai != a or bi != b:
-            raise InconsistencyError("chart restrictions disagree")
+        on_line = _binary_cubic_in_lambda(self.g)
+        self.A = [p[0] for p in on_line]
+        self.B = [p[1] for p in on_line]
 
     def position_field(self, pos: PencilPosition) -> FieldSpec:
         if pos.ext == 1:
@@ -122,35 +97,38 @@ class ResidualPencil:
         return FieldSpec.default(self.spec.degree * pos.ext)
 
 
-def _shift_down(p: SparsePoly, var: int) -> SparsePoly:
-    """Exact division by the given variable."""
-    out = {}
+def _binary_cubic_in_lambda(p: SparsePoly) -> List[Poly]:
+    """Restrict a (x1, x2, z, param) cubic to z = 0 and collect the four
+    binary-cubic coefficients (x1-major) as polynomials in the parameter."""
+    spec = p.spec
+    buckets: List[Dict[int, int]] = [dict() for _ in range(4)]
     for e, c in p.terms.items():
-        if e[var] == 0:
-            raise InconsistencyError(
-                "pencil form is not divisible by the plane coordinate; "
-                "the marked line does not lie on the surface")
-        out[e[:var] + (e[var] - 1,) + e[var + 1:]] = c
-    return SparsePoly(p.nvars, p.spec, out)
-
-
-def _swap_vars(p: SparsePoly, i: int, j: int) -> SparsePoly:
-    out = {}
-    for e, c in p.terms.items():
-        le = list(e)
-        le[i], le[j] = le[j], le[i]
-        out[tuple(le)] = c
-    return SparsePoly(p.nvars, p.spec, out)
+        if e[2] != 0:
+            continue
+        d = buckets[e[1]]
+        d[e[3]] = d.get(e[3], 0) ^ c
+    out = []
+    for d in buckets:
+        n = max(d, default=-1) + 1
+        out.append(Poly(spec, [d.get(i, 0) for i in range(n)]))
+    return out
 
 
 def residual_cubic(pencil: ResidualPencil,
                    pos: PencilPosition) -> SparsePoly:
-    """The residual cubic at a pencil position, as a ternary cubic in
-    (x1, x2, z) over the position's field: the pencil form of the
-    position's chart, embedded there, at param = the position
-    (`_at_lambda`)."""
+    """The residual cubic at a pencil position, as a ternary cubic over
+    the position's field.  At a finite position it is g, embedded there,
+    at lambda = the position (`_at_lambda`), in (x1, x2, x3).  At infinity
+    it is the plane x3 = 0: the terms of the normalized quartic free of
+    x3, divided by x4, in (x1, x2, x4).  That fiber is searched in its own
+    frames: the lambda-discriminant's frames mix z = x3 with x1 and x2,
+    so their conditions cannot be read at mu = 1/lambda = 0."""
+    if pos.is_infinite():
+        return SparsePoly(3, pencil.spec, {
+            (i, j, l - 1): c for (i, j, k, l), c
+            in pencil.normalized.f.terms.items() if k == 0})
     target = pencil.position_field(pos)
-    g = pencil.g_inf if pos.is_infinite() else pencil.g
+    g = pencil.g
     if target != pencil.spec:
         g = g.embed(pencil.spec.embedding_to(target))
     return _at_lambda(g, pos.bits)
@@ -822,7 +800,7 @@ def singular_fibers(pencil: ResidualPencil, max_ext: int = 6,
     commutes with setting lambda, and the specialised conditions lie in
     the elimination ideal of the fiber's moved partials.  When they all
     vanish at a root, the fiber falls back to its own frames.  The fiber
-    at infinity is searched in its own frames."""
+    at infinity is searched in its own frames (see `residual_cubic`)."""
     spec = pencil.spec
     disc, frame = _lambda_discriminant(pencil)
     if disc.is_zero():
@@ -1095,23 +1073,17 @@ def _audit_one_fiber(pencil: ResidualPencil, fib: FiberReport,
     if not any(fiber_form):
         return False, "line lies inside the fiber plane cut"
 
-    # a field where the intersection divisor splits and the fiber data fits
-    work = None
-    div_roots = None
-    for extra in (1, 2, 3, 6):
-        wd = math.lcm(pf.degree * extra, fib.work_degree)
-        if wd > MAX_DEGREE:
-            continue
-        target = FieldSpec.default(wd)
-        ff = fiber_form if target.degree == pf.degree else \
-            [pf.embedding_to(target).apply_int(c) for c in fiber_form]
-        roots = binary_roots(ff, target)
-        if sum(m for _, m in roots) == 3:
-            work = target
-            div_roots = roots
-            break
-    if work is None:
+    # a field where the intersection divisor splits and the fiber data
+    # fits: the lcm of the cut's root-orbit degrees ((0 : 1) is rational)
+    levels, beyond = root_orbits(Poly(pf, fiber_form).coeffs, pf, 3)
+    extra = math.lcm(*(d for d, (_, rs) in enumerate(levels, 1) if rs),
+                     *beyond)
+    wd = math.lcm(pf.degree * extra, fib.work_degree)
+    if wd > MAX_DEGREE:
         return None, "intersection divisor does not split within field caps"
+    work = FieldSpec.default(wd)
+    div_roots = binary_roots(fiber_form if wd == pf.degree else [
+        pf.embedding_to(work).apply_int(c) for c in fiber_form], work)
 
     wf = FieldSpec.default(fib.work_degree)
     femb = None if wf.degree == work.degree else wf.embedding_to(work)

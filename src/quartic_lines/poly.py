@@ -78,11 +78,6 @@ class Poly:
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self.spec == other.spec
                 and self.coeffs == other.coeffs)
@@ -116,12 +111,6 @@ class Poly:
     def scale(self, c: int) -> "Poly":
         mul = self.spec.mul_int
         return Poly(self.spec, [mul(c, a) for a in self.coeffs])
-
-    def shift(self, n: int) -> "Poly":
-        """Multiply by x^n."""
-        if not self.coeffs:
-            return self
-        return Poly(self.spec, (0,) * n + self.coeffs)
 
     def __pow__(self, e: int) -> "Poly":
         out = Poly.one(self.spec)

@@ -20,8 +20,9 @@ from .errors import CapabilityError, InconsistencyError, UsageError
 from .field import FieldSpec
 from .geometry import Line, QuarticSurface, restrict_form
 from .pencil import (POS_INF, FiberReport, PencilPosition, RamificationData,
-                     ResidualPencil, _form_two_points, fiber_line_count,
-                     ramification_type, singular_fibers)
+                     ResidualPencil, _binary_cubic_in_lambda,
+                     _form_two_points, fiber_line_count, ramification_type,
+                     singular_fibers)
 from .poly import Poly, SparsePoly, _mul_terms, sylvester_resultant
 from .surfaces import family_z_surface
 
@@ -129,50 +130,36 @@ def _specialize(g: SparsePoly, x_vars: Sequence[int], terms) -> SparsePoly:
 # -- the resultant R ----------------------------------------------------------
 
 
-def _binary_cubic_in_lambda(p: SparsePoly) -> List[Poly]:
-    """Restrict a (x1, x2, z, param) cubic to z = 0 and collect the four
-    binary-cubic coefficients (x1-major) as polynomials in the parameter."""
-    spec = p.spec
-    buckets: List[Dict[int, int]] = [dict() for _ in range(4)]
-    for e, c in p.terms.items():
-        if e[2] != 0:
-            continue
-        d = buckets[e[1]]
-        d[e[3]] = d.get(e[3], 0) ^ c
-    out = []
-    for d in buckets:
-        n = max(d, default=-1) + 1
-        out.append(Poly(spec, [d.get(i, 0) for i in range(n)]))
-    return out
+def segre_resultant(pencil: ResidualPencil) -> Poly:
+    """R in lambda: the homogeneous Sylvester resultant of the two binary
+    cubics g|_{z=0} and h|_{z=0}.  Degree at most 18 is asserted.
 
-
-def segre_resultant(pencil: ResidualPencil, chart: str = "finite") -> Poly:
-    """R in the pencil parameter: the homogeneous Sylvester resultant of
-    the two binary cubics g|_{z=0} and h|_{z=0}.
-
-    chart 'finite' uses the lambda chart, 'inf' the mu chart (so that
-    divisibility at the infinite position can be read at mu = 0).
-    Degree at most 18 is asserted.
+    R at infinity needs no second chart.  The mu = 1/lambda chart's cubic
+    is mu*g(x1, x2, mu*z, 1/mu); the modified Hessian has degree 3 in the
+    coefficients and weight 2 under z -> mu*z, so its h is
+    mu^5*h(x1, x2, mu*z, 1/mu).  The resultant has degree 3 in each binary
+    cubic, so R_mu(mu) = mu^(3 + 15)*R(1/mu) = mu^18*R(1/mu), and the
+    multiplicity at infinity is 18 - deg R (`resultant_multiplicity`).
     """
-    if chart not in ("finite", "inf"):
-        raise UsageError(f"unknown chart {chart!r}")
-    g = pencil.g if chart == "finite" else pencil.g_inf
     # only h on {z = 0} is read: specialise the terms free of z alone
-    h = _specialize(g, (0, 1, 2), _odd_terms(True))
-    gc = _binary_cubic_in_lambda(g)
-    hc = _binary_cubic_in_lambda(h)
-    r = sylvester_resultant(gc, hc, Poly.zero(pencil.spec))
+    h = _specialize(pencil.g, (0, 1, 2), _odd_terms(True))
+    r = sylvester_resultant(_binary_cubic_in_lambda(pencil.g),
+                            _binary_cubic_in_lambda(h),
+                            Poly.zero(pencil.spec))
     if r.degree() > 18:
         raise InconsistencyError(
             f"resultant degree {r.degree()} exceeds 18")
     return r
 
 
-def resultant_multiplicity(pencil: ResidualPencil, r: Poly, r_inf: Poly,
+def resultant_multiplicity(pencil: ResidualPencil, r: Poly,
                            pos: PencilPosition) -> int:
-    """Multiplicity of R at a pencil position (mu chart at infinity)."""
+    """Multiplicity of R at a pencil position: 18 - deg R at infinity
+    (see `segre_resultant`)."""
+    if r.is_zero():
+        raise ValueError("zero polynomial")
     if pos.is_infinite():
-        return r_inf.multiplicity_at(0)
+        return 18 - r.degree()
     target = pencil.position_field(pos)
     rr = r if target == pencil.spec else \
         r.embed(pencil.spec.embedding_to(target))
@@ -204,7 +191,6 @@ class LineDossier:
     line: Line
     kind: str                    # "first" | "second"
     R: Poly
-    R_inf: Poly
     valency: int
     pencil: ResidualPencil
     fibers: List[FiberReport]
@@ -234,9 +220,6 @@ def build_dossier(surface: QuarticSurface, line: Line,
                   max_ext: int = 6, audit: bool = True) -> LineDossier:
     pencil = ResidualPencil(surface, line)
     r = segre_resultant(pencil)
-    r_inf = segre_resultant(pencil, "inf")
-    if r.is_zero() != r_inf.is_zero():
-        raise InconsistencyError("charts disagree on the vanishing of R")
     kind = "second" if r.is_zero() else "first"
     flags: List[str] = []
     ram: Optional[RamificationData] = None
@@ -249,7 +232,7 @@ def build_dossier(surface: QuarticSurface, line: Line,
         flags.append(str(exc))
     fibers = singular_fibers(pencil, max_ext, flags)
     valency = fiber_line_count(fibers)
-    dossier = LineDossier(line, kind, r, r_inf, valency, pencil, fibers,
+    dossier = LineDossier(line, kind, r, valency, pencil, fibers,
                           ram, [], flags)
     if audit and kind == "first":
         dossier.audits = divisibility_audit(dossier)
@@ -281,7 +264,7 @@ def divisibility_audit(dossier: LineDossier,
         else:
             continue
         actual = resultant_multiplicity(dossier.pencil, dossier.R,
-                                        dossier.R_inf, fib.position)
+                                        fib.position)
         ok = actual >= required
         if strict and not ok:
             raise InconsistencyError(
@@ -426,8 +409,7 @@ def coplanar_line_multiplicity(surface: QuarticSurface, line: Line,
     the given plane (for the totally-reducible-fiber divisibility checks)."""
     pencil = ResidualPencil(surface, line)
     r = segre_resultant(pencil)
-    r_inf = segre_resultant(pencil, "inf")
     if r.is_zero():
         return "second", -1
     pos = plane_position(pencil, plane_form)
-    return "first", resultant_multiplicity(pencil, r, r_inf, pos)
+    return "first", resultant_multiplicity(pencil, r, pos)

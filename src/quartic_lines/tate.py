@@ -56,16 +56,10 @@ class WeierstrassModel:
     def b_invariants(self) -> Tuple[Poly, Poly, Poly, Poly]:
         """(b2, b4, b6, b8), characteristic-2 reductions of the universal
         integer formulas."""
-        a1, a2, a3, a4, a6 = self.a
-        b2 = a1 * a1
-        b4 = a1 * a3
-        b6 = a3 * a3
-        b8 = a1 * a1 * a6 + a1 * a3 * a4 + a2 * a3 * a3 + a4 * a4
-        return b2, b4, b6, b8
+        return _b_of(self.a)
 
     def discriminant(self) -> Poly:
-        b2, b4, b6, b8 = self.b_invariants()
-        return b2 * b2 * b8 + b6 * b6 + b2 * b4 * b6
+        return _delta_of(self.a)
 
     def c4(self) -> Poly:
         b2, _, _, _ = self.b_invariants()

@@ -3,7 +3,7 @@ import pytest
 from quartic_lines.field import FieldSpec
 from quartic_lines.geometry import IntersectionGraph, enumerate_lines
 from quartic_lines.segre import build_dossier
-from quartic_lines.surfaces import s5_mu0_surface
+from quartic_lines.surfaces import get_surface, s5_mu0_surface
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +24,12 @@ def s5_graph(s5_lines):
 @pytest.fixture(scope="session")
 def s5_dossiers(s5_surface, s5_lines):
     return [build_dossier(s5_surface, ln) for ln in s5_lines]
+
+
+@pytest.fixture(scope="session")
+def z0_dossiers():
+    z0 = get_surface("z0")
+    return [build_dossier(z0, ln) for ln in enumerate_lines(z0, ext=1)]
 
 
 @pytest.fixture(scope="session")

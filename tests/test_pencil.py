@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -9,8 +10,9 @@ from quartic_lines.field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
 from quartic_lines.geometry import (QuarticSurface, _univariate_in, axis_line,
                                     canonical_point, enumerate_lines,
                                     singular_point_search, vec_mat)
-from quartic_lines.pencil import (_FRAMES, POS_INF, POS_ZERO, PencilPosition,
-                                  ResidualPencil, _binary_collect,
+from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, _FRAMES, POS_INF,
+                                  POS_ZERO, PencilPosition, ResidualPencil,
+                                  _audit_one_fiber, _binary_collect,
                                   _cubic_singular_points, _eval_form,
                                   _form_derivs, _form_root_multiplicity,
                                   _frame_points, _lambda_discriminant,
@@ -143,6 +145,37 @@ def test_z0_axis_pencil_full_dossier(gf4):
     assert any(f.position == POS_ZERO for f in fibers)
     audits = second_kind_fiber_audit(pencil, ram, fibers)
     assert all(entry.ok for entry in audits)
+
+
+def test_audit_split_field_is_the_lcm_of_the_cut_orbits(s5_dossiers,
+                                                        monkeypatch):
+    # the former search over extra in (1, 2, 3, 6), kept as oracle: the
+    # audit gives up exactly when no field within GF(2^16) holds the
+    # fiber data and splits the line's cut
+    monkeypatch.setitem(_ALLOWED, "unramified", set(_EULER_MIN))
+    gave_up = 0
+    for d in s5_dossiers:
+        pencil = d.pencil
+        for fib in d.fibers:
+            pf = pencil.position_field(fib.position)
+            if fib.position.is_infinite():
+                cut = list(pencil.B)
+            else:
+                emb = pencil.spec.embedding_to(pf).apply_int
+                cut = [emb(a) ^ pf.mul_int(fib.position.bits, emb(b))
+                       for a, b in zip(pencil.A, pencil.B)]
+            splits = False
+            for extra in (1, 2, 3, 6):
+                wd = math.lcm(pf.degree * extra, fib.work_degree)
+                if wd <= MAX_DEGREE:
+                    work = FieldSpec.default(wd)
+                    lifted = [pf.embedding_to(work).apply_int(c) for c in cut]
+                    splits |= sum(m for _, m in binary_roots(
+                        lifted, work)) == 3
+            ok, _ = _audit_one_fiber(pencil, fib, "unramified")
+            assert (ok is None) == (not splits)
+            gave_up += ok is None
+    assert gave_up > 0
 
 
 def test_s5_seed_line_pencil(s5_surface):
@@ -414,11 +447,32 @@ def test_fiber_frame_without_conditions_falls_back_to_the_cubics_frames():
     assert singular == 5
 
 
+def _divided(p, var):
+    """Exact division by the given variable."""
+    assert all(e[var] for e in p.terms)
+    return SparsePoly(p.nvars, p.spec, {
+        e[:var] + (e[var] - 1,) + e[var + 1:]: c for e, c in p.terms.items()})
+
+
+def _two_chart_forms(pencil):
+    """The former two-chart construction, kept as oracle: the pencil forms
+    (g, g_inf) in (x1, x2, z, param) of the lambda chart x4 = lambda*x3
+    and of the mu chart x3 = mu*x4, each by substitution and exact
+    division by the plane coordinate."""
+    fp = pencil.normalized.f
+    plane = SparsePoly.monomial(4, pencil.spec, (0, 0, 1, 1))
+    g = _divided(fp.substitute({3: plane}), 2)
+    gi = _divided(fp.substitute({2: plane}), 3)
+    g_inf = SparsePoly(4, pencil.spec, {
+        (e[0], e[1], e[3], e[2]): c for e, c in gi.terms.items()})
+    return g, g_inf
+
+
 def _residual_cubic_by_substitution(pencil, pos):
     """The former `residual_cubic`: the chart's pencil form with param
     substituted by the position, then dropped."""
     target = pencil.position_field(pos)
-    g = pencil.g_inf if pos.is_infinite() else pencil.g
+    g = _two_chart_forms(pencil)[pos.is_infinite()]
     if target != pencil.spec:
         g = g.embed(pencil.spec.embedding_to(target))
     lam = SparsePoly.constant(4, target, pos.bits)

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
+from test_pencil import _residual_cubic_by_substitution, _two_chart_forms
 
 from quartic_lines.errors import UsageError
 from quartic_lines.geometry import QuarticSurface, axis_line, enumerate_lines
-from quartic_lines.pencil import ResidualPencil
+from quartic_lines.pencil import POS_INF, ResidualPencil, residual_cubic
 from quartic_lines.poly import SparsePoly
 from quartic_lines.segre import (_odd_terms, _specialize, build_dossier,
                                  char2_hessian,
@@ -16,7 +18,8 @@ from quartic_lines.segre import (_odd_terms, _specialize, build_dossier,
                                  family_z_valency_criterion,
                                  hessian_vanishes_at,
                                  hessian_vanishes_on_line, plane_position,
-                                 segre_resultant, universal_hessian)
+                                 resultant_multiplicity, segre_resultant,
+                                 universal_hessian)
 from quartic_lines.surfaces import get_surface, s5_mu0_seed_line
 
 
@@ -80,11 +83,17 @@ def test_hessian_rejects_bad_input(gf4):
         char2_hessian(SparsePoly.variable(0, 3, None) ** 3)  # no field
 
 
+def _mu_chart_resultant(pencil):
+    """R in the mu chart, from the former two-chart construction."""
+    return segre_resultant(SimpleNamespace(g=_two_chart_forms(pencil)[1],
+                                           spec=pencil.spec))
+
+
 def test_z0_axis_is_second_kind(gf4):
     surf = get_surface("z0")
     pencil = ResidualPencil(surf, axis_line(gf4))
     assert segre_resultant(pencil).is_zero()
-    assert segre_resultant(pencil, "inf").is_zero()
+    assert _mu_chart_resultant(pencil).is_zero()
     d = build_dossier(surf, axis_line(gf4))
     assert d.kind == "second"
     assert d.ram_label() == "(2,2)"
@@ -168,7 +177,7 @@ def test_on_line_hessian_is_the_hessian_at_z_zero(s5_surface, s5_lines, gf8):
     pencils += _axis_pencils(gf8, 4, random.Random(11))
     assert len(_odd_terms(True)) == 22 and len(_odd_terms(False)) == 60
     for pencil in pencils:
-        for g in (pencil.g, pencil.g_inf):
+        for g in (pencil.g, _two_chart_forms(pencil)[1]):
             full = char2_hessian(g, (0, 1, 2))
             want = SparsePoly(4, g.spec, {e: c for e, c in full.terms.items()
                                           if e[2] == 0})
@@ -180,13 +189,59 @@ def _digest(dossiers):
                                      sort_keys=True).encode()).hexdigest()
 
 
-def test_dossiers_are_byte_identical_to_the_pinned_digests(s5_dossiers):
-    # the sorted-key JSON of the 7 z0 dossiers and of 4 record dossiers,
-    # pinned so that a rewrite of a kernel under the dossiers shows any
-    # change in them
+def _restriction_by_hand(g):
+    """The former collection of A and B from g|_{z=0} = A + param*B."""
+    a, b = [0] * 4, [0] * 4
+    for e, c in g.terms.items():
+        if e[2] == 0:
+            assert e[3] <= 1
+            (b if e[3] else a)[3 - e[0]] ^= c
+    return a, b
+
+
+def test_one_chart_matches_the_two_chart_construction(s5_surface, s5_lines,
+                                                      gf8):
+    # the lambda chart alone against the former substitution in both
+    # charts: g, A and B, the cubic at infinity, and R in the mu chart
+    # against mu^18 R(1/mu)
     z0 = get_surface("z0")
-    assert _digest(build_dossier(z0, ln)
-                   for ln in enumerate_lines(z0, ext=1)) == \
+    pencils = [ResidualPencil(s5_surface, ln) for ln in s5_lines]
+    pencils += [ResidualPencil(z0, ln) for ln in enumerate_lines(z0, ext=1)]
+    pencils += _axis_pencils(gf8, 40, random.Random(12))
+    second = 0
+    for pencil in pencils:
+        g, g_inf = _two_chart_forms(pencil)
+        assert pencil.g == g
+        assert (pencil.A, pencil.B) == _restriction_by_hand(g)
+        assert (pencil.B, pencil.A) == _restriction_by_hand(g_inf)
+        assert residual_cubic(pencil, POS_INF) == \
+            _residual_cubic_by_substitution(pencil, POS_INF)
+        r = segre_resultant(pencil)
+        assert _mu_chart_resultant(pencil) == r.reverse(18)
+        second += r.is_zero()
+    assert second >= 1
+
+
+def test_line_carrying_fibers_of_first_kind_lines_are_roots_of_r(
+        s5_dossiers, z0_dossiers):
+    # the fibers the valency bound of 18 counts are roots of R, at
+    # infinity too, where the multiplicity is 18 - deg R
+    first = [d for d in s5_dossiers + z0_dossiers if d.kind == "first"]
+    assert len(first) == 66
+    carrying = [(d, fib) for d in first for fib in d.fibers
+                if fib.component_count()]
+    assert len(carrying) == 546
+    assert sum(fib.position.is_infinite() for _, fib in carrying) == 63
+    for d, fib in carrying:
+        assert resultant_multiplicity(d.pencil, d.R, fib.position) >= 1
+
+
+def test_dossiers_are_byte_identical_to_the_pinned_digests(s5_dossiers,
+                                                           z0_dossiers):
+    # the sorted-key JSON of the 7 z0 dossiers and of the 60 record
+    # dossiers, pinned so that a rewrite of a kernel under the dossiers
+    # shows any change in them
+    assert _digest(z0_dossiers) == \
         "f8af91897390b848ac274594384371bf071109a50dfa6ce366273ec121fdd487"
-    assert _digest(s5_dossiers[i] for i in (0, 19, 38, 57)) == \
-        "e6a91581133176c9345cf9ec76fc4b0269f341d20dbe14d2547cdcf57cce7987"
+    assert _digest(s5_dossiers) == \
+        "1a3e619ef3b16ec98cce5defc2285d609b54e4aa19f1e0502b71d17ee0820cb4"
