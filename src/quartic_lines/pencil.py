@@ -27,9 +27,8 @@ import numpy as np
 from .errors import CapabilityError, InconsistencyError, UsageError
 from .field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
 from .geometry import (Line, QuarticSurface, canonical_point,
-                       first_variable_conditions, gcd_at_tail, kernel_vector,
-                       mat_inverse, normalize_line, restrict_form, rref,
-                       vec_mat)
+                       first_variable_conditions, gcd_at_tail, mat_inverse,
+                       normalize_line, vec_mat)
 from .poly import (Poly, SparsePoly, binary_roots, divide_by_linear,
                    sylvester_resultant)
 
@@ -370,48 +369,6 @@ def _local_quadratic(cubic: SparsePoly, pt: Sequence[int]):
     return quad, cone3, pivot, m
 
 
-def _chart_form(coeffs: Sequence[int], pivot: int, s_power: int,
-                spec: FieldSpec) -> SparsePoly:
-    """The binary form sum_j coeffs[j] u^(d-j) v^j in the two non-pivot
-    variables u, v (in increasing order), times y_pivot^s_power."""
-    u, v = (i for i in range(3) if i != pivot)
-    d = len(coeffs) - 1
-    terms = {}
-    for j, c in enumerate(coeffs):
-        e = [0, 0, 0]
-        e[u], e[v], e[pivot] = d - j, j, s_power
-        terms[tuple(e)] = c
-    return SparsePoly(3, spec, terms)
-
-
-def _divide_by_conic(p: SparsePoly, q: SparsePoly
-                     ) -> Optional[Tuple[int, int, int]]:
-    """Solve p = q * L for a linear form L in three variables, or None.
-
-    Small linear system over the field (three unknowns, one equation per
-    cubic monomial)."""
-    spec = p.spec
-    cols = []
-    monos = set()
-    for i in range(3):
-        qi = q * SparsePoly.variable(i, 3, spec)
-        cols.append(qi)
-        monos.update(qi.terms)
-    monos.update(p.terms)
-    rows = [[cols[0].terms.get(e, 0), cols[1].terms.get(e, 0),
-             cols[2].terms.get(e, 0), p.terms.get(e, 0)]
-            for e in sorted(monos)]
-    red, pivots = rref(rows, spec)
-    if 3 in pivots:  # a pivot in the right-hand column: inconsistent
-        return None
-    sol = [0, 0, 0]
-    for row, c in zip(red, pivots):
-        sol[c] = row[3]
-    if not any(sol):
-        return None
-    return tuple(sol)
-
-
 def _pull_back_form(form: Sequence[int], m: Sequence[Sequence[int]],
                     spec: FieldSpec) -> Tuple[int, int, int]:
     """Transport a linear form from y-coordinates to x-coordinates, where
@@ -448,71 +405,6 @@ def _line_form_through(p1: Sequence[int], p2: Sequence[int],
     return canonical_point((a, b, c), spec)
 
 
-def _form_two_points(form: Sequence[int], spec: FieldSpec):
-    """Two distinct points spanning the projective line {form = 0}."""
-    piv = next(i for i in range(3) if form[i])
-    inv = spec.inv_int(form[piv])
-    pts = []
-    for free in (i for i in range(3) if i != piv):
-        v = [0, 0, 0]
-        v[free] = 1
-        v[piv] = spec.mul_int(inv, form[free])
-        pts.append(tuple(v))
-    return pts[0], pts[1]
-
-
-def _conic_nucleus(conic: SparsePoly) -> Optional[Tuple[int, int, int]]:
-    """Common zero of the conic's (linear) partials; None when the conic
-    is a perfect square.  In characteristic 2 the partial matrix always
-    has a kernel (the strange point of the conic)."""
-    spec = conic.spec
-    rows = []
-    for i in range(3):
-        d = conic.derivative(i)
-        row = [0, 0, 0]
-        for e, c in d.terms.items():
-            j = next(k for k in range(3) if e[k])
-            row[j] ^= c
-        rows.append(row)
-    if not any(any(r) for r in rows):
-        return None
-    v = kernel_vector(rows, spec)
-    if v is None:  # pragma: no cover - see docstring
-        raise InconsistencyError("conic without nucleus in characteristic 2")
-    return canonical_point(v, spec)
-
-
-def _split_conic(conic: SparsePoly, nucleus) -> List[Tuple[int, int, int]]:
-    """The two lines of a reducible conic (both pass through the nucleus);
-    an empty list when they are conjugate over the coefficient field."""
-    work = conic.spec
-    aux = None
-    for probe in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)):
-        dot = 0
-        for a, b in zip(probe, nucleus):
-            dot ^= work.mul_int(a, b)
-        if dot != 0:
-            aux = probe
-            break
-    if aux is None:  # pragma: no cover - some probe always separates
-        raise InconsistencyError("no transversal line found")
-    base_pts = _form_two_points(aux, work)
-    quad = restrict_form(conic, base_pts[0], base_pts[1])
-    roots = binary_roots(quad, work)
-    if sum(m for _, m in roots) < 2:
-        return []
-    mul = work.mul_int
-    out = []
-    for (s, t), _m in roots:
-        pt = tuple(mul(s, a) ^ mul(t, b)
-                   for a, b in zip(base_pts[0], base_pts[1]))
-        out.append(_line_form_through(nucleus, canonical_point(pt, work),
-                                      work))
-    if len(out) != 2 or out[0] == out[1]:
-        raise InconsistencyError("split conic did not yield two lines")
-    return out
-
-
 def classify_fiber(cubic: SparsePoly,
                    position: Optional[PencilPosition] = None, *,
                    frame=None) -> FiberReport:
@@ -524,9 +416,9 @@ def classify_fiber(cubic: SparsePoly,
     conjugate lines, which then leaves no room for a point of lower degree.
     Singular points of degree 1, 2 and 3 come from one elimination over
     the cubic's field (within the GF(2^16) cap, flagged when the cap may
-    hide one); tangent cones and component matching then happen in one
-    working field, enlarged as needed until every relevant binary form
-    splits.
+    hide one); the type and the line components are then read off the
+    local expansion at each of them, in the smallest field holding them
+    all (`_classify_in_field`).
 
     `frame`, when given, is a frame already prepared for this cubic, as
     (moved partials, dehomogenized conditions, frame): `singular_fibers`
@@ -562,10 +454,19 @@ def classify_fiber(cubic: SparsePoly,
 def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
                        position, flags) -> FiberReport:
     """Classification over one working field containing all singular
-    points.  Every type decision is rational: distinctness of the roots of
-    a binary quadratic is read off the cross coefficient (characteristic
-    2), cusp directions are perfect squares, and conjugate component pairs
-    are detected by conic divisibility instead of being factored."""
+    points, read off the local model s Q(w) + C(w) at each of them
+    (`_local_quadratic`).  On the line through the point in a tangent
+    direction w, where Q(w) = 0, the cubic is t^3 C(w), so that line is a
+    component iff C(w) = 0.  Distinct tangent directions are read off Q's
+    cross coefficient (characteristic 2) and a cusp's direction is a
+    square root.  Conjugate tangent directions are both components iff Q
+    divides C, and then the cubic is Q(w) (s + L(w)) with C = Q L.
+
+    Every component is found through a found singular point on it, so
+    the types follow: a line and a conic meet in two nodes (I2) or are
+    tangent at a tacnode, whose tangent cone is a square (III), and three
+    lines are IV only through a triple point, always rational and found,
+    else I3."""
     base = cubic.spec
     k = base.degree
     cw = cubic if work == base else cubic.embed(base.embedding_to(work))
@@ -580,7 +481,7 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
             return
         quotient = divide_by_linear(cw, form)
         if quotient is None:  # pragma: no cover - callers verified this
-            raise InconsistencyError("division/restriction disagree")
+            raise InconsistencyError("division/local expansion disagree")
         if divide_by_linear(quotient, form) is not None:
             raise InconsistencyError(
                 "repeated linear factor: fiber cubic is not reduced")
@@ -595,21 +496,16 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
         if any(quad):
             if quad[1] != 0:
                 local = "node"
-                roots = binary_roots(quad, work)
-                if sum(m for _, m in roots) == 2:
-                    dirs = [r for r, _ in roots]
-                else:
-                    # conjugate tangent directions: both or neither are
-                    # components, decided by conic divisibility of the
-                    # moved cubic s Q(w) + C(w)
-                    dirs = []
-                    lin = _divide_by_conic(
-                        _chart_form(quad, pivot, 1, work)
-                        + _chart_form(cone3, pivot, 0, work),
-                        _chart_form(quad, pivot, 0, work))
-                    if lin is not None:
+                dirs = [r for r, _ in binary_roots(quad, work)]
+                if not dirs:
+                    # conjugate tangent directions, so Q(1, t) has degree 2
+                    lin, rest = Poly(work, cone3).divmod(Poly(work, quad))
+                    if rest.is_zero():
+                        form = [0, 0, 0]
+                        u, v = (i for i in range(3) if i != pivot)
+                        form[pivot], form[u], form[v] = 1, lin[0], lin[1]
                         hidden += 2
-                        add_component(_pull_back_form(lin, tmat, work))
+                        add_component(_pull_back_form(form, tmat, work))
                         forced_kod = "I3"
             else:
                 local = "cusp"
@@ -632,29 +528,11 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
             hidden += 3 - len(dirs)
         singularities.append(CubicSingularity(ptw, d, local))
         for uv in dirs:
-            dpt = _direction_point(ptw, uv, pivot)
-            if not any(restrict_form(cw, ptw, dpt)):
-                add_component(_line_form_through(ptw, dpt, work))
+            if _eval_form(cone3, *uv, work) == 0:
+                add_component(_line_form_through(
+                    ptw, _direction_point(ptw, uv, pivot), work))
 
     components = list(comp_forms)
-    if len(components) + hidden == 1:
-        # backstop: a reducible residual conic whose intersection points
-        # with the line escaped the singular-point search caps
-        conic = divide_by_linear(cw, components[0])
-        nucleus = _conic_nucleus(conic)
-        if nucleus is None:
-            raise InconsistencyError(
-                "residual conic is a double line: fiber not reduced")
-        if conic.evaluate(list(nucleus)) == 0:
-            extra = _split_conic(conic, nucleus)
-            if extra:
-                for fm in extra:
-                    comp_forms.setdefault(fm)
-                components = list(comp_forms)
-            else:
-                hidden += 2
-            forced_kod = "IV" if _form_at(components[0], nucleus,
-                                          work) == 0 else "I3"
     if len(components) == 2 and hidden == 0:
         # two lines found; the third is their exact cofactor
         rest = divide_by_linear(divide_by_linear(cw, components[0]),
@@ -683,11 +561,8 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
         else:  # pragma: no cover - triple forces components above
             raise InconsistencyError("triple point without components")
     elif ncomp == 1:
-        form = components[0]
-        conic = divide_by_linear(cw, form)
-        quad = restrict_form(conic, *_form_two_points(form, work))
-        # distinct intersection points iff the cross coefficient survives
-        kod = "I2" if quad[1] != 0 else "III"
+        kod = "III" if any(s.local_type == "cusp"
+                           for s in singularities) else "I2"
     elif ncomp == 3:
         if forced_kod is not None:
             kod = forced_kod
@@ -700,13 +575,7 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
                         "component product does not divide the cubic")
             if rest.total_degree() != 0:
                 raise InconsistencyError("component product degree mismatch")
-            vertices = set()
-            for fa, fb in itertools.combinations(components, 2):
-                v = kernel_vector([list(fa), list(fb)], work)
-                if v is None:  # pragma: no cover - lines in P^2 meet
-                    raise InconsistencyError("parallel projective lines")
-                vertices.add(canonical_point(v, work))
-            kod = "IV" if len(vertices) == 1 else "I3"
+            kod = "I3"
     else:
         raise InconsistencyError(
             f"{ncomp} components counted on a reduced cubic")
@@ -922,13 +791,13 @@ def _eval_form(form: Sequence[int], u0: int, v0: int,
 
 def _form_root_multiplicity(form: Sequence[int], root: Tuple[int, int],
                             spec: FieldSpec) -> int:
-    """Multiplicity of a projective root in a binary form (u-major): the
-    order in t of form(s*root + t*w) for a second point w."""
-    d = len(form) - 1
-    w = (0, 1) if root[0] else (1, 0)
-    binary = SparsePoly(2, spec, {(d - i, i): c for i, c in enumerate(form)})
-    out = restrict_form(binary, root, w)
-    return next((j for j, c in enumerate(out) if c), d + 1)
+    """Multiplicity of a projective root (1 : t) or (0 : 1) in a nonzero
+    binary form (u-major): that of t in form(1, t), or the form's drop in
+    degree at (0 : 1)."""
+    f = Poly(spec, form)
+    if root[0]:
+        return f.multiplicity_at(root[1])
+    return len(form) - 1 - f.degree()
 
 
 def _minimal_position(lam: int, ext: int, base: FieldSpec) -> PencilPosition:
@@ -1010,6 +879,18 @@ def ramification_type(pencil: ResidualPencil) -> RamificationData:
     return RamificationData(points, label)
 
 
+def ramification_over(ram: Optional[RamificationData],
+                      pos: Optional[PencilPosition]) -> str:
+    """How the line's map to the lambda-line ramifies over a position:
+    "simple" (index 2), "double" (index 3) or "unramified", also when
+    there is no ramification data.  The indices over one position add up
+    to at most 3, so at most one ramification point lies over it."""
+    for p in ram.points if ram is not None else ():
+        if p.image == pos:
+            return "simple" if p.e == 2 else "double"
+    return "unramified"
+
+
 # -- interaction audit: ramification against fiber types ----------------------
 
 
@@ -1044,10 +925,7 @@ def second_kind_fiber_audit(pencil: ResidualPencil, ram: RamificationData,
     Violations come back as failed entries, never as exceptions."""
     out = []
     for fib in fibers:
-        ram_here = "unramified"
-        for p in ram.points:
-            if p.image == fib.position:
-                ram_here = "simple" if p.e == 2 else "double"
+        ram_here = ramification_over(ram, fib.position)
         ok, detail = _audit_one_fiber(pencil, fib, ram_here)
         out.append(FiberAuditEntry(fib.position, fib.kodaira, ram_here,
                                    ok, detail))

@@ -21,7 +21,7 @@ from .field import FieldSpec
 from .geometry import Line, QuarticSurface, restrict_form
 from .pencil import (POS_INF, FiberReport, PencilPosition, RamificationData,
                      ResidualPencil, _binary_cubic_in_lambda,
-                     _form_two_points, fiber_line_count, ramification_type,
+                     fiber_line_count, ramification_over, ramification_type,
                      singular_fibers)
 from .poly import Poly, SparsePoly, _mul_terms, sylvester_resultant
 from .surfaces import family_z_surface
@@ -252,11 +252,7 @@ def divisibility_audit(dossier: LineDossier,
         return []
     out: List[DivisibilityRecord] = []
     for fib in dossier.fibers:
-        ram_here = "unramified"
-        if dossier.ramification is not None:
-            for p in dossier.ramification.points:
-                if p.image == fib.position:
-                    ram_here = "simple" if p.e == 2 else "double"
+        ram_here = ramification_over(dossier.ramification, fib.position)
         if fib.kodaira in ("I3", "IV"):
             required = 3
         elif fib.kodaira in ("I2", "III") and ram_here == "double":
@@ -280,12 +276,29 @@ def divisibility_audit(dossier: LineDossier,
 
 def hessian_vanishes_on_line(cubic: SparsePoly,
                              line_form: Sequence[int]) -> bool:
-    """Does h(cubic) vanish identically on the given projective line?"""
+    """Does h(cubic) vanish identically on the projective line
+    {line_form = 0}?  The form has three coefficients, not all zero."""
+    if len(line_form) != 3 or not any(line_form):
+        raise UsageError("a line in the plane needs a nonzero linear form "
+                         "with three coefficients")
     h = char2_hessian(cubic)
     if h.is_zero():
         return True
-    p1, p2 = _form_two_points(tuple(line_form), cubic.spec)
-    return not any(restrict_form(h, p1, p2))
+    return not any(restrict_form(h, *_form_two_points(line_form,
+                                                      cubic.spec)))
+
+
+def _form_two_points(form: Sequence[int], spec: FieldSpec):
+    """Two distinct points spanning the projective line {form = 0}."""
+    piv = next(i for i in range(3) if form[i])
+    inv = spec.inv_int(form[piv])
+    pts = []
+    for free in (i for i in range(3) if i != piv):
+        v = [0, 0, 0]
+        v[free] = 1
+        v[piv] = spec.mul_int(inv, form[free])
+        pts.append(tuple(v))
+    return pts[0], pts[1]
 
 
 def hessian_vanishes_at(cubic: SparsePoly, point: Sequence[int]) -> bool:

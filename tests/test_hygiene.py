@@ -1,7 +1,8 @@
-"""Every name a module under src/ or tests/ imports is used in it, and
-every module-level private function and every module-level assigned name
-in src/ is referenced somewhere in src/ or tests/ outside its own
-definition."""
+"""Every name a module under src/ or tests/ imports is used in it, every
+module-level private function in src/ is referenced somewhere in src/
+outside its own definition (a helper only tests call belongs in tests/),
+and every module-level assigned name in src/ is referenced somewhere in
+src/ or tests/ outside its own definition."""
 
 import ast
 from collections import Counter
@@ -55,13 +56,13 @@ def _references(tree: ast.AST) -> Counter:
     return out
 
 
-def _unreferenced(is_candidate) -> list:
+def _unreferenced(is_candidate, within) -> list:
     """Module-level definitions in src/ that is_candidate(node) selects and
-    that nothing in src/ or tests/ refers to outside the definition."""
+    that nothing in the files `within` refers to outside the definition."""
     trees = {path: ast.parse(path.read_text()) for path in SOURCES}
     total = Counter()
-    for tree in trees.values():
-        total += _references(tree)
+    for path in within:
+        total += _references(trees[path])
     unused = []
     for path in SRC:
         for node in trees[path].body:
@@ -77,7 +78,7 @@ def test_no_unreferenced_private_functions():
         if (isinstance(node, ast.FunctionDef) and name.startswith("_")
                 and not name.startswith("__")):
             yield name
-    assert _unreferenced(private_function) == []
+    assert _unreferenced(private_function, SRC) == []
 
 
 def test_no_unreferenced_module_level_names():
@@ -89,4 +90,4 @@ def test_no_unreferenced_module_level_names():
                 for sub in ast.walk(target):
                     if isinstance(sub, ast.Name):
                         yield sub.id
-    assert _unreferenced(assigned_names) == []
+    assert _unreferenced(assigned_names, SOURCES) == []

@@ -9,14 +9,15 @@ from quartic_lines.errors import InconsistencyError, UsageError
 from quartic_lines.field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
 from quartic_lines.geometry import (QuarticSurface, _univariate_in, axis_line,
                                     canonical_point, enumerate_lines,
-                                    singular_point_search, vec_mat)
+                                    restrict_form, singular_point_search,
+                                    vec_mat)
 from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, _FRAMES, POS_INF,
                                   POS_ZERO, PencilPosition, ResidualPencil,
                                   _audit_one_fiber, _binary_collect,
                                   _cubic_singular_points, _eval_form,
-                                  _form_derivs, _form_root_multiplicity,
-                                  _frame_points, _lambda_discriminant,
-                                  _local_quadratic, _minimal_position,
+                                  _form_derivs, _frame_points,
+                                  _lambda_discriminant, _local_quadratic,
+                                  _minimal_position,
                                   classify_fiber,
                                   euler_budget_audit, fiber_line_count,
                                   geometric_valency, ramification_type,
@@ -645,6 +646,17 @@ def test_cubic_singular_points_match_the_level_scan(name):
         assert [d for _, d in got] == want_degrees
 
 
+def _root_multiplicity_by_expansion(form, root, spec):
+    """The former multiplicity of a projective root in a binary form
+    (u-major): the order in t of form(s*root + t*w) for a second point
+    w."""
+    d = len(form) - 1
+    w = (0, 1) if root[0] else (1, 0)
+    binary = SparsePoly(2, spec, {(d - i, i): c for i, c in enumerate(form)})
+    out = restrict_form(binary, root, w)
+    return next((j for j, c in enumerate(out) if c), d + 1)
+
+
 def _level_scan_ramification(pencil):
     """The former ramification search: the roots of the Wronskian in every
     GF(2^(k d)), d <= 4, the roots already seen in a subfield skipped."""
@@ -673,8 +685,8 @@ def _level_scan_ramification(pencil):
                 if b0 else POS_INF
             points.append({"pos": [hex(u0), hex(v0)], "ext": d,
                            "image": image.to_json(),
-                           "e": _form_root_multiplicity(form, (u0, v0),
-                                                        target)})
+                           "e": _root_multiplicity_by_expansion(
+                               form, (u0, v0), target)})
         seen[d] = (target, roots)
     return points
 

@@ -81,6 +81,9 @@ def test_hessian_rejects_bad_input(gf4):
         char2_hessian(x * y)  # not a cubic
     with pytest.raises(UsageError):
         char2_hessian(SparsePoly.variable(0, 3, None) ** 3)  # no field
+    for form in ((0, 0, 0), (1, 0)):     # no line of the plane
+        with pytest.raises(UsageError):
+            hessian_vanishes_on_line(x ** 3 + y ** 3 + z ** 3, form)
 
 
 def _mu_chart_resultant(pencil):
