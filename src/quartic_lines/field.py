@@ -8,10 +8,14 @@ multiplicative group (order 2^k - 1).
 
 Univariate polynomials over these fields are int lists (`poly_add`,
 `poly_mul`, `poly_divmod`, `poly_gcd`: the kernels behind `poly.Poly`).
-Roots are found by factoring, never by evaluating at every element: the
-squarefree part, its gcd with x^q - x, and trace splitting into linear
-factors (`find_roots_int`); `root_orbits` groups the roots over
-extensions by their degree through distinct-degree factorization.
+Roots are found by algebra, never by evaluating at every element.  Of
+degree <= 4 they are the solutions of one GF(2)-affine system, since
+x -> x^2, x^4 are GF(2)-linear (Berlekamp, Rumsey and Solomon 1967);
+of higher degree they come from the squarefree part, its gcd with
+x^q - x, and trace splitting into linear factors (`find_roots_int`).
+`root_orbits` groups the roots over extensions by their degree: a part
+of degree <= 4 by those solves in GF(q^d), a larger one through
+distinct-degree factorization.
 
 Field elements serialize as lowercase hex of the bitmask ("0x6" = t^2 + t);
 a field spec serializes as {"degree": k, "modulus": hex}.
@@ -84,6 +88,7 @@ class FieldSpec:
     __slots__ = (
         "degree", "modulus", "order", "size",
         "_exp", "_log", "_exps", "_logs", "_embeddings", "_gen",
+        "_artin_schreier",
     )
 
     def __init__(self, degree: int, modulus: Optional[int] = None):
@@ -106,6 +111,7 @@ class FieldSpec:
         self._logs = None
         self._embeddings = {}
         self._gen = None
+        self._artin_schreier = None     # echelon of s -> s^2 + s, on demand
 
     # -- construction helpers -------------------------------------------------
 
@@ -533,48 +539,228 @@ def _strip_zero_root(coeffs: Sequence[int]):
     return cs, zeros
 
 
+def _divide_out(coeffs: Sequence[int], r: int, spec: FieldSpec):
+    """(multiplicity of the root r, cofactor): repeated synthetic division
+    of trimmed nonzero coefficients by (x - r)."""
+    mult, work = 0, coeffs
+    while len(work) > 1:
+        quot, rem = _deflate(work, r, spec)
+        if rem:
+            break
+        mult, work = mult + 1, quot
+    return mult, work
+
+
+# -- roots of degree <= 4: one GF(2)-affine solve -----------------------------
+#
+# In characteristic 2 the maps x -> x^2, x^4 are GF(2)-linear, so every
+# equation sum c_i x^(2^i) = rhs is a k x k linear system over GF(2) on the
+# bitmask coordinates, and every polynomial of degree <= 4 reduces to one
+# (Berlekamp, Rumsey and Solomon, "On the solution of algebraic equations
+# over finite fields", Inform. Control 10, 1967).
+
+
+def _echelon(spec: FieldSpec, lcoeffs: Sequence[int]):
+    """Row echelon form of x -> sum lcoeffs[i] x^(2^i) over GF(2).
+
+    Returns (rows, kernel): rows[b] = (image, preimage) for the row whose
+    image has top bit b (None when no row has), and a basis of the kernel."""
+    exps, logs = _tables(spec)
+    order = spec.order
+    terms = [(i, logs[c]) for i, c in enumerate(lcoeffs) if c]
+    rows = [None] * spec.degree
+    kernel = []
+    for j in range(spec.degree):
+        lx = logs[1 << j]
+        image = 0
+        for i, lc in terms:             # c_i (t^j)^(2^i)
+            image ^= exps[lc + ((lx << i) % order)]
+        pre = 1 << j
+        while image:
+            top = image.bit_length() - 1
+            if rows[top] is None:
+                rows[top] = (image, pre)
+                break
+            image ^= rows[top][0]
+            pre ^= rows[top][1]
+        else:
+            kernel.append(pre)
+    return rows, kernel
+
+
+def _particular(rows: list, rhs: int) -> Optional[int]:
+    """An x whose image under the echelon `rows` is rhs, or None."""
+    x = 0
+    while rhs:
+        row = rows[rhs.bit_length() - 1]
+        if row is None:
+            return None
+        rhs ^= row[0]
+        x ^= row[1]
+    return x
+
+
+def _affine_solutions(spec: FieldSpec, lcoeffs: Sequence[int],
+                      rhs: int) -> list:
+    """Every x in GF(q) with sum lcoeffs[i] x^(2^i) = rhs: a particular
+    solution plus the span of the kernel."""
+    rows, kernel = _echelon(spec, lcoeffs)
+    x = _particular(rows, rhs)
+    if x is None:
+        return []
+    out = [x]
+    for v in kernel:
+        out += [y ^ v for y in out]
+    return out
+
+
+def _small_roots(cs: Sequence[int], spec: FieldSpec) -> list:
+    """The distinct roots in GF(q) of sum(cs[i] x^i), 1 <= degree <= 4.
+
+    Quadratic x^2 + bx + c: x = sqrt(c) when b = 0, else x = b s with
+    s^2 + s = c/b^2, whose echelon each field caches.  Cubic: x = y + c2
+    gives y^3 + py + q, whose roots are the kernel of y^4 + py^2 + qy
+    without 0 unless q = 0.  Quartic: with no cubic term it is affine;
+    else the shift by s = sqrt(c1/c3) kills the linear term, and the root
+    y = 0 aside, z = 1/y solves b0 z^4 + b2 z^2 + c3 z = 1."""
+    mul, inv = spec.mul_int, spec.inv_int
+    lead = inv(cs[-1])
+    cs = [mul(lead, c) for c in cs]
+    n = len(cs) - 1
+    if n == 1:
+        return [cs[0]]
+    if n == 2:
+        c, b = cs[0], cs[1]
+        if not b:
+            return [spec.sqrt_int(c)]
+        if spec._artin_schreier is None:
+            spec._artin_schreier = _echelon(spec, (1, 1))[0]
+        ib = inv(b)
+        s = _particular(spec._artin_schreier, mul(c, mul(ib, ib)))
+        return [] if s is None else [mul(b, s), mul(b, s ^ 1)]
+    if n == 3:
+        c0, c1, c2 = cs[:3]
+        p, q = mul(c2, c2) ^ c1, mul(c1, c2) ^ c0
+        return [y ^ c2 for y in _affine_solutions(spec, (q, p, 1), 0)
+                if y or not q]
+    c0, c1, c2, c3 = cs[:4]
+    if not c3:
+        return _affine_solutions(spec, (c1, c2, 1), c0)
+    s = spec.sqrt_int(spec.div_int(c1, c3))
+    b2, b0 = mul(c3, s) ^ c2, _deflate(cs, s, spec)[1]
+    if not b0:                          # y^2 (y^2 + c3 y + b2)
+        return [s] + [s ^ y for y in _small_roots([b2, c3, 1], spec) if y]
+    i0 = inv(b0)
+    return [s ^ inv(z) for z in
+            _affine_solutions(spec, (mul(c3, i0), mul(b2, i0), 1), i0)]
+
+
+def _roots_by_gcd(f: Sequence[int], spec: FieldSpec) -> list:
+    """The distinct roots in GF(q) of trimmed f with f(0) != 0: those of its
+    squarefree part r are the roots of gcd(r, x^q - x), which trace
+    splitting breaks into linear factors (Cantor-Zassenhaus 1981; von zur
+    Gathen-Gerhard, Modern Computer Algebra, ch. 14)."""
+    if len(f) < 2:
+        return []
+    r = _squarefree_part(f, spec)
+    x = poly_divmod([0, 1], r, spec)[1]
+    g = poly_gcd(r, poly_add(_frobenius(x, r, spec), x), spec)
+    return _split_linear(g, spec)
+
+
 def find_roots_int(coeffs: Sequence[int], spec: FieldSpec) -> list:
     """All roots in the coefficient field of sum(coeffs[i] x^i), with
     multiplicities.
 
-    The roots of the squarefree part r (root 0 set aside) that lie in
-    GF(q) are those of gcd(r, x^q - x), which trace splitting breaks into
-    linear factors (Cantor-Zassenhaus 1981; von zur Gathen-Gerhard,
-    Modern Computer Algebra, ch. 14).  Multiplicities come from repeated
-    synthetic division of the input.
+    With the root 0 set aside, a part of degree <= 4 is solved by one
+    GF(2)-affine system (`_small_roots`); a larger one goes through the
+    squarefree part, its gcd with x^q - x and trace splitting
+    (`_roots_by_gcd`).  Multiplicities come from repeated synthetic
+    division of the input.
 
     Returns [(root_bits, multiplicity), ...] sorted by root bitmask.
     """
     cs, zeros = _strip_zero_root(coeffs)
-    roots = []
-    if len(cs) - zeros > 1:
-        r = _squarefree_part(cs[zeros:], spec)
-        x = poly_divmod([0, 1], r, spec)[1]
-        g = poly_gcd(r, poly_add(_frobenius(x, r, spec), x), spec)
-        roots = _split_linear(g, spec)
+    f = cs[zeros:]
+    roots = (_small_roots(f, spec) if 1 < len(f) <= 5
+             else _roots_by_gcd(f, spec))
     out = [(0, zeros)] if zeros else []
-    for root in sorted(roots):
-        mult = 0
-        work = cs
-        while len(work) > 1:
-            quot, rem = _deflate(work, root, spec)
-            if rem != 0:
-                break
-            mult += 1
-            work = quot
-        out.append((root, mult))
-    return out
+    return out + [(r, _divide_out(f, r, spec)[0]) for r in sorted(roots)]
+
+
+def _small_orbits(f: Sequence[int], spec: FieldSpec, fields: list):
+    """`_orbits_by_ddf` for trimmed f of degree <= 4 with f(0) != 0, or None
+    for a quartic without rational roots when GF(q^2) is past the cap.
+
+    The rational roots are divided out; what is left has no rational root,
+    so of degree 2 or 3 it is irreducible and solved in GF(q^d), and a
+    quartic is two conjugate-pair quadratics (or the square of one) when
+    it has roots in GF(q^2), else irreducible."""
+    rational = _small_roots(f, spec) if len(f) > 1 else []
+    for r in rational:
+        f = _divide_out(f, r, spec)[1]
+    found, beyond = {1: rational}, []
+    if len(f) == 5 and len(fields) < 2:
+        return None
+    # a quartic is tried in GF(q^2) first: two conjugate pairs, or one squared
+    for e in {0: (), 2: (2,), 3: (3,), 4: (2, 4)}[len(f) - 1]:
+        if e > len(fields):
+            beyond = [e]
+            break
+        emb = spec.embedding_to(fields[e - 1])
+        roots = _small_roots([emb.apply_int(c) for c in f], fields[e - 1])
+        if roots:
+            found[e] = roots
+            break
+    return found, beyond
+
+
+def _orbits_by_ddf(f: Sequence[int], spec: FieldSpec, fields: list):
+    """({d: roots of exact degree d in fields[d - 1]}, degrees of the orbits
+    past the fields) for trimmed f with f(0) != 0.
+
+    Distinct-degree factorization of the squarefree part: for d = 1, 2, ...
+    the product of its irreducible factors of degree d is
+    gcd(rest, x^(q^d) - x).  A product of degree d <= len(fields) is split
+    into linear factors over fields[d - 1] by trace splitting."""
+    found, beyond = {}, []
+    rest = _squarefree_part(f, spec)
+    h = x = [0, 1]
+    d = 0
+    while len(rest) > 1:
+        d += 1
+        if len(rest) - 1 < 2 * d:      # no two factors left: irreducible
+            d, g = len(rest) - 1, rest
+        else:
+            h = _frobenius(h, rest, spec)
+            g = poly_gcd(rest, poly_add(h, x), spec)
+            if len(g) == 1:
+                continue
+        if d <= len(fields):
+            target = fields[d - 1]
+            lin = g
+            if d > 1:
+                emb = spec.embedding_to(target)
+                lin = [emb.apply_int(c) for c in g]
+            found.setdefault(d, []).extend(_split_linear(lin, target))
+        else:
+            beyond += [d] * ((len(g) - 1) // d)
+        rest = poly_divmod(rest, g, spec)[0]
+        h = poly_divmod(h, rest, spec)[1]
+    return found, beyond
 
 
 def root_orbits(coeffs: Sequence[int], spec: FieldSpec, cap: int):
     """Roots of sum(coeffs[i] x^i) over the extensions of the coefficient
     field GF(q), grouped by their degree over it.
 
-    Distinct-degree factorization of the squarefree part: for d = 1, 2, ...
-    the product of its irreducible factors of degree d is
-    gcd(rest, x^(q^d) - x).  A product of degree d <= cap is split into
-    linear factors over GF(q^d) (`spec` itself for d = 1, else the default
-    GF(2^(k d))) by trace splitting.
+    With the root 0 set aside, a part of degree <= 4 has its rational
+    roots divided out and the rest solved as one orbit, or as two
+    quadratic ones, by the GF(2)-affine solves of `find_roots_int`
+    (`_small_orbits`); a larger part, or a quartic without rational roots
+    when GF(q^2) is past the cap, goes through distinct-degree
+    factorization (`_orbits_by_ddf`).  The roots of degree d <= cap lie in
+    GF(q^d) (`spec` itself for d = 1, else the default GF(2^(k d))).
 
     The cap is lowered to the largest d with GF(2^(k d)) at most
     GF(2^16).  Returns (levels, beyond): levels[d - 1] = (field, roots) for
@@ -587,31 +773,11 @@ def root_orbits(coeffs: Sequence[int], spec: FieldSpec, cap: int):
     fields = [spec if d == 1 else FieldSpec.default(k * d)
               for d in range(1, cap + 1)]
     cs, zeros = _strip_zero_root(coeffs)
-    found = {1: [0]} if zeros else {}
-    beyond = []
-    rest = _squarefree_part(cs[zeros:], spec)
-    h = x = [0, 1]
-    d = 0
-    while len(rest) > 1:
-        d += 1
-        if len(rest) - 1 < 2 * d:      # no two factors left: irreducible
-            d, g = len(rest) - 1, rest
-        else:
-            h = _frobenius(h, rest, spec)
-            g = poly_gcd(rest, poly_add(h, x), spec)
-            if len(g) == 1:
-                continue
-        if d <= cap:
-            target = fields[d - 1]
-            lin = g
-            if d > 1:
-                emb = spec.embedding_to(target)
-                lin = [emb.apply_int(c) for c in g]
-            found.setdefault(d, []).extend(_split_linear(lin, target))
-        else:
-            beyond += [d] * ((len(g) - 1) // d)
-        rest = poly_divmod(rest, g, spec)[0]
-        h = poly_divmod(h, rest, spec)[1]
+    f = cs[zeros:]
+    small = _small_orbits(f, spec, fields) if len(f) <= 5 else None
+    found, beyond = small or _orbits_by_ddf(f, spec, fields)
+    if zeros:
+        found[1] = [0] + found.get(1, [])
     return ([(fld, sorted(found.get(d, []))) for d, fld in
              enumerate(fields, 1)], beyond)
 

@@ -29,8 +29,8 @@ from functools import reduce
 from operator import add, xor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .field import (FieldEmbedding, FieldError, FieldSpec, _tables,
-                    find_roots_int, poly_add, poly_divmod, poly_gcd,
+from .field import (FieldEmbedding, FieldError, FieldSpec, _divide_out,
+                    _tables, find_roots_int, poly_add, poly_divmod, poly_gcd,
                     poly_monic, poly_mul)
 
 Terms = Dict[Tuple[int, ...], int]
@@ -185,16 +185,7 @@ class Poly:
     def multiplicity_at(self, r: int) -> int:
         if self.is_zero():
             raise ValueError("zero polynomial")
-        mult = 0
-        work = self
-        lin = Poly(self.spec, (r, 1))
-        while not work.is_zero():
-            q, rem = work.divmod(lin)
-            if not rem.is_zero():
-                break
-            mult += 1
-            work = q
-        return mult
+        return _divide_out(self.coeffs, r, self.spec)[0]
 
     def embed(self, emb: FieldEmbedding) -> "Poly":
         if emb.source != self.spec:

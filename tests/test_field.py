@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quartic_lines.field import (MAX_DEGREE, FieldError, FieldSpec, _deflate,
-                                 _prime_factors, _prime_step_embedding,
+                                 _orbits_by_ddf, _prime_factors,
+                                 _prime_step_embedding, _roots_by_gcd,
                                  find_roots_int, root_orbits)
 from quartic_lines.poly import Poly
 
@@ -91,8 +92,12 @@ def _find_roots_exhaustive(coeffs, spec):
     vals = np.full(spec.size, np.uint32(cs[-1]))
     for c in reversed(cs[:-1]):
         vals = spec.mul_arr(vals, xs) ^ np.uint32(c)
+    return _with_multiplicities(cs, np.nonzero(vals == 0)[0].tolist(), spec)
+
+
+def _with_multiplicities(cs, roots, spec):
     out = []
-    for r in np.nonzero(vals == 0)[0].tolist():
+    for r in sorted(roots):
         mult, work = 0, cs
         while len(work) > 1:
             quot, rem = _deflate(work, r, spec)
@@ -101,6 +106,29 @@ def _find_roots_exhaustive(coeffs, spec):
             mult, work = mult + 1, quot
         out.append((r, mult))
     return out
+
+
+def _find_roots_by_gcd(coeffs, spec):
+    """The oracle at every field size: the gcd path for every degree."""
+    cs = Poly(spec, coeffs).coeffs
+    zeros = next(i for i, c in enumerate(cs) if c)
+    roots = _roots_by_gcd(cs[zeros:], spec) + ([0] if zeros else [])
+    return _with_multiplicities(cs, roots, spec)
+
+
+def _root_orbits_by_ddf(coeffs, spec, cap):
+    """The oracle for `root_orbits`: distinct-degree factorization for
+    every degree."""
+    k = spec.degree
+    fields = [spec if d == 1 else FieldSpec.default(k * d)
+              for d in range(1, min(cap, MAX_DEGREE // k) + 1)]
+    cs = Poly(spec, coeffs).coeffs
+    zeros = next(i for i, c in enumerate(cs) if c)
+    found, beyond = _orbits_by_ddf(cs[zeros:], spec, fields)
+    if zeros:
+        found.setdefault(1, []).append(0)
+    return [(fld, sorted(found.get(d, []))) for d, fld in
+            enumerate(fields, 1)], beyond
 
 
 def _random_poly(rng, spec, degree):
@@ -224,3 +252,87 @@ def test_root_orbits_stop_at_gf65536():
     levels, beyond = root_orbits([1, 0, 1, 0, 0, 1], FieldSpec.default(4), 6)
     assert [roots for _, roots in levels] == [[]] * 4
     assert beyond == [5]
+
+
+def _irreducible(rng, spec, degree, avoid=()):
+    """A random monic irreducible polynomial of the given degree, drawn
+    until distinct-degree factorization finds one factor of that degree."""
+    while True:
+        f = _random_poly(rng, spec, degree)
+        if (_orbits_by_ddf(f.coeffs, spec, [])[1] == [degree]
+                and f not in avoid):
+            return f
+
+
+def _small_cases(rng, spec):
+    """Polynomials whose part without the root 0 has degree 1..4, by kind."""
+    x = Poly.x(spec)
+    lin = lambda: Poly(spec, [rng.randrange(spec.size), 1])
+    q1 = _irreducible(rng, spec, 2)
+    q2 = _irreducible(rng, spec, 2, () if spec.degree == 1 else (q1,))
+    cubic = _irreducible(rng, spec, 3)
+    return {
+        "linear": lin(),
+        "double root": lin() ** 2,
+        "perfect square": x ** 2 + Poly.constant(
+            spec, rng.randrange(1, spec.size)),
+        "two roots": lin() * lin(),
+        "irreducible quadratic": q1,
+        "irreducible cubic": cubic,
+        "triple root": lin() ** 3,
+        "root and pair": lin() * q1,
+        "random cubic": _random_poly(rng, spec, 3),
+        "irreducible quartic": _irreducible(rng, spec, 4),
+        "two conjugate pairs": q1 * q2,
+        "square of a pair": q1 * q1,
+        "root and cubic orbit": lin() * cubic,
+        "double root and pair": lin() ** 2 * q1,
+        "triple and simple root": lin() ** 3 * lin(),
+        "fourth power": lin() ** 4,
+        "random quartic": _random_poly(rng, spec, 4),
+        "root 0 and quartic": x ** 3 * _random_poly(rng, spec, 4),
+        "root 0 and pair": x * q1,
+    }
+
+
+@pytest.mark.parametrize("k", range(1, MAX_DEGREE + 1))
+def test_small_degrees_match_the_gcd_path(k):
+    """Degree <= 4 away from the root 0 goes through one GF(2)-affine
+    solve; it agrees with the gcd path, with distinct-degree factorization
+    at caps 1-4 and, up to GF(256), with evaluation at every element."""
+    spec = FieldSpec.default(k)
+    rng = random.Random(2000 + k)
+    for kind, f in _small_cases(rng, spec).items():
+        f = f * Poly.constant(spec, rng.randrange(1, spec.size))
+        roots = find_roots_int(f.coeffs, spec)
+        assert roots == _find_roots_by_gcd(f.coeffs, spec), kind
+        if k <= 8:
+            assert roots == _find_roots_exhaustive(f.coeffs, spec), kind
+        for cap in range(1, 5):
+            assert root_orbits(f.coeffs, spec, cap) == \
+                _root_orbits_by_ddf(f.coeffs, spec, cap), (kind, cap)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_small_orbits_by_kind(k):
+    spec = FieldSpec.default(k)
+    cases = _small_cases(random.Random(3000 + k), spec)
+    sizes = lambda kind: [len(roots) for _, roots in
+                          root_orbits(cases[kind].coeffs, spec, 4)[0]]
+    assert sizes("irreducible quartic") == [0, 0, 0, 4]
+    assert sizes("square of a pair") == [0, 2, 0, 0]
+    assert sizes("two conjugate pairs") == [0, 2 if k == 1 else 4, 0, 0]
+    assert sizes("root and cubic orbit") == [1, 0, 3, 0]
+
+
+@pytest.mark.parametrize("k", [9, 12, 16])
+def test_quartics_past_gf_q2_keep_distinct_degree_factorization(k):
+    # with GF(q^2) past GF(2^16) the cap is 1 at any requested cap
+    spec = FieldSpec.default(k)
+    cases = _small_cases(random.Random(4000 + k), spec)
+    for kind, beyond in [("irreducible quartic", [4]),
+                         ("two conjugate pairs", [2, 2]),
+                         ("square of a pair", [2]),
+                         ("root and cubic orbit", [3])]:
+        levels, got = root_orbits(cases[kind].coeffs, spec, 4)
+        assert len(levels) == 1 and got == beyond, kind
