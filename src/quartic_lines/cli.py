@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .errors import CapabilityError, InconsistencyError, UsageError
@@ -64,7 +64,6 @@ class CensusReport:
     graph: IntersectionGraph
     case: Optional[str] = None
     lattice: Optional[GramLattice] = None
-    audits: List[dict] = field(default_factory=list)
 
     def check_consistency(self) -> None:
         vals = self.graph.valencies()
@@ -83,8 +82,6 @@ class CensusReport:
             out["configuration-case"] = self.case
         if self.lattice is not None:
             out["lattice"] = self.lattice.to_json()
-        if self.audits:
-            out["audits"] = self.audits
         return out
 
 

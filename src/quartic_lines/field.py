@@ -28,6 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import UsageError
+
 # Irreducible moduli for k = 1..16, bit i = coefficient of t^i, bit k set.
 # Verified irreducible at construction time; overridable per FieldSpec.
 DEFAULT_MODULI = {
@@ -87,7 +89,7 @@ class FieldSpec:
 
     __slots__ = (
         "degree", "modulus", "order", "size",
-        "_exp", "_log", "_exps", "_logs", "_embeddings", "_gen",
+        "_exp", "_log", "_exps", "_logs", "_embeddings",
         "_artin_schreier",
     )
 
@@ -110,7 +112,6 @@ class FieldSpec:
         self._exps = None
         self._logs = None
         self._embeddings = {}
-        self._gen = None
         self._artin_schreier = None     # echelon of s -> s^2 + s, on demand
 
     # -- construction helpers -------------------------------------------------
@@ -144,6 +145,13 @@ class FieldSpec:
     def from_json(cls, data: dict) -> "FieldSpec":
         return cls(int(data["degree"]), int(data["modulus"], 16))
 
+    def element(self, bits: int) -> int:
+        """bits, refused as bad input unless it is an element bitmask."""
+        if not 0 <= bits < self.size:
+            raise UsageError(f"{bits:#x} is not an element of "
+                             f"GF(2^{self.degree})")
+        return bits
+
     # -- raw bitmask arithmetic ----------------------------------------------
 
     def clmul_int(self, a: int, b: int) -> int:
@@ -161,7 +169,6 @@ class FieldSpec:
         exp = np.zeros(2 * order, dtype=np.uint32)
         log = np.zeros(size, dtype=np.int64)
         for g in range(2, size):
-            seen = 0
             x = 1
             ok = True
             for i in range(order):
@@ -171,12 +178,10 @@ class FieldSpec:
                     break
                 x = self.clmul_int(x, g)
             if ok and x == 1:
-                self._gen = g
                 break
         else:
             if size == 2:
                 exp[0] = 1
-                self._gen = 1
             else:  # pragma: no cover - impossible for irreducible modulus
                 raise FieldError("no multiplicative generator found")
         exp[order:2 * order] = exp[:order]
@@ -279,8 +284,10 @@ class FieldSpec:
         Built by chaining prime-degree steps (primes of n/m in increasing
         order, default moduli for the intermediate fields); at each prime
         step the source generator maps to the root of the source modulus
-        with lexicographically smallest bitmask.  Chaining keeps composed
-        embeddings coherent with the direct ones along aligned towers.
+        with lexicographically smallest bitmask.  An embedding into a
+        default field composed with one out of it equals the direct
+        embedding, for every pair of fields up to GF(2^16)
+        (`tests/test_field.py::test_embeddings_through_a_level_agree`).
         """
         key = (target.degree, target.modulus)
         emb = self._embeddings.get(key)
@@ -339,7 +346,7 @@ def _prime_step_embedding(source: FieldSpec, target: FieldSpec) -> "FieldEmbeddi
 class FieldEmbedding:
     """A field homomorphism GF(2^m) -> GF(2^n) fixing GF(2)."""
 
-    __slots__ = ("source", "target", "gen_image", "_powers", "_table")
+    __slots__ = ("source", "target", "gen_image", "_powers")
 
     def __init__(self, source: FieldSpec, target: FieldSpec, gen_image: int):
         self.source = source
@@ -347,7 +354,6 @@ class FieldEmbedding:
         self.gen_image = gen_image
         self._powers = [target.pow_int(gen_image, i)
                         for i in range(source.degree)]
-        self._table = None
 
     def apply_int(self, bits: int) -> int:
         out = 0
@@ -358,14 +364,6 @@ class FieldEmbedding:
             bits >>= 1
             i += 1
         return out
-
-    def apply_arr(self, a: np.ndarray) -> np.ndarray:
-        if self._table is None:
-            table = np.zeros(self.source.size, dtype=np.uint32)
-            for bits in range(self.source.size):
-                table[bits] = self.apply_int(bits)
-            self._table = table
-        return self._table[np.asarray(a, dtype=np.uint32)]
 
     def compose(self, then: "FieldEmbedding") -> "FieldEmbedding":
         if self.target != then.source:

@@ -11,14 +11,16 @@ surface are points of it, so each of the six Schubert cells of pivot
 patterns pairs the surface's points on two row charts (about q^2
 numpy-vectorized evaluations), keeps the pairs that meet the tangent
 condition, and confirms them exactly.  Singular points come from
-resultant elimination and one-variable root finding at every level, each
-listed at the smallest level whose field holds its coordinates.
+resultant elimination once per coordinate frame: the eliminant S(x3) is
+split into Galois orbits once, and each orbit is lifted in its own field,
+so each point is found once, over the field of its degree.
 
 The elimination kernel is shared with `pencil`, which finds the singular
 points of fiber cubics the same way: `first_variable_conditions` (the
-forms free of x1, then the resultants in x1), `gcd_at_tail` (the gcd in
-one variable with the others fixed) and `SparsePoly.linear_change` (the
-frame moves).
+forms free of x1, then the resultants in x1), `lift_tails` (the common
+zeros over their projections: at each, the gcd in x1 by `gcd_at_tail`,
+split by `root_orbits`, over the fields `FormLevels` keeps) and
+`SparsePoly.linear_change` (the frame moves).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapabilityError, InconsistencyError, UsageError
-from .field import MAX_DEGREE, FieldSpec
+from .field import MAX_DEGREE, FieldSpec, root_orbits
 from .poly import Poly, SparsePoly, squarefree_test, sylvester_resultant
 
 Row = Tuple[int, int, int, int]
@@ -197,10 +199,6 @@ class Line:
             pt = tuple(a ^ mul(v, b) for a, b in zip(r1, r2))
             yield canonical_point(pt, self.spec)
 
-    def contains(self, pt: Sequence[int]) -> bool:
-        stacked = [list(self.rows[0]), list(self.rows[1]), list(pt)]
-        return mat_rank(stacked, self.spec) == 2
-
     def embed(self, target: FieldSpec) -> "Line":
         emb = self.spec.embedding_to(target)
         return Line(target, [[emb.apply_int(c) for c in row]
@@ -326,7 +324,8 @@ class QuarticSurface:
             exps = tuple(int(e) for e in t["exps"])
             if len(exps) != 4:
                 raise UsageError("term exponent vector must have length 4")
-            terms[exps] = terms.get(exps, 0) ^ int(t["coeff"], 16)
+            terms[exps] = terms.get(exps, 0) ^ spec.element(
+                int(t["coeff"], 16))
         f = SparsePoly(4, spec, terms)
         return cls(f, data.get("label", "file"))
 
@@ -446,7 +445,9 @@ def count_candidate_lines(q: int) -> int:
 # quartic here, of a fiber cubic in `pencil`) are found in three steps:
 # conditions on the other variables after eliminating x1 by resultants
 # (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3), their common zeros,
-# and at each of those the gcd in x1 of the forms.
+# and at each of those the gcd in x1 of the forms, its roots grouped into
+# Galois orbits (von zur Gathen and Gerhard, Modern Computer Algebra,
+# ch. 14): `lift_tails`.
 
 
 def _univariate_in(g: SparsePoly, var: int, tail: Sequence[int]) -> Poly:
@@ -508,11 +509,79 @@ def gcd_at_tail(forms: Sequence[SparsePoly], var: int,
     return None if g.is_zero() else g
 
 
+# -- lifting common zeros from a projection -----------------------------------
+
+
+def _level_field(spec: FieldSpec, d: int) -> FieldSpec:
+    """GF(q^d) over spec = GF(q): spec itself for d = 1, else the default
+    GF(2^(k d)), as in `root_orbits`."""
+    return spec if d == 1 else FieldSpec.default(spec.degree * d)
+
+
+class FormLevels:
+    """Forms over GF(q) and their images over GF(q^d) (`_level_field`),
+    embedded on first use."""
+
+    __slots__ = ("spec", "_levels")
+
+    def __init__(self, forms: Sequence[SparsePoly]):
+        self.spec = forms[0].spec
+        self._levels = {1: list(forms)}
+
+    def field(self, d: int) -> FieldSpec:
+        return _level_field(self.spec, d)
+
+    def at(self, d: int) -> List[SparsePoly]:
+        if d not in self._levels:
+            emb = self.spec.embedding_to(self.field(d))
+            self._levels[d] = [g.embed(emb) for g in self._levels[1]]
+        return self._levels[d]
+
+
+def lift_tails(forms: FormLevels, tails: Iterable[Tuple[tuple, int]],
+               cap: int) -> Optional[List[Tuple[tuple, int]]]:
+    """The common zeros of the forms of degree n <= cap over GF(q), as
+    (coordinates over GF(q^n), n), from the tails they project to from
+    the centre (1 : 0 : ... : 0).
+
+    A tail is (coordinates of the other variables over GF(q^d), d).  Over
+    it, the first coordinates are the roots of the gcd in x1 of the forms
+    (`gcd_at_tail`), grouped by `root_orbits`: a root of degree
+    e <= cap // d over GF(q^d) makes a point of degree d e.  Every
+    candidate is checked on all forms, and the centre directly.  None
+    when the forms vanish on a whole line through the centre.
+
+    A tail lifted from GF(q^d) to GF(q^(d e)) is checked on the forms
+    embedded straight from GF(q): the two embeddings agree for every
+    field up to GF(2^16) (`FieldSpec.embedding_to`, checked exhaustively
+    by `tests/test_field.py::test_embeddings_through_a_level_agree`)."""
+    centre = (1,) + (0,) * (forms.at(1)[0].nvars - 1)
+    found = [(centre, 1)] if all(g.evaluate(list(centre)) == 0
+                                 for g in forms.at(1)) else []
+    for tail, d in tails:
+        g = gcd_at_tail(forms.at(d), 0, tail)
+        if g is None:
+            return None
+        if g.degree() < 1:
+            continue
+        levels, _ = root_orbits(g.coeffs, forms.field(d), cap // d)
+        for e, (target, roots) in enumerate(levels, 1):
+            if not roots:
+                continue
+            emb = forms.field(d).embedding_to(target)
+            lifted = tuple(emb.apply_int(c) for c in tail)
+            for r in roots:
+                pt = (r,) + lifted
+                if all(h.evaluate(list(pt)) == 0 for h in forms.at(d * e)):
+                    found.append((pt, d * e))
+    return found
+
+
 # -- singular point search ----------------------------------------------------
 
 
 # Infinitely many common zeros of the x1-conditions are listed on the P^2
-# grid, 3 q^2 points.
+# grid, 3 q^2 points at each level.
 _GRID_MAX_Q = 4096
 # Invertible changes of coordinates x -> x.M over GF(2), tried in turn
 # while the elimination degenerates; the first is the identity.
@@ -524,35 +593,20 @@ _FRAMES = (
 )
 
 
-def _verify_singular(forms: List[SparsePoly], pt: Sequence[int]) -> bool:
-    return all(g.evaluate(list(pt)) == 0 for g in forms)
-
-
-def _x1_resultants(forms: List[SparsePoly]) -> List[SparsePoly]:
-    """The first two conditions on (x2 : x3 : x4) left after eliminating
-    x1 from the forms (`first_variable_conditions`)."""
-    conds = list(itertools.islice(first_variable_conditions(forms), 2))
-    if not conds:
-        raise CapabilityError(
-            "degenerate elimination: no condition is left after "
-            "eliminating x1")
-    return conds
-
-
 def _x2_coefficients(r: SparsePoly) -> List[Poly]:
-    """r(x1, x2, x3, 1) as a polynomial in x2 (x1 does not occur): its
-    coefficients in GF(2^k)[x3], highest power of x2 first."""
-    n = r.degree_in(1)
-    rows = [[0] * (r.degree_in(2) + 1) for _ in range(n + 1)]
+    """r(x2, x3, 1) as a polynomial in x2: its coefficients in GF(2^k)[x3],
+    highest power of x2 first."""
+    n = r.degree_in(0)
+    rows = [[0] * (r.degree_in(1) + 1) for _ in range(n + 1)]
     for e, c in r.terms.items():
-        rows[n - e[1]][e[2]] ^= c
+        rows[n - e[0]][e[1]] ^= c
     return [Poly(r.spec, row) for row in rows]
 
 
 def _x3_eliminant(conds: List[SparsePoly]) -> Optional[Poly]:
-    """S(x3) vanishing at x3 = a whenever the conditions have a common zero
-    (x2, a, 1); None when there is no such S (fewer than two conditions,
-    or Res_x2 vanishes identically)."""
+    """S(x3) vanishing at x3 = a whenever two conditions on (x2 : x3 : x4)
+    have a common zero (x2, a, 1); None when there is no such S (fewer
+    than two conditions, or Res_x2 vanishes identically)."""
     if len(conds) < 2:
         return None
     ca, cb = (_x2_coefficients(r) for r in conds)
@@ -563,71 +617,77 @@ def _x3_eliminant(conds: List[SparsePoly]) -> Optional[Poly]:
     return None if s.is_zero() else s
 
 
-def _candidate_tails(conds: List[SparsePoly], s: Poly
-                     ) -> Optional[List[Tuple[int, int, int]]]:
-    """The common zeros (x2 : x3 : x4) of the conditions in P^2(GF(q)):
-    on each line x3 = a x4 with S(a) = 0, on the line x4 = 0, and the
-    point [1:0:0].  None when the conditions vanish on a whole line."""
-    tails = [(1, 0, 0)]
-    for x3, x4 in [(1, 0)] + [(a, 1) for a, _ in s.roots()]:
-        g = gcd_at_tail(conds, 1, (0, x3, x4))
-        if g is None:
-            return None
-        if g.degree() >= 1:
-            tails += [(x2, x3, x4) for x2, _ in g.roots()]
-    return tails
+def _has_degree(pt: Sequence[int], spec: FieldSpec, m: int) -> bool:
+    """Do the canonical coordinates of a point over spec = GF(q^m) lie in
+    no proper subfield GF(q^d), so that the point has degree m?"""
+    k = spec.degree // m
+    return not any(all(spec.pow_int(c, 2 ** (k * d)) == c for c in pt)
+                   for d in range(1, m) if m % d == 0)
 
 
-def _grid_tails(conds: List[SparsePoly],
-                spec: FieldSpec) -> List[Tuple[int, int, int]]:
-    """The common zeros of the conditions in P^2(GF(q)) by evaluation on
-    every point: the listing when there are infinitely many."""
-    q = spec.size
-    if q > _GRID_MAX_Q:
+def _grid_tails(conds: FormLevels, cap: int) -> List[Tuple[tuple, int]]:
+    """The common zeros of degree m <= cap of the conditions in P^2, by
+    evaluation on every point of P^2(GF(q^m)), each kept at the level of
+    its degree: the listing when there are infinitely many."""
+    k = conds.spec.degree
+    if 2 ** (k * cap) > _GRID_MAX_Q:
         raise CapabilityError(
             "the elimination conditions share a curve of zeros; listing "
-            f"them on the P^2 grid over GF(2^{spec.degree}) is refused "
+            f"them on the P^2 grid over GF(2^{k * cap}) is refused "
             f"for q > {_GRID_MAX_Q}")
     tails = []
-    for chart in range(1, 4):
-        coords = _chart(chart, range(chart + 1, 4), q)
-        mask = None
-        for r in conds:
-            v = _eval_on_grid(r, coords, spec) == 0
-            mask = v if mask is None else (mask & v)
-            if not mask.any():
-                break
-        tails += [tuple(int(coords[c][i]) for c in range(1, 4))
-                  for i in np.nonzero(mask)[0].tolist()]
+    for m in range(1, cap + 1):
+        spec = conds.field(m)
+        for chart in range(1, 4):
+            coords = _chart(chart, range(chart + 1, 4), spec.size)[1:]
+            mask = None
+            for r in conds.at(m):
+                v = _eval_on_grid(r, coords, spec) == 0
+                mask = v if mask is None else (mask & v)
+                if not mask.any():
+                    break
+            for i in np.nonzero(mask)[0].tolist():
+                pt = tuple(int(c[i]) for c in coords)
+                if _has_degree(pt, spec, m):
+                    tails.append((pt, m))
     return tails
 
 
-def _singular_points_elimination(forms: List[SparsePoly],
-                                 conds: List[SparsePoly],
-                                 s: Optional[Poly],
-                                 spec: FieldSpec) -> List[Row]:
-    """Lift the common zeros of the x1-conditions to P^3: at each one, the
-    x1 are the roots of the gcd of the forms, checked on all five."""
-    tails = None if s is None else _candidate_tails(conds, s)
+def _points_in_frame(surface: QuarticSurface, frame, cap: int) -> set:
+    """The singular points of degree n <= cap over the surface's field
+    found by elimination in the frame, as (point canonical over GF(q^n),
+    n) in the surface's coordinates.
+
+    The conditions on (x2 : x3 : x4) left after eliminating x1
+    (`first_variable_conditions`), the first two of them, and S(x3) are
+    formed once, and S is split into orbits once.  Each direction
+    (x3 : x4) is lifted to P^2 on the two conditions and then to P^3 on
+    the five forms (`lift_tails`).  The P^2 grid lists the conditions'
+    zeros when there is no S or they share a line through (1 : 0 : 0)."""
+    moved = surface.transform(frame)
+    forms = FormLevels([moved.f] + moved.partials())
+    plane = [r.drop_vars([1, 2, 3]) for r in itertools.islice(
+        first_variable_conditions(forms.at(1)), 2)]
+    if not plane:
+        raise CapabilityError(
+            "degenerate elimination: no condition is left after "
+            "eliminating x1")
+    s = _x3_eliminant(plane)
+    tails = None
+    if s is not None:
+        levels, _ = root_orbits(s.coeffs, forms.spec, cap)
+        dirs = [((1, 0), 1)] + [((a, 1), d) for d, (_, roots)
+                                in enumerate(levels, 1) for a in roots]
+        tails = lift_tails(FormLevels(plane), dirs, cap)
     if tails is None:
-        tails = _grid_tails(conds, spec)
-    found = []
-    # candidate [1:0:0:0] never appears in the (x2 : x3 : x4) projection
-    if _verify_singular(forms, (1, 0, 0, 0)):
-        found.append((1, 0, 0, 0))
-    for tail in tails:
-        g = gcd_at_tail(forms, 0, tail)
-        if g is None:
-            raise CapabilityError(
-                "degenerate elimination: the forms vanish on a whole line "
-                "through [1:0:0:0]")
-        if g.degree() < 1:
-            continue
-        for r_bits, _ in g.roots():
-            pt = canonical_point((r_bits,) + tail, spec)
-            if _verify_singular(forms, pt):
-                found.append(pt)
-    return sorted(set(found))
+        tails = _grid_tails(FormLevels(plane), cap)
+    pts = lift_tails(forms, tails, cap)
+    if pts is None:
+        raise CapabilityError(
+            "degenerate elimination: the forms vanish on a whole line "
+            "through [1:0:0:0]")
+    return {(canonical_point(vec_mat(pt, frame, forms.field(n)),
+                             forms.field(n)), n) for pt, n in pts}
 
 
 @dataclass(frozen=True)
@@ -639,30 +699,6 @@ class SingularPoint:
     def to_json(self) -> dict:
         return {"point": [hex(c) for c in self.point], "ext": self.ext,
                 "field": self.spec.to_json()}
-
-
-def _frame_eliminants(surface: QuarticSurface, frame) -> tuple:
-    """The surface moved by the frame, with its x1-conditions and S(x3),
-    all over the surface's own field."""
-    moved = surface.transform(frame)
-    rs = _x1_resultants([moved.f] + moved.partials())
-    return moved, rs, _x3_eliminant(rs)
-
-
-def _singular_points_in_frame(eliminants: tuple, frame,
-                              target: FieldSpec) -> List[Row]:
-    """The singular points over `target` found by elimination in the
-    frame, mapped back to the surface's coordinates."""
-    moved, rs, s = eliminants
-    surf = moved.base_change(target)
-    if target != moved.spec:
-        emb = moved.spec.embedding_to(target)
-        rs = [r.embed(emb) for r in rs]
-        s = None if s is None else s.embed(emb)
-    pts = _singular_points_elimination([surf.f] + surf.partials(), rs, s,
-                                       target)
-    return sorted({canonical_point(vec_mat(pt, frame, target), target)
-                   for pt in pts})
 
 
 def _singular_points_centred(surface: QuarticSurface,
@@ -687,8 +723,7 @@ def _singular_points_centred(surface: QuarticSurface,
             continue
         frame = (c,) + unit[:lead] + unit[lead + 1:]
         try:
-            return _singular_points_in_frame(_frame_eliminants(surf, frame),
-                                             frame, target)
+            return [pt for pt, _ in _points_in_frame(surf, frame, 1)]
         except CapabilityError as err:
             exc = err
     raise CapabilityError("singular-point elimination degenerates in every "
@@ -697,25 +732,25 @@ def _singular_points_centred(surface: QuarticSurface,
 
 def singular_point_search(surface: QuarticSurface,
                           max_ext: int = 6) -> List[SingularPoint]:
-    """All singular points over GF(2^(k*m)) for m <= max_ext, each listed
-    once, at the smallest level that holds it.
+    """All singular points of degree m <= max_ext over the surface's field
+    GF(q), each listed once, over GF(q^m), sorted by degree, then point.
 
-    An empty result certifies smoothness over GF(2^(k*max_ext)), not over
-    the algebraic closure.  Every level up to GF(2^16) is reached by the
-    same elimination: x1 is eliminated by `first_variable_conditions` (the
-    first two are kept) and x2 by a resultant, both once over the surface's
-    field; x3 is found by root finding in one variable, and every candidate
-    is lifted by `gcd_at_tail` and checked on all five forms.  When the
-    conditions share a curve of zeros, as for a surface singular along a
-    curve, their points are listed on the P^2 grid instead, up to
-    GF(4096).  An elimination that degenerates (no condition left, a
-    singular line through the projection centre, a grid past GF(4096)) is
-    retried in the next fixed coordinate frame over GF(2), and after the
-    last, level by level, in frames over the target field centred at points
-    off the surface.  A point found at level m is new unless its canonical
-    coordinates all lie in GF(2^(k*d)) for a proper divisor d of m.
-    CapabilityError is raised for a target field beyond GF(2^16) and when
-    the elimination degenerates in every frame.
+    An empty result certifies smoothness over GF(q^max_ext), not over the
+    algebraic closure.  In a coordinate frame, x1 is eliminated by
+    `first_variable_conditions` and x2 by the resultant S(x3) of the first
+    two conditions, all once over GF(q), and S is split into Galois orbits
+    once (`root_orbits`).  Each root orbit is lifted in its own field, to
+    (x2 : x3 : x4) on the two conditions and then to P^3 on the five
+    forms (`lift_tails`), every candidate checked on all of them.
+    When the conditions share a curve of zeros, as for a surface singular
+    along a curve, their points of each degree are listed on the P^2 grid
+    over that level instead, up to GF(4096).  An elimination that
+    degenerates (no condition left, a singular line through the
+    projection centre, a grid past GF(4096)) is retried in the next fixed
+    coordinate frame over GF(2), and after the last, level by level, in
+    frames over GF(q^m) centred at points off the surface, keeping the
+    points of degree m.  CapabilityError is raised for a target field
+    beyond GF(2^16) and when the elimination degenerates in every frame.
     """
     if max_ext < 1:
         raise UsageError("max_ext must be >= 1")
@@ -724,27 +759,23 @@ def singular_point_search(surface: QuarticSurface,
         raise CapabilityError(
             f"target field GF(2^{k * max_ext}) exceeds the 2^{MAX_DEGREE} "
             "limit")
-    results: List[SingularPoint] = []
-    frame, eliminants = 0, None
-    for m in range(1, max_ext + 1):
-        target = surface.spec if m == 1 else FieldSpec.default(k * m)
-        while frame < len(_FRAMES):
-            try:
-                if eliminants is None:
-                    eliminants = _frame_eliminants(surface, _FRAMES[frame])
-                pts = _singular_points_in_frame(eliminants, _FRAMES[frame],
-                                                target)
-                break
-            except CapabilityError:
-                frame, eliminants = frame + 1, None
-        else:
-            pts = _singular_points_centred(surface, target)
-        subfields = [2 ** (k * d) for d in range(1, m) if m % d == 0]
-        for pt in pts:
-            if not any(all(target.pow_int(c, q) == c for c in pt)
-                       for q in subfields):
-                results.append(SingularPoint(pt, m, target))
-    return results
+    for frame in _FRAMES:
+        try:
+            found = _points_in_frame(surface, frame, max_ext)
+            break
+        except CapabilityError:
+            continue
+    else:
+        # the largest field first: a grid refused there ends the search
+        # before the smaller levels are listed
+        found = set()
+        for m in range(max_ext, 0, -1):
+            target = _level_field(surface.spec, m)
+            found |= {(pt, m) for pt in _singular_points_centred(surface,
+                                                                 target)
+                      if _has_degree(pt, target, m)}
+    return [SingularPoint(pt, m, _level_field(surface.spec, m))
+            for pt, m in sorted(found, key=lambda pm: (pm[1], pm[0]))]
 
 
 # -- intersection graphs and configurations -----------------------------------

@@ -22,13 +22,11 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import CapabilityError, InconsistencyError, UsageError
 from .field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
-from .geometry import (Line, QuarticSurface, canonical_point,
-                       first_variable_conditions, gcd_at_tail, mat_inverse,
-                       normalize_line, vec_mat)
+from .geometry import (FormLevels, Line, QuarticSurface, canonical_point,
+                       first_variable_conditions, gcd_at_tail, lift_tails,
+                       mat_inverse, normalize_line, vec_mat)
 from .poly import (Poly, SparsePoly, binary_roots, divide_by_linear,
                    sylvester_resultant)
 
@@ -276,15 +274,12 @@ def _frame_points(parts: List[SparsePoly], dehom: List[Tuple[Poly, int]],
     in the elimination ideal of `parts` and k[y2, y3], each with its
     formal degree.  Every singular point other than the frame's centre
     (1:0:0) then has a direction (y2 : y3) that is a common root of the
-    conditions: a root of the gcd of their dehomogenizations, or (0 : 1)
-    when every condition drops degree.  The centre is checked directly.
-    `root_orbits` splits that gcd by degree.  A rational direction can
-    carry a conjugate pair or triple of points, so its y1-gcd
-    (`gcd_at_tail`) is split by `root_orbits` too; a direction of degree
-    d > 1 carries points of degree d only, found by root finding over
-    GF(q^d).  Every candidate is checked on all partials, so a common
-    root of the conditions that carries no singular point costs one check
-    and changes no answer."""
+    conditions: a root of the gcd of their dehomogenizations, grouped by
+    `root_orbits`, or (0 : 1) when every condition drops degree.  The
+    directions are lifted to points by `lift_tails`, which checks the
+    centre directly and every candidate on all partials, so a common root
+    of the conditions that carries no singular point costs one check and
+    changes no answer."""
     if not dehom:
         return None
     spec = dehom[0][0].spec
@@ -292,46 +287,17 @@ def _frame_points(parts: List[SparsePoly], dehom: List[Tuple[Poly, int]],
     for p, _ in dehom[1:]:
         g = g.gcd(p)
     levels, _ = root_orbits(g.coeffs, spec, top)
-    at_inf = all(p.degree() < deg for p, deg in dehom)
-
-    level_parts = {1: parts}
-
-    def on_level(d: int) -> List[SparsePoly]:
-        if d not in level_parts:
-            emb = spec.embedding_to(levels[d - 1][0])
-            level_parts[d] = [p.embed(emb) for p in parts]
-        return level_parts[d]
-
-    found = []                            # (y, degree)
-    if all(p.evaluate([1, 0, 0]) == 0 for p in parts):
-        found.append(((1, 0, 0), 1))
-    for d, (_, roots) in enumerate(levels, 1):
-        dirs = [(1, r) for r in roots]
-        if d == 1 and at_inf:
-            dirs.append((0, 1))
-        for y2, y3 in dirs:
-            g1 = gcd_at_tail(on_level(d), 0, (y2, y3))
-            if g1 is None:
-                raise InconsistencyError(
-                    "cubic singular along a whole line (non-reduced)")
-            if g1.degree() < 1:
-                continue
-            if d > 1:
-                lifts = {d: [r for r, _ in g1.roots()]}
-            else:
-                lifts = {e: rs for e, (_, rs) in enumerate(
-                    root_orbits(g1.coeffs, spec, top)[0], 1)}
-            for e, rs in lifts.items():
-                z2, z3 = y2, y3
-                if e > d:
-                    emb = spec.embedding_to(levels[e - 1][0])
-                    z2, z3 = emb.apply_int(y2), emb.apply_int(y3)
-                for r in rs:
-                    if all(p.evaluate([r, z2, z3]) == 0
-                           for p in on_level(e)):
-                        found.append(((r, z2, z3), e))
-    out = {(canonical_point(vec_mat(y, frame, levels[e - 1][0]),
-                            levels[e - 1][0]), e)
+    dirs = [((1, r), d) for d, (_, roots) in enumerate(levels, 1)
+            for r in roots]
+    if all(p.degree() < deg for p, deg in dehom):
+        dirs.append(((0, 1), 1))
+    forms = FormLevels(parts)
+    found = lift_tails(forms, dirs, top)
+    if found is None:
+        raise InconsistencyError(
+            "cubic singular along a whole line (non-reduced)")
+    out = {(canonical_point(vec_mat(y, frame, forms.field(e)),
+                            forms.field(e)), e)
            for y, e in found}
     return sorted(out, key=lambda pe: (pe[1], pe[0]))
 
@@ -654,10 +620,15 @@ def _lambda_discriminant(pencil: ResidualPencil
     return Poly.zero(spec), None
 
 
-def singular_fibers(pencil: ResidualPencil, max_ext: int = 6,
+# Positions of degree past this over the pencil's field are flagged, not
+# classified.
+_FIBER_MAX_EXT = 6
+
+
+def singular_fibers(pencil: ResidualPencil,
                     flags: Optional[List[str]] = None) -> List[FiberReport]:
-    """All singular fibers at positions of degree <= max_ext over the
-    pencil's field (and at most GF(2^16)).  Full Galois orbits are
+    """All singular fibers at positions of degree <= _FIBER_MAX_EXT over
+    the pencil's field (and at most GF(2^16)).  Full Galois orbits are
     reported: conjugate positions each get their own report, so component
     counts add up to the geometric valency of the line.  Each degree of a
     discriminant orbit past that cap is appended to `flags`, when given,
@@ -678,7 +649,7 @@ def singular_fibers(pencil: ResidualPencil, max_ext: int = 6,
             "lambda-discriminant degenerated in every frame")
 
     reports: List[FiberReport] = []
-    levels, beyond = root_orbits(disc.coeffs, spec, max_ext)
+    levels, beyond = root_orbits(disc.coeffs, spec, _FIBER_MAX_EXT)
     for m, (target, roots) in enumerate(levels, 1):
         if not roots:
             continue
@@ -730,12 +701,6 @@ def fiber_line_count(fibers: Sequence[FiberReport]) -> int:
     """Total number of line components over all singular fibers; equals
     the geometric valency of the pencil's line."""
     return sum(f.component_count() for f in fibers)
-
-
-def geometric_valency(surface: QuarticSurface, line: Line,
-                      max_ext: int = 6) -> int:
-    pencil = ResidualPencil(surface, line)
-    return fiber_line_count(singular_fibers(pencil, max_ext))
 
 
 # -- ramification of the restriction to the line ------------------------------
@@ -800,24 +765,6 @@ def _form_root_multiplicity(form: Sequence[int], root: Tuple[int, int],
     return len(form) - 1 - f.degree()
 
 
-def _minimal_position(lam: int, ext: int, base: FieldSpec) -> PencilPosition:
-    """A finite position over the smallest subfield that contains it."""
-    if ext == 1:
-        return PencilPosition("finite", lam, 1)
-    k = base.degree
-    target = FieldSpec.default(k * ext)
-    for dd in range(1, ext):
-        if ext % dd:
-            continue
-        if target.pow_int(lam, 2 ** (k * dd)) == lam:
-            src = base if dd == 1 else FieldSpec.default(k * dd)
-            table = src.embedding_to(target).apply_arr(
-                np.arange(src.size, dtype=np.uint32))
-            hits = np.nonzero(table == lam)[0]
-            return PencilPosition("finite", int(hits[0]), dd)
-    return PencilPosition("finite", lam, ext)
-
-
 def ramification_type(pencil: ResidualPencil) -> RamificationData:
     """Ramification of the degree-3 map p -> [A(p) : B(p)] from the line
     to the lambda-line.
@@ -865,8 +812,10 @@ def ramification_type(pencil: ResidualPencil) -> RamificationData:
         if e not in (2, 3):
             raise InconsistencyError(
                 f"ramification index {e} outside {{2, 3}}")
-        image = _minimal_position(target.div_int(a0, b0), d, spec) \
-            if b0 else POS_INF
+        # a ramification point of degree d maps to a position of degree
+        # d: two over one position would need indices summing past 3
+        image = (PencilPosition("finite", target.div_int(a0, b0), d)
+                 if b0 else POS_INF)
         points.append(RamificationPoint((u0, v0), d, image, e))
     if len(points) not in (1, 2):
         raise InconsistencyError(

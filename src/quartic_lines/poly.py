@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .field import (FieldEmbedding, FieldError, FieldSpec, _divide_out,
                     _tables, find_roots_int, poly_add, poly_divmod, poly_gcd,
-                    poly_monic, poly_mul)
+                    poly_mul)
 
 Terms = Dict[Tuple[int, ...], int]
 
@@ -141,9 +141,6 @@ class Poly:
 
     def gcd(self, other: "Poly") -> "Poly":
         return Poly(self.spec, poly_gcd(self.coeffs, other.coeffs, self.spec))
-
-    def monic(self) -> "Poly":
-        return Poly(self.spec, poly_monic(self.coeffs, self.spec))
 
     def derivative(self) -> "Poly":
         # characteristic 2: even-exponent terms die, odd survive shifted down

@@ -216,8 +216,7 @@ class LineDossier:
                 "flags": self.flags}
 
 
-def build_dossier(surface: QuarticSurface, line: Line,
-                  max_ext: int = 6, audit: bool = True) -> LineDossier:
+def build_dossier(surface: QuarticSurface, line: Line) -> LineDossier:
     pencil = ResidualPencil(surface, line)
     r = segre_resultant(pencil)
     kind = "second" if r.is_zero() else "first"
@@ -230,23 +229,22 @@ def build_dossier(surface: QuarticSurface, line: Line,
                      "no ramification data")
     except CapabilityError as exc:
         flags.append(str(exc))
-    fibers = singular_fibers(pencil, max_ext, flags)
+    fibers = singular_fibers(pencil, flags)
     valency = fiber_line_count(fibers)
     dossier = LineDossier(line, kind, r, valency, pencil, fibers,
                           ram, [], flags)
-    if audit and kind == "first":
+    if kind == "first":
         dossier.audits = divisibility_audit(dossier)
     return dossier
 
 
-def divisibility_audit(dossier: LineDossier,
-                       strict: bool = False) -> List[DivisibilityRecord]:
+def divisibility_audit(dossier: LineDossier) -> List[DivisibilityRecord]:
     """Per-fiber lower bounds on the multiplicity of R.
 
     For a first-kind line, a fiber of type I3 or IV forces multiplicity 3
     at its position, and a fiber of type I2 or III carrying the double
-    ramification point forces multiplicity 2.  With strict=True a failed
-    bound raises (falsification signal); otherwise it is reported.
+    ramification point forces multiplicity 2.  A failed bound is
+    reported, not raised.
     """
     if dossier.kind != "first":
         return []
@@ -261,13 +259,8 @@ def divisibility_audit(dossier: LineDossier,
             continue
         actual = resultant_multiplicity(dossier.pencil, dossier.R,
                                         fib.position)
-        ok = actual >= required
-        if strict and not ok:
-            raise InconsistencyError(
-                f"R-multiplicity {actual} at a {fib.kodaira} fiber is "
-                f"below the required {required}")
         out.append(DivisibilityRecord(fib.position, fib.kodaira, ram_here,
-                                      required, actual, ok))
+                                      required, actual, actual >= required))
     return out
 
 

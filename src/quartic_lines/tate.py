@@ -78,7 +78,7 @@ class WeierstrassModel:
     @classmethod
     def from_json(cls, data: dict) -> "WeierstrassModel":
         spec = FieldSpec.default(int(data["field-degree"]))
-        a = tuple(Poly(spec, [int(c, 16) for c in data[n]])
+        a = tuple(Poly(spec, [spec.element(int(c, 16)) for c in data[n]])
                   for n in ("a1", "a2", "a3", "a4", "a6"))
         return cls(spec, a, int(data.get("chi", 2)))
 
@@ -152,7 +152,7 @@ def _localize(model: WeierstrassModel, place: Place
         target = FieldSpec.default(spec.degree * ext)
         coeffs = [p.embed(spec.embedding_to(target)) for p in coeffs]
         spec = target
-    if bits:
+    if spec.element(bits):
         shift = Poly(spec, [bits, 1])
         coeffs = [p.compose(shift) for p in coeffs]
     return spec, coeffs

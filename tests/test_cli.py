@@ -143,3 +143,36 @@ def test_limit_is_not_an_input_error(capsys):
     code, out, err = run(capsys, "lines", "--surface", "z0", "--ext", "9")
     assert code == 3 and out == ""
     assert err.startswith("error: limit:") and "2^16" in err
+
+
+def _gf2_model_file(tmp_path, a6=("0x0", "0x0", "0x0", "0x0", "0x1")):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"field-degree": 1, "a1": ["0x1"], "a2": [],
+                                "a3": [], "a4": [], "a6": list(a6)}))
+    return str(path)
+
+
+def test_tate_place_outside_the_field_is_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, "tate", "--model",
+                         _gf2_model_file(tmp_path), "--place", "0x5")
+    assert code == 2 and out == ""
+    assert "not an element of GF(2^1)" in err
+
+
+def test_model_coefficient_outside_the_field_is_input_error(tmp_path,
+                                                            capsys):
+    path = _gf2_model_file(tmp_path, a6=("0x7",))
+    code, out, err = run(capsys, "tate", "--model", path, "--place", "0")
+    assert code == 2 and out == ""
+    assert "0x7 is not an element" in err
+
+
+def test_surface_coefficient_outside_the_field_is_input_error(tmp_path,
+                                                              capsys):
+    data = get_surface("z0").to_json()
+    data["terms"][0]["coeff"] = "0x1f"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "lines", "--surface", str(path))
+    assert code == 2 and out == ""
+    assert "0x1f is not an element of GF(2^2)" in err

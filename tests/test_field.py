@@ -69,6 +69,28 @@ def test_embedding_tower_compatibility():
         assert direct.apply_int(x) == top.apply_int(via.apply_int(x))
 
 
+def test_embeddings_through_a_level_agree():
+    # GF(q) -> GF(q^d) -> GF(q^(d e)) equals GF(q) -> GF(q^(d e)) for every
+    # modulus of GF(q) and every d, e >= 2 up to GF(2^16), the levels
+    # being default fields: `geometry.lift_tails` relies on it
+    checked = 0
+    for k in range(1, MAX_DEGREE // 4 + 1):
+        for modulus in range(1 << k, 1 << (k + 1)):
+            try:
+                base = FieldSpec(k, modulus)
+            except FieldError:
+                continue
+            for d in range(2, MAX_DEGREE // (2 * k) + 1):
+                for e in range(2, MAX_DEGREE // (k * d) + 1):
+                    mid = FieldSpec.default(k * d)
+                    top = FieldSpec.default(k * d * e)
+                    via = mid.embedding_to(top).apply_int(
+                        base.embedding_to(mid).gen_image)
+                    assert via == base.embedding_to(top).gen_image
+                    checked += 1
+    assert checked == 48
+
+
 def test_degree_cap():
     with pytest.raises(Exception):
         FieldSpec.default(MAX_DEGREE + 1)

@@ -10,14 +10,13 @@ from quartic_lines.errors import CapabilityError, UsageError
 from quartic_lines.field import FieldSpec
 from quartic_lines.geometry import (_FRAMES, SCHUBERT_CELLS,
                                     IntersectionGraph, Line, QuarticSurface,
-                                    _candidate_tails, _cell_free_positions,
-                                    _chart, _eval_on_grid,
-                                    _frame_eliminants,
-                                    _singular_points_elimination,
-                                    _singular_points_in_frame,
-                                    _x1_resultants, _x3_eliminant,
-                                    axis_line, count_candidate_lines,
+                                    _cell_free_positions, _chart,
+                                    canonical_point,
+                                    _eval_on_grid, _points_in_frame,
+                                    _x3_eliminant, axis_line,
+                                    count_candidate_lines,
                                     detect_configurations, enumerate_lines,
+                                    first_variable_conditions,
                                     lines_meet, mat_rank, normalize_line,
                                     orbit, rref, singular_point_search,
                                     square_fibration_partition,
@@ -119,43 +118,48 @@ def _singular_points_direct(forms, spec):
     return found
 
 
+def _refuse_grid(*args):
+    raise AssertionError("P^2 grid listing")
+
+
 @pytest.mark.parametrize("k,count", [(4, 3), (6, 2)])
-def test_elimination_matches_direct_scan(k, count):
+def test_elimination_matches_direct_scan(k, count, monkeypatch):
+    # the rational points of the identity frame, through S and without
+    # the P^2 grid
+    monkeypatch.setattr(geometry, "_grid_tails", _refuse_grid)
     spec = FieldSpec.default(k)
     rng = random.Random(f"singular:{k}")
     for _ in range(count):
         surf = _singular_quartic(spec, rng)
-        forms = [surf.f] + surf.partials()
-        rs = _x1_resultants(forms)
-        s = _x3_eliminant(rs)
-        assert s is not None and _candidate_tails(rs, s) is not None
-        direct = sorted(set(_singular_points_direct(forms, spec)))
+        direct = sorted(set(_singular_points_direct(
+            [surf.f] + surf.partials(), spec)))
         assert len(direct) >= 1
-        assert _singular_points_elimination(forms, rs, s, spec) == direct
+        assert sorted(_points_in_frame(surf, _FRAMES[0], 1)) == \
+            [(pt, 1) for pt in direct]
 
 
-def _gf4_quartic_singular_at(seed):
-    """A dense GF(4) quartic singular at a random point P of P^3(GF(256)):
-    f(P) = 0 and grad f(P) = 0 are GF(256)-linear in the coefficients,
-    split into GF(4)-linear equations along the basis 1, t, t^2, t^3."""
-    gf4, big = FieldSpec.default(2), FieldSpec.default(8)
+def _gf4_quartic_singular_at(rng, big, pt):
+    """A dense GF(4) quartic singular at the point pt of P^3(big), big =
+    GF(4^m): f(pt) = 0 and grad f(pt) = 0 are big-linear in the
+    coefficients, split into GF(4)-linear equations along the basis
+    1, t, ..., t^(m-1)."""
+    gf4 = FieldSpec.default(2)
     emb = gf4.embedding_to(big)
-    rng = random.Random(seed)
+    m = big.degree // 2
     coords = {}
-    for a in itertools.product(range(4), repeat=4):
+    for a in itertools.product(range(4), repeat=m):
         v = 0
         for j, aj in enumerate(a):
             v ^= big.mul_int(emb.apply_int(aj), big.pow_int(2, j))
         coords[v] = a
-    pt = [rng.randrange(big.size) for _ in range(4)]
-    rows = [[] for _ in range(20)]
+    rows = [[] for _ in range(5 * m)]
     for e in QUARTIC_MONOMIALS:
         mono = SparsePoly(4, big, {e: 1})
         vals = [mono.evaluate(pt)] + [mono.derivative(i).evaluate(pt)
                                       for i in range(4)]
         for r, v in enumerate(vals):
             for j, a in enumerate(coords[v]):
-                rows[4 * r + j].append(a)
+                rows[m * r + j].append(a)
     red, pivots = rref(rows, gf4)
     c = [0] * len(QUARTIC_MONOMIALS)
     free = [i for i in range(len(c)) if i not in pivots]
@@ -168,13 +172,46 @@ def _gf4_quartic_singular_at(seed):
 
 
 def test_singular_orbit_first_seen_over_gf256():
-    surf = _gf4_quartic_singular_at(0)
+    big = FieldSpec.default(8)
+    rng = random.Random(0)
+    surf = _gf4_quartic_singular_at(
+        rng, big, [rng.randrange(big.size) for _ in range(4)])
     assert len(surf.f.terms) == 23
     pts = singular_point_search(surf, max_ext=4)
     # the Frobenius orbit of P over GF(4), as the grid scan listed it
     assert [(p.point, p.ext) for p in pts] == [
         ((1, 92, 139, 168), 4), ((1, 92, 219, 21), 4),
         ((1, 93, 127, 249), 4), ((1, 93, 146, 68), 4)]
+
+
+@pytest.mark.parametrize("x2_degree", [3, 6])
+def test_degree_6_orbit_through_a_degree_3_direction(x2_degree,
+                                                     monkeypatch):
+    # a GF(4) quartic singular at P = (x1 : x2 : x3 : 1) of degree 6 with
+    # x3 of degree 3: the identity frame reaches P from a direction of
+    # degree 3 lifted by e = 2, to P^2 when x2 has degree 6, else to P^3
+    monkeypatch.setattr(geometry, "_grid_tails", _refuse_grid)
+    gf4, big = FieldSpec.default(2), FieldSpec.default(12)
+    rng = random.Random(f"orbit-3x2-1:{x2_degree}")
+
+    def of_degree(n):
+        while True:
+            x = rng.randrange(big.size)
+            if all(big.pow_int(x, 4 ** d) != x for d in range(1, n)
+                   if 6 % d == 0) and big.pow_int(x, 4 ** n) == x:
+                return x
+
+    pt = [of_degree(6), of_degree(x2_degree), of_degree(3), 1]
+    surf = _gf4_quartic_singular_at(rng, big, pt)
+    conjugates = {canonical_point([big.pow_int(c, 4 ** j) for c in pt],
+                                  big) for j in range(6)}
+    forms = [g.embed(gf4.embedding_to(big))
+             for g in [surf.f] + surf.partials()]
+    assert all(g.evaluate(list(q)) == 0 for g in forms for q in conjugates)
+    assert conjugates <= {q for q, n in _points_in_frame(surf, _FRAMES[0], 6)
+                          if n == 6}
+    assert conjugates <= {p.point for p in singular_point_search(surf, 6)
+                          if p.ext == 6 and p.spec == big}
 
 
 def _conic_surface():
@@ -187,11 +224,17 @@ def _conic_surface():
     return QuarticSurface(f), a, b
 
 
-def test_singular_along_a_conic_falls_back_to_the_grid(gf2):
+def test_singular_along_a_conic_falls_back_to_the_grid(gf2, monkeypatch):
     surf, a, b = _conic_surface()
-    rs = _x1_resultants([surf.f] + surf.partials())
-    assert _x3_eliminant(rs) is None
+    conds = itertools.islice(
+        first_variable_conditions([surf.f] + surf.partials()), 2)
+    assert _x3_eliminant([r.drop_vars([1, 2, 3]) for r in conds]) is None
+    grid = []
+    listed = geometry._grid_tails
+    monkeypatch.setattr(geometry, "_grid_tails",
+                        lambda *args: grid.append(args) or listed(*args))
     pts = singular_point_search(surf, max_ext=7)
+    assert grid
     on_conic = [p for p in pts
                 if not any(g.embed(gf2.embedding_to(p.spec)).evaluate(p.point)
                            for g in (a, b))]
@@ -224,8 +267,7 @@ def test_degenerate_elimination_retries_in_another_frame(gf2):
                           + x[1] * x[2] * x[0] * x[3]
                           + x[2] ** 2 * (x[3] ** 2 + x[0] * x[2]))
     with pytest.raises(CapabilityError, match="whole line"):
-        _singular_points_in_frame(_frame_eliminants(surf, _FRAMES[0]),
-                                  _FRAMES[0], gf2)
+        _points_in_frame(surf, _FRAMES[0], 1)
     pts = singular_point_search(surf, max_ext=6)
     assert len({(p.point, p.ext) for p in pts}) == len(pts)
     for m in range(1, 7):
@@ -247,10 +289,7 @@ def test_degenerate_elimination_retries_in_another_frame(gf2):
 def test_conditions_free_of_x1_need_no_grid(gf2, monkeypatch):
     # the identity frame keeps d/dx2 and d/dx3 as its conditions, whose
     # common zeros are finite: no level falls back to the P^2 grid
-    def refuse(*args):
-        raise AssertionError("P^2 grid listing")
-
-    monkeypatch.setattr(geometry, "_grid_tails", refuse)
+    monkeypatch.setattr(geometry, "_grid_tails", _refuse_grid)
     pts = singular_point_search(_fermat_like_surface(gf2), max_ext=12)
     assert [(p.point, p.ext) for p in pts] == _FERMAT_LIKE_POINTS
 
@@ -263,8 +302,7 @@ def test_elimination_centred_off_the_surface(gf2):
     surf = QuarticSurface(planes[0] * planes[1] * planes[2] * planes[3])
     for frame in _FRAMES:
         with pytest.raises(CapabilityError, match="whole line"):
-            _singular_points_in_frame(_frame_eliminants(surf, frame), frame,
-                                      gf2)
+            _points_in_frame(surf, frame, 1)
     # the answer the P^3 evaluation scan gave at max_ext=6: the points of
     # the six lines, 6 * 2^m - 2 over GF(2^m)
     pts = singular_point_search(surf, max_ext=6)
@@ -289,8 +327,7 @@ def test_elimination_over_gf4_when_every_gf2_point_is_on_the_surface(gf2):
                for c in itertools.product((0, 1), repeat=4))
     for frame in _FRAMES:
         with pytest.raises(CapabilityError):
-            _singular_points_in_frame(_frame_eliminants(surf, frame), frame,
-                                      gf2)
+            _points_in_frame(surf, frame, 1)
     # the answer the P^3 evaluation scan gave at max_ext=6
     pts = singular_point_search(surf, max_ext=6)
     assert sorted(Counter(p.ext for p in pts).items()) == [

@@ -1,8 +1,10 @@
 """Every name a module under src/ or tests/ imports is used in it, every
 module-level private function in src/ is referenced somewhere in src/
 outside its own definition (a helper only tests call belongs in tests/),
-and every module-level assigned name in src/ is referenced somewhere in
-src/ or tests/ outside its own definition."""
+every module-level assigned name in src/ is referenced somewhere in src/
+or tests/ outside its own definition, and every public module-level
+function, class and method in src/ is referenced somewhere in src/,
+tests/, perfbench/ or scripts/ outside its own definition."""
 
 import ast
 from collections import Counter
@@ -38,6 +40,8 @@ def test_no_unused_imports(path):
 
 
 SRC = sorted((ROOT / "src").rglob("*.py"))
+USERS = SOURCES + sorted((ROOT / "perfbench").rglob("*.py")) + sorted(
+    (ROOT / "scripts").rglob("*.py"))
 
 
 def _references(tree: ast.AST) -> Counter:
@@ -57,17 +61,18 @@ def _references(tree: ast.AST) -> Counter:
 
 
 def _unreferenced(is_candidate, within) -> list:
-    """Module-level definitions in src/ that is_candidate(node) selects and
-    that nothing in the files `within` refers to outside the definition."""
-    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    """Definitions in src/ that is_candidate(module-level node) selects, as
+    (name, defining node), and that nothing in the files `within` refers to
+    outside the defining node."""
+    trees = {path: ast.parse(path.read_text()) for path in USERS}
     total = Counter()
     for path in within:
         total += _references(trees[path])
     unused = []
     for path in SRC:
         for node in trees[path].body:
-            for name in is_candidate(node):
-                if total[name] == _references(node)[name]:
+            for name, where in is_candidate(node):
+                if total[name] == _references(where)[name]:
                     unused.append(f"{path.relative_to(ROOT)}:{name}")
     return unused
 
@@ -77,7 +82,7 @@ def test_no_unreferenced_private_functions():
         name = getattr(node, "name", "")
         if (isinstance(node, ast.FunctionDef) and name.startswith("_")
                 and not name.startswith("__")):
-            yield name
+            yield name, node
     assert _unreferenced(private_function, SRC) == []
 
 
@@ -89,5 +94,20 @@ def test_no_unreferenced_module_level_names():
             for target in targets:
                 for sub in ast.walk(target):
                     if isinstance(sub, ast.Name):
-                        yield sub.id
+                        yield sub.id, node
     assert _unreferenced(assigned_names, SOURCES) == []
+
+
+def test_no_unreferenced_public_definitions():
+    def public(name):
+        return not name.startswith("_")
+
+    def public_definitions(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                public(node.name):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and public(sub.name):
+                    yield sub.name, sub
+    assert _unreferenced(public_definitions, USERS) == []

@@ -17,10 +17,9 @@ from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, _FRAMES, POS_INF,
                                   _cubic_singular_points, _eval_form,
                                   _form_derivs, _frame_points,
                                   _lambda_discriminant, _local_quadratic,
-                                  _minimal_position,
                                   classify_fiber,
                                   euler_budget_audit, fiber_line_count,
-                                  geometric_valency, ramification_type,
+                                  ramification_type,
                                   residual_cubic, second_kind_fiber_audit,
                                   singular_fibers)
 from quartic_lines.poly import (Poly, SparsePoly, binary_roots,
@@ -194,7 +193,8 @@ def test_s5_seed_line_pencil(s5_surface):
 
 def test_geometric_valency_matches_graph(s5_surface, s5_lines, s5_graph):
     for idx in (0, 7, 31):
-        v = geometric_valency(s5_surface, s5_lines[idx])
+        pencil = ResidualPencil(s5_surface, s5_lines[idx])
+        v = fiber_line_count(singular_fibers(pencil))
         assert v == s5_graph.valency(idx)
 
 
@@ -655,6 +655,20 @@ def _root_multiplicity_by_expansion(form, root, spec):
     binary = SparsePoly(2, spec, {(d - i, i): c for i, c in enumerate(form)})
     out = restrict_form(binary, root, w)
     return next((j for j, c in enumerate(out) if c), d + 1)
+
+
+def _minimal_position(lam, ext, base):
+    """A finite position over the smallest subfield holding it, found by
+    mapping every element of each subfield into GF(q^ext)."""
+    target = base if ext == 1 else FieldSpec.default(base.degree * ext)
+    for dd in (dd for dd in range(1, ext) if ext % dd == 0):
+        src = base if dd == 1 else FieldSpec.default(base.degree * dd)
+        emb = src.embedding_to(target)
+        hit = next((x for x in range(src.size) if emb.apply_int(x) == lam),
+                   None)
+        if hit is not None:
+            return PencilPosition("finite", hit, dd)
+    return PencilPosition("finite", lam, ext)
 
 
 def _level_scan_ramification(pencil):
