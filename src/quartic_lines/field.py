@@ -59,6 +59,15 @@ class FieldError(ValueError):
     """Usage error in field arithmetic (mismatched fields, bad modulus...)."""
 
 
+def json_natural(value, what: str) -> int:
+    """A non-negative integer read from JSON; anything else (a fraction,
+    a negative number, a bool, a string) is refused as bad input."""
+    if type(value) is not int or value < 0:
+        raise UsageError(f"{what} must be a non-negative integer, "
+                         f"got {value!r}")
+    return value
+
+
 def _gf2_poly_degree(p: int) -> int:
     return p.bit_length() - 1
 
@@ -143,7 +152,8 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "FieldSpec":
-        return cls(int(data["degree"]), int(data["modulus"], 16))
+        return cls(json_natural(data["degree"], "field degree"),
+                   int(data["modulus"], 16))
 
     def element(self, bits: int) -> int:
         """bits, refused as bad input unless it is an element bitmask."""

@@ -11,16 +11,19 @@ surface are points of it, so each of the six Schubert cells of pivot
 patterns pairs the surface's points on two row charts (about q^2
 numpy-vectorized evaluations), keeps the pairs that meet the tangent
 condition, and confirms them exactly.  Singular points come from
-resultant elimination once per coordinate frame: the eliminant S(x3) is
-split into Galois orbits once, and each orbit is lifted in its own field,
-so each point is found once, over the field of its degree.
+resultant elimination in one coordinate frame for every level: the
+eliminant S(x3) is split into Galois orbits once, and each orbit is
+lifted in its own field, so each point is found once, over the field of
+its degree.  The frames are those of `centred_frames`, one GF(2) frame
+centred at each GF(2)-point, tried in turn while the elimination
+degenerates.
 
 The elimination kernel is shared with `pencil`, which finds the singular
-points of fiber cubics the same way: `first_variable_conditions` (the
-forms free of x1, then the resultants in x1), `lift_tails` (the common
-zeros over their projections: at each, the gcd in x1 by `gcd_at_tail`,
-split by `root_orbits`, over the fields `FormLevels` keeps) and
-`SparsePoly.linear_change` (the frame moves).
+points of fiber cubics the same way: `centred_frames` (the frames),
+`first_variable_conditions` (the forms free of x1, then the resultants
+in x1), `lift_tails` (the common zeros over their projections: at each,
+the gcd in x1 by `gcd_at_tail`, split by `root_orbits`, over the fields
+`FormLevels` keeps) and `SparsePoly.linear_change` (the frame moves).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapabilityError, InconsistencyError, UsageError
-from .field import MAX_DEGREE, FieldSpec, root_orbits
+from .field import MAX_DEGREE, FieldSpec, json_natural, root_orbits
 from .poly import Poly, SparsePoly, squarefree_test, sylvester_resultant
 
 Row = Tuple[int, int, int, int]
@@ -321,7 +324,7 @@ class QuarticSurface:
         spec = FieldSpec.from_json(data["field"])
         terms = {}
         for t in data["terms"]:
-            exps = tuple(int(e) for e in t["exps"])
+            exps = tuple(json_natural(e, "exponent") for e in t["exps"])
             if len(exps) != 4:
                 raise UsageError("term exponent vector must have length 4")
             terms[exps] = terms.get(exps, 0) ^ spec.element(
@@ -509,6 +512,22 @@ def gcd_at_tail(forms: Sequence[SparsePoly], var: int,
     return None if g.is_zero() else g
 
 
+def centred_frames(first: Sequence[int]) -> Iterator[Tuple[tuple, ...]]:
+    """The GF(2) coordinate frames M of P^(n-1), n = len(first), one
+    centred at each GF(2)-point c, the one at `first` first.  Row 0 of M
+    is c, the image of the projection centre (1 : 0 : ... : 0) under
+    x = y.M, and the other rows are the unit vectors but the one at c's
+    leading coordinate, so M is invertible."""
+    unit = [tuple(int(i == j) for j in range(len(first)))
+            for i in range(len(first))]
+    first = tuple(first)
+    rest = (c for c in itertools.product((0, 1), repeat=len(first))
+            if any(c) and c != first)
+    for c in itertools.chain([first], rest):
+        lead = c.index(1)
+        yield (c,) + tuple(unit[:lead] + unit[lead + 1:])
+
+
 # -- lifting common zeros from a projection -----------------------------------
 
 
@@ -583,14 +602,9 @@ def lift_tails(forms: FormLevels, tails: Iterable[Tuple[tuple, int]],
 # Infinitely many common zeros of the x1-conditions are listed on the P^2
 # grid, 3 q^2 points at each level.
 _GRID_MAX_Q = 4096
-# Invertible changes of coordinates x -> x.M over GF(2), tried in turn
-# while the elimination degenerates; the first is the identity.
-_FRAMES = (
-    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
-    ((1, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)),
-    ((1, 0, 1, 1), (1, 1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1)),
-    ((0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 0), (0, 0, 1, 1)),
-)
+# The centre of the first frame the quartic's elimination tries: the
+# identity frame.
+_CENTRE = (1, 0, 0, 0)
 
 
 def _x2_coefficients(r: SparsePoly) -> List[Poly]:
@@ -701,35 +715,6 @@ class SingularPoint:
                 "field": self.spec.to_json()}
 
 
-def _singular_points_centred(surface: QuarticSurface,
-                             target: FieldSpec) -> List[Row]:
-    """The singular points over `target` by elimination in frames over
-    `target` centred at points off the surface, tried in turn: such a
-    centre is not singular, so no line of singular points passes through
-    it.  Over GF(2), where every point may lie on the surface, they are
-    the GF(2)-points among those over GF(4)."""
-    if target.size == 2:
-        return [pt for pt in _singular_points_centred(surface,
-                                                      FieldSpec.default(2))
-                if max(pt) == 1]
-    surf = surface.base_change(target)
-    unit = _FRAMES[0]
-    exc = None
-    # a nonzero quartic form is nonzero somewhere on {0..4}^4, and over
-    # GF(4) somewhere on GF(4)^4
-    for c in itertools.product(range(min(target.size, 5)), repeat=4):
-        lead = next((i for i in range(4) if c[i]), None)
-        if lead is None or c[lead] != 1 or surf.f.evaluate(list(c)) == 0:
-            continue
-        frame = (c,) + unit[:lead] + unit[lead + 1:]
-        try:
-            return [pt for pt, _ in _points_in_frame(surf, frame, 1)]
-        except CapabilityError as err:
-            exc = err
-    raise CapabilityError("singular-point elimination degenerates in every "
-                          f"coordinate frame; last: {exc}") from exc
-
-
 def singular_point_search(surface: QuarticSurface,
                           max_ext: int = 6) -> List[SingularPoint]:
     """All singular points of degree m <= max_ext over the surface's field
@@ -744,13 +729,14 @@ def singular_point_search(surface: QuarticSurface,
     forms (`lift_tails`), every candidate checked on all of them.
     When the conditions share a curve of zeros, as for a surface singular
     along a curve, their points of each degree are listed on the P^2 grid
-    over that level instead, up to GF(4096).  An elimination that
-    degenerates (no condition left, a singular line through the
-    projection centre, a grid past GF(4096)) is retried in the next fixed
-    coordinate frame over GF(2), and after the last, level by level, in
-    frames over GF(q^m) centred at points off the surface, keeping the
-    points of degree m.  CapabilityError is raised for a target field
-    beyond GF(2^16) and when the elimination degenerates in every frame.
+    over that level instead, up to GF(4096).  The frames are the GF(2)
+    frames of `centred_frames`, the identity first, less those centred at
+    singular points; through the others passes no line of singular
+    points, and no quartic is singular at all fifteen GF(2)-points.  An
+    elimination that degenerates (no condition left, a grid past
+    GF(4096)) is retried in the next frame.  CapabilityError is raised
+    for a target field beyond GF(2^16) and when the elimination
+    degenerates in every frame.
     """
     if max_ext < 1:
         raise UsageError("max_ext must be >= 1")
@@ -759,21 +745,20 @@ def singular_point_search(surface: QuarticSurface,
         raise CapabilityError(
             f"target field GF(2^{k * max_ext}) exceeds the 2^{MAX_DEGREE} "
             "limit")
-    for frame in _FRAMES:
+    forms = [surface.f] + surface.partials()
+    exc = None
+    for frame in centred_frames(_CENTRE):
+        if not any(g.evaluate(frame[0]) for g in forms):
+            continue
         try:
             found = _points_in_frame(surface, frame, max_ext)
             break
-        except CapabilityError:
-            continue
+        except CapabilityError as err:
+            exc = err
     else:
-        # the largest field first: a grid refused there ends the search
-        # before the smaller levels are listed
-        found = set()
-        for m in range(max_ext, 0, -1):
-            target = _level_field(surface.spec, m)
-            found |= {(pt, m) for pt in _singular_points_centred(surface,
-                                                                 target)
-                      if _has_degree(pt, target, m)}
+        raise CapabilityError("singular-point elimination degenerates in "
+                              f"every coordinate frame; last: {exc}"
+                              ) from exc
     return [SingularPoint(pt, m, _level_field(surface.spec, m))
             for pt, m in sorted(found, key=lambda pm: (pm[1], pm[0]))]
 

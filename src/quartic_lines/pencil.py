@@ -25,8 +25,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .errors import CapabilityError, InconsistencyError, UsageError
 from .field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
 from .geometry import (FormLevels, Line, QuarticSurface, canonical_point,
-                       first_variable_conditions, gcd_at_tail, lift_tails,
-                       mat_inverse, normalize_line, vec_mat)
+                       centred_frames, first_variable_conditions,
+                       gcd_at_tail, lift_tails, mat_inverse, normalize_line,
+                       vec_mat)
 from .poly import (Poly, SparsePoly, binary_roots, divide_by_linear,
                    sylvester_resultant)
 
@@ -186,15 +187,9 @@ class FiberReport:
         }
 
 
-# Changes of coordinates x = y.m over the prime field, tried in turn while
-# the elimination degenerates; each frame's centre, the image of (1:0:0),
-# is its row 0, and the four centres are pairwise distinct
-_FRAMES = (
-    ((1, 1, 1), (0, 1, 0), (0, 0, 1)),
-    ((1, 0, 0), (1, 1, 0), (1, 0, 1)),
-    ((0, 1, 0), (0, 0, 1), (1, 1, 1)),
-    ((0, 0, 1), (1, 0, 0), (1, 1, 1)),
-)
+# The centre of the first frame the eliminations on fiber cubics try
+# (`centred_frames`)
+_CENTRE = (1, 1, 1)
 
 
 def _frame_conditions(p: SparsePoly, frame):
@@ -240,16 +235,17 @@ def _cubic_singular_points(cubic: SparsePoly, top: int
     automatically at such points: odd degree plus the Euler relation in
     characteristic 2.)
 
-    The cubic's own `_FRAMES` are tried in turn: in each, y1 is
-    eliminated from the moved partials by the shared kernel
-    `first_variable_conditions`, and `_frame_points` finds the points from
-    the <= 3 binary conditions left, unless none is left.  (A finite fiber
-    of a pencil first tries the lambda-discriminant's frame specialised at
-    its position, through the same step; see `classify_fiber`.)"""
+    The GF(2) frames of `centred_frames`, centred at (1:1:1) first, are
+    tried in turn: in each, y1 is eliminated from the moved partials by
+    the shared kernel `first_variable_conditions`, and `_frame_points`
+    finds the points from the <= 3 binary conditions left, unless none is
+    left.  (A finite fiber of a pencil first tries the
+    lambda-discriminant's frame specialised at its position, through the
+    same step; see `classify_fiber`.)"""
     spec = cubic.spec
     if all(cubic.derivative(i).is_zero() for i in range(3)):
         raise InconsistencyError("cubic with identically vanishing partials")
-    for fr in _FRAMES:
+    for fr in centred_frames(_CENTRE):
         parts, conds = _frame_conditions(cubic, fr)
         dehom = _dehomogenized(spec, (
             [0 if entry.is_zero() else entry.evaluate([0, 0, 0])
@@ -583,11 +579,12 @@ def _lambda_discriminant(pencil: ResidualPencil
     classifier), and the frame it was found in; zero and None when every
     frame degenerates.
 
-    Strategy: in the first usable coordinate frame, eliminate y1 from the
-    three partials of the fiber cubic by formal resultants, then eliminate
-    (y2 : y3) by a binary-form resultant, leaving a condition in lambda
-    (the second resultant's entries are univariate in lambda, so it runs
-    over GF(2^k)[lambda]).
+    Strategy: in the first usable GF(2) frame of `centred_frames`, the
+    one centred at (1:1:1) first, eliminate y1 from the three partials of
+    the fiber cubic by formal resultants, then eliminate (y2 : y3) by a
+    binary-form resultant, leaving a condition in lambda (the second
+    resultant's entries are univariate in lambda, so it runs over
+    GF(2^k)[lambda]).
     The frame can only miss a singular fiber whose every singular point
     sits at its centre P, the image of e1.  The fibers singular at P are
     the roots of the gcd over i of dg/dx_i(P, lambda), so the frame
@@ -596,7 +593,7 @@ def _lambda_discriminant(pencil: ResidualPencil
     singular) is skipped."""
     spec = pencil.spec
     partials = [pencil.g.derivative(i) for i in range(3)]
-    for frame in _FRAMES:
+    for frame in centred_frames(_CENTRE):
         at_centre = gcd_at_tail(partials, 3, frame[0])
         if at_centre is None:
             continue

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import CapabilityError, InconsistencyError, UsageError
-from .field import MAX_DEGREE, FieldSpec, root_orbits
+from .field import MAX_DEGREE, FieldSpec, json_natural, root_orbits
 from .poly import Poly
 
 _BIG = 10 ** 9
@@ -61,10 +61,6 @@ class WeierstrassModel:
     def discriminant(self) -> Poly:
         return _delta_of(self.a)
 
-    def c4(self) -> Poly:
-        b2, _, _, _ = self.b_invariants()
-        return b2 * b2
-
     def j_invariant(self) -> Tuple[Poly, Poly]:
         """j as the exact fraction (a1^12, Delta)."""
         return self.a[0] ** 12, self.discriminant()
@@ -77,10 +73,11 @@ class WeierstrassModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "WeierstrassModel":
-        spec = FieldSpec.default(int(data["field-degree"]))
+        spec = FieldSpec.default(json_natural(data["field-degree"],
+                                              "field-degree"))
         a = tuple(Poly(spec, [spec.element(int(c, 16)) for c in data[n]])
                   for n in ("a1", "a2", "a3", "a4", "a6"))
-        return cls(spec, a, int(data.get("chi", 2)))
+        return cls(spec, a, json_natural(data.get("chi", 2), "chi"))
 
     @classmethod
     def load(cls, path: str) -> "WeierstrassModel":

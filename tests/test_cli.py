@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from quartic_lines.cli import main
 from quartic_lines.field import FieldSpec
@@ -152,6 +153,12 @@ def _gf2_model_file(tmp_path, a6=("0x0", "0x0", "0x0", "0x0", "0x1")):
     return str(path)
 
 
+def _json_file(tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 def test_tate_place_outside_the_field_is_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "tate", "--model",
                          _gf2_model_file(tmp_path), "--place", "0x5")
@@ -167,12 +174,46 @@ def test_model_coefficient_outside_the_field_is_input_error(tmp_path,
     assert "0x7 is not an element" in err
 
 
+def test_model_with_a_malformed_number_is_input_error(tmp_path, capsys):
+    good = json.loads(Path(_gf2_model_file(tmp_path)).read_text())
+    for key, value in [("field-degree", 1.5), ("field-degree", True),
+                       ("chi", -1), ("chi", 2.0)]:
+        code, out, err = run(capsys, "tate", "--model",
+                             _json_file(tmp_path, {**good, key: value}),
+                             "--place", "0")
+        assert code == 2 and out == "", (key, value)
+        assert "must be a non-negative integer" in err
+
+
+def test_surface_exponent_that_is_not_a_count_is_input_error(tmp_path,
+                                                             capsys):
+    # a fraction was once truncated, censusing another surface, and a
+    # negative exponent was reported as a zero linear form
+    data = get_surface("z0").to_json()
+    for exps in ([1.9, 1, 1, 1], [5, -1, 0, 0], [True, 1, 1, 1]):
+        data["terms"][0]["exps"] = exps
+        code, out, err = run(capsys, "lines", "--surface",
+                             _json_file(tmp_path, data))
+        assert code == 2 and out == "", exps
+        assert "exponent must be a non-negative integer" in err
+
+
+def test_field_degree_that_is_not_a_count_is_input_error(tmp_path, capsys):
+    # a degree of 2.7 was once read as GF(4)
+    data = get_surface("z0").to_json()
+    for degree in (2.7, -2, "2"):
+        data["field"]["degree"] = degree
+        code, out, err = run(capsys, "lines", "--surface",
+                             _json_file(tmp_path, data))
+        assert code == 2 and out == "", degree
+        assert "field degree must be a non-negative integer" in err
+
+
 def test_surface_coefficient_outside_the_field_is_input_error(tmp_path,
                                                               capsys):
     data = get_surface("z0").to_json()
     data["terms"][0]["coeff"] = "0x1f"
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    code, out, err = run(capsys, "lines", "--surface", str(path))
+    code, out, err = run(capsys, "lines", "--surface",
+                         _json_file(tmp_path, data))
     assert code == 2 and out == ""
     assert "0x1f is not an element of GF(2^2)" in err

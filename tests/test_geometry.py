@@ -8,10 +8,10 @@ import pytest
 from quartic_lines import geometry, surfaces
 from quartic_lines.errors import CapabilityError, UsageError
 from quartic_lines.field import FieldSpec
-from quartic_lines.geometry import (_FRAMES, SCHUBERT_CELLS,
-                                    IntersectionGraph, Line, QuarticSurface,
+from quartic_lines.geometry import (SCHUBERT_CELLS, IntersectionGraph,
+                                    Line, QuarticSurface,
                                     _cell_free_positions, _chart,
-                                    canonical_point,
+                                    canonical_point, centred_frames,
                                     _eval_on_grid, _points_in_frame,
                                     _x3_eliminant, axis_line,
                                     count_candidate_lines,
@@ -29,6 +29,14 @@ QUARTIC_MONOMIALS = [(a, b, c, 4 - a - b - c) for a in range(5)
                      for b in range(5 - a) for c in range(5 - a - b)]
 # quartic monomials vanishing on the axis line {x3 = x4 = 0}
 AXIS_MONOMIALS = [e for e in QUARTIC_MONOMIALS if e[2] + e[3] >= 1]
+# the four fixed GF(2) frames the singular-point search once tried, the
+# identity first: test data for frames that degenerate
+_FRAMES = (
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((1, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)),
+    ((1, 0, 1, 1), (1, 1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1)),
+    ((0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 0), (0, 0, 1, 1)),
+)
 
 
 def test_candidate_line_counts():
@@ -337,6 +345,80 @@ def test_elimination_over_gf4_when_every_gf2_point_is_on_the_surface(gf2):
         (1, 0, 1, 0), (1, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 1),
         (0, 1, 1, 2), (0, 1, 1, 3), (1, 0, 0, 2), (1, 0, 0, 3), (1, 0, 1, 2),
         (1, 0, 1, 3), (1, 1, 0, 2), (1, 1, 0, 3)]
+
+
+def test_centred_frames(gf2):
+    # the first frames are the ones the searches always began with
+    assert next(centred_frames((1, 0, 0, 0))) == _FRAMES[0]
+    assert next(centred_frames((1, 1, 1))) == ((1, 1, 1), (0, 1, 0),
+                                                (0, 0, 1))
+    for first in ((1, 0, 0, 0), (0, 1, 1, 0), (1, 1, 1), (0, 0, 1)):
+        frames = list(centred_frames(first))
+        assert frames[0][0] == first
+        assert sorted(fr[0] for fr in frames) == [
+            c for c in itertools.product((0, 1), repeat=len(first))
+            if any(c)]
+        assert all(mat_rank(fr, gf2) == len(first) for fr in frames)
+
+
+def test_no_quartic_is_singular_at_every_gf2_point(gf2):
+    # f and its partials at the fifteen GF(2)-points are GF(2)-linear in
+    # the 35 coefficients, of full rank over every GF(2^k): the search,
+    # which skips singular centres, always keeps a frame
+    monos = [SparsePoly(4, gf2, {e: 1}) for e in QUARTIC_MONOMIALS]
+    rows = [[(m if i < 0 else m.derivative(i)).evaluate(c) for m in monos]
+            for c in itertools.product((0, 1), repeat=4) if any(c)
+            for i in range(-1, 4)]
+    assert mat_rank(rows, gf2) == len(QUARTIC_MONOMIALS)
+
+
+def _random_form(spec, rng, degree):
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=4)
+                 if sum(e) == degree]
+    while True:
+        f = SparsePoly(4, spec, {e: rng.randrange(spec.size)
+                                 for e in monomials})
+        if not f.is_zero():
+            return f
+
+
+@pytest.mark.parametrize("k,max_ext", [(1, 3), (2, 2)])
+def test_reducible_quartics_match_direct_scan(k, max_ext, monkeypatch):
+    # products of planes and quadrics, singular where their components
+    # meet: every level against the P^3 scan, some through a frame past
+    # the identity
+    spec = FieldSpec.default(k)
+    rng = random.Random(f"reducible:{k}")
+    used = []
+    in_frame = geometry._points_in_frame
+
+    def spy(surf, frame, cap):
+        found = in_frame(surf, frame, cap)
+        used.append(frame)
+        return found
+
+    monkeypatch.setattr(geometry, "_points_in_frame", spy)
+    past_first = 0
+    for shape in [(1, 1, 1, 1), (1, 1, 2), (2, 2)] * 4:
+        f = _random_form(spec, rng, shape[0])
+        for d in shape[1:]:
+            f = f * _random_form(spec, rng, d)
+        try:
+            surf = QuarticSurface(f)
+        except UsageError:  # a repeated factor
+            continue
+        used.clear()
+        pts = singular_point_search(surf, max_ext=max_ext)
+        past_first += used[-1] != _FRAMES[0]
+        for m in range(1, max_ext + 1):
+            big = FieldSpec.default(k * m)
+            moved = surf.base_change(big)
+            direct = set(_singular_points_direct(
+                [moved.f] + moved.partials(), big))
+            assert direct == {tuple(p.spec.embedding_to(big).apply_int(c)
+                                    for c in p.point)
+                              for p in pts if m % p.ext == 0}
+    assert past_first >= 2
 
 
 def test_z0_certificate_reaches_gf65536():

@@ -4,7 +4,8 @@ outside its own definition (a helper only tests call belongs in tests/),
 every module-level assigned name in src/ is referenced somewhere in src/
 or tests/ outside its own definition, and every public module-level
 function, class and method in src/ is referenced somewhere in src/,
-tests/, perfbench/ or scripts/ outside its own definition."""
+tests/, perfbench/ or scripts/ outside its own definition (a method
+through an attribute or a string)."""
 
 import ast
 from collections import Counter
@@ -44,35 +45,41 @@ USERS = SOURCES + sorted((ROOT / "perfbench").rglob("*.py")) + sorted(
     (ROOT / "scripts").rglob("*.py"))
 
 
-def _references(tree: ast.AST) -> Counter:
-    """Names a tree refers to: bare names, attributes, imported names and
-    string constants (as in monkeypatch.setattr(module, "_name", ...))."""
+def _references(tree: ast.AST, method: bool = False) -> Counter:
+    """Names a tree refers to: attributes and string constants (as in
+    monkeypatch.setattr(module, "_name", ...)), and unless the name is a
+    method's, bare names and imported names."""
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             out[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            out[node.name] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             out[node.value] += 1
+        elif method:
+            continue
+        elif isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
     return out
 
 
 def _unreferenced(is_candidate, within) -> list:
     """Definitions in src/ that is_candidate(module-level node) selects, as
-    (name, defining node), and that nothing in the files `within` refers to
-    outside the defining node."""
+    (name, defining node, whether it is a method), and that nothing in the
+    files `within` refers to outside the defining node: a method only
+    through an attribute or a string, since a local variable of the same
+    name does not call it."""
     trees = {path: ast.parse(path.read_text()) for path in USERS}
-    total = Counter()
+    total = {False: Counter(), True: Counter()}
     for path in within:
-        total += _references(trees[path])
+        for method in total:
+            total[method] += _references(trees[path], method)
     unused = []
     for path in SRC:
         for node in trees[path].body:
-            for name, where in is_candidate(node):
-                if total[name] == _references(where)[name]:
+            for name, where, method in is_candidate(node):
+                if total[method][name] == _references(where, method)[name]:
                     unused.append(f"{path.relative_to(ROOT)}:{name}")
     return unused
 
@@ -82,7 +89,7 @@ def test_no_unreferenced_private_functions():
         name = getattr(node, "name", "")
         if (isinstance(node, ast.FunctionDef) and name.startswith("_")
                 and not name.startswith("__")):
-            yield name, node
+            yield name, node, False
     assert _unreferenced(private_function, SRC) == []
 
 
@@ -94,7 +101,7 @@ def test_no_unreferenced_module_level_names():
             for target in targets:
                 for sub in ast.walk(target):
                     if isinstance(sub, ast.Name):
-                        yield sub.id, node
+                        yield sub.id, node, False
     assert _unreferenced(assigned_names, SOURCES) == []
 
 
@@ -105,9 +112,9 @@ def test_no_unreferenced_public_definitions():
     def public_definitions(node):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
                 public(node.name):
-            yield node.name, node
+            yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and public(sub.name):
-                    yield sub.name, sub
+                    yield sub.name, sub, True
     assert _unreferenced(public_definitions, USERS) == []

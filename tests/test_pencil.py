@@ -11,7 +11,7 @@ from quartic_lines.geometry import (QuarticSurface, _univariate_in, axis_line,
                                     canonical_point, enumerate_lines,
                                     restrict_form, singular_point_search,
                                     vec_mat)
-from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, _FRAMES, POS_INF,
+from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, POS_INF,
                                   POS_ZERO, PencilPosition, ResidualPencil,
                                   _audit_one_fiber, _binary_collect,
                                   _cubic_singular_points, _eval_form,
@@ -29,6 +29,14 @@ from quartic_lines.surfaces import get_surface, s5_mu0_seed_line
 
 
 GF256 = FieldSpec.default(8)
+# the four fixed GF(2) frames the fiber eliminations once tried, centred
+# at (1:1:1) first: the frames of the oracles below
+_FRAMES = (
+    ((1, 1, 1), (0, 1, 0), (0, 0, 1)),
+    ((1, 0, 0), (1, 1, 0), (1, 0, 1)),
+    ((0, 1, 0), (0, 0, 1), (1, 1, 1)),
+    ((0, 0, 1), (1, 0, 0), (1, 1, 1)),
+)
 
 
 def xyz(spec):
