@@ -13,9 +13,11 @@ degree <= 4 they are the solutions of one GF(2)-affine system, since
 x -> x^2, x^4 are GF(2)-linear (Berlekamp, Rumsey and Solomon 1967);
 of higher degree they come from the squarefree part, its gcd with
 x^q - x, and trace splitting into linear factors (`find_roots_int`).
-`root_orbits` groups the roots over extensions by their degree: a part
-of degree <= 4 by those solves in GF(q^d), a larger one through
-distinct-degree factorization.
+`root_orbits` groups the roots over extensions up to a cap by their
+degree: a part of degree <= 4 by those solves in GF(q^d), a larger one
+through distinct-degree factorization, whose first step is the gcd
+above.  Orbits past the cap are not split: their product comes back as
+one polynomial.
 
 Field elements serialize as lowercase hex of the bitmask ("0x6" = t^2 + t);
 a field spec serializes as {"degree": k, "modulus": hex}.
@@ -154,6 +156,11 @@ class FieldSpec:
     def from_json(cls, data: dict) -> "FieldSpec":
         return cls(json_natural(data["degree"], "field degree"),
                    int(data["modulus"], 16))
+
+    def level(self, d: int) -> "FieldSpec":
+        """GF(q^d) over this field GF(q): itself for d = 1, else the
+        default GF(2^(k d)), as `root_orbits` lists its levels."""
+        return self if d == 1 else FieldSpec.default(self.degree * d)
 
     def element(self, bits: int) -> int:
         """bits, refused as bad input unless it is an element bitmask."""
@@ -663,131 +670,113 @@ def _small_roots(cs: Sequence[int], spec: FieldSpec) -> list:
             _affine_solutions(spec, (mul(c3, i0), mul(b2, i0), 1), i0)]
 
 
-def _roots_by_gcd(f: Sequence[int], spec: FieldSpec) -> list:
-    """The distinct roots in GF(q) of trimmed f with f(0) != 0: those of its
-    squarefree part r are the roots of gcd(r, x^q - x), which trace
-    splitting breaks into linear factors (Cantor-Zassenhaus 1981; von zur
-    Gathen-Gerhard, Modern Computer Algebra, ch. 14)."""
-    if len(f) < 2:
-        return []
-    r = _squarefree_part(f, spec)
-    x = poly_divmod([0, 1], r, spec)[1]
-    g = poly_gcd(r, poly_add(_frobenius(x, r, spec), x), spec)
-    return _split_linear(g, spec)
-
-
 def find_roots_int(coeffs: Sequence[int], spec: FieldSpec) -> list:
     """All roots in the coefficient field of sum(coeffs[i] x^i), with
     multiplicities.
 
     With the root 0 set aside, a part of degree <= 4 is solved by one
-    GF(2)-affine system (`_small_roots`); a larger one goes through the
-    squarefree part, its gcd with x^q - x and trace splitting
-    (`_roots_by_gcd`).  Multiplicities come from repeated synthetic
-    division of the input.
+    GF(2)-affine system (`_small_roots`); a larger one by the first step
+    of distinct-degree factorization, the gcd of its squarefree part with
+    x^q - x split by traces (`_orbits_by_ddf` with the cap 1).
+    Multiplicities come from repeated synthetic division of the input.
 
     Returns [(root_bits, multiplicity), ...] sorted by root bitmask.
     """
     cs, zeros = _strip_zero_root(coeffs)
     f = cs[zeros:]
     roots = (_small_roots(f, spec) if 1 < len(f) <= 5
-             else _roots_by_gcd(f, spec))
+             else _orbits_by_ddf(f, spec, [spec])[0].get(1, []))
     out = [(0, zeros)] if zeros else []
     return out + [(r, _divide_out(f, r, spec)[0]) for r in sorted(roots)]
 
 
 def _small_orbits(f: Sequence[int], spec: FieldSpec, fields: list):
-    """`_orbits_by_ddf` for trimmed f of degree <= 4 with f(0) != 0, or None
-    for a quartic without rational roots when GF(q^2) is past the cap.
+    """`_orbits_by_ddf` for trimmed f of degree <= 4 with f(0) != 0.
 
     The rational roots are divided out; what is left has no rational root,
     so of degree 2 or 3 it is irreducible and solved in GF(q^d), and a
     quartic is two conjugate-pair quadratics (or the square of one) when
-    it has roots in GF(q^2), else irreducible."""
+    it has roots in GF(q^2), else irreducible.  What no field up to the
+    cap splits is the rest, as its squarefree part (a quartic left over
+    may be the square of a quadratic)."""
     rational = _small_roots(f, spec) if len(f) > 1 else []
     for r in rational:
         f = _divide_out(f, r, spec)[1]
-    found, beyond = {1: rational}, []
-    if len(f) == 5 and len(fields) < 2:
-        return None
+    found = {1: rational}
     # a quartic is tried in GF(q^2) first: two conjugate pairs, or one squared
     for e in {0: (), 2: (2,), 3: (3,), 4: (2, 4)}[len(f) - 1]:
         if e > len(fields):
-            beyond = [e]
             break
         emb = spec.embedding_to(fields[e - 1])
         roots = _small_roots([emb.apply_int(c) for c in f], fields[e - 1])
         if roots:
             found[e] = roots
-            break
-    return found, beyond
+            return found, [1]
+    return found, _squarefree_part(f, spec)
 
 
 def _orbits_by_ddf(f: Sequence[int], spec: FieldSpec, fields: list):
-    """({d: roots of exact degree d in fields[d - 1]}, degrees of the orbits
-    past the fields) for trimmed f with f(0) != 0.
+    """({d: roots of exact degree d in fields[d - 1]}, rest) for trimmed f
+    with f(0) != 0, rest the monic product of the irreducible factors of
+    degree past len(fields), unsplit.
 
-    Distinct-degree factorization of the squarefree part: for d = 1, 2, ...
-    the product of its irreducible factors of degree d is
-    gcd(rest, x^(q^d) - x).  A product of degree d <= len(fields) is split
-    into linear factors over fields[d - 1] by trace splitting."""
-    found, beyond = {}, []
-    rest = _squarefree_part(f, spec)
+    Distinct-degree factorization of the squarefree part (von zur Gathen
+    and Gerhard, Modern Computer Algebra, ch. 14): for d = 1, 2, ... up to
+    len(fields) the product of its irreducible factors of degree d is
+    gcd(rest, x^(q^d) - x), split into linear factors over fields[d - 1]
+    by trace splitting."""
+    found, rest = {}, _squarefree_part(f, spec)
     h = x = [0, 1]
     d = 0
-    while len(rest) > 1:
+    while len(rest) > 1 and d < len(fields):
         d += 1
         if len(rest) - 1 < 2 * d:      # no two factors left: irreducible
+            if len(rest) - 1 > len(fields):
+                break
             d, g = len(rest) - 1, rest
         else:
             h = _frobenius(h, rest, spec)
             g = poly_gcd(rest, poly_add(h, x), spec)
             if len(g) == 1:
                 continue
-        if d <= len(fields):
-            target = fields[d - 1]
-            lin = g
-            if d > 1:
-                emb = spec.embedding_to(target)
-                lin = [emb.apply_int(c) for c in g]
-            found.setdefault(d, []).extend(_split_linear(lin, target))
-        else:
-            beyond += [d] * ((len(g) - 1) // d)
+        lin = g if d == 1 else [spec.embedding_to(fields[d - 1]).apply_int(c)
+                                for c in g]
+        found[d] = _split_linear(lin, fields[d - 1])
         rest = poly_divmod(rest, g, spec)[0]
         h = poly_divmod(h, rest, spec)[1]
-    return found, beyond
+    return found, rest
 
 
 def root_orbits(coeffs: Sequence[int], spec: FieldSpec, cap: int):
     """Roots of sum(coeffs[i] x^i) over the extensions of the coefficient
-    field GF(q), grouped by their degree over it.
+    field GF(q) up to degree cap, grouped by their degree over it, and
+    the factor they leave.
 
     With the root 0 set aside, a part of degree <= 4 has its rational
     roots divided out and the rest solved as one orbit, or as two
     quadratic ones, by the GF(2)-affine solves of `find_roots_int`
-    (`_small_orbits`); a larger part, or a quartic without rational roots
-    when GF(q^2) is past the cap, goes through distinct-degree
-    factorization (`_orbits_by_ddf`).  The roots of degree d <= cap lie in
-    GF(q^d) (`spec` itself for d = 1, else the default GF(2^(k d))).
+    (`_small_orbits`); a larger part goes through distinct-degree
+    factorization up to the cap (`_orbits_by_ddf`).  The roots of degree
+    d <= cap lie in GF(q^d) = `spec.level(d)`.
 
     The cap is lowered to the largest d with GF(2^(k d)) at most
-    GF(2^16).  Returns (levels, beyond): levels[d - 1] = (field, roots) for
+    GF(2^16).  Returns (levels, rest): levels[d - 1] = (field, roots) for
     d = 1..cap, roots the sorted bitmasks in field of the roots of exact
-    degree d; beyond lists the degree of every orbit of degree > cap, in
-    ascending order.
+    degree d; rest is the monic squarefree product of the irreducible
+    factors of degree > cap over GF(q), unsplit, and [1] when there are
+    none.
     """
     k = spec.degree
     cap = min(cap, MAX_DEGREE // k)
-    fields = [spec if d == 1 else FieldSpec.default(k * d)
-              for d in range(1, cap + 1)]
+    fields = [spec.level(d) for d in range(1, cap + 1)]
     cs, zeros = _strip_zero_root(coeffs)
     f = cs[zeros:]
-    small = _small_orbits(f, spec, fields) if len(f) <= 5 else None
-    found, beyond = small or _orbits_by_ddf(f, spec, fields)
+    found, rest = (_small_orbits if len(f) <= 5 else _orbits_by_ddf)(
+        f, spec, fields)
     if zeros:
         found[1] = [0] + found.get(1, [])
     return ([(fld, sorted(found.get(d, []))) for d, fld in
-             enumerate(fields, 1)], beyond)
+             enumerate(fields, 1)], rest)
 
 
 def _deflate(coeffs: Sequence[int], r: int, spec: FieldSpec):

@@ -427,7 +427,7 @@ def enumerate_lines(surface: QuarticSurface, ext: int = 1) -> List[Line]:
     if k * ext > MAX_DEGREE:
         raise CapabilityError(
             f"target field GF(2^{k * ext}) exceeds the 2^{MAX_DEGREE} limit")
-    target = surface.spec if ext == 1 else FieldSpec.default(k * ext)
+    target = surface.spec.level(ext)
     surf = surface.base_change(target)
     partials = surf.partials()
     lines = []
@@ -531,14 +531,8 @@ def centred_frames(first: Sequence[int]) -> Iterator[Tuple[tuple, ...]]:
 # -- lifting common zeros from a projection -----------------------------------
 
 
-def _level_field(spec: FieldSpec, d: int) -> FieldSpec:
-    """GF(q^d) over spec = GF(q): spec itself for d = 1, else the default
-    GF(2^(k d)), as in `root_orbits`."""
-    return spec if d == 1 else FieldSpec.default(spec.degree * d)
-
-
 class FormLevels:
-    """Forms over GF(q) and their images over GF(q^d) (`_level_field`),
+    """Forms over GF(q) and their images over GF(q^d) (`FieldSpec.level`),
     embedded on first use."""
 
     __slots__ = ("spec", "_levels")
@@ -548,7 +542,7 @@ class FormLevels:
         self._levels = {1: list(forms)}
 
     def field(self, d: int) -> FieldSpec:
-        return _level_field(self.spec, d)
+        return self.spec.level(d)
 
     def at(self, d: int) -> List[SparsePoly]:
         if d not in self._levels:
@@ -667,7 +661,8 @@ def _grid_tails(conds: FormLevels, cap: int) -> List[Tuple[tuple, int]]:
     return tails
 
 
-def _points_in_frame(surface: QuarticSurface, frame, cap: int) -> set:
+def _points_in_frame(surface: QuarticSurface, frame, cap: int,
+                     grid: bool) -> set:
     """The singular points of degree n <= cap over the surface's field
     found by elimination in the frame, as (point canonical over GF(q^n),
     n) in the surface's coordinates.
@@ -675,13 +670,15 @@ def _points_in_frame(surface: QuarticSurface, frame, cap: int) -> set:
     The conditions on (x2 : x3 : x4) left after eliminating x1
     (`first_variable_conditions`), the first two of them, and S(x3) are
     formed once, and S is split into orbits once.  Each direction
-    (x3 : x4) is lifted to P^2 on the two conditions and then to P^3 on
-    the five forms (`lift_tails`).  The P^2 grid lists the conditions'
-    zeros when there is no S or they share a line through (1 : 0 : 0)."""
+    (x3 : x4) is lifted to P^2 on the two conditions, or on all of them
+    when the two share a line through (1 : 0 : 0), and then to P^3 on
+    the five forms (`lift_tails`).  When there is no S or every condition
+    vanishes on that line, the P^2 grid lists their zeros if `grid`
+    allows it, and else the frame is refused."""
     moved = surface.transform(frame)
     forms = FormLevels([moved.f] + moved.partials())
-    plane = [r.drop_vars([1, 2, 3]) for r in itertools.islice(
-        first_variable_conditions(forms.at(1)), 2)]
+    conds = first_variable_conditions(forms.at(1))
+    plane = [r.drop_vars([1, 2, 3]) for r in itertools.islice(conds, 2)]
     if not plane:
         raise CapabilityError(
             "degenerate elimination: no condition is left after "
@@ -693,7 +690,13 @@ def _points_in_frame(surface: QuarticSurface, frame, cap: int) -> set:
         dirs = [((1, 0), 1)] + [((a, 1), d) for d, (_, roots)
                                 in enumerate(levels, 1) for a in roots]
         tails = lift_tails(FormLevels(plane), dirs, cap)
+        if tails is None:   # the other conditions may cut a shared line
+            plane += [r.drop_vars([1, 2, 3]) for r in conds]
+            tails = lift_tails(FormLevels(plane), dirs, cap)
     if tails is None:
+        if not grid:
+            raise CapabilityError(
+                "the elimination conditions share a curve of zeros")
         tails = _grid_tails(FormLevels(plane), cap)
     pts = lift_tails(forms, tails, cap)
     if pts is None:
@@ -725,18 +728,19 @@ def singular_point_search(surface: QuarticSurface,
     `first_variable_conditions` and x2 by the resultant S(x3) of the first
     two conditions, all once over GF(q), and S is split into Galois orbits
     once (`root_orbits`).  Each root orbit is lifted in its own field, to
-    (x2 : x3 : x4) on the two conditions and then to P^3 on the five
-    forms (`lift_tails`), every candidate checked on all of them.
-    When the conditions share a curve of zeros, as for a surface singular
-    along a curve, their points of each degree are listed on the P^2 grid
-    over that level instead, up to GF(4096).  The frames are the GF(2)
-    frames of `centred_frames`, the identity first, less those centred at
-    singular points; through the others passes no line of singular
-    points, and no quartic is singular at all fifteen GF(2)-points.  An
-    elimination that degenerates (no condition left, a grid past
-    GF(4096)) is retried in the next frame.  CapabilityError is raised
-    for a target field beyond GF(2^16) and when the elimination
-    degenerates in every frame.
+    (x2 : x3 : x4) on the two conditions (on all of them when the two
+    share a line through the projection centre) and then to P^3 on the
+    five forms (`lift_tails`), every candidate checked on all of them.
+    The frames are the GF(2) frames of `centred_frames`, the identity
+    first, less those centred at singular points; through the others
+    passes no line of singular points, and no quartic is singular at all
+    fifteen GF(2)-points.  An elimination that degenerates (no condition
+    left, conditions sharing a curve of zeros) is retried in the next
+    frame; only when every frame refuses, as for a surface singular along
+    a curve, are they tried again with the shared curve's points listed
+    on the P^2 grid level by level, up to GF(4096).  CapabilityError is
+    raised for a target field past GF(2^16) and when every frame
+    degenerates even so.
     """
     if max_ext < 1:
         raise UsageError("max_ext must be >= 1")
@@ -747,11 +751,12 @@ def singular_point_search(surface: QuarticSurface,
             "limit")
     forms = [surface.f] + surface.partials()
     exc = None
-    for frame in centred_frames(_CENTRE):
+    for grid, frame in itertools.product((False, True),
+                                         centred_frames(_CENTRE)):
         if not any(g.evaluate(frame[0]) for g in forms):
             continue
         try:
-            found = _points_in_frame(surface, frame, max_ext)
+            found = _points_in_frame(surface, frame, max_ext, grid)
             break
         except CapabilityError as err:
             exc = err
@@ -759,7 +764,7 @@ def singular_point_search(surface: QuarticSurface,
         raise CapabilityError("singular-point elimination degenerates in "
                               f"every coordinate frame; last: {exc}"
                               ) from exc
-    return [SingularPoint(pt, m, _level_field(surface.spec, m))
+    return [SingularPoint(pt, m, surface.spec.level(m))
             for pt, m in sorted(found, key=lambda pm: (pm[1], pm[0]))]
 
 

@@ -90,9 +90,7 @@ class ResidualPencil:
         self.B = [p[1] for p in on_line]
 
     def position_field(self, pos: PencilPosition) -> FieldSpec:
-        if pos.ext == 1:
-            return self.spec
-        return FieldSpec.default(self.spec.degree * pos.ext)
+        return self.spec.level(pos.ext)
 
 
 def _binary_cubic_in_lambda(p: SparsePoly) -> List[Poly]:
@@ -408,7 +406,7 @@ def classify_fiber(cubic: SparsePoly,
     wd = k * math.lcm(*(d for _, d in sing))
     if wd > MAX_DEGREE:
         raise CapabilityError(
-            "fiber classification needs fields beyond GF(2^16)")
+            "fiber classification needs fields past GF(2^16)")
     work = cubic.spec if wd == k else FieldSpec.default(wd)
     return _classify_in_field(cubic, sing, work, position, flags)
 
@@ -430,7 +428,6 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
     lines are IV only through a triple point, always rational and found,
     else I3."""
     base = cubic.spec
-    k = base.degree
     cw = cubic if work == base else cubic.embed(base.embedding_to(work))
 
     singularities: List[CubicSingularity] = []
@@ -450,7 +447,7 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
         comp_forms[form] = None
 
     for pt, d in sing:
-        src = base if d == 1 else FieldSpec.default(k * d)
+        src = base.level(d)
         ptw = canonical_point(
             tuple(src.embedding_to(work).apply_int(c) for c in pt)
             if src != work else tuple(pt), work)
@@ -627,9 +624,13 @@ def singular_fibers(pencil: ResidualPencil,
     """All singular fibers at positions of degree <= _FIBER_MAX_EXT over
     the pencil's field (and at most GF(2^16)).  Full Galois orbits are
     reported: conjugate positions each get their own report, so component
-    counts add up to the geometric valency of the line.  Each degree of a
-    discriminant orbit past that cap is appended to `flags`, when given,
-    as "fiber orbit of degree d not classified".
+    counts add up to the geometric valency of the line.
+
+    `flags`, when given, gets what the reports may miss: the total degree
+    of the orbits past the cap, left unsplit by `root_orbits`; and when
+    the Euler sum (`_EULER_MIN`) is below 24, each dropped orbit whose
+    singular-point search was capped, or else, with only I1, I2 and I3
+    fibers and no flag at all, the sum itself.
 
     A finite fiber's singular points come from the lambda-discriminant's
     frame, embedded once per level and specialised at the root: a formal
@@ -645,8 +646,8 @@ def singular_fibers(pencil: ResidualPencil,
         raise CapabilityError(
             "lambda-discriminant degenerated in every frame")
 
-    reports: List[FiberReport] = []
-    levels, beyond = root_orbits(disc.coeffs, spec, _FIBER_MAX_EXT)
+    found: List[FiberReport] = []
+    levels, rest = root_orbits(disc.coeffs, spec, _FIBER_MAX_EXT)
     for m, (target, roots) in enumerate(levels, 1):
         if not roots:
             continue
@@ -654,17 +655,27 @@ def singular_fibers(pencil: ResidualPencil,
             spec.embedding_to(target))
         for r in roots:
             pos = PencilPosition("finite", r, m)
-            rep = classify_fiber(residual_cubic(pencil, pos), pos,
-                                 frame=on_level.at(r))
-            if rep.kodaira != "smooth":
-                reports.append(rep)
-    if flags is not None:
-        flags.extend(f"fiber orbit of degree {d} not classified"
-                     for d in sorted(set(beyond)))
-
-    rep = classify_fiber(residual_cubic(pencil, POS_INF), POS_INF)
-    if rep.kodaira != "smooth":
-        reports.append(rep)
+            found.append(classify_fiber(residual_cubic(pencil, pos), pos,
+                                        frame=on_level.at(r)))
+    found.append(classify_fiber(residual_cubic(pencil, POS_INF), POS_INF))
+    reports = [rep for rep in found if rep.kodaira != "smooth"]
+    if flags is None:
+        return reports
+    if len(rest) > 1:
+        flags.append(f"fiber orbits of total degree {len(rest) - 1} past "
+                     f"degree {len(levels)} not classified")
+    total, _ = euler_budget_audit(reports)
+    if total < 24:
+        capped = sorted((rep.position.ext, rep.flags[0]) for rep in found
+                        if rep.kodaira == "smooth" and rep.flags)
+        # conjugate positions share their report: m of them per orbit
+        for (m, text), same in itertools.groupby(capped):
+            flags += [f"fiber orbit of degree {m}: {text}"] * (
+                len(list(same)) // m)
+        if not flags and all(rep.kodaira in ("I1", "I2", "I3")
+                             for rep in reports):
+            flags.append(f"Euler sum {total} < 24: surface singular or "
+                         "fiber missed")
     return reports
 
 
@@ -673,7 +684,7 @@ def _probe_generic_smoothness(pencil: ResidualPencil) -> None:
     smooth quartic) from a mere elimination failure."""
     k = pencil.spec.degree
     ext = 2 if 2 * k <= MAX_DEGREE else 1
-    probe_spec = pencil.spec if ext == 1 else FieldSpec.default(k * ext)
+    probe_spec = pencil.spec.level(ext)
     for bits in range(2, min(probe_spec.size, 8)):
         pos = PencilPosition("finite", bits, ext)
         rep = classify_fiber(residual_cubic(pencil, pos), pos)
@@ -789,8 +800,8 @@ def ramification_type(pencil: ResidualPencil) -> RamificationData:
         raise InconsistencyError(
             "vanishing Wronskian for a separable degree-3 map")
     # roots of W(1, t) by degree, then (0 : 1) when W drops degree there
-    levels, beyond = root_orbits(w, spec, 4)
-    if beyond:
+    levels, rest = root_orbits(w, spec, 4)
+    if len(rest) > 1:
         raise CapabilityError("ramification points escape the field cap")
     roots = [(d, target, (1, t)) for d, (target, ts) in enumerate(levels, 1)
              for t in ts]
@@ -898,10 +909,11 @@ def _audit_one_fiber(pencil: ResidualPencil, fib: FiberReport,
         return False, "line lies inside the fiber plane cut"
 
     # a field where the intersection divisor splits and the fiber data
-    # fits: the lcm of the cut's root-orbit degrees ((0 : 1) is rational)
-    levels, beyond = root_orbits(Poly(pf, fiber_form).coeffs, pf, 3)
+    # fits: the lcm of the cut's root-orbit degrees, the rest at most one
+    # orbit ((0 : 1) is rational)
+    levels, rest = root_orbits(Poly(pf, fiber_form).coeffs, pf, 3)
     extra = math.lcm(*(d for d, (_, rs) in enumerate(levels, 1) if rs),
-                     *beyond)
+                     max(1, len(rest) - 1))
     wd = math.lcm(pf.degree * extra, fib.work_degree)
     if wd > MAX_DEGREE:
         return None, "intersection divisor does not split within field caps"

@@ -383,11 +383,6 @@ class SparsePoly:
             buckets.setdefault(k, {})[ne] = c
         return {k: self._like(t) for k, t in buckets.items()}
 
-    def coefficient_in(self, var: int, power: int) -> "SparsePoly":
-        return self.coefficients_in(var).get(power,
-                                             SparsePoly.zero(self.nvars,
-                                                             self.spec))
-
     def as_univariate(self, var: int) -> Poly:
         if self.spec is None:
             raise ValueError("integer polynomials have no Poly form here")
@@ -462,13 +457,6 @@ class SparsePoly:
         return total
 
     # -- coefficient-ring changes ---------------------------------------------
-
-    def reduce_mod2(self, spec: FieldSpec) -> "SparsePoly":
-        """View an integer polynomial over GF(2) inside the given field."""
-        if self.spec is not None:
-            raise ValueError("already over a field")
-        return SparsePoly(self.nvars, spec,
-                          {e: c % 2 for e, c in self.terms.items()})
 
     def embed(self, emb: FieldEmbedding) -> "SparsePoly":
         if self.spec != emb.source:

@@ -308,15 +308,15 @@ def tate_classify(model: WeierstrassModel, place: Place
 def finite_places(model: WeierstrassModel, max_ext: int = 6
                   ) -> List[Place]:
     """Zeroes of the discriminant, one per conjugacy orbit: the orbit's
-    smallest bitmask at its own level.  An orbit of degree past max_ext
-    (or past GF(2^16)) raises CapabilityError naming its degree."""
+    smallest bitmask at its own level.  Orbits of degree past max_ext
+    (or past GF(2^16)) are not split; they raise CapabilityError naming
+    their total degree."""
     spec = model.spec
-    levels, beyond = root_orbits(model.discriminant().coeffs, spec, max_ext)
-    if beyond:
+    levels, rest = root_orbits(model.discriminant().coeffs, spec, max_ext)
+    if len(rest) > 1:
         raise CapabilityError(
-            "discriminant orbit of degree "
-            f"{', '.join(map(str, sorted(set(beyond))))} past the field cap "
-            f"(max_ext={max_ext}, at most GF(2^{MAX_DEGREE}))")
+            f"discriminant orbits of total degree {len(rest) - 1} past the "
+            f"field cap (max_ext={max_ext}, at most GF(2^{MAX_DEGREE}))")
     out: List[Place] = []
     for d, (target, roots) in enumerate(levels, 1):
         left = set(roots)

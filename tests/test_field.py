@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quartic_lines.field import (MAX_DEGREE, FieldError, FieldSpec, _deflate,
-                                 _orbits_by_ddf, _prime_factors,
-                                 _prime_step_embedding, _roots_by_gcd,
-                                 find_roots_int, root_orbits)
+                                 _frobenius, _orbits_by_ddf, _prime_factors,
+                                 _prime_step_embedding, find_roots_int,
+                                 poly_add, poly_gcd, root_orbits)
 from quartic_lines.poly import Poly
 
 SPECS = [FieldSpec.default(k) for k in (1, 2, 3, 4, 8)]
@@ -131,11 +131,12 @@ def _with_multiplicities(cs, roots, spec):
 
 
 def _find_roots_by_gcd(coeffs, spec):
-    """The oracle at every field size: the gcd path for every degree."""
+    """The oracle at every field size: the gcd path (distinct-degree
+    factorization with the cap 1) for every degree."""
     cs = Poly(spec, coeffs).coeffs
     zeros = next(i for i, c in enumerate(cs) if c)
-    roots = _roots_by_gcd(cs[zeros:], spec) + ([0] if zeros else [])
-    return _with_multiplicities(cs, roots, spec)
+    roots = _orbits_by_ddf(cs[zeros:], spec, [spec])[0].get(1, [])
+    return _with_multiplicities(cs, roots + ([0] if zeros else []), spec)
 
 
 def _root_orbits_by_ddf(coeffs, spec, cap):
@@ -146,11 +147,11 @@ def _root_orbits_by_ddf(coeffs, spec, cap):
               for d in range(1, min(cap, MAX_DEGREE // k) + 1)]
     cs = Poly(spec, coeffs).coeffs
     zeros = next(i for i, c in enumerate(cs) if c)
-    found, beyond = _orbits_by_ddf(cs[zeros:], spec, fields)
+    found, rest = _orbits_by_ddf(cs[zeros:], spec, fields)
     if zeros:
         found.setdefault(1, []).append(0)
     return [(fld, sorted(found.get(d, []))) for d, fld in
-            enumerate(fields, 1)], beyond
+            enumerate(fields, 1)], rest
 
 
 def _random_poly(rng, spec, degree):
@@ -235,11 +236,12 @@ def _pull_back(poly, spec, field):
 def test_root_orbits_reproduce_the_squarefree_part(k, cap, degrees):
     """f is a product of powers of x and of the minimal polynomials of
     distinct orbits of chosen degrees; the orbits up to the cap are listed
-    in full, those past it by degree, and together they make up the
-    squarefree part."""
+    in full, the product of the minimal polynomials past it is the rest,
+    and together they make up the squarefree part."""
     spec = FieldSpec.default(k)
     rng = random.Random(k)
     f, squarefree = Poly.x(spec) ** 2, Poly.x(spec)
+    past_cap = Poly.one(spec)
     chosen = {1: {0}}
     for d in degrees:
         field = spec if d == 1 else FieldSpec.default(k * d)
@@ -255,8 +257,10 @@ def test_root_orbits_reproduce_the_squarefree_part(k, cap, degrees):
         minpoly = _pull_back(minpoly, spec, field)
         f = f * minpoly ** rng.randrange(1, 4)
         squarefree = squarefree * minpoly
-    levels, beyond = root_orbits(f.coeffs, spec, cap)
-    assert beyond == sorted(d for d in degrees if d > cap)
+        if d > cap:
+            past_cap = past_cap * minpoly
+    levels, rest = root_orbits(f.coeffs, spec, cap)
+    assert Poly(spec, rest) == past_cap
     product = Poly.one(spec)
     for d, (field, roots) in enumerate(levels, 1):
         assert field == (spec if d == 1 else FieldSpec.default(k * d))
@@ -265,24 +269,32 @@ def test_root_orbits_reproduce_the_squarefree_part(k, cap, degrees):
         for r in roots:
             linear = linear * Poly(field, [r, 1])
         product = product * _pull_back(linear, spec, field)
-    assert squarefree.degree() == product.degree() + sum(beyond)
-    assert (squarefree % product).is_zero()
+    assert squarefree == product * past_cap
 
 
 def test_root_orbits_stop_at_gf65536():
     # t^5 + t^2 + 1 stays irreducible over GF(16): degrees 5 and 4 are coprime
-    levels, beyond = root_orbits([1, 0, 1, 0, 0, 1], FieldSpec.default(4), 6)
+    levels, rest = root_orbits([1, 0, 1, 0, 0, 1], FieldSpec.default(4), 6)
     assert [roots for _, roots in levels] == [[]] * 4
-    assert beyond == [5]
+    assert rest == [1, 0, 1, 0, 0, 1]
+
+
+def _is_irreducible(f, spec):
+    """Ben-Or's test: squarefree f of degree n is irreducible iff
+    gcd(f, x^(q^i) - x) = 1 for every i <= n / 2."""
+    h = x = [0, 1]
+    for _ in range(f.degree() // 2):
+        h = _frobenius(h, f.coeffs, spec)
+        if poly_gcd(f.coeffs, poly_add(h, x), spec) != [1]:
+            return False
+    return True
 
 
 def _irreducible(rng, spec, degree, avoid=()):
-    """A random monic irreducible polynomial of the given degree, drawn
-    until distinct-degree factorization finds one factor of that degree."""
+    """A random monic irreducible polynomial of the given degree."""
     while True:
         f = _random_poly(rng, spec, degree)
-        if (_orbits_by_ddf(f.coeffs, spec, [])[1] == [degree]
-                and f not in avoid):
+        if _is_irreducible(f, spec) and f not in avoid:
             return f
 
 
@@ -348,13 +360,20 @@ def test_small_orbits_by_kind(k):
 
 
 @pytest.mark.parametrize("k", [9, 12, 16])
-def test_quartics_past_gf_q2_keep_distinct_degree_factorization(k):
-    # with GF(q^2) past GF(2^16) the cap is 1 at any requested cap
+def test_quartics_past_gf_q2_leave_their_rest_unsplit(k):
+    # with GF(q^2) past GF(2^16) the cap is 1 at any requested cap: what
+    # has no rational root is the rest, monic and squarefree
     spec = FieldSpec.default(k)
     cases = _small_cases(random.Random(4000 + k), spec)
-    for kind, beyond in [("irreducible quartic", [4]),
-                         ("two conjugate pairs", [2, 2]),
-                         ("square of a pair", [2]),
-                         ("root and cubic orbit", [3])]:
-        levels, got = root_orbits(cases[kind].coeffs, spec, 4)
-        assert len(levels) == 1 and got == beyond, kind
+    square = cases["square of a pair"]
+    with_root = cases["root and cubic orbit"]
+    root = find_roots_int(with_root.coeffs, spec)[0][0]
+    for kind, rest in [
+            ("irreducible quartic", cases["irreducible quartic"]),
+            ("two conjugate pairs", cases["two conjugate pairs"]),
+            ("square of a pair",
+             Poly(spec, [spec.sqrt_int(c) for c in square.coeffs[::2]])),
+            ("root and cubic orbit", with_root // Poly(spec, [root, 1]))]:
+        scaled = cases[kind] * Poly.constant(spec, 1 << (k - 1))
+        levels, got = root_orbits(scaled.coeffs, spec, 4)
+        assert len(levels) == 1 and Poly(spec, got) == rest, kind

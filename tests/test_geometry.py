@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from test_acceptance import SEED, _random_smooth_surface_with_line
 
 from quartic_lines import geometry, surfaces
 from quartic_lines.errors import CapabilityError, UsageError
@@ -142,7 +143,7 @@ def test_elimination_matches_direct_scan(k, count, monkeypatch):
         direct = sorted(set(_singular_points_direct(
             [surf.f] + surf.partials(), spec)))
         assert len(direct) >= 1
-        assert sorted(_points_in_frame(surf, _FRAMES[0], 1)) == \
+        assert sorted(_points_in_frame(surf, _FRAMES[0], 1, False)) == \
             [(pt, 1) for pt in direct]
 
 
@@ -216,7 +217,8 @@ def test_degree_6_orbit_through_a_degree_3_direction(x2_degree,
     forms = [g.embed(gf4.embedding_to(big))
              for g in [surf.f] + surf.partials()]
     assert all(g.evaluate(list(q)) == 0 for g in forms for q in conjugates)
-    assert conjugates <= {q for q, n in _points_in_frame(surf, _FRAMES[0], 6)
+    assert conjugates <= {q for q, n in _points_in_frame(surf, _FRAMES[0], 6,
+                                                       True)
                           if n == 6}
     assert conjugates <= {p.point for p in singular_point_search(surf, 6)
                           if p.ext == 6 and p.spec == big}
@@ -275,7 +277,7 @@ def test_degenerate_elimination_retries_in_another_frame(gf2):
                           + x[1] * x[2] * x[0] * x[3]
                           + x[2] ** 2 * (x[3] ** 2 + x[0] * x[2]))
     with pytest.raises(CapabilityError, match="whole line"):
-        _points_in_frame(surf, _FRAMES[0], 1)
+        _points_in_frame(surf, _FRAMES[0], 1, True)
     pts = singular_point_search(surf, max_ext=6)
     assert len({(p.point, p.ext) for p in pts}) == len(pts)
     for m in range(1, 7):
@@ -294,6 +296,24 @@ def test_degenerate_elimination_retries_in_another_frame(gf2):
             _FERMAT_LIKE_POINTS
 
 
+def test_every_frame_is_tried_before_the_grid(gf2, monkeypatch):
+    # the ninth surface of acceptance test 07b: at max_ext=4 the identity
+    # frame's first two conditions share a line through its centre, which
+    # the other conditions cut, so no P^2 grid is listed up to GF(4096)
+    rng = random.Random(SEED)
+    gf8 = FieldSpec.default(3)
+    surfs = [_random_smooth_surface_with_line(rng, gf8) for _ in range(9)]
+    monkeypatch.setattr(geometry, "_grid_tails", _refuse_grid)
+    assert singular_point_search(surfs[-1], max_ext=4) == []
+    # x3 x1^3 + x4 x2^3 + x4^4: every condition of the identity frame
+    # vanishes on a line through its centre, and a later frame answers
+    surf = surfaces.family_z_surface(gf2, (0, 0, 0), (0, 0, 0, 0, 1))
+    with pytest.raises(AssertionError, match="P\\^2 grid"):
+        _points_in_frame(surf, _FRAMES[0], 6, True)
+    assert [(p.point, p.ext) for p in singular_point_search(surf, 6)] == [
+        ((0, 0, 1, 0), 1)]
+
+
 def test_conditions_free_of_x1_need_no_grid(gf2, monkeypatch):
     # the identity frame keeps d/dx2 and d/dx3 as its conditions, whose
     # common zeros are finite: no level falls back to the P^2 grid
@@ -310,7 +330,7 @@ def test_elimination_centred_off_the_surface(gf2):
     surf = QuarticSurface(planes[0] * planes[1] * planes[2] * planes[3])
     for frame in _FRAMES:
         with pytest.raises(CapabilityError, match="whole line"):
-            _points_in_frame(surf, frame, 1)
+            _points_in_frame(surf, frame, 1, True)
     # the answer the P^3 evaluation scan gave at max_ext=6: the points of
     # the six lines, 6 * 2^m - 2 over GF(2^m)
     pts = singular_point_search(surf, max_ext=6)
@@ -335,7 +355,7 @@ def test_elimination_over_gf4_when_every_gf2_point_is_on_the_surface(gf2):
                for c in itertools.product((0, 1), repeat=4))
     for frame in _FRAMES:
         with pytest.raises(CapabilityError):
-            _points_in_frame(surf, frame, 1)
+            _points_in_frame(surf, frame, 1, True)
     # the answer the P^3 evaluation scan gave at max_ext=6
     pts = singular_point_search(surf, max_ext=6)
     assert sorted(Counter(p.ext for p in pts).items()) == [
@@ -392,8 +412,8 @@ def test_reducible_quartics_match_direct_scan(k, max_ext, monkeypatch):
     used = []
     in_frame = geometry._points_in_frame
 
-    def spy(surf, frame, cap):
-        found = in_frame(surf, frame, cap)
+    def spy(surf, frame, cap, grid):
+        found = in_frame(surf, frame, cap, grid)
         used.append(frame)
         return found
 

@@ -1,18 +1,21 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from test_acceptance import SEED, _random_smooth_surface_with_line
 
+from quartic_lines import field, pencil as pencil_module
 from quartic_lines.errors import InconsistencyError, UsageError
 from quartic_lines.field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
 from quartic_lines.geometry import (QuarticSurface, _univariate_in, axis_line,
                                     canonical_point, enumerate_lines,
                                     restrict_form, singular_point_search,
                                     vec_mat)
-from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, POS_INF,
-                                  POS_ZERO, PencilPosition, ResidualPencil,
+from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, _FIBER_MAX_EXT,
+                                  POS_INF, POS_ZERO, PencilPosition,
+                                  ResidualPencil,
                                   _audit_one_fiber, _binary_collect,
                                   _cubic_singular_points, _eval_form,
                                   _form_derivs, _frame_points,
@@ -25,7 +28,8 @@ from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, POS_INF,
 from quartic_lines.poly import (Poly, SparsePoly, binary_roots,
                                 squarefree_test, sylvester_resultant)
 from quartic_lines.segre import build_dossier
-from quartic_lines.surfaces import get_surface, s5_mu0_seed_line
+from quartic_lines.surfaces import (family_z_surface, get_surface,
+                                    s5_mu0_seed_line)
 
 
 GF256 = FieldSpec.default(8)
@@ -275,17 +279,71 @@ def test_unclassified_fiber_orbits_are_flagged():
     flags = []
     pencil = ResidualPencil(surf, axis_line(FieldSpec.default(3)))
     fibers = singular_fibers(pencil, flags=flags)
-    want = ["fiber orbit of degree 6 not classified",
-            "fiber orbit of degree 10 not classified"]
+    want = ["fiber orbits of total degree 16 past degree 5 not classified",
+            "fiber orbit of degree 3: singular-point search capped at "
+            "extension degree 1"]
     assert flags == want
     dossier = build_dossier(surf, axis_line(FieldSpec.default(3)))
     assert dossier.flags == want
     assert dossier.to_json()["fibers"] == [f.to_json() for f in fibers]
 
 
+def test_short_euler_sum_flags_the_capped_orbits():
+    # the first smooth family-Z surface over GF(4) that random.Random(11)
+    # draws (q2, then q4): no singular point up to GF(2^16), an axis
+    # pencil whose classified fibers sum to 9, and a dropped orbit of
+    # degree 5, searched in GF(2^10) only up to its own field
+    gf4 = FieldSpec.default(2)
+    surf = family_z_surface(gf4, (3, 3, 3), (1, 1, 3, 1, 0))
+    assert singular_point_search(surf, max_ext=8) == []
+    dossier = build_dossier(surf, axis_line(gf4))
+    assert euler_budget_audit(dossier.fibers)[0] == 9
+    assert dossier.flags == ["fiber orbit of degree 5: singular-point "
+                             "search capped at extension degree 1"]
+
+
+def test_short_euler_sum_with_no_flag_is_flagged(s5_surface, monkeypatch):
+    # hide the record pencil's two I1 fibers of degree 2 by keeping only
+    # the rational roots of its lambda-discriminant, with no rest: what
+    # is left is I2 and I3 fibers summing to 22
+    def rational_only(coeffs, spec, cap):
+        levels, rest = root_orbits(coeffs, spec, cap)
+        if cap != _FIBER_MAX_EXT:
+            return levels, rest
+        return levels[:1] + [(f, []) for f, _ in levels[1:]], [1]
+
+    monkeypatch.setattr(pencil_module, "root_orbits", rational_only)
+    flags = []
+    fibers = singular_fibers(
+        ResidualPencil(s5_surface, s5_mu0_seed_line()), flags)
+    assert sorted({f.kodaira for f in fibers}) == ["I2", "I3"]
+    assert flags == ["Euler sum 22 < 24: surface singular or fiber missed"]
+
+
+def test_root_orbits_take_no_frobenius_step_past_the_cap(monkeypatch):
+    # the first 07b surface's lambda-discriminant leaves orbits of total
+    # degree 16 over GF(8) past the cap 5: one Frobenius power per degree
+    # up to the cap, and none to split what is left
+    pencil = ResidualPencil(_sweep_surfaces(1)[0],
+                            axis_line(FieldSpec.default(3)))
+    disc, _ = _lambda_discriminant(pencil)
+    calls = []
+    frobenius = field._frobenius
+
+    def spy(*args):
+        calls.append(args)
+        return frobenius(*args)
+
+    monkeypatch.setattr(field, "_frobenius", spy)
+    levels, rest = root_orbits(disc.coeffs, pencil.spec, _FIBER_MAX_EXT)
+    assert len(levels) == 5 and len(rest) - 1 == 16
+    assert len(calls) <= 5
+
+
 def _coeffs_in_y1(p):
     """The coefficients of p in its first variable, highest power first."""
-    return [p.coefficient_in(0, k) for k in range(p.degree_in(0), -1, -1)]
+    coeffs, zero = p.coefficients_in(0), SparsePoly.zero(p.nvars, p.spec)
+    return [coeffs.get(k, zero) for k in range(p.degree_in(0), -1, -1)]
 
 
 def _frame_condition(pencil, frame):
@@ -332,15 +390,22 @@ def _two_frame_product(pencil):
 def _fibers_from(pencil, disc, max_ext=6):
     """`singular_fibers` on a given discriminant: reports and flags."""
     reports = []
-    levels, beyond = root_orbits(disc.coeffs, pencil.spec, max_ext)
+    levels, rest = root_orbits(disc.coeffs, pencil.spec, max_ext)
     for m, (_, roots) in enumerate(levels, 1):
         for r in roots:
             pos = PencilPosition("finite", r, m)
             reports.append(classify_fiber(residual_cubic(pencil, pos), pos))
     reports.append(classify_fiber(residual_cubic(pencil, POS_INF), POS_INF))
-    flags = [f"fiber orbit of degree {d} not classified"
-             for d in sorted(set(beyond))]
-    return [r for r in reports if r.kodaira != "smooth"], flags
+    flags = [f"fiber orbits of total degree {len(rest) - 1} past degree "
+             f"{len(levels)} not classified"] if len(rest) > 1 else []
+    kept = [r for r in reports if r.kodaira != "smooth"]
+    if sum(_EULER_MIN[r.kodaira] for r in kept) < 24:
+        capped = Counter((r.position.ext, r.flags[0]) for r in reports
+                         if r.kodaira == "smooth" and r.flags)
+        flags += [f"fiber orbit of degree {m}: {text}"
+                  for (m, text), n in sorted(capped.items())
+                  for _ in range(n // m)]
+    return kept, flags
 
 
 def test_lambda_discriminant_covers_the_two_frame_product(s5_surface):
