@@ -17,7 +17,8 @@ x^q - x, and trace splitting into linear factors (`find_roots_int`).
 degree: a part of degree <= 4 by those solves in GF(q^d), a larger one
 through distinct-degree factorization, whose first step is the gcd
 above.  Orbits past the cap are not split: their product comes back as
-one polynomial.
+one polynomial.  The zero polynomial has every element as a root:
+`all_orbits` lists them in the same levels.
 
 Field elements serialize as lowercase hex of the bitmask ("0x6" = t^2 + t);
 a field spec serializes as {"degree": k, "modulus": hex}.
@@ -777,6 +778,27 @@ def root_orbits(coeffs: Sequence[int], spec: FieldSpec, cap: int):
         found[1] = [0] + found.get(1, [])
     return ([(fld, sorted(found.get(d, []))) for d, fld in
              enumerate(fields, 1)], rest)
+
+
+def all_orbits(spec: FieldSpec, cap: int) -> list:
+    """The levels of `root_orbits` for the zero polynomial, whose roots
+    are every element: levels[d - 1] = (GF(q^d), the sorted elements of
+    exact degree d over GF(q)) for d = 1..cap, the cap lowered as there.
+
+    With g generating GF(q^d)*, g^i lies in the subfield of q^(d/p)
+    elements iff (q^d - 1)/(q^(d/p) - 1) divides i; an element of exact
+    degree d lies in none of them, p | d prime."""
+    k = spec.degree
+    levels = []
+    for d in range(1, min(cap, MAX_DEGREE // k) + 1):
+        field = spec.level(d)
+        exps, _ = _tables(field)
+        steps = [field.order // ((1 << (k * d // p)) - 1)
+                 for p in set(_prime_factors(d))]
+        roots = sorted(exps[i] for i in range(field.order)
+                       if all(i % s for s in steps))
+        levels.append((field, [0] + roots if d == 1 else roots))
+    return levels
 
 
 def _deflate(coeffs: Sequence[int], r: int, spec: FieldSpec):

@@ -16,7 +16,8 @@ eliminant S(x3) is split into Galois orbits once, and each orbit is
 lifted in its own field, so each point is found once, over the field of
 its degree.  The frames are those of `centred_frames`, one GF(2) frame
 centred at each GF(2)-point, tried in turn while the elimination
-degenerates.
+degenerates; if all do, the curve of zeros they share is listed by its
+directions, every point being a root of the zero polynomial.
 
 The elimination kernel is shared with `pencil`, which finds the singular
 points of fiber cubics the same way: `centred_frames` (the frames),
@@ -36,7 +37,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapabilityError, InconsistencyError, UsageError
-from .field import MAX_DEGREE, FieldSpec, json_natural, root_orbits
+from .field import (MAX_DEGREE, FieldSpec, all_orbits, json_natural,
+                    root_orbits)
 from .poly import Poly, SparsePoly, squarefree_test, sylvester_resultant
 
 Row = Tuple[int, int, int, int]
@@ -552,7 +554,8 @@ class FormLevels:
 
 
 def lift_tails(forms: FormLevels, tails: Iterable[Tuple[tuple, int]],
-               cap: int) -> Optional[List[Tuple[tuple, int]]]:
+               cap: int, list_all: bool = False
+               ) -> Optional[List[Tuple[tuple, int]]]:
     """The common zeros of the forms of degree n <= cap over GF(q), as
     (coordinates over GF(q^n), n), from the tails they project to from
     the centre (1 : 0 : ... : 0).
@@ -561,8 +564,10 @@ def lift_tails(forms: FormLevels, tails: Iterable[Tuple[tuple, int]],
     it, the first coordinates are the roots of the gcd in x1 of the forms
     (`gcd_at_tail`), grouped by `root_orbits`: a root of degree
     e <= cap // d over GF(q^d) makes a point of degree d e.  Every
-    candidate is checked on all forms, and the centre directly.  None
-    when the forms vanish on a whole line through the centre.
+    candidate is checked on all forms, and the centre directly.  When the
+    forms vanish on a whole line through the centre, its points of degree
+    at most cap are listed (`all_orbits`) if `list_all`, and else the
+    answer is None.
 
     A tail lifted from GF(q^d) to GF(q^(d e)) is checked on the forms
     embedded straight from GF(q): the two embeddings agree for every
@@ -574,10 +579,13 @@ def lift_tails(forms: FormLevels, tails: Iterable[Tuple[tuple, int]],
     for tail, d in tails:
         g = gcd_at_tail(forms.at(d), 0, tail)
         if g is None:
-            return None
-        if g.degree() < 1:
+            if not list_all:
+                return None
+            levels = all_orbits(forms.field(d), cap // d)
+        elif g.degree() < 1:
             continue
-        levels, _ = root_orbits(g.coeffs, forms.field(d), cap // d)
+        else:
+            levels, _ = root_orbits(g.coeffs, forms.field(d), cap // d)
         for e, (target, roots) in enumerate(levels, 1):
             if not roots:
                 continue
@@ -593,9 +601,6 @@ def lift_tails(forms: FormLevels, tails: Iterable[Tuple[tuple, int]],
 # -- singular point search ----------------------------------------------------
 
 
-# Infinitely many common zeros of the x1-conditions are listed on the P^2
-# grid, 3 q^2 points at each level.
-_GRID_MAX_Q = 4096
 # The centre of the first frame the quartic's elimination tries: the
 # identity frame.
 _CENTRE = (1, 0, 0, 0)
@@ -625,44 +630,8 @@ def _x3_eliminant(conds: List[SparsePoly]) -> Optional[Poly]:
     return None if s.is_zero() else s
 
 
-def _has_degree(pt: Sequence[int], spec: FieldSpec, m: int) -> bool:
-    """Do the canonical coordinates of a point over spec = GF(q^m) lie in
-    no proper subfield GF(q^d), so that the point has degree m?"""
-    k = spec.degree // m
-    return not any(all(spec.pow_int(c, 2 ** (k * d)) == c for c in pt)
-                   for d in range(1, m) if m % d == 0)
-
-
-def _grid_tails(conds: FormLevels, cap: int) -> List[Tuple[tuple, int]]:
-    """The common zeros of degree m <= cap of the conditions in P^2, by
-    evaluation on every point of P^2(GF(q^m)), each kept at the level of
-    its degree: the listing when there are infinitely many."""
-    k = conds.spec.degree
-    if 2 ** (k * cap) > _GRID_MAX_Q:
-        raise CapabilityError(
-            "the elimination conditions share a curve of zeros; listing "
-            f"them on the P^2 grid over GF(2^{k * cap}) is refused "
-            f"for q > {_GRID_MAX_Q}")
-    tails = []
-    for m in range(1, cap + 1):
-        spec = conds.field(m)
-        for chart in range(1, 4):
-            coords = _chart(chart, range(chart + 1, 4), spec.size)[1:]
-            mask = None
-            for r in conds.at(m):
-                v = _eval_on_grid(r, coords, spec) == 0
-                mask = v if mask is None else (mask & v)
-                if not mask.any():
-                    break
-            for i in np.nonzero(mask)[0].tolist():
-                pt = tuple(int(c[i]) for c in coords)
-                if _has_degree(pt, spec, m):
-                    tails.append((pt, m))
-    return tails
-
-
 def _points_in_frame(surface: QuarticSurface, frame, cap: int,
-                     grid: bool) -> set:
+                     list_all: bool) -> set:
     """The singular points of degree n <= cap over the surface's field
     found by elimination in the frame, as (point canonical over GF(q^n),
     n) in the surface's coordinates.
@@ -673,8 +642,10 @@ def _points_in_frame(surface: QuarticSurface, frame, cap: int,
     (x3 : x4) is lifted to P^2 on the two conditions, or on all of them
     when the two share a line through (1 : 0 : 0), and then to P^3 on
     the five forms (`lift_tails`).  When there is no S or every condition
-    vanishes on that line, the P^2 grid lists their zeros if `grid`
-    allows it, and else the frame is refused."""
+    vanishes on a line through (1 : 0 : 0), the frame is refused unless
+    `list_all`, and then the zero polynomial has every point as a root:
+    S = 0 gives every direction and such a line every point of it, each
+    of degree at most cap (`all_orbits`)."""
     moved = surface.transform(frame)
     forms = FormLevels([moved.f] + moved.partials())
     conds = first_variable_conditions(forms.at(1))
@@ -684,20 +655,22 @@ def _points_in_frame(surface: QuarticSurface, frame, cap: int,
             "degenerate elimination: no condition is left after "
             "eliminating x1")
     s = _x3_eliminant(plane)
-    tails = None
     if s is not None:
         levels, _ = root_orbits(s.coeffs, forms.spec, cap)
-        dirs = [((1, 0), 1)] + [((a, 1), d) for d, (_, roots)
-                                in enumerate(levels, 1) for a in roots]
-        tails = lift_tails(FormLevels(plane), dirs, cap)
-        if tails is None:   # the other conditions may cut a shared line
-            plane += [r.drop_vars([1, 2, 3]) for r in conds]
-            tails = lift_tails(FormLevels(plane), dirs, cap)
+    elif list_all:
+        levels = all_orbits(forms.spec, cap)
+    else:
+        raise CapabilityError(
+            "the elimination conditions share a curve of zeros")
+    dirs = [((1, 0), 1)] + [((a, 1), d) for d, (_, roots)
+                            in enumerate(levels, 1) for a in roots]
+    tails = lift_tails(FormLevels(plane), dirs, cap)
+    if tails is None:   # the other conditions may cut a shared line
+        plane += [r.drop_vars([1, 2, 3]) for r in conds]
+        tails = lift_tails(FormLevels(plane), dirs, cap, list_all)
     if tails is None:
-        if not grid:
-            raise CapabilityError(
-                "the elimination conditions share a curve of zeros")
-        tails = _grid_tails(FormLevels(plane), cap)
+        raise CapabilityError(
+            "the elimination conditions share a curve of zeros")
     pts = lift_tails(forms, tails, cap)
     if pts is None:
         raise CapabilityError(
@@ -737,10 +710,9 @@ def singular_point_search(surface: QuarticSurface,
     fifteen GF(2)-points.  An elimination that degenerates (no condition
     left, conditions sharing a curve of zeros) is retried in the next
     frame; only when every frame refuses, as for a surface singular along
-    a curve, are they tried again with the shared curve's points listed
-    on the P^2 grid level by level, up to GF(4096).  CapabilityError is
-    raised for a target field past GF(2^16) and when every frame
-    degenerates even so.
+    a curve, are they tried again with the curve listed by its directions
+    (`_points_in_frame`).  CapabilityError is raised for a target field
+    past GF(2^16) and when every frame degenerates even so.
     """
     if max_ext < 1:
         raise UsageError("max_ext must be >= 1")
@@ -751,12 +723,12 @@ def singular_point_search(surface: QuarticSurface,
             "limit")
     forms = [surface.f] + surface.partials()
     exc = None
-    for grid, frame in itertools.product((False, True),
-                                         centred_frames(_CENTRE)):
+    for list_all, frame in itertools.product((False, True),
+                                             centred_frames(_CENTRE)):
         if not any(g.evaluate(frame[0]) for g in forms):
             continue
         try:
-            found = _points_in_frame(surface, frame, max_ext, grid)
+            found = _points_in_frame(surface, frame, max_ext, list_all)
             break
         except CapabilityError as err:
             exc = err

@@ -13,7 +13,7 @@ from quartic_lines.geometry import (QuarticSurface, axis_line,
                                     detect_configurations, enumerate_lines,
                                     singular_point_search)
 from quartic_lines.lattice import gram_from_graph
-from quartic_lines.pencil import POS_ZERO
+from quartic_lines.pencil import POS_ZERO, euler_budget_audit
 from quartic_lines.poly import Poly, SparsePoly
 from quartic_lines.segre import (build_dossier, char2_hessian,
                                  coplanar_line_multiplicity,
@@ -21,8 +21,8 @@ from quartic_lines.segre import (build_dossier, char2_hessian,
                                  family_z_valency_criterion,
                                  hessian_vanishes_at,
                                  hessian_vanishes_on_line, universal_hessian)
-from quartic_lines.surfaces import (family_x_surface, get_surface,
-                                    schur_char2_surface)
+from quartic_lines.surfaces import (family_x_surface, family_z_surface,
+                                    get_surface, schur_char2_surface)
 from quartic_lines.tate import (WeierstrassModel, build_integral_model,
                                 enumerate_fiber_configs, example_6_4_instance,
                                 ord_delta_total, tate_classify)
@@ -192,6 +192,38 @@ def test_criterion_07b_random_gf8_divisibility(gf8):
                 assert rec.ok, (surf.f.terms, rec)
             audited += 1
     assert audited >= 25      # the sweep is overwhelmingly first kind
+
+
+def _smooth_family_z_surfaces(spec, n):
+    """The first n family-Z surfaces that random.Random(11) draws (q2,
+    then q4) with no singular point up to GF(2^16): a cheap filter at
+    max_ext=2 first, so that no curve of singular points is listed at a
+    large level."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < n:
+        q2 = tuple(rng.randrange(spec.size) for _ in range(3))
+        q4 = tuple(rng.randrange(spec.size) for _ in range(5))
+        try:
+            surf = family_z_surface(spec, q2, q4)
+        except UsageError:
+            continue
+        if not (singular_point_search(surf, max_ext=2)
+                or singular_point_search(surf, 16 // spec.degree)):
+            out.append(surf)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_random_family_z_second_kind_sweep(k):
+    # the second-kind counterpart of 07b: the axis line of a smooth
+    # family-Z surface, whose short Euler sums must carry a flag
+    spec = FieldSpec.default(k)
+    for surf in _smooth_family_z_surfaces(spec, 10):
+        d = build_dossier(surf, axis_line(spec))
+        assert d.kind == "second"
+        assert euler_budget_audit(d.fibers)[0] >= 24 or d.flags, surf.label
+        assert d.valency <= 20
 
 
 # 8 -- valency bounds on censused smooth surfaces

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from quartic_lines.field import (MAX_DEGREE, FieldError, FieldSpec, _deflate,
                                  _frobenius, _orbits_by_ddf, _prime_factors,
-                                 _prime_step_embedding, find_roots_int,
-                                 poly_add, poly_gcd, root_orbits)
+                                 _prime_step_embedding, all_orbits,
+                                 find_roots_int, poly_add, poly_gcd,
+                                 root_orbits)
 from quartic_lines.poly import Poly
 
 SPECS = [FieldSpec.default(k) for k in (1, 2, 3, 4, 8)]
@@ -277,6 +278,34 @@ def test_root_orbits_stop_at_gf65536():
     levels, rest = root_orbits([1, 0, 1, 0, 0, 1], FieldSpec.default(4), 6)
     assert [roots for _, roots in levels] == [[]] * 4
     assert rest == [1, 0, 1, 0, 0, 1]
+
+
+def _mobius(n):
+    primes = _prime_factors(n)
+    return 0 if len(set(primes)) < len(primes) else (-1) ** len(primes)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_all_orbits_partition_each_level(k):
+    # the roots of the zero polynomial: every element, at its own degree
+    spec = FieldSpec.default(k)
+    levels = all_orbits(spec, 20)
+    assert len(levels) == MAX_DEGREE // k
+    q = spec.size
+    for d, (field, roots) in enumerate(levels, 1):
+        assert field == spec.level(d)
+        assert len(roots) == sum(_mobius(d // e) * q ** e
+                                 for e in range(1, d + 1) if d % e == 0)
+        assert roots == sorted(set(roots))
+        assert all(0 <= r < field.size for r in roots)
+    # embedded into GF(q^n), the levels d | n are disjoint and cover it
+    for n, (big, _) in enumerate(levels, 1):
+        seen = []
+        for d, (field, roots) in enumerate(levels[:n], 1):
+            if n % d == 0:
+                emb = field.embedding_to(big)
+                seen += [emb.apply_int(r) for r in roots]
+        assert sorted(seen) == list(range(big.size))
 
 
 def _is_irreducible(f, spec):

@@ -127,15 +127,15 @@ def _singular_points_direct(forms, spec):
     return found
 
 
-def _refuse_grid(*args):
-    raise AssertionError("P^2 grid listing")
+def _refuse_listing(*args):
+    raise AssertionError("listing every point")
 
 
 @pytest.mark.parametrize("k,count", [(4, 3), (6, 2)])
 def test_elimination_matches_direct_scan(k, count, monkeypatch):
     # the rational points of the identity frame, through S and without
-    # the P^2 grid
-    monkeypatch.setattr(geometry, "_grid_tails", _refuse_grid)
+    # listing a curve
+    monkeypatch.setattr(geometry, "all_orbits", _refuse_listing)
     spec = FieldSpec.default(k)
     rng = random.Random(f"singular:{k}")
     for _ in range(count):
@@ -199,7 +199,7 @@ def test_degree_6_orbit_through_a_degree_3_direction(x2_degree,
     # a GF(4) quartic singular at P = (x1 : x2 : x3 : 1) of degree 6 with
     # x3 of degree 3: the identity frame reaches P from a direction of
     # degree 3 lifted by e = 2, to P^2 when x2 has degree 6, else to P^3
-    monkeypatch.setattr(geometry, "_grid_tails", _refuse_grid)
+    monkeypatch.setattr(geometry, "all_orbits", _refuse_listing)
     gf4, big = FieldSpec.default(2), FieldSpec.default(12)
     rng = random.Random(f"orbit-3x2-1:{x2_degree}")
 
@@ -234,17 +234,20 @@ def _conic_surface():
     return QuarticSurface(f), a, b
 
 
-def test_singular_along_a_conic_falls_back_to_the_grid(gf2, monkeypatch):
+def test_singular_along_a_conic_is_listed_by_its_directions(gf2,
+                                                            monkeypatch):
+    # S vanishes identically in the identity frame: the listing pass takes
+    # every direction (x3 : x4) up to GF(2^7) as a root
     surf, a, b = _conic_surface()
     conds = itertools.islice(
         first_variable_conditions([surf.f] + surf.partials()), 2)
     assert _x3_eliminant([r.drop_vars([1, 2, 3]) for r in conds]) is None
-    grid = []
-    listed = geometry._grid_tails
-    monkeypatch.setattr(geometry, "_grid_tails",
-                        lambda *args: grid.append(args) or listed(*args))
+    listed = []
+    every = geometry.all_orbits
+    monkeypatch.setattr(geometry, "all_orbits",
+                        lambda *args: listed.append(args) or every(*args))
     pts = singular_point_search(surf, max_ext=7)
-    assert grid
+    assert (gf2, 7) in listed
     on_conic = [p for p in pts
                 if not any(g.embed(gf2.embedding_to(p.spec)).evaluate(p.point)
                            for g in (a, b))]
@@ -299,25 +302,26 @@ def test_degenerate_elimination_retries_in_another_frame(gf2):
 def test_every_frame_is_tried_before_the_grid(gf2, monkeypatch):
     # the ninth surface of acceptance test 07b: at max_ext=4 the identity
     # frame's first two conditions share a line through its centre, which
-    # the other conditions cut, so no P^2 grid is listed up to GF(4096)
+    # the other conditions cut, so nothing is listed up to GF(4096)
     rng = random.Random(SEED)
     gf8 = FieldSpec.default(3)
     surfs = [_random_smooth_surface_with_line(rng, gf8) for _ in range(9)]
-    monkeypatch.setattr(geometry, "_grid_tails", _refuse_grid)
+    monkeypatch.setattr(geometry, "all_orbits", _refuse_listing)
     assert singular_point_search(surfs[-1], max_ext=4) == []
     # x3 x1^3 + x4 x2^3 + x4^4: every condition of the identity frame
-    # vanishes on a line through its centre, and a later frame answers
+    # vanishes on a line through its centre, so the frame refuses before
+    # the listing pass, and a later frame answers
     surf = surfaces.family_z_surface(gf2, (0, 0, 0), (0, 0, 0, 0, 1))
-    with pytest.raises(AssertionError, match="P\\^2 grid"):
-        _points_in_frame(surf, _FRAMES[0], 6, True)
+    with pytest.raises(CapabilityError, match="share a curve of zeros"):
+        _points_in_frame(surf, _FRAMES[0], 6, False)
     assert [(p.point, p.ext) for p in singular_point_search(surf, 6)] == [
         ((0, 0, 1, 0), 1)]
 
 
 def test_conditions_free_of_x1_need_no_grid(gf2, monkeypatch):
     # the identity frame keeps d/dx2 and d/dx3 as its conditions, whose
-    # common zeros are finite: no level falls back to the P^2 grid
-    monkeypatch.setattr(geometry, "_grid_tails", _refuse_grid)
+    # common zeros are finite: nothing is listed at any level
+    monkeypatch.setattr(geometry, "all_orbits", _refuse_listing)
     pts = singular_point_search(_fermat_like_surface(gf2), max_ext=12)
     assert [(p.point, p.ext) for p in pts] == _FERMAT_LIKE_POINTS
 
@@ -412,8 +416,8 @@ def test_reducible_quartics_match_direct_scan(k, max_ext, monkeypatch):
     used = []
     in_frame = geometry._points_in_frame
 
-    def spy(surf, frame, cap, grid):
-        found = in_frame(surf, frame, cap, grid)
+    def spy(surf, frame, cap, list_all):
+        found = in_frame(surf, frame, cap, list_all)
         used.append(frame)
         return found
 
