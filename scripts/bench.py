@@ -11,10 +11,15 @@ run-time set-up and memory only) and runs the
 unchanged `perfbench/run.py --trace 0` of each side in a fresh process, for
 the `run_seconds` of the working tree's BENCHMARK.json, pair by pair, with
 seed i on both sides of pair i (1, 2, ...) and the side that goes first
-alternating.  For every end-to-end metric it prints each side's
-median and quartiles and the number of pairs the working tree won (every
-metric is lower-is-better), and writes the same figures, the raw runs and
-the per-workload `# report` figures to the JSON file named by `--out`.
+alternating.  For every metric it prints each side's median and
+quartiles and the number of pairs the working tree won (every metric is
+lower-is-better).  For each end-to-end metric of BENCHMARK.json it also
+prints the relative change of the medians next to that metric's bound,
+and a verdict: `unresolved` when the parent's own quartile spread,
+relative to its median, is wider than the bound and not every run of the
+working tree beats every run of the parent; else `worse` past the bound,
+or `within`.  It writes the same figures, the raw runs and the
+per-workload `# report` figures to the JSON file named by `--out`.
 It also times one run of the tier-1 suite (`python -m pytest -q
 --continue-on-collection-errors` with `src` on the path) in each side's
 tree, parent first, and writes that wall time under `tier1`.
@@ -93,7 +98,21 @@ def spread(xs: List[float]) -> Dict[str, float]:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(runs: Dict[str, List[dict]]) -> dict:
+def against_bound(a: List[float], b: List[float], bound: float) -> dict:
+    """The change's median relative to the parent's (runs a, b), the
+    parent's quartile spread relative to its median, and the verdict."""
+    p, c = spread(a), spread(b)
+    change = (c["median"] - p["median"]) / p["median"]
+    parent_spread = (p["q3"] - p["q1"]) / p["median"]
+    if parent_spread > bound and not max(b) < min(a):
+        verdict = "unresolved"
+    else:
+        verdict = "worse" if change > bound else "within"
+    return {"bound": bound, "change": change,
+            "parent_spread": parent_spread, "verdict": verdict}
+
+
+def summarize(runs: Dict[str, List[dict]], bounds: Dict[str, float]) -> dict:
     parent, change = runs["parent"], runs["change"]
     out = {}
     for name in parent[0]["values"]:
@@ -102,6 +121,8 @@ def summarize(runs: Dict[str, List[dict]]) -> dict:
         out[name] = {"parent": spread(a), "change": spread(b),
                      "change_won": sum(y < x for x, y in zip(a, b)),
                      "pairs": len(a)}
+        if name in bounds:
+            out[name]["gate"] = against_bound(a, b, bounds[name])
     return out
 
 
@@ -116,7 +137,9 @@ def main(argv=None) -> int:
     parent_rev = git("rev-parse", args.parent).decode().strip()
     head = git("rev-parse", "HEAD").decode().strip()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        seconds = json.load(fh)["run_seconds"]
+        bench = json.load(fh)
+    seconds = bench["run_seconds"]
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     doc = {"parent": parent_rev, "change": f"working tree on {head}",
            "pairs": args.pairs, "seconds": seconds,
            "seeds": list(range(1, args.pairs + 1)),
@@ -138,7 +161,7 @@ def main(argv=None) -> int:
                                                seconds))
                 print(f"# {workload} pair {i + 1}/{args.pairs} seed {seed}",
                       file=sys.stderr, flush=True)
-            metrics = summarize(runs)
+            metrics = summarize(runs, bounds)
             doc["workloads"][workload] = {
                 "metrics": metrics,
                 "failed": {side: sum(r["failed"] for r in rs)
@@ -150,6 +173,11 @@ def main(argv=None) -> int:
                       f"({p['q1']:.4g}-{p['q3']:.4g}) change "
                       f"{c['median']:.4g} ({c['q1']:.4g}-{c['q3']:.4g}) "
                       f"won {m['change_won']}/{m['pairs']}")
+                if "gate" in m:
+                    g = m["gate"]
+                    print(f"{workload} {name}: median {g['change']:+.1%} "
+                          f"(bound {g['bound']:.0%}, parent spread "
+                          f"{g['parent_spread']:.1%}) {g['verdict']}")
         doc["tier1"] = {side: time_suite(trees[side])
                         for side in ("parent", "change")}
         for side, t in doc["tier1"].items():

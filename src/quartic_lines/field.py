@@ -101,7 +101,7 @@ class FieldSpec:
 
     __slots__ = (
         "degree", "modulus", "order", "size",
-        "_exp", "_log", "_exps", "_logs", "_embeddings",
+        "_exp", "_log", "_exps", "_logs", "_arr_tables", "_embeddings",
         "_artin_schreier",
     )
 
@@ -123,6 +123,7 @@ class FieldSpec:
         self._log = None
         self._exps = None
         self._logs = None
+        self._arr_tables = None         # mul_arr's, on its first call
         self._embeddings = {}
         self._artin_schreier = None     # echelon of s -> s^2 + s, on demand
 
@@ -273,26 +274,28 @@ class FieldSpec:
 
     # -- vectorized arithmetic on uint32 arrays ------------------------------
 
+    def _array_tables(self):
+        # log(0) = 2*order passes every sum of two nonzero logs, exp is 0
+        # from there to 4*order: a zero factor reads 0 in the one gather.
+        # int32 holds every sum (< 2^18); the 2-byte scalar tables cannot.
+        order = self.order
+        exp = np.zeros(4 * order + 1, dtype=np.uint32)
+        exp[:2 * order] = self.exp_table
+        log = self.log_table.astype(np.int32)
+        log[0] = 2 * order
+        self._arr_tables = exp, log
+        return exp, log
+
     def mul_arr(self, a: np.ndarray, b) -> np.ndarray:
-        exp, log = self.exp_table, self.log_table
-        a = np.asarray(a, dtype=np.uint32)
-        b = np.asarray(b, dtype=np.uint32)
-        out = exp[log[a] + log[b]].astype(np.uint32)
-        zero = (a == 0) | (b == 0)
-        if zero.any():
-            out = np.where(zero, np.uint32(0), out)
-        return out
+        exp, log = self._arr_tables or self._array_tables()
+        return exp[log[a] + log[b]]
 
     def pow_arr(self, a: np.ndarray, e: int) -> np.ndarray:
-        if e == 0:
-            return np.ones_like(np.asarray(a, dtype=np.uint32))
-        exp, log = self.exp_table, self.log_table
         a = np.asarray(a, dtype=np.uint32)
-        out = exp[(log[a] * e) % self.order].astype(np.uint32)
-        zero = a == 0
-        if zero.any():
-            out = np.where(zero, np.uint32(0), out)
-        return out
+        if e == 0:
+            return np.ones_like(a)
+        out = self.exp_table[(self.log_table[a] * e) % self.order]
+        return np.where(a == 0, np.uint32(0), out)
 
     # -- canonical subfield embeddings ---------------------------------------
 

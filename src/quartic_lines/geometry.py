@@ -343,27 +343,37 @@ class QuarticSurface:
 # -- evaluation on grids of points -------------------------------------------
 
 
-def _eval_on_grid(p: SparsePoly, grids: List[np.ndarray],
+def _eval_on_grid(p: SparsePoly, grids: Sequence[np.ndarray],
                   spec: FieldSpec) -> np.ndarray:
-    val = np.zeros(grids[0].shape, dtype=np.uint32)
+    """p at the points whose coordinate arrays `grids` broadcast together:
+    a coordinate of one value folds into the coefficients, each power of
+    another is computed once, on its own array."""
+    val = np.zeros(np.broadcast(*grids).shape, dtype=np.uint32)
+    fixed = {i: int(g.flat[0]) for i, g in enumerate(grids) if g.size == 1}
+    powers = {}
     for e, c in p.terms.items():
-        term = np.broadcast_to(np.uint32(c), grids[0].shape)
-        for g, k in zip(grids, e):
-            if k:
-                term = spec.mul_arr(term, spec.pow_arr(g, k))
-        val = val ^ term
+        for i, x in fixed.items():
+            c = spec.mul_int(c, spec.pow_int(x, e[i]))
+        term = c
+        for i, k in enumerate(e):
+            if c and k and i not in fixed:
+                if (i, k) not in powers:
+                    powers[i, k] = (spec.pow_arr(grids[i], k) if k > 1
+                                    else grids[i])
+                term = spec.mul_arr(powers[i, k], term)
+        val ^= term
     return val
 
 
 def _chart(lead: int, free: Sequence[int], q: int) -> List[np.ndarray]:
-    """Coordinate arrays of the q^len(free) points whose coordinate `lead`
-    is 1, whose `free` coordinates run over GF(q) and whose others are 0."""
-    n = q ** len(free)
-    idx = np.arange(n, dtype=np.int64)
-    coords = [np.zeros(n, dtype=np.uint32) for _ in range(4)]
-    coords[lead] = np.ones(n, dtype=np.uint32)
+    """Coordinates of the q^len(free) points whose coordinate `lead` is 1,
+    whose `free` coordinates run over GF(q) and whose others are 0, as
+    arrays that broadcast together: free coordinate j runs along axis
+    -1-j, every other coordinate is one value."""
+    coords = [np.zeros(1, dtype=np.uint32) for _ in range(4)]
+    coords[lead] = np.ones(1, dtype=np.uint32)
     for j, c in enumerate(free):
-        coords[c] = ((idx // q ** j) % q).astype(np.uint32)
+        coords[c] = np.arange(q, dtype=np.uint32).reshape((q,) + (1,) * j)
     return coords
 
 
@@ -395,23 +405,23 @@ def _cell_lines(surf: QuarticSurface, partials: List[SparsePoly],
     for row, lead in enumerate((p1, p2)):
         coords = _chart(lead, [c for r, c in slots if r == row], spec.size)
         on = _eval_on_grid(surf.f, coords, spec) == 0
-        rows.append(np.stack([c[on] for c in coords]))
+        if not on.any():
+            return []
+        # the chart's points on the surface, a fixed coordinate one value
+        rows.append([np.broadcast_to(c, on.shape)[on] if c.size > 1
+                     else c for c in coords])
     ps, qs = rows
-    grad = [_eval_on_grid(g, list(ps), spec) for g in partials]
-    pairs = []
-    for j, qpt in enumerate(qs.T.tolist()):
-        dot = grad[p2].copy()  # qpt is 0 before p2 and 1 at p2
-        for c in range(p2 + 1, 4):
-            if qpt[c]:
-                dot ^= spec.mul_arr(grad[c], qpt[c])
-        pairs += [(i, j) for i in np.nonzero(dot == 0)[0].tolist()]
-    if not pairs:
-        return []
-    pi, qj = np.array(pairs, dtype=np.int64).T
-    p, q = ps[:, pi], qs[:, qj]
+    grad = [_eval_on_grid(g, ps, spec)[:, None] for g in partials]
+    dot = grad[p2]  # Q is 0 before p2 and 1 at p2
+    for c in range(p2 + 1, 4):
+        dot = dot ^ spec.mul_arr(grad[c], qs[c])
+    shape = (max(map(len, ps)), max(map(len, qs)))
+    pi, qj = np.nonzero(np.broadcast_to(dot, shape) == 0)
+    p = np.stack([np.broadcast_to(c, shape[:1])[pi] for c in ps])
+    q = np.stack([np.broadcast_to(c, shape[1:])[qj] for c in qs])
     if spec.size >= 4:
-        on = ((_eval_on_grid(surf.f, list(p ^ q), spec) == 0)
-              & (_eval_on_grid(surf.f, list(p ^ spec.mul_arr(q, 2)), spec)
+        on = ((_eval_on_grid(surf.f, p ^ q, spec) == 0)
+              & (_eval_on_grid(surf.f, p ^ spec.mul_arr(q, 2), spec)
                  == 0))
         p, q = p[:, on], q[:, on]
     lines = [Line(spec, r, _canonical=True)

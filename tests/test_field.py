@@ -406,3 +406,42 @@ def test_quartics_past_gf_q2_leave_their_rest_unsplit(k):
         scaled = cases[kind] * Poly.constant(spec, 1 << (k - 1))
         levels, got = root_orbits(scaled.coeffs, spec, 4)
         assert len(levels) == 1 and Poly(spec, got) == rest, kind
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 16])
+def test_array_kernels_match_the_scalar_ones(k):
+    # mul_arr's one gather through the zero sentinel and pow_arr's masked
+    # power agree with mul_int and pow_int element by element: zeros,
+    # e = 0, a scalar times an array and a column times a row included
+    spec = FieldSpec.default(k)
+    rng = np.random.default_rng(k)
+    xs = rng.integers(0, spec.size, 40, dtype=np.uint32)
+    ys = rng.integers(0, spec.size, 30, dtype=np.uint32)
+    xs[:2] = ys[:2] = 0, 1
+    table = spec.mul_arr(xs[:, None], ys[None, :])
+    assert table.dtype == np.uint32 and table.shape == (40, 30)
+    assert table.tolist() == [[spec.mul_int(a, b) for b in ys.tolist()]
+                              for a in xs.tolist()]
+    for c in {0, 1, spec.order}:
+        want = [spec.mul_int(a, c) for a in xs.tolist()]
+        assert spec.mul_arr(xs, c).tolist() == want
+        assert spec.mul_arr(np.uint32(c), xs).tolist() == want
+    for e in (0, 1, 2, 3, 4, spec.order, spec.order + 1, 3 * spec.size):
+        assert spec.pow_arr(xs, e).tolist() == \
+            [spec.pow_int(a, e) for a in xs.tolist()]
+
+
+def test_gf65536_scalar_tables_stay_free_of_the_sentinel():
+    # the array kernels' tables, built first, leave the 2-byte scalar
+    # tables as a field that never ran an array kernel builds them
+    spec, fresh = FieldSpec(16), FieldSpec(16)
+    spec.mul_arr(np.arange(4, dtype=np.uint32), 3)
+    rng = random.Random(16)
+    for _ in range(200):
+        a, b = rng.randrange(1, spec.size), rng.randrange(spec.size)
+        e = rng.randrange(-spec.size, 2 * spec.size)
+        assert spec.mul_int(a, b) == spec.clmul_int(a, b)
+        assert spec.clmul_int(a, spec.inv_int(a)) == 1
+        assert spec.pow_int(a, e) == fresh.pow_int(a, e)
+        assert spec.pow_int(0, abs(e) + 1) == 0
+    assert spec._logs == fresh._logs and spec._exps == fresh._exps

@@ -114,7 +114,8 @@ def _singular_points_direct(forms, spec):
     q = spec.size
     found = []
     for chart in range(4):
-        coords = _chart(chart, range(chart + 1, 4), q)
+        coords = [c.ravel() for c in np.broadcast_arrays(
+            *_chart(chart, range(chart + 1, 4), q))]
         mask = np.ones(coords[0].shape, dtype=bool)
         for g in forms:
             if g.is_zero():
@@ -520,6 +521,88 @@ def test_record_census_over_gf256(s5_surface):
     assert lines[0].spec.size == 256
     assert len(lines) == 60
     assert set(IntersectionGraph(lines).valencies()) == {17}
+
+
+def _flat_chart(lead, free, q):
+    """The chart's q^len(free) points as flat coordinate arrays, free
+    coordinate j the j-th base-q digit of the point's index."""
+    n = q ** len(free)
+    idx = np.arange(n, dtype=np.int64)
+    coords = [np.zeros(n, dtype=np.uint32) for _ in range(4)]
+    coords[lead] = np.ones(n, dtype=np.uint32)
+    for j, c in enumerate(free):
+        coords[c] = ((idx // q ** j) % q).astype(np.uint32)
+    return coords
+
+
+def _eval_flat(p, coords, spec):
+    """p on flat coordinate arrays, term by term."""
+    val = np.zeros(coords[0].shape, dtype=np.uint32)
+    for e, c in p.terms.items():
+        term = np.full(coords[0].shape, c, dtype=np.uint32)
+        for g, k in zip(coords, e):
+            if k:
+                term = spec.mul_arr(term, spec.pow_arr(g, k))
+        val ^= term
+    return val
+
+
+def _census_by_pair_loop(surf):
+    """The census oracle: in each cell, the points of both flat row charts
+    on the surface, the tangent condition grad f(P).Q = 0 tested point Q
+    by point Q, and every survivor confirmed by contains_line."""
+    spec, partials, lines = surf.spec, surf.partials(), []
+    for p1, p2 in SCHUBERT_CELLS:
+        slots = _cell_free_positions(p1, p2)
+        rows = []
+        for row, lead in enumerate((p1, p2)):
+            coords = _flat_chart(lead, [c for r, c in slots if r == row],
+                                 spec.size)
+            on = _eval_flat(surf.f, coords, spec) == 0
+            rows.append(np.stack([c[on] for c in coords]))
+        ps, qs = rows
+        grad = [_eval_flat(g, list(ps), spec) for g in partials]
+        for qpt in qs.T.tolist():
+            dot = grad[p2].copy()
+            for c in range(p2 + 1, 4):
+                dot ^= spec.mul_arr(grad[c], qpt[c])
+            for i in np.nonzero(dot == 0)[0].tolist():
+                ln = Line(spec, [ps[:, i].tolist(), qpt])
+                if surf.contains_line(ln):
+                    lines.append(ln)
+    return sorted(lines, key=Line.key)
+
+
+def _permuted_family_x(perm):
+    return surfaces.family_x_surface().transform(
+        [[int(perm[c] == r) for c in range(4)] for r in range(4)])
+
+
+def _scaled_record():
+    """The record surface over GF(16) under a seeded monomial change with
+    scalings from GF(4)*."""
+    gf16 = FieldSpec.default(4)
+    gf4_in_gf16 = FieldSpec.default(2).embedding_to(gf16)
+    rng = random.Random(f"census-oracle:{SEED}")
+    perm = rng.sample(range(4), 4)
+    m = [[0] * 4 for _ in range(4)]
+    for c in range(4):
+        m[perm[c]][c] = gf4_in_gf16.apply_int(rng.randrange(1, 4))
+    return get_surface("s5_mu0").base_change(gf16).transform(m)
+
+
+@pytest.mark.parametrize("make,ext,count", [
+    pytest.param(lambda p=p: _permuted_family_x(p), 6, 68,
+                 id=f"family-x-{''.join(map(str, p))}")
+    for p in itertools.permutations(range(4))] + [
+    pytest.param(_scaled_record, 2, 60, id="record-gf256"),
+    pytest.param(z0_surface, 2, None, id="z0-gf16")])
+def test_census_matches_the_pair_loop_oracle(make, ext, count):
+    surf = make()
+    lines = enumerate_lines(surf, ext=ext)
+    assert lines == _census_by_pair_loop(surf.base_change(
+        surf.spec.level(ext)))
+    assert count is None or len(lines) == count
 
 
 def test_normalize_line_moves_line_to_axis(gf4):
