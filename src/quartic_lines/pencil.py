@@ -85,7 +85,7 @@ class ResidualPencil:
         self.g = SparsePoly(4, spec, {(i, j, k + l - 1, l): c for (
             i, j, k, l), c in sprime.f.terms.items()})
         # restriction to the line: g|_{z=0} = A(x1,x2) + lambda*B(x1,x2)
-        on_line = _binary_cubic_in_lambda(self.g)
+        on_line = self.g.restrict({0: 1, 2: 0}).rows(4)
         self.A = [p[0] for p in on_line]
         self.B = [p[1] for p in on_line]
 
@@ -93,32 +93,16 @@ class ResidualPencil:
         return self.spec.level(pos.ext)
 
 
-def _binary_cubic_in_lambda(p: SparsePoly) -> List[Poly]:
-    """Restrict a (x1, x2, z, param) cubic to z = 0 and collect the four
-    binary-cubic coefficients (x1-major) as polynomials in the parameter."""
-    spec = p.spec
-    buckets: List[Dict[int, int]] = [dict() for _ in range(4)]
-    for e, c in p.terms.items():
-        if e[2] != 0:
-            continue
-        d = buckets[e[1]]
-        d[e[3]] = d.get(e[3], 0) ^ c
-    out = []
-    for d in buckets:
-        n = max(d, default=-1) + 1
-        out.append(Poly(spec, [d.get(i, 0) for i in range(n)]))
-    return out
-
-
 def residual_cubic(pencil: ResidualPencil,
                    pos: PencilPosition) -> SparsePoly:
     """The residual cubic at a pencil position, as a ternary cubic over
     the position's field.  At a finite position it is g, embedded there,
-    at lambda = the position (`_at_lambda`), in (x1, x2, x3).  At infinity
-    it is the plane x3 = 0: the terms of the normalized quartic free of
-    x3, divided by x4, in (x1, x2, x4).  That fiber is searched in its own
-    frames: the lambda-discriminant's frames mix z = x3 with x1 and x2,
-    so their conditions cannot be read at mu = 1/lambda = 0."""
+    at lambda = the position (`SparsePoly.restrict`), in (x1, x2, x3).
+    At infinity it is the plane x3 = 0: the terms of the normalized
+    quartic free of x3, divided by x4, in (x1, x2, x4).  That fiber is
+    searched in its own frames: the lambda-discriminant's frames mix
+    z = x3 with x1 and x2, so their conditions cannot be read at
+    mu = 1/lambda = 0."""
     if pos.is_infinite():
         return SparsePoly(3, pencil.spec, {
             (i, j, l - 1): c for (i, j, k, l), c
@@ -127,21 +111,7 @@ def residual_cubic(pencil: ResidualPencil,
     g = pencil.g
     if target != pencil.spec:
         g = g.embed(pencil.spec.embedding_to(target))
-    return _at_lambda(g, pos.bits)
-
-
-def _at_lambda(g: SparsePoly, lam: int) -> SparsePoly:
-    """A form in (y1, y2, y3, param) at param = lam, as a form in
-    (y1, y2, y3): one pass over the terms, the powers of lam cached."""
-    mul = g.spec.mul_int
-    powers = [1]
-    out: Dict[Tuple[int, ...], int] = {}
-    for e, c in g.terms.items():
-        while len(powers) <= e[3]:
-            powers.append(mul(powers[-1], lam))
-        key = e[:3]
-        out[key] = out.get(key, 0) ^ mul(c, powers[e[3]])
-    return SparsePoly(3, g.spec, out)
+    return g.restrict({3: pos.bits})
 
 
 # -- plane cubic classification -----------------------------------------------
@@ -199,32 +169,6 @@ def _frame_conditions(p: SparsePoly, frame):
     return parts, first_variable_conditions(parts)
 
 
-def _binary_collect(p: SparsePoly, vi: int, vj: int) -> List[SparsePoly]:
-    """Coefficients of p as a binary form in (vi, vj), vi-major; entries
-    are polynomials in the remaining variables.  Input must be homogeneous
-    in (vi, vj)."""
-    deg = max((e[vi] + e[vj] for e in p.terms), default=0)
-    out = [SparsePoly.zero(p.nvars, p.spec) for _ in range(deg + 1)]
-    for e, c in p.terms.items():
-        if e[vi] + e[vj] != deg:
-            raise InconsistencyError(
-                "binary collection of a non-homogeneous polynomial")
-        ne = list(e)
-        ne[vi] = ne[vj] = 0
-        out[deg - e[vi]] = out[deg - e[vi]] + SparsePoly(
-            p.nvars, p.spec, {tuple(ne): c})
-    return out
-
-
-def _dehomogenized(spec: FieldSpec, binaries
-                   ) -> List[Tuple[Poly, int]]:
-    """(cond(1, t), formal degree) for each binary condition, given by its
-    coefficient list in (y2, y3), y2-major, that is neither zero nor free
-    of (y2 : y3)."""
-    return [(Poly(spec, cs), len(cs) - 1) for cs in binaries
-            if len(cs) >= 2 and any(cs)]
-
-
 def _cubic_singular_points(cubic: SparsePoly, top: int
                            ) -> List[Tuple[Tuple[int, int, int], int]]:
     """Singular points of degree d <= top over the cubic's field GF(q):
@@ -240,15 +184,12 @@ def _cubic_singular_points(cubic: SparsePoly, top: int
     left.  (A finite fiber of a pencil first tries the
     lambda-discriminant's frame specialised at its position, through the
     same step; see `classify_fiber`.)"""
-    spec = cubic.spec
     if all(cubic.derivative(i).is_zero() for i in range(3)):
         raise InconsistencyError("cubic with identically vanishing partials")
     for fr in centred_frames(_CENTRE):
         parts, conds = _frame_conditions(cubic, fr)
-        dehom = _dehomogenized(spec, (
-            [0 if entry.is_zero() else entry.evaluate([0, 0, 0])
-             for entry in _binary_collect(cond, 1, 2)]
-            for cond in itertools.islice(conds, 3)))
+        dehom = [(c.restrict({0: 0, 1: 1}), c.total_degree())
+                 for c in itertools.islice(conds, 3) if c.total_degree()]
         found = _frame_points(parts, dehom, fr, top)
         if found is not None:
             return found
@@ -265,15 +206,15 @@ def _frame_points(parts: List[SparsePoly], dehom: List[Tuple[Poly, int]],
 
     `parts` are the cubic's nonzero partials moved by the frame (x = y.m)
     and `dehom` the dehomogenizations in t = y3/y2 of binary conditions
-    in the elimination ideal of `parts` and k[y2, y3], each with its
-    formal degree.  Every singular point other than the frame's centre
-    (1:0:0) then has a direction (y2 : y3) that is a common root of the
-    conditions: a root of the gcd of their dehomogenizations, grouped by
-    `root_orbits`, or (0 : 1) when every condition drops degree.  The
-    directions are lifted to points by `lift_tails`, which checks the
-    centre directly and every candidate on all partials, so a common root
-    of the conditions that carries no singular point costs one check and
-    changes no answer."""
+    in the elimination ideal of `parts` and k[y2, y3], none zero, each
+    with its formal degree, at least 1.  Every singular point other than
+    the frame's centre (1:0:0) then has a direction (y2 : y3) that is a
+    common root of the conditions: a root of the gcd of their
+    dehomogenizations, grouped by `root_orbits`, or (0 : 1) when every
+    condition drops degree.  The directions are lifted to points by
+    `lift_tails`, which checks the centre directly and every candidate on
+    all partials, so a common root of the conditions that carries no
+    singular point costs one check and changes no answer."""
     if not dehom:
         return None
     spec = dehom[0][0].spec
@@ -550,7 +491,8 @@ class _PencilFrame(NamedTuple):
     """The frame of the lambda-discriminant, kept for the fibers: the
     moved pencil partials, forms in (y1, y2, y3, lambda), and for each
     condition on (y2 : y3) its coefficients as a binary form in (y2, y3),
-    y2-major, each a polynomial in lambda."""
+    y2-major, each a polynomial in lambda (`SparsePoly.rows` at
+    y2 = 1)."""
     frame: Tuple[Tuple[int, int, int], ...]
     parts: List[SparsePoly]
     conds: List[List[Poly]]
@@ -562,10 +504,13 @@ class _PencilFrame(NamedTuple):
     def at(self, lam: int):
         """The frame of the fiber at lambda = lam, in the coefficient field,
         as `classify_fiber` takes it."""
-        parts = [q for q in (_at_lambda(p, lam) for p in self.parts)
+        parts = [q for q in (p.restrict({3: lam}) for p in self.parts)
                  if not q.is_zero()]
-        dehom = _dehomogenized(self.parts[0].spec, (
-            [c.eval_int(lam) for c in cs] for cs in self.conds))
+        dehom = []
+        for cs in self.conds:
+            p = Poly(self.parts[0].spec, [c.eval_int(lam) for c in cs])
+            if len(cs) >= 2 and not p.is_zero():
+                dehom.append((p, len(cs) - 1))
         return parts, dehom, self.frame
 
 
@@ -595,8 +540,9 @@ def _lambda_discriminant(pencil: ResidualPencil
         if at_centre is None:
             continue
         parts, conds = _frame_conditions(pencil.g, frame)
-        coeffs = [[e.as_univariate(3) for e in _binary_collect(c, 1, 2)]
-                  for c in conds]
+        # each condition, a form in (y2 : y3), at y2 = 1, by its rows
+        coeffs = [c.restrict({0: 0, 1: 1}).rows(
+            max(e[1] + e[2] for e in c.terms) + 1) for c in conds]
         if len(coeffs) < 2:
             continue
         dm: Optional[Poly] = None

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from operator import add, xor
+from operator import add, itemgetter, xor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .errors import InconsistencyError
 from .field import (FieldEmbedding, FieldError, FieldSpec, _divide_out,
                     _tables, find_roots_int, poly_add, poly_divmod, poly_gcd,
                     poly_mul)
@@ -383,17 +384,60 @@ class SparsePoly:
             buckets.setdefault(k, {})[ne] = c
         return {k: self._like(t) for k, t in buckets.items()}
 
-    def as_univariate(self, var: int) -> Poly:
-        if self.spec is None:
-            raise ValueError("integer polynomials have no Poly form here")
-        coeffs = [0] * (self.degree_in(var) + 1)
-        for e, c in self.terms.items():
-            if any(k for i, k in enumerate(e) if i != var):
-                raise ValueError("polynomial involves other variables")
-            coeffs[e[var]] ^= c
-        return Poly(self.spec, coeffs)
+    def rows(self, length: int) -> List[Poly]:
+        """A polynomial in two variables (u, v) as its `length`
+        coefficients in u, lowest power first, each a `Poly` in v.  For a
+        binary form in (x, u) of formal degree length - 1 set at x = 1,
+        these are its coefficients x-major, as `sylvester_resultant` reads
+        them.  InconsistencyError on a term of degree length or more in u,
+        which no such form has."""
+        rows: List[List[int]] = [[] for _ in range(length)]
+        for (i, j), c in self.terms.items():
+            if i >= length:
+                raise InconsistencyError(f"a term past degree {length - 1}")
+            rows[i] += [0] * (j + 1 - len(rows[i]))
+            rows[i][j] = c
+        return [Poly(self.spec, r) for r in rows]
 
     # -- substitution and evaluation ------------------------------------------
+
+    def restrict(self, values: Dict[int, int]) -> SparsePoly | Poly:
+        """The polynomial with each variable v in `values` set to the field
+        element values[v] and dropped, in the other variables in order; a
+        `Poly` when one is left.  One pass over the terms in the log
+        domain, as `_mul_terms`: a term with a variable set to 0 goes, and
+        each other term's log gains each value's log times its exponent."""
+        if self.spec is None:
+            raise ValueError("field coefficients required")
+        exps, logs = _tables(self.spec)
+        order = self.spec.order
+        zeros, active, keep = [], [], []
+        for v in range(self.nvars):
+            a = values.get(v)
+            if a is None:
+                keep.append(v)
+            elif not a:
+                zeros.append(v)
+            elif a > 1:
+                active.append((v, logs[a]))
+        # with one variable left, the key is its exponent
+        pick = itemgetter(*keep) if keep else (lambda e: ())
+        out: Dict[object, int] = {}
+        get = out.get
+        for e, c in self.terms.items():
+            for v in zeros:
+                if e[v]:
+                    break
+            else:
+                k = pick(e)
+                lc = logs[c]
+                for v, lv in active:
+                    lc += e[v] * lv
+                out[k] = get(k, 0) ^ exps[lc % order]
+        if len(keep) == 1:
+            return Poly(self.spec, [get(i, 0) for i in
+                                    range(max(out, default=-1) + 1)])
+        return SparsePoly(len(keep), self.spec, out)
 
     def substitute(self, mapping: Dict[int, "SparsePoly"]) -> "SparsePoly":
         """Replace variables by polynomials; unmapped variables persist.

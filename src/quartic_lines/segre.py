@@ -20,9 +20,8 @@ from .errors import CapabilityError, InconsistencyError, UsageError
 from .field import FieldSpec
 from .geometry import Line, QuarticSurface, restrict_form
 from .pencil import (POS_INF, FiberReport, PencilPosition, RamificationData,
-                     ResidualPencil, _binary_cubic_in_lambda,
-                     fiber_line_count, ramification_over, ramification_type,
-                     singular_fibers)
+                     ResidualPencil, fiber_line_count, ramification_over,
+                     ramification_type, singular_fibers)
 from .poly import Poly, SparsePoly, _mul_terms, sylvester_resultant
 from .surfaces import family_z_surface
 
@@ -143,9 +142,9 @@ def segre_resultant(pencil: ResidualPencil) -> Poly:
     """
     # only h on {z = 0} is read: specialise the terms free of z alone
     h = _specialize(pencil.g, (0, 1, 2), _odd_terms(True))
-    r = sylvester_resultant(_binary_cubic_in_lambda(pencil.g),
-                            _binary_cubic_in_lambda(h),
-                            Poly.zero(pencil.spec))
+    # both on {z = 0} at x1 = 1: binary cubics over GF(q)[lambda]
+    on_line = [p.restrict({0: 1, 2: 0}).rows(4) for p in (pencil.g, h)]
+    r = sylvester_resultant(*on_line, Poly.zero(pencil.spec))
     if r.degree() > 18:
         raise InconsistencyError(
             f"resultant degree {r.degree()} exceeds 18")

@@ -179,14 +179,14 @@ def _random_smooth_surface_with_line(rng, spec):
         return surf
 
 
-def test_criterion_07b_random_gf8_divisibility(gf8):
-    rng = random.Random(SEED)
+def test_criterion_07b_random_gf8_divisibility(gf8, gf8_07b_dossiers):
+    # the surfaces from _random_smooth_surface_with_line, drawn with SEED
     line = axis_line(gf8)
     audited = 0
-    for _ in range(50):
-        surf = _random_smooth_surface_with_line(rng, gf8)
-        assert surf.contains_line(line)
-        d = build_dossier(surf, line)
+    assert len(gf8_07b_dossiers) == 50
+    for d in gf8_07b_dossiers:
+        surf = d.pencil.surface
+        assert surf.contains_line(line) and d.line == line
         if d.kind == "first":
             for rec in d.audits:
                 assert rec.ok, (surf.f.terms, rec)

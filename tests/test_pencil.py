@@ -9,14 +9,14 @@ from test_acceptance import SEED, _random_smooth_surface_with_line
 from quartic_lines import field, pencil as pencil_module
 from quartic_lines.errors import InconsistencyError, UsageError
 from quartic_lines.field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
-from quartic_lines.geometry import (QuarticSurface, _univariate_in, axis_line,
+from quartic_lines.geometry import (QuarticSurface, axis_line,
                                     canonical_point, enumerate_lines,
                                     restrict_form, singular_point_search,
                                     vec_mat)
 from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, _FIBER_MAX_EXT,
                                   POS_INF, POS_ZERO, PencilPosition,
                                   ResidualPencil,
-                                  _audit_one_fiber, _binary_collect,
+                                  _audit_one_fiber,
                                   _cubic_singular_points, _eval_form,
                                   _form_derivs, _frame_points,
                                   _lambda_discriminant, _local_quadratic,
@@ -346,6 +346,24 @@ def _coeffs_in_y1(p):
     return [coeffs.get(k, zero) for k in range(p.degree_in(0), -1, -1)]
 
 
+def _powers_of(p, var, n):
+    """The coefficients of p of the powers 0 to n of `var`, each keeping
+    p's variables."""
+    by_power, zero = p.coefficients_in(var), SparsePoly.zero(p.nvars, p.spec)
+    return [by_power.get(k, zero) for k in range(n + 1)]
+
+
+def _binary_in_lambda(cond):
+    """A condition in (y1, y2, y3, lambda), free of y1 and homogeneous in
+    (y2, y3), by its coefficients as a binary form, y2-major, each a
+    polynomial in lambda."""
+    deg = max(e[1] + e[2] for e in cond.terms)
+    assert all(e[1] + e[2] == deg for e in cond.terms)
+    return [Poly(cond.spec, [c.evaluate([1, 1, 1, 1])
+                             for c in _powers_of(row, 3, row.degree_in(3))])
+            for row in _powers_of(cond, 2, deg)]
+
+
 def _frame_condition(pencil, frame):
     """The former per-frame condition of `_lambda_discriminant`: y1, then
     (y2 : y3) eliminated in one frame, with no centre test; None when the
@@ -368,10 +386,9 @@ def _frame_condition(pencil, frame):
     pure = [c for c in conds
             if max((e[1] + e[2] for e in c.terms), default=0) == 0]
     if pure:
-        return pure[0].as_univariate(3)
+        return _binary_in_lambda(pure[0])[0]
     for ca, cb in itertools.combinations(conds, 2):
-        fa = [e.as_univariate(3) for e in _binary_collect(ca, 1, 2)]
-        fb = [e.as_univariate(3) for e in _binary_collect(cb, 1, 2)]
+        fa, fb = _binary_in_lambda(ca), _binary_in_lambda(cb)
         if len(fa) >= 2 and len(fb) >= 2:
             r = sylvester_resultant(fa, fb, Poly.zero(spec))
             if not r.is_zero():
@@ -579,6 +596,15 @@ def test_residual_cubic_matches_the_substitution(s5_surface):
             assert on.at(pos.bits)[0] == [p for p in want if not p.is_zero()]
 
 
+def _in_y1_at(p, y2, y3):
+    """A form in (y1, y2, y3) at the given y2 and y3, as a polynomial in
+    y1, by substitution."""
+    sub = p.substitute({1: SparsePoly.constant(3, p.spec, y2),
+                        2: SparsePoly.constant(3, p.spec, y3)})
+    return Poly(p.spec, [c.evaluate([0, 0, 0])
+                         for c in _powers_of(sub, 0, sub.degree_in(0))])
+
+
 def _singular_points_over(cubic, spec):
     """The former per-field search: the spec-rational singular points of a
     ternary cubic over spec, by elimination in the first usable frame."""
@@ -597,8 +623,8 @@ def _singular_points_over(cubic, spec):
                     conds.append(r)
         cands = None
         for cond in conds[:3]:
-            coeffs = [0 if e.is_zero() else e.evaluate([0, 0, 0])
-                      for e in _binary_collect(cond, 1, 2)]
+            coeffs = [c.evaluate([1, 1, 1])
+                      for c in _powers_of(cond, 2, cond.total_degree())]
             if not any(coeffs) or len(coeffs) < 2:
                 continue
             pts = {pt for pt, _ in binary_roots(coeffs, spec)}
@@ -609,8 +635,8 @@ def _singular_points_over(cubic, spec):
         if all(p.evaluate([1, 0, 0]) == 0 for p in parts):
             found.append((1, 0, 0))
         for y2, y3 in sorted(cands):
-            unis = [u for u in (_univariate_in(p, 0, (y2, y3))
-                                for p in parts) if not u.is_zero()]
+            unis = [u for u in (_in_y1_at(p, y2, y3) for p in parts)
+                    if not u.is_zero()]
             g = unis[0]
             for u in unis[1:]:
                 g = g.gcd(u)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quartic_lines.errors import InconsistencyError
 from quartic_lines.field import FieldSpec
 from quartic_lines.poly import (Poly, SparsePoly, binary_roots, det_generic,
                                 divide_by_linear, squarefree_test,
@@ -495,3 +496,77 @@ def test_three_factor_product_with_a_cancelled_middle_term():
                  (xz + yz) * (xz - yz) * (xz - yz)):
         assert 0 not in prod.terms.values()
     assert ((xz + yz) * (xz - yz)).terms == {(2, 0): 1, (0, 2): -1}
+
+
+def _form_with_an_absent_variable(rng, spec, nvars):
+    """Up to eight terms of exponents up to 3, one variable absent."""
+    absent = rng.randrange(nvars)
+    terms = {}
+    for _ in range(rng.randrange(9)):
+        e = [rng.randrange(4) for _ in range(nvars)]
+        e[absent] = 0
+        terms[tuple(e)] = rng.randrange(1, spec.size)
+    return SparsePoly(nvars, spec, terms)
+
+
+@pytest.mark.parametrize("k", [1, 2, 16])
+def test_restrict_matches_substitution_and_evaluation(k):
+    # every subset of the variables set to zero and nonzero values, as
+    # substitute + drop_vars and evaluate give it; one variable left gives
+    # a Poly, two a form whose rows at any formal length past its degree
+    # add up to it
+    spec, rng = FieldSpec.default(k), random.Random(f"restrict:{k}")
+    for _ in range(30):
+        nvars = rng.randrange(1, 5)
+        f = _form_with_an_absent_variable(rng, spec, nvars)
+        for size in range(nvars + 1):
+            for fixed in itertools.combinations(range(nvars), size):
+                values = {v: rng.choice([0, 1, rng.randrange(spec.size)])
+                          for v in fixed}
+                keep = [v for v in range(nvars) if v not in values]
+                want = f.substitute({v: SparsePoly.constant(nvars, spec, a)
+                                     for v, a in values.items()}
+                                    ).drop_vars(keep)
+                got = f.restrict(values)
+                pt = [rng.randrange(spec.size) for _ in keep]
+                full = [values.get(v, 0) for v in range(nvars)]
+                for v, a in zip(keep, pt):
+                    full[v] = a
+                if len(keep) == 1:
+                    assert isinstance(got, Poly)
+                    assert got == Poly(spec, [
+                        want.terms.get((i,), 0)
+                        for i in range(want.degree_in(0) + 1)])
+                    assert got.eval_int(pt[0]) == f.evaluate(full)
+                    continue
+                assert got == want
+                assert got.evaluate(pt) == f.evaluate(full)
+                if len(keep) == 2:
+                    rows = got.rows(got.degree_in(0) + 1 + rng.randrange(2))
+                    total = 0
+                    for i, row in enumerate(rows):
+                        total ^= spec.mul_int(spec.pow_int(pt[0], i),
+                                              row.eval_int(pt[1]))
+                    assert total == f.evaluate(full)
+
+
+def test_rows_read_a_binary_form_at_its_formal_length():
+    # x2 x3^2 as a cubic in (x2 : x3), over polynomials in l: at x2 = 1 it
+    # has degree 2 in x3, and its root at (0 : 1) is common with
+    # x2 (x2^2 + l x3^2) only when read with its formal degree 3
+    spec = SPEC16
+    x2, x3, lam = (SparsePoly.variable(i, 3, spec) for i in range(3))
+    f = x2 * x3 ** 2
+    g = x2 * (x2 ** 2 + lam * x3 ** 2)
+    fr, gr = (p.restrict({0: 1}).rows(4) for p in (f, g))
+    assert fr == [Poly.zero(spec)] * 2 + [Poly.one(spec), Poly.zero(spec)]
+    assert gr == [Poly.one(spec), Poly.zero(spec), Poly.x(spec),
+                  Poly.zero(spec)]
+    assert sylvester_resultant(fr, gr, Poly.zero(spec)).is_zero()
+    # the same cubic without the factor x2 (x3^3) meets g nowhere
+    h = x3 ** 3
+    assert not sylvester_resultant(h.restrict({0: 1}).rows(4), gr,
+                                   Poly.zero(spec)).is_zero()
+    # a term past the formal degree: the input was no cubic
+    with pytest.raises(InconsistencyError):
+        (f + x3 ** 4).restrict({0: 1}).rows(4)

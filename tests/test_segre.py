@@ -248,3 +248,10 @@ def test_dossiers_are_byte_identical_to_the_pinned_digests(s5_dossiers,
         "f8af91897390b848ac274594384371bf071109a50dfa6ce366273ec121fdd487"
     assert _digest(s5_dossiers) == \
         "1a3e619ef3b16ec98cce5defc2285d609b54e4aa19f1e0502b71d17ee0820cb4"
+
+
+def test_07b_dossiers_are_byte_identical_to_the_pinned_digest(
+        gf8_07b_dossiers):
+    # the same for the 50 dossiers of acceptance test 07b
+    assert _digest(gf8_07b_dossiers) == \
+        "fc01d8d2ca7447b85e9479358681c5367f8efae01979da9fbe00755413ea1ac1"
