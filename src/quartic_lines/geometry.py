@@ -8,9 +8,12 @@ representative, so lines compare and sort by their raw entries.
 
 Line enumeration works from points: both RREF rows of a line on the
 surface are points of it, so each of the six Schubert cells of pivot
-patterns pairs the surface's points on two row charts (about q^2
-numpy-vectorized evaluations), keeps the pairs that meet the tangent
-condition, and confirms them exactly.  Singular points come from
+patterns (p1, p2) pairs the surface's points on the row charts of the
+cell (about q^2 numpy-vectorized evaluations), keeps the pairs that meet
+the tangent condition, and confirms them exactly.  Row 2 is 0 before p2
+and 1 at p2, so its chart is evaluated once per last pivot p2 and shared
+by the cells with that p2, and the tangent condition reads the partials
+of f from p2 on.  Singular points come from
 resultant elimination in one coordinate frame for every level: the
 eliminant S(x3) is split into Galois orbits once, and each orbit is
 lifted in its own field, so each point is found once, over the field of
@@ -167,18 +170,16 @@ class Line:
     __slots__ = ("spec", "rows", "pivots")
 
     def __init__(self, spec: FieldSpec, rows: Sequence[Sequence[int]],
-                 _canonical: bool = False):
-        if _canonical:
-            mat = [list(rows[0]), list(rows[1])]
-            pivots = [next(c for c in range(4) if mat[0][c]),
-                      next(c for c in range(4) if mat[1][c])]
-        else:
-            mat, pivots = rref(rows, spec)
-            if len(pivots) != 2:
+                 _pivots: Optional[Tuple[int, int]] = None):
+        """The line spanned by `rows`; with `_pivots`, the rows are taken
+        as already in RREF with those pivot columns."""
+        if _pivots is None:
+            rows, _pivots = rref(rows, spec)
+            if len(_pivots) != 2:
                 raise UsageError("rows do not span a line (rank != 2)")
         self.spec = spec
-        self.rows = (tuple(mat[0]), tuple(mat[1]))
-        self.pivots = tuple(pivots)
+        self.rows = (tuple(rows[0]), tuple(rows[1]))
+        self.pivots = tuple(_pivots)
 
     def key(self) -> tuple:
         return (self.pivots, self.rows)
@@ -343,13 +344,15 @@ class QuarticSurface:
 # -- evaluation on grids of points -------------------------------------------
 
 
-def _eval_on_grid(p: SparsePoly, grids: Sequence[np.ndarray],
-                  spec: FieldSpec) -> np.ndarray:
-    """p at the points whose coordinate arrays `grids` broadcast together:
-    a coordinate of one value folds into the coefficients, each power of
-    another is computed once, on its own array."""
+def _eval_on_grid(p: SparsePoly, grids: Sequence, spec: FieldSpec
+                  ) -> np.ndarray:
+    """p at the points whose coordinates `grids` (arrays and ints)
+    broadcast together: a coordinate of one value folds into the
+    coefficients, each power of another is computed once, on its own
+    array."""
     val = np.zeros(np.broadcast(*grids).shape, dtype=np.uint32)
-    fixed = {i: int(g.flat[0]) for i, g in enumerate(grids) if g.size == 1}
+    fixed = {i: g if isinstance(g, int) else int(g.flat[0])
+             for i, g in enumerate(grids) if np.size(g) == 1}
     powers = {}
     for e, c in p.terms.items():
         for i, x in fixed.items():
@@ -387,52 +390,75 @@ def _cell_free_positions(p1: int, p2: int) -> List[Tuple[int, int]]:
     return slots
 
 
+def _surface_points(f: SparsePoly, lead: int, free: Sequence[int],
+                    spec: FieldSpec) -> Optional[list]:
+    """The points of the chart `_chart(lead, free, q)` on the surface, or
+    None when there is none: coordinate `lead` is 1, the others outside
+    `free` are 0, and a free coordinate is the array of its values, its
+    index along the chart's axis."""
+    on = _eval_on_grid(f, _chart(lead, free, spec.size), spec) == 0
+    if not on.any():
+        return None
+    pts = [0] * 4
+    pts[lead] = 1
+    for c, idx in zip(reversed(free), np.nonzero(on)):
+        pts[c] = idx
+    return pts
+
+
+def _at(coords: list, idx: np.ndarray) -> list:
+    """The coordinates at the given indices; a fixed one stays an int."""
+    return [x if isinstance(x, int) else x[idx] for x in coords]
+
+
 def _cell_lines(surf: QuarticSurface, partials: List[SparsePoly],
-                p1: int, p2: int) -> List[Line]:
-    """The lines on the surface in the Schubert cell with pivots (p1, p2).
+                p1: int, p2: int, qs: list) -> List[Line]:
+    """The lines on the surface in the Schubert cell with pivots (p1, p2),
+    given the surface's points `qs` on the chart of row 2.
 
     Both RREF rows of such a line are points of the surface: row 1 in the
     chart x_{p1} = 1 with zeros before p1 and at p2, row 2 in the chart
     x_{p2} = 1 with zeros before p2.  A pair (P, Q) must meet the tangent
-    condition grad f(P).Q = 0, the s^3 t coefficient of f(sP + tQ); then
-    f(sP + tQ) has a double root at (1:0) and a root at (0:1), and two more
-    at t = 1, 2 make five, so it vanishes.  GF(2) has no element 2, and
-    its few survivors are checked with contains_line.
+    condition grad f(P).Q = 0, the s^3 t coefficient of f(sP + tQ), where
+    Q is 0 before p2 and 1 at p2; then f(sP + tQ) has a double root at
+    (1:0) and a root at (0:1), and two more at t = 1, 2 make five, so it
+    vanishes.  GF(2) has no element 2, and its few survivors are checked
+    with contains_line.
     """
-    spec = surf.spec
-    slots = _cell_free_positions(p1, p2)
-    rows = []
-    for row, lead in enumerate((p1, p2)):
-        coords = _chart(lead, [c for r, c in slots if r == row], spec.size)
-        on = _eval_on_grid(surf.f, coords, spec) == 0
-        if not on.any():
-            return []
-        # the chart's points on the surface, a fixed coordinate one value
-        rows.append([np.broadcast_to(c, on.shape)[on] if c.size > 1
-                     else c for c in coords])
-    ps, qs = rows
-    grad = [_eval_on_grid(g, ps, spec)[:, None] for g in partials]
-    dot = grad[p2]  # Q is 0 before p2 and 1 at p2
+    f, spec = surf.f, surf.spec
+    ps = _surface_points(f, p1, [c for r, c in _cell_free_positions(p1, p2)
+                                 if r == 0], spec)
+    if ps is None:
+        return []
+    dot = _eval_on_grid(partials[p2], ps, spec).reshape(-1, 1)
     for c in range(p2 + 1, 4):
-        dot = dot ^ spec.mul_arr(grad[c], qs[c])
-    shape = (max(map(len, ps)), max(map(len, qs)))
-    pi, qj = np.nonzero(np.broadcast_to(dot, shape) == 0)
-    p = np.stack([np.broadcast_to(c, shape[:1])[pi] for c in ps])
-    q = np.stack([np.broadcast_to(c, shape[1:])[qj] for c in qs])
+        grad = _eval_on_grid(partials[c], ps, spec).reshape(-1, 1)
+        dot = dot ^ spec.mul_arr(grad, qs[c])
+    pi, qj = np.nonzero(dot == 0)
+    p, q = _at(ps, pi), _at(qs, qj)
+    # one flag per pair: in cell (2, 3) every coordinate is an int, and
+    # the checks below give one value whatever the number of pairs
+    on = np.ones(len(pi), dtype=bool)
     if spec.size >= 4:
-        on = ((_eval_on_grid(surf.f, p ^ q, spec) == 0)
-              & (_eval_on_grid(surf.f, p ^ spec.mul_arr(q, 2), spec)
-                 == 0))
-        p, q = p[:, on], q[:, on]
-    lines = [Line(spec, r, _canonical=True)
-             for r in zip(p.T.tolist(), q.T.tolist())]
+        omega_q = [spec.mul_int(x, 2) if isinstance(x, int)
+                   else spec.mul_arr(x, 2) for x in q]
+        on &= ((_eval_on_grid(f, [a ^ b for a, b in zip(p, q)], spec) == 0)
+               & (_eval_on_grid(f, [a ^ b for a, b in zip(p, omega_q)],
+                                spec) == 0))
+    keep = np.flatnonzero(on)
+    cols = [[x] * len(keep) if isinstance(x, int) else x[keep].tolist()
+            for x in p + q]
+    lines = [Line(spec, (r[:4], r[4:]), (p1, p2)) for r in zip(*cols)]
     if spec.size < 4:
         lines = [ln for ln in lines if surf.contains_line(ln)]
     return lines
 
 
 def enumerate_lines(surface: QuarticSurface, ext: int = 1) -> List[Line]:
-    """All lines of P^3(GF(2^(k*ext))) on the surface, canonically sorted."""
+    """All lines of P^3(GF(2^(k*ext))) on the surface, canonically sorted.
+
+    The surface's points on the row-2 chart of a cell depend only on its
+    last pivot p2, and are found once for the cells that share it."""
     if ext < 1:
         raise UsageError("extension degree must be >= 1")
     k = surface.spec.degree
@@ -443,8 +469,11 @@ def enumerate_lines(surface: QuarticSurface, ext: int = 1) -> List[Line]:
     surf = surface.base_change(target)
     partials = surf.partials()
     lines = []
-    for p1, p2 in SCHUBERT_CELLS:
-        lines += _cell_lines(surf, partials, p1, p2)
+    for p2 in range(1, 4):
+        qs = _surface_points(surf.f, p2, range(p2 + 1, 4), target)
+        if qs is not None:
+            for p1 in range(p2):
+                lines += _cell_lines(surf, partials, p1, p2, qs)
     lines.sort(key=Line.key)
     return lines
 
@@ -615,11 +644,13 @@ def _x3_eliminant(conds: List[SparsePoly]) -> Optional[Poly]:
     return None if s.is_zero() else s
 
 
-def _points_in_frame(surface: QuarticSurface, frame, cap: int,
+def _points_in_frame(forms: Sequence[SparsePoly], frame, cap: int,
                      list_all: bool) -> set:
-    """The singular points of degree n <= cap over the surface's field
-    found by elimination in the frame, as (point canonical over GF(q^n),
-    n) in the surface's coordinates.
+    """The singular points of degree n <= cap over the field of the
+    surface whose form and four partials are `forms`, found by elimination
+    in the frame, as (point canonical over GF(q^n), n) in the surface's
+    coordinates.  The identity frame (centre `_CENTRE`) takes the forms
+    as they are; another moves the form and takes its partials.
 
     The conditions on (x2 : x3 : x4) left after eliminating x1
     (`first_variable_conditions`), the first two of them, and S(x3) are
@@ -631,8 +662,10 @@ def _points_in_frame(surface: QuarticSurface, frame, cap: int,
     `list_all`, and then the zero polynomial has every point as a root:
     S = 0 gives every direction and such a line every point of it, each
     of degree at most cap (`all_orbits`)."""
-    moved = surface.transform(frame)
-    forms = FormLevels([moved.f] + moved.partials())
+    if frame[0] != _CENTRE:
+        moved = forms[0].linear_change(frame)
+        forms = [moved] + [moved.derivative(i) for i in range(4)]
+    forms = FormLevels(forms)
     conds = first_variable_conditions(forms.at(1))
     plane = [r.drop_vars([1, 2, 3]) for r in itertools.islice(conds, 2)]
     if not plane:
@@ -713,7 +746,7 @@ def singular_point_search(surface: QuarticSurface,
         if not any(g.evaluate(frame[0]) for g in forms):
             continue
         try:
-            found = _points_in_frame(surface, frame, max_ext, list_all)
+            found = _points_in_frame(forms, frame, max_ext, list_all)
             break
         except CapabilityError as err:
             exc = err

@@ -108,6 +108,11 @@ def _singular_quartic(spec, rng):
             return surf.transform(m)
 
 
+def _forms(surf):
+    """The surface's form and its four partials."""
+    return [surf.f] + surf.partials()
+
+
 def _singular_points_direct(forms, spec):
     """The common zeros of the forms by evaluation on every point of
     P^3(GF(q)), chart by chart: the oracle for the elimination."""
@@ -141,11 +146,10 @@ def test_elimination_matches_direct_scan(k, count, monkeypatch):
     rng = random.Random(f"singular:{k}")
     for _ in range(count):
         surf = _singular_quartic(spec, rng)
-        direct = sorted(set(_singular_points_direct(
-            [surf.f] + surf.partials(), spec)))
+        direct = sorted(set(_singular_points_direct(_forms(surf), spec)))
         assert len(direct) >= 1
-        assert sorted(_points_in_frame(surf, _FRAMES[0], 1, False)) == \
-            [(pt, 1) for pt in direct]
+        assert sorted(_points_in_frame(_forms(surf), _FRAMES[0], 1,
+                                       False)) == [(pt, 1) for pt in direct]
 
 
 def _gf4_quartic_singular_at(rng, big, pt):
@@ -215,11 +219,10 @@ def test_degree_6_orbit_through_a_degree_3_direction(x2_degree,
     surf = _gf4_quartic_singular_at(rng, big, pt)
     conjugates = {canonical_point([big.pow_int(c, 4 ** j) for c in pt],
                                   big) for j in range(6)}
-    forms = [g.embed(gf4.embedding_to(big))
-             for g in [surf.f] + surf.partials()]
+    forms = [g.embed(gf4.embedding_to(big)) for g in _forms(surf)]
     assert all(g.evaluate(list(q)) == 0 for g in forms for q in conjugates)
-    assert conjugates <= {q for q, n in _points_in_frame(surf, _FRAMES[0], 6,
-                                                       True)
+    assert conjugates <= {q for q, n in _points_in_frame(_forms(surf),
+                                                       _FRAMES[0], 6, True)
                           if n == 6}
     assert conjugates <= {p.point for p in singular_point_search(surf, 6)
                           if p.ext == 6 and p.spec == big}
@@ -281,7 +284,7 @@ def test_degenerate_elimination_retries_in_another_frame(gf2):
                           + x[1] * x[2] * x[0] * x[3]
                           + x[2] ** 2 * (x[3] ** 2 + x[0] * x[2]))
     with pytest.raises(CapabilityError, match="whole line"):
-        _points_in_frame(surf, _FRAMES[0], 1, True)
+        _points_in_frame(_forms(surf), _FRAMES[0], 1, True)
     pts = singular_point_search(surf, max_ext=6)
     assert len({(p.point, p.ext) for p in pts}) == len(pts)
     for m in range(1, 7):
@@ -314,7 +317,7 @@ def test_every_frame_is_tried_before_the_grid(gf2, monkeypatch):
     # the listing pass, and a later frame answers
     surf = surfaces.family_z_surface(gf2, (0, 0, 0), (0, 0, 0, 0, 1))
     with pytest.raises(CapabilityError, match="share a curve of zeros"):
-        _points_in_frame(surf, _FRAMES[0], 6, False)
+        _points_in_frame(_forms(surf), _FRAMES[0], 6, False)
     assert [(p.point, p.ext) for p in singular_point_search(surf, 6)] == [
         ((0, 0, 1, 0), 1)]
 
@@ -335,7 +338,7 @@ def test_elimination_centred_off_the_surface(gf2):
     surf = QuarticSurface(planes[0] * planes[1] * planes[2] * planes[3])
     for frame in _FRAMES:
         with pytest.raises(CapabilityError, match="whole line"):
-            _points_in_frame(surf, frame, 1, True)
+            _points_in_frame(_forms(surf), frame, 1, True)
     # the answer the P^3 evaluation scan gave at max_ext=6: the points of
     # the six lines, 6 * 2^m - 2 over GF(2^m)
     pts = singular_point_search(surf, max_ext=6)
@@ -360,7 +363,7 @@ def test_elimination_over_gf4_when_every_gf2_point_is_on_the_surface(gf2):
                for c in itertools.product((0, 1), repeat=4))
     for frame in _FRAMES:
         with pytest.raises(CapabilityError):
-            _points_in_frame(surf, frame, 1, True)
+            _points_in_frame(_forms(surf), frame, 1, True)
     # the answer the P^3 evaluation scan gave at max_ext=6
     pts = singular_point_search(surf, max_ext=6)
     assert sorted(Counter(p.ext for p in pts).items()) == [
@@ -417,8 +420,8 @@ def test_reducible_quartics_match_direct_scan(k, max_ext, monkeypatch):
     used = []
     in_frame = geometry._points_in_frame
 
-    def spy(surf, frame, cap, list_all):
-        found = in_frame(surf, frame, cap, list_all)
+    def spy(forms, frame, cap, list_all):
+        found = in_frame(forms, frame, cap, list_all)
         used.append(frame)
         return found
 
@@ -489,6 +492,15 @@ def _gf4_axis_quartic(seed):
             continue
 
 
+def _cell_23_decoy():
+    """A GF(4) quartic with (0:0:1:0) and (0:0:0:1) on it that fails the
+    tangent condition at that pair, though f(P + Q) = f(P + wQ) = 0: on
+    x0 = x1 = 0 it is st(s^2 + wst + w^2 t^2), not zero."""
+    return QuarticSurface(SparsePoly(4, FieldSpec.default(2), {
+        (4, 0, 0, 0): 1, (0, 4, 0, 0): 1,
+        (0, 0, 3, 1): 1, (0, 0, 2, 2): 2, (0, 0, 1, 3): 3}))
+
+
 def _all_lines(spec):
     """Every line of P^3(GF(q)), one RREF matrix per Schubert cell slot."""
     for p1, p2 in SCHUBERT_CELLS:
@@ -498,7 +510,7 @@ def _all_lines(spec):
             rows[0][p1] = rows[1][p2] = 1
             for (r, c), d in zip(slots, digits):
                 rows[r][c] = d
-            yield Line(spec, rows, _canonical=True)
+            yield Line(spec, rows, (p1, p2))
 
 
 @pytest.mark.parametrize("make,ext", [
@@ -506,8 +518,11 @@ def _all_lines(spec):
     (lambda: _gf4_axis_quartic(0), 1), (lambda: _gf4_axis_quartic(1), 1),
     # grad f = 0 along the conic: no pair is cut by the tangent condition
     (lambda: _conic_surface()[0], 1), (lambda: _conic_surface()[0], 2),
+    # cell (2, 3) has one pair and no free coordinate: it is cut by the
+    # tangent condition alone
+    (_cell_23_decoy, 1),
 ], ids=["gf2-quartic", "z0-gf4", "axis-gf4-0", "axis-gf4-1", "conic-gf2",
-        "conic-gf4"])
+        "conic-gf4", "cell-23-decoy"])
 def test_enumerate_lines_matches_brute_force(make, ext):
     surf = make()
     big = surf.base_change(FieldSpec.default(surf.spec.degree * ext))
