@@ -20,15 +20,20 @@ relative to its median, is wider than the bound and not every run of the
 working tree beats every run of the parent; else `worse` past the bound,
 or `within`.  It writes the same figures, the raw runs and the
 per-workload `# report` figures to the JSON file named by `--out`.
-It also times one run of the tier-1 suite (`python -m pytest -q
---continue-on-collection-errors` with `src` on the path) in each side's
-tree, parent first, and writes that wall time under `tier1`.
+It hashes the working tree's `src/` and `perfbench/` `.py` files before
+the first pair and after each run, and exits non-zero naming the files
+that changed, since a source edited mid-run makes the remaining runs
+measure a different program.  It also times one run of the tier-1
+suite (`python -m pytest -q --continue-on-collection-errors` with `src`
+on the path) in each side's tree, parent first, and writes that wall
+time under `tier1`.
 """
 
 from __future__ import annotations
 
 import argparse
 import compileall
+import hashlib
 import io
 import json
 import os
@@ -52,6 +57,29 @@ def extract(rev: str, dest: str) -> None:
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar",
                                              rev))) as tar:
         tar.extractall(dest)
+
+
+def source_hashes(tree: str) -> Dict[str, str]:
+    """SHA-256 of each `.py` file under the tree's src/ and perfbench/,
+    by path relative to the tree."""
+    out = {}
+    for top in ("src", "perfbench"):
+        for folder, _, names in os.walk(os.path.join(tree, top)):
+            for name in names:
+                if name.endswith(".py"):
+                    path = os.path.join(folder, name)
+                    with open(path, "rb") as fh:
+                        out[os.path.relpath(path, tree)] = \
+                            hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def changed_sources(before: Dict[str, str], tree: str) -> List[str]:
+    """The files whose hash differs from `before`, added or removed ones
+    included, sorted."""
+    after = source_hashes(tree)
+    return sorted(p for p in before.keys() | after.keys()
+                  if before.get(p) != after.get(p))
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -148,6 +176,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         extract(parent_rev, tmp)
         trees = {"parent": tmp, "change": ROOT}
+        sources = source_hashes(ROOT)
         for tree in trees.values():
             if not compileall.compile_dir(tree, quiet=1):
                 sys.exit(f"bench: byte-compiling {tree} failed")
@@ -159,6 +188,10 @@ def main(argv=None) -> int:
                 for side in order:
                     runs[side].append(run_once(trees[side], workload, seed,
                                                seconds))
+                    changed = changed_sources(sources, ROOT)
+                    if changed:
+                        sys.exit("bench: working-tree sources changed "
+                                 "during the run: " + ", ".join(changed))
                 print(f"# {workload} pair {i + 1}/{args.pairs} seed {seed}",
                       file=sys.stderr, flush=True)
             metrics = summarize(runs, bounds)

@@ -19,15 +19,16 @@ from .errors import InconsistencyError, UsageError
 from .geometry import IntersectionGraph
 
 
-def _eliminate(rows: Sequence[Sequence[int]]
+def _eliminate(rows: Sequence[Sequence[int]], stop: Optional[int] = None
                ) -> Tuple[List[int], List[int], int]:
     """Fraction-free (Bareiss 1968) row echelon form over the integers.
 
     Rows are taken in the given order.  Each is reduced by the pivot rows
     kept before it and is kept itself when a nonzero entry remains, so the
     kept rows are the greedy independent subset and every other row lies
-    in their rational span.  After k pivots each entry is a (k+1)-minor of
-    the input, so every division is exact; it is checked all the same.
+    in their rational span; with `stop`, the pass ends once that many rows
+    are kept.  After k pivots each entry is a (k+1)-minor of the input,
+    so every division is exact; it is checked all the same.
     Returns (ids of the kept rows, their pivot columns, last pivot); the
     last pivot is the minor on those rows and columns (1 if none)."""
     echelon: List[Tuple[List[int], int]] = []
@@ -49,6 +50,8 @@ def _eliminate(rows: Sequence[Sequence[int]]
             echelon.append((row, col))
             ids.append(i)
             last = row[col]
+            if len(ids) == stop:
+                break
     return ids, [c for _, c in echelon], last
 
 
@@ -117,9 +120,9 @@ class GramLattice:
         order = list(subset) if subset is not None else []
         seen = set(order)
         order += [i for i in range(self.n) if i not in seen]
-        # one pass over all generators: the kept ones are the basis, and
-        # every other one reduced to zero, i.e. lies in their span
-        kept = _eliminate([g[i] for i in order])[0]
+        # rank()'s full pass puts every generator in the span of any r
+        # independent ones, so the pass stops at the r-th kept row
+        kept = _eliminate([g[i] for i in order], r)[0]
         basis = [order[k] for k in kept]
         if len(basis) != r:
             raise InconsistencyError(

@@ -95,7 +95,7 @@ class Poly:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise FieldError("polynomials over different fields")
         return Poly(self.spec, poly_add(self.coeffs, other.coeffs))
 
@@ -105,7 +105,7 @@ class Poly:
         return self
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise FieldError("polynomials over different fields")
         return Poly(self.spec, poly_mul(self.coeffs, other.coeffs, self.spec))
 
@@ -258,7 +258,7 @@ class SparsePoly:
 
     def _check(self, other: "SparsePoly") -> None:
         if (not isinstance(other, SparsePoly) or other.nvars != self.nvars
-                or other.spec != self.spec):
+                or (other.spec is not self.spec and other.spec != self.spec)):
             raise ValueError("incompatible polynomial rings")
 
     # -- ring operations ------------------------------------------------------

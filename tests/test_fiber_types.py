@@ -2,24 +2,28 @@
 singular point, against the former classifier kept here as oracle."""
 
 import random
+from collections import Counter
 
 import pytest
-from test_acceptance import _random_smooth_surface_with_line
+from test_acceptance import (_random_smooth_surface_with_line,
+                             _smooth_family_z_surfaces)
 from test_pencil import _sweep_surfaces, xyz
 
 from quartic_lines import pencil as pencil_module
 from quartic_lines.errors import InconsistencyError
 from quartic_lines.field import FieldSpec
 from quartic_lines.geometry import (Line, axis_line, canonical_point,
-                                    kernel_vector, mat_rank, restrict_form,
-                                    rref)
+                                    enumerate_lines, kernel_vector, mat_rank,
+                                    restrict_form, rref)
 from quartic_lines.pencil import (CubicSingularity, FiberReport,
-                                  ResidualPencil, _direction_point, _form_at,
-                                  _line_form_through, _local_quadratic,
-                                  _pull_back_form, classify_fiber,
-                                  singular_fibers)
-from quartic_lines.poly import SparsePoly, binary_roots, divide_by_linear
+                                  ResidualPencil, _direction_point,
+                                  _eval_form, _form_at, _line_form_through,
+                                  _local_quadratic, _pull_back_form,
+                                  classify_fiber, singular_fibers)
+from quartic_lines.poly import (Poly, SparsePoly, binary_roots,
+                                divide_by_linear)
 from quartic_lines.segre import _form_two_points
+from quartic_lines.surfaces import get_surface, s5_mu0_seed_line
 
 
 # -- the former classifier ----------------------------------------------------
@@ -200,6 +204,85 @@ def _former_classify_in_field(cubic, sing, work, position, flags):
                        singularities, hidden, flags)
 
 
+def _by_local_expansion(cubic, sing, work, position, flags):
+    """The local-expansion route of `_classify_in_field` as it stood for
+    every fiber, kept as oracle for the fibers with two or three singular
+    points: tangent directions at each point, the third line of a
+    triangle as the cofactor of two, I3 checked by a division chain."""
+    base = cubic.spec
+    cw = cubic if work == base else cubic.embed(base.embedding_to(work))
+    singularities, comp_forms, hidden, forced_kod = [], {}, 0, None
+
+    def add_component(form):
+        if form in comp_forms:
+            return
+        quotient = divide_by_linear(cw, form)
+        assert quotient is not None
+        if divide_by_linear(quotient, form) is not None:
+            raise InconsistencyError("repeated linear factor")
+        comp_forms[form] = None
+
+    for pt, d in sing:
+        src = base.level(d)
+        ptw = canonical_point(
+            tuple(src.embedding_to(work).apply_int(c) for c in pt)
+            if src != work else tuple(pt), work)
+        quad, cone3, pivot, tmat = _local_quadratic(cw, ptw)
+        if any(quad):
+            if quad[1] != 0:
+                local = "node"
+                dirs = [r for r, _ in binary_roots(quad, work)]
+                if not dirs:
+                    lin, rest = Poly(work, cone3).divmod(Poly(work, quad))
+                    if rest.is_zero():
+                        form = [0, 0, 0]
+                        u, v = (i for i in range(3) if i != pivot)
+                        form[pivot], form[u], form[v] = 1, lin[0], lin[1]
+                        hidden += 2
+                        add_component(_pull_back_form(form, tmat, work))
+                        forced_kod = "I3"
+            else:
+                local = "cusp"
+                dirs = [(work.sqrt_int(quad[2]), work.sqrt_int(quad[0]))]
+        else:
+            local, forced_kod = "triple", "IV"
+            roots = binary_roots(cone3, work)
+            dirs = [r for r, _ in roots]
+            hidden += 3 - len(dirs)
+        singularities.append(CubicSingularity(ptw, d, local))
+        for uv in dirs:
+            if _eval_form(cone3, *uv, work) == 0:
+                add_component(_line_form_through(
+                    ptw, _direction_point(ptw, uv, pivot), work))
+
+    components = list(comp_forms)
+    if len(components) == 2 and hidden == 0:
+        rest = divide_by_linear(divide_by_linear(cw, components[0]),
+                                components[1])
+        lin = [0, 0, 0]
+        for e, c in rest.terms.items():
+            lin[next(i for i in range(3) if e[i])] ^= c
+        add_component(canonical_point(tuple(lin), work))
+        components = list(comp_forms)
+
+    ncomp = len(components) + hidden
+    if ncomp == 0:
+        kod = {"node": "I1", "cusp": "II"}[singularities[0].local_type]
+    elif ncomp == 1:
+        kod = "III" if any(s.local_type == "cusp"
+                           for s in singularities) else "I2"
+    elif forced_kod is not None:
+        kod = forced_kod
+    else:
+        rest = cw
+        for f in components:
+            rest = divide_by_linear(rest, f)
+        assert rest is not None and rest.total_degree() == 0
+        kod = "I3"
+    return FiberReport(position, kod, work.degree, sorted(components),
+                       singularities, hidden, flags)
+
+
 @pytest.fixture
 def compared(monkeypatch):
     """Every `_classify_in_field` call also runs the former classifier on
@@ -292,6 +375,38 @@ def test_local_classifier_matches_the_former_on_hand_built_cubics(compared):
         for cubic in _hand_built_cubics(FieldSpec.default(k)):
             classify_fiber(cubic)
     assert set(compared) == {"I1", "I2", "I3", "II", "III", "IV"}
+
+
+def test_node_route_matches_the_local_expansion(monkeypatch, s5_surface):
+    # every I2 and I3 fiber of the record seed line, the z0 lines, the
+    # first 10 07b surfaces and 10 family-Z surfaces per field: the lines
+    # through pairs of nodes give the report the local expansion gave
+    kinds = Counter()
+    current = pencil_module._classify_in_field
+
+    def both(cubic, sing, work, position, flags):
+        got = current(cubic, sing, work, position, list(flags))
+        if got.kodaira in ("I2", "I3"):
+            want = _by_local_expansion(cubic, sing, work, position,
+                                       list(flags))
+            assert got.to_json() == want.to_json(), cubic
+            kinds[got.kodaira, len(sing)] += 1
+        return got
+
+    monkeypatch.setattr(pencil_module, "_classify_in_field", both)
+    z0 = get_surface("z0")
+    pencils = [ResidualPencil(s5_surface, s5_mu0_seed_line())]
+    pencils += [ResidualPencil(z0, ln) for ln in enumerate_lines(z0, ext=1)]
+    pencils += [ResidualPencil(surf, axis_line(FieldSpec.default(3)))
+                for surf in _sweep_surfaces(10)]
+    for k in (1, 2, 3):
+        spec = FieldSpec.default(k)
+        pencils += [ResidualPencil(surf, axis_line(spec))
+                    for surf in _smooth_family_z_surfaces(spec, 10)]
+    for pencil in pencils:
+        singular_fibers(pencil)
+    assert kinds[("I2", 2)] >= 20 and kinds[("I3", 3)] >= 80
+    assert kinds[("I3", 1)] >= 1        # capped: one node past the cap
 
 
 @pytest.mark.parametrize("k", [9, 11])

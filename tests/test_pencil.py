@@ -41,6 +41,9 @@ _FRAMES = (
     ((0, 1, 0), (0, 0, 1), (1, 1, 1)),
     ((0, 0, 1), (1, 0, 0), (1, 1, 1)),
 )
+# the first frame of the lambda-discriminant, centred at (1:1:0) on the
+# line: it moves x2 only, so z keeps its weight in lambda
+_LINE_FRAME = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
 
 
 def xyz(spec):
@@ -274,14 +277,13 @@ def test_singular_fibers_match_the_level_scan(s5_surface):
 
 def test_unclassified_fiber_orbits_are_flagged():
     # the first 07b surface: its lambda-discriminant has irreducible
-    # factors of degree 6 and 10 over GF(8), past GF(2^15)
+    # factors of degree 6 and 10 over GF(8), past GF(2^15); it has no
+    # root whose fiber is smooth, so no capped search leaves a flag
     surf = _sweep_surfaces(1)[0]
     flags = []
     pencil = ResidualPencil(surf, axis_line(FieldSpec.default(3)))
     fibers = singular_fibers(pencil, flags=flags)
-    want = ["fiber orbits of total degree 16 past degree 5 not classified",
-            "fiber orbit of degree 3: singular-point search capped at "
-            "extension degree 1"]
+    want = ["fiber orbits of total degree 16 past degree 5 not classified"]
     assert flags == want
     dossier = build_dossier(surf, axis_line(FieldSpec.default(3)))
     assert dossier.flags == want
@@ -446,38 +448,63 @@ def test_lambda_discriminant_covers_the_two_frame_product(s5_surface):
         flags = []
         got = singular_fibers(pencil, flags=flags)
         assert [r.to_json() for r in got] == [r.to_json() for r in want]
-        assert flags == want_flags
+        # the same orbits past the cap; the product's capped-orbit flags
+        # sit on its spurious roots, whose fibers are smooth
+        assert flags == [f for f in want_flags
+                         if not f.startswith("fiber orbit of degree")]
+
+
+def test_record_dossiers_classify_no_smooth_fiber(monkeypatch, s5_surface,
+                                                  s5_lines):
+    # with the frame's centre on the line, no record line's
+    # lambda-discriminant has a root whose fiber is smooth: 11 classified
+    # fibers per dossier, the one at infinity included
+    kinds = Counter()
+    current = pencil_module.classify_fiber
+
+    def spy(*args, **kwargs):
+        rep = current(*args, **kwargs)
+        kinds[rep.kodaira] += 1
+        return rep
+
+    monkeypatch.setattr(pencil_module, "classify_fiber", spy)
+    for line in s5_lines:
+        singular_fibers(ResidualPencil(s5_surface, line))
+    assert sum(kinds.values()) == 660 and kinds["smooth"] == 0
 
 
 def test_fiber_singular_only_at_the_frame_centre():
     # a smooth quartic over GF(4) through the axis line (no singular point
-    # up to GF(4096)) whose fiber at lambda = 2 is of type III, singular
-    # only at the first frame's centre (1:1:1): that frame's condition
-    # misses lambda = 2, the centre gcd catches it
+    # up to GF(4096)) whose fiber at lambda = 1 is of type III, singular
+    # only at the first frame's centre (1:1:0) on the line.  There the
+    # partials in x2 and z vanish for every lambda; moved by that frame
+    # they are free of y1, so they are conditions as they stand, and
+    # those need not vanish where a fiber is singular at the centre: the
+    # frame's condition misses lambda = 1, the centre gcd catches it
     gf4 = FieldSpec.default(2)
     f = SparsePoly(4, gf4, {
-        (0, 0, 2, 2): 2, (0, 0, 3, 1): 2, (0, 0, 4, 0): 2, (0, 1, 2, 1): 3,
-        (0, 1, 3, 0): 2, (0, 2, 0, 2): 3, (0, 2, 1, 1): 2, (0, 2, 2, 0): 2,
-        (0, 3, 0, 1): 3, (0, 3, 1, 0): 1, (1, 0, 0, 3): 3, (1, 0, 2, 1): 3,
-        (1, 0, 3, 0): 1, (1, 2, 0, 1): 1, (1, 2, 1, 0): 2, (2, 0, 0, 2): 1,
-        (2, 1, 1, 0): 3, (3, 0, 0, 1): 1, (3, 0, 1, 0): 1})
+        (0, 0, 0, 4): 3, (0, 0, 1, 3): 2, (0, 0, 3, 1): 3, (0, 0, 4, 0): 1,
+        (0, 1, 0, 3): 1, (0, 1, 1, 2): 3, (0, 1, 3, 0): 2, (0, 2, 0, 2): 1,
+        (0, 2, 1, 1): 2, (0, 2, 2, 0): 2, (0, 3, 0, 1): 1, (1, 0, 0, 3): 3,
+        (1, 0, 1, 2): 3, (1, 0, 2, 1): 2, (2, 0, 0, 2): 1, (2, 0, 1, 1): 2,
+        (2, 0, 2, 0): 2, (2, 1, 0, 1): 1, (3, 0, 0, 1): 1, (3, 0, 1, 0): 1})
     surf = QuarticSurface(f, "centre")
     assert singular_point_search(surf, max_ext=6) == []
     pencil = ResidualPencil(surf, axis_line(gf4))
-    lam = PencilPosition("finite", 2, 1)
+    lam = PencilPosition("finite", 1, 1)
     assert _cubic_singular_points(residual_cubic(pencil, lam), 3) == \
-        [((1, 1, 1), 1)]
-    assert _frame_condition(pencil, _FRAMES[0]).eval_int(2) != 0
-    assert _lambda_discriminant(pencil)[0].eval_int(2) == 0
+        [((1, 1, 0), 1)]
+    assert _frame_condition(pencil, _LINE_FRAME).eval_int(1) != 0
+    assert _lambda_discriminant(pencil)[0].eval_int(1) == 0
     fibers = {r.position: r for r in singular_fibers(pencil)}
     assert fibers[lam].kodaira == "III"
-    assert [s.point for s in fibers[lam].singular_points] == [(1, 1, 1)]
-    # the discriminant's frame, specialised at lambda = 2, finds the
+    assert [s.point for s in fibers[lam].singular_points] == [(1, 1, 0)]
+    # the discriminant's frame, specialised at lambda = 1, finds the
     # centre by its direct check
     frames = {pos: on_level.at(pos.bits)
               for pos, _, _, on_level in _pencil_fiber_frames(pencil)}
-    assert frames[lam][2] == _FRAMES[0]
-    assert _frame_points(*frames[lam], 3) == [((1, 1, 1), 1)]
+    assert frames[lam][2] == _LINE_FRAME
+    assert _frame_points(*frames[lam], 3) == [((1, 1, 0), 1)]
 
 
 def _pencil_fiber_frames(pencil, max_ext=6):

@@ -187,9 +187,12 @@ def test_on_line_hessian_is_the_hessian_at_z_zero(s5_surface, s5_lines, gf8):
             assert _specialize(g, (0, 1, 2), _odd_terms(True)) == want
 
 
-def _digest(dossiers):
-    return hashlib.sha256(json.dumps([d.to_json() for d in dossiers],
-                                     sort_keys=True).encode()).hexdigest()
+def _digest(dossiers, drop=()):
+    """SHA-256 of the dossiers' sorted-key JSON, the keys `drop` left out."""
+    docs = [{k: v for k, v in d.to_json().items() if k not in drop}
+            for d in dossiers]
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()
+                          ).hexdigest()
 
 
 def _restriction_by_hand(g):
@@ -252,6 +255,11 @@ def test_dossiers_are_byte_identical_to_the_pinned_digests(s5_dossiers,
 
 def test_07b_dossiers_are_byte_identical_to_the_pinned_digest(
         gf8_07b_dossiers):
-    # the same for the 50 dossiers of acceptance test 07b
+    # the same for the 50 dossiers of acceptance test 07b, and for them
+    # with the dossier flags left out: that digest was taken before the
+    # lambda-discriminant's frame moved onto the line, which dropped the
+    # capped-orbit flags on its spurious roots and changed no fiber
     assert _digest(gf8_07b_dossiers) == \
-        "fc01d8d2ca7447b85e9479358681c5367f8efae01979da9fbe00755413ea1ac1"
+        "31b0175098666c00ecc1c6d50842b20e2b478fd9e2d0cf4d5b5694bc51ed5849"
+    assert _digest(gf8_07b_dossiers, drop={"flags"}) == \
+        "79cf45cc3f08f716b607177875545d95b8f247a1771736bf7ccab8cdc8f1923d"
