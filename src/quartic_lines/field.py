@@ -71,6 +71,26 @@ def json_natural(value, what: str) -> int:
     return value
 
 
+def json_hex(value, what: str) -> int:
+    """A non-negative integer read from a JSON hex string ("0x1f"); a
+    number or a malformed or negative string is refused as bad input."""
+    try:
+        return json_natural(int(value, 16), what)
+    except (TypeError, ValueError):
+        raise UsageError(f"{what} must be a hex string, got {value!r}"
+                         ) from None
+
+
+def json_of(value, kind: type, what: str):
+    """value, refused as bad input unless it is a JSON object (kind dict)
+    or list (kind list)."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "list"
+        raise UsageError(f"{what} must be a JSON {name}, got "
+                         f"{type(value).__name__}")
+    return value
+
+
 def _gf2_poly_degree(p: int) -> int:
     return p.bit_length() - 1
 
@@ -156,8 +176,9 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "FieldSpec":
+        data = json_of(data, dict, "field")
         return cls(json_natural(data["degree"], "field degree"),
-                   int(data["modulus"], 16))
+                   json_hex(data["modulus"], "field modulus"))
 
     def level(self, d: int) -> "FieldSpec":
         """GF(q^d) over this field GF(q): itself for d = 1, else the

@@ -13,21 +13,15 @@ cell (about q^2 numpy-vectorized evaluations), keeps the pairs that meet
 the tangent condition, and confirms them exactly.  Row 2 is 0 before p2
 and 1 at p2, so its chart is evaluated once per last pivot p2 and shared
 by the cells with that p2, and the tangent condition reads the partials
-of f from p2 on.  Singular points come from
-resultant elimination in one coordinate frame for every level: the
-eliminant S(x3) is split into Galois orbits once, and each orbit is
-lifted in its own field, so each point is found once, over the field of
-its degree.  The frames are those of `centred_frames`, one GF(2) frame
-centred at each GF(2)-point, tried in turn while the elimination
-degenerates; if all do, the curve of zeros they share is listed by its
-directions, every point being a root of the zero polynomial.
+of f from p2 on.
 
-The elimination kernel is shared with `pencil`, which finds the singular
-points of fiber cubics the same way: `centred_frames` (the frames),
-`first_variable_conditions` (the forms free of x1, then the resultants
-in x1), `lift_tails` (the common zeros over their projections: at each,
-the gcd in x1 by `gcd_at_tail`, split by `root_orbits`, over the fields
-`FormLevels` keeps) and `SparsePoly.linear_change` (the frame moves).
+Singular points come from one path from elimination conditions to
+points, shared with `pencil` for the fiber cubics: in a GF(2) frame of
+`centred_frames` (moved by `SparsePoly.linear_change`),
+`first_variable_conditions` leaves conditions in the other variables,
+`eliminant` a univariate polynomial, split into Galois orbits once, and
+`lift_tails` lifts each orbit in its own field, so each point is found
+once, over the field of its degree.
 """
 
 from __future__ import annotations
@@ -40,8 +34,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapabilityError, InconsistencyError, UsageError
-from .field import (MAX_DEGREE, FieldSpec, all_orbits, json_natural,
-                    root_orbits)
+from .field import (MAX_DEGREE, FieldSpec, all_orbits, json_hex, json_natural,
+                    json_of, root_orbits)
 from .poly import Poly, SparsePoly, squarefree_test, sylvester_resultant
 
 Row = Tuple[int, int, int, int]
@@ -100,21 +94,10 @@ def rref(rows: Sequence[Sequence[int]], spec: FieldSpec
 def restrict_form(form: SparsePoly, p1: Sequence[int],
                   p2: Sequence[int]) -> List[int]:
     """Coefficients of form(s*p1 + t*p2) as a binary form in (s, t),
-    s-major."""
-    mul = form.spec.mul_int
+    s-major, read off `SparsePoly.linear_change`."""
     out = [0] * (form.total_degree() + 1)
-    for e, c in form.terms.items():
-        factor = [c]
-        for i, k in enumerate(e):
-            for _ in range(k):
-                nxt = [0] * (len(factor) + 1)
-                for j, fc in enumerate(factor):
-                    if fc:
-                        nxt[j] ^= mul(fc, p1[i])
-                        nxt[j + 1] ^= mul(fc, p2[i])
-                factor = nxt
-        for j, fc in enumerate(factor):
-            out[j] ^= fc
+    for (_, j), c in form.linear_change([p1, p2]).terms.items():
+        out[j] ^= c
     return out
 
 
@@ -216,7 +199,8 @@ class Line:
 
     @classmethod
     def from_json(cls, data: dict, spec: FieldSpec) -> "Line":
-        vals = [int(h, 16) for h in data["rows"]]
+        rows = json_of(json_of(data, dict, "line")["rows"], list, "rows")
+        vals = [json_hex(h, "line entry") for h in rows]
         return cls(spec, [vals[:4], vals[4:]])
 
 
@@ -324,14 +308,16 @@ class QuarticSurface:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuarticSurface":
-        spec = FieldSpec.from_json(data["field"])
+        spec = FieldSpec.from_json(json_of(data, dict, "surface")["field"])
         terms = {}
-        for t in data["terms"]:
-            exps = tuple(json_natural(e, "exponent") for e in t["exps"])
+        for t in json_of(data["terms"], list, "surface terms"):
+            t = json_of(t, dict, "surface term")
+            exps = tuple(json_natural(e, "exponent")
+                         for e in json_of(t["exps"], list, "exponents"))
             if len(exps) != 4:
                 raise UsageError("term exponent vector must have length 4")
             terms[exps] = terms.get(exps, 0) ^ spec.element(
-                int(t["coeff"], 16))
+                json_hex(t["coeff"], "term coefficient"))
         f = SparsePoly(4, spec, terms)
         return cls(f, data.get("label", "file"))
 
@@ -496,30 +482,51 @@ def count_candidate_lines(q: int) -> int:
 
 
 def _x1_coefficients(g: SparsePoly) -> List[SparsePoly]:
-    """The coefficients of g in x1, highest power first."""
-    by_power = g.coefficients_in(0)
-    zero = SparsePoly.zero(g.nvars, g.spec)
-    return [by_power.get(k, zero) for k in range(g.degree_in(0), -1, -1)]
+    """The coefficients of g in x1, highest power first, as forms in the
+    other variables."""
+    by_power = {k: {e[1:]: c for e, c in p.terms.items()}
+                for k, p in g.coefficients_in(0).items()}
+    return [SparsePoly(g.nvars - 1, g.spec, by_power.get(k))
+            for k in range(g.degree_in(0), -1, -1)]
 
 
 def first_variable_conditions(forms: Sequence[SparsePoly]
                               ) -> Iterator[SparsePoly]:
-    """Forms free of x1 vanishing on the projection from [1:0:...:0] of
-    every common zero of the forms: the nonzero forms free of x1, then the
-    nonzero resultants in x1 of the first form that involves x1 with each
-    later one.  Lazy, so a caller that takes a few conditions forms only
-    the resultants it reads."""
+    """Forms in the other variables x2, ..., xn vanishing on the
+    projection from [1:0:...:0] of every common zero of the forms: the
+    nonzero forms free of x1, then the nonzero resultants in x1 of the
+    first form that involves x1 with each later one.  Lazy, so a caller
+    that takes a few conditions forms only the resultants it reads."""
     forms = [g for g in forms if not g.is_zero()]
-    yield from (g for g in forms if g.degree_in(0) == 0)
+    yield from (g.restrict({0: 0}) for g in forms if g.degree_in(0) == 0)
     with_x1 = [g for g in forms if g.degree_in(0) >= 1]
     if len(with_x1) < 2:
         return
     first = _x1_coefficients(with_x1[0])
-    zero = SparsePoly.zero(with_x1[0].nvars, with_x1[0].spec)
+    zero = SparsePoly.zero(with_x1[0].nvars - 1, with_x1[0].spec)
     for other in with_x1[1:]:
         r = sylvester_resultant(first, _x1_coefficients(other), zero)
         if not r.is_zero():
             yield r
+
+
+def eliminant(rows: Sequence[List[Poly]]) -> Optional[Poly]:
+    """A polynomial vanishing wherever the conditions share a zero, from
+    their coefficient rows as binary forms in the variable to eliminate,
+    each row entry a `Poly` in the one left (`SparsePoly.rows`): a
+    condition of degree 0 in that variable is its own eliminant, and
+    else the first nonzero resultant of a pair (`sylvester_resultant`).
+    None with fewer than two conditions or no nonzero resultant."""
+    if len(rows) < 2:
+        return None
+    pure = next((cs[0] for cs in rows if len(cs) == 1), None)
+    if pure is not None:
+        return pure
+    for fa, fb in itertools.combinations(rows, 2):
+        r = sylvester_resultant(fa, fb, Poly.zero(fa[0].spec))
+        if not r.is_zero():
+            return r
+    return None
 
 
 def gcd_at_tail(forms: Sequence[SparsePoly], var: int,
@@ -565,12 +572,9 @@ class FormLevels:
         self.spec = forms[0].spec
         self._levels = {1: list(forms)}
 
-    def field(self, d: int) -> FieldSpec:
-        return self.spec.level(d)
-
     def at(self, d: int) -> List[SparsePoly]:
         if d not in self._levels:
-            emb = self.spec.embedding_to(self.field(d))
+            emb = self.spec.embedding_to(self.spec.level(d))
             self._levels[d] = [g.embed(emb) for g in self._levels[1]]
         return self._levels[d]
 
@@ -603,15 +607,15 @@ def lift_tails(forms: FormLevels, tails: Iterable[Tuple[tuple, int]],
         if g is None:
             if not list_all:
                 return None
-            levels = all_orbits(forms.field(d), cap // d)
+            levels = all_orbits(forms.spec.level(d), cap // d)
         elif g.degree() < 1:
             continue
         else:
-            levels, _ = root_orbits(g.coeffs, forms.field(d), cap // d)
+            levels, _ = root_orbits(g.coeffs, forms.spec.level(d), cap // d)
         for e, (target, roots) in enumerate(levels, 1):
             if not roots:
                 continue
-            emb = forms.field(d).embedding_to(target)
+            emb = forms.spec.level(d).embedding_to(target)
             lifted = tuple(emb.apply_int(c) for c in tail)
             for r in roots:
                 pt = (r,) + lifted
@@ -628,22 +632,6 @@ def lift_tails(forms: FormLevels, tails: Iterable[Tuple[tuple, int]],
 _CENTRE = (1, 0, 0, 0)
 
 
-def _x3_eliminant(conds: List[SparsePoly]) -> Optional[Poly]:
-    """S(x3) vanishing at x3 = a whenever two conditions on (x2 : x3 : x4)
-    have a common zero (x2, a, 1); None when there is no such S (fewer
-    than two conditions, or Res_x2 vanishes identically)."""
-    if len(conds) < 2:
-        return None
-    # r(x2, x3, 1) as a form in (w : x2) at w = 1, over GF(q)[x3]; read
-    # the other way round (the same S), S = 0 took about 4 times longer
-    ca, cb = (r.restrict({2: 1}).rows(r.degree_in(0) + 1) for r in conds)
-    if len(ca) == 1 or len(cb) == 1:  # free of x2: its own x3-eliminant
-        s = ca[0] if len(ca) == 1 else cb[0]
-    else:
-        s = sylvester_resultant(ca, cb, Poly.zero(conds[0].spec))
-    return None if s.is_zero() else s
-
-
 def _points_in_frame(forms: Sequence[SparsePoly], frame, cap: int,
                      list_all: bool) -> set:
     """The singular points of degree n <= cap over the field of the
@@ -652,27 +640,31 @@ def _points_in_frame(forms: Sequence[SparsePoly], frame, cap: int,
     coordinates.  The identity frame (centre `_CENTRE`) takes the forms
     as they are; another moves the form and takes its partials.
 
-    The conditions on (x2 : x3 : x4) left after eliminating x1
-    (`first_variable_conditions`), the first two of them, and S(x3) are
-    formed once, and S is split into orbits once.  Each direction
-    (x3 : x4) is lifted to P^2 on the two conditions, or on all of them
-    when the two share a line through (1 : 0 : 0), and then to P^3 on
-    the five forms (`lift_tails`).  When there is no S or every condition
-    vanishes on a line through (1 : 0 : 0), the frame is refused unless
-    `list_all`, and then the zero polynomial has every point as a root:
-    S = 0 gives every direction and such a line every point of it, each
-    of degree at most cap (`all_orbits`)."""
+    The first two conditions on (x2 : x3 : x4) left after eliminating x1
+    and their `eliminant` S(x3) are formed once, over GF(q), and S is
+    split into orbits once.  Each direction (x3 : x4) is lifted to P^2 on
+    the two conditions, or on all of them when the two share a line
+    through (1 : 0 : 0), and then to P^3 on the five forms (`lift_tails`),
+    every candidate checked on all of them.  When there is no S or every
+    condition vanishes on a line through (1 : 0 : 0), the frame is
+    refused unless `list_all`, and then the zero polynomial has every
+    point as a root: S = 0 gives every direction and such a line every
+    point of it, each of degree at most cap (`all_orbits`)."""
     if frame[0] != _CENTRE:
         moved = forms[0].linear_change(frame)
         forms = [moved] + [moved.derivative(i) for i in range(4)]
     forms = FormLevels(forms)
     conds = first_variable_conditions(forms.at(1))
-    plane = [r.drop_vars([1, 2, 3]) for r in itertools.islice(conds, 2)]
+    plane = list(itertools.islice(conds, 2))
     if not plane:
         raise CapabilityError(
             "degenerate elimination: no condition is left after "
             "eliminating x1")
-    s = _x3_eliminant(plane)
+    # S(x3) from r(x2, x3, 1) as a form in (w : x2) at w = 1, over
+    # GF(q)[x3]; read the other way round (the same S), S = 0 took about
+    # 4 times longer
+    s = eliminant([r.restrict({2: 1}).rows(r.degree_in(0) + 1)
+                   for r in plane])
     if s is not None:
         levels, _ = root_orbits(s.coeffs, forms.spec, cap)
     elif list_all:
@@ -684,7 +676,7 @@ def _points_in_frame(forms: Sequence[SparsePoly], frame, cap: int,
                             in enumerate(levels, 1) for a in roots]
     tails = lift_tails(FormLevels(plane), dirs, cap)
     if tails is None:   # the other conditions may cut a shared line
-        plane += [r.drop_vars([1, 2, 3]) for r in conds]
+        plane += list(conds)
         tails = lift_tails(FormLevels(plane), dirs, cap, list_all)
     if tails is None:
         raise CapabilityError(
@@ -694,8 +686,8 @@ def _points_in_frame(forms: Sequence[SparsePoly], frame, cap: int,
         raise CapabilityError(
             "degenerate elimination: the forms vanish on a whole line "
             "through [1:0:0:0]")
-    return {(canonical_point(vec_mat(pt, frame, forms.field(n)),
-                             forms.field(n)), n) for pt, n in pts}
+    return {(canonical_point(vec_mat(pt, frame, forms.spec.level(n)),
+                             forms.spec.level(n)), n) for pt, n in pts}
 
 
 @dataclass(frozen=True)
@@ -715,22 +707,15 @@ def singular_point_search(surface: QuarticSurface,
     GF(q), each listed once, over GF(q^m), sorted by degree, then point.
 
     An empty result certifies smoothness over GF(q^max_ext), not over the
-    algebraic closure.  In a coordinate frame, x1 is eliminated by
-    `first_variable_conditions` and x2 by the resultant S(x3) of the first
-    two conditions, all once over GF(q), and S is split into Galois orbits
-    once (`root_orbits`).  Each root orbit is lifted in its own field, to
-    (x2 : x3 : x4) on the two conditions (on all of them when the two
-    share a line through the projection centre) and then to P^3 on the
-    five forms (`lift_tails`), every candidate checked on all of them.
-    The frames are the GF(2) frames of `centred_frames`, the identity
-    first, less those centred at singular points; through the others
-    passes no line of singular points, and no quartic is singular at all
-    fifteen GF(2)-points.  An elimination that degenerates (no condition
-    left, conditions sharing a curve of zeros) is retried in the next
-    frame; only when every frame refuses, as for a surface singular along
-    a curve, are they tried again with the curve listed by its directions
-    (`_points_in_frame`).  CapabilityError is raised for a target field
-    past GF(2^16) and when every frame degenerates even so.
+    algebraic closure.  The elimination (`_points_in_frame`) runs in the
+    GF(2) frames of `centred_frames`, the identity first, less those
+    centred at singular points; through the others passes no line of
+    singular points, and no quartic is singular at all fifteen
+    GF(2)-points.  A frame whose elimination degenerates is followed by
+    the next; only when every frame refuses, as for a surface singular
+    along a curve, are they tried again with the curve listed by its
+    directions.  CapabilityError is raised for a target field past
+    GF(2^16) and when every frame degenerates even so.
     """
     if max_ext < 1:
         raise UsageError("max_ext must be >= 1")
@@ -907,11 +892,12 @@ def normalize_line(surface: QuarticSurface, line: Line
 
     Returns (T, S') with S' = surface.transform(T); rows 0 and 1 of T are
     the line's basis, rows 2 and 3 standard vectors on its non-pivot
-    columns, so T is invertible and every monomial of S' involves x3 or x4.
+    columns, so T is invertible, and every monomial of S' involves x3 or
+    x4 iff the surface contains the line.
     """
-    if not surface.contains_line(line):
-        raise UsageError("line does not lie on the surface")
     spec = surface.spec
+    if line.spec != spec:
+        raise UsageError("line not over the surface's field")
     nonpivot = [c for c in range(4) if c not in line.pivots]
     t = [list(line.rows[0]), list(line.rows[1])]
     for c in nonpivot:
@@ -919,10 +905,8 @@ def normalize_line(surface: QuarticSurface, line: Line
     if mat_rank(t, spec) != 4:  # pragma: no cover - construction guarantees
         raise InconsistencyError("normalization matrix is singular")
     sprime = surface.transform(t)
-    for e in sprime.f.terms:
-        if e[2] == 0 and e[3] == 0:
-            raise InconsistencyError(
-                "normalized surface has a monomial purely in x1, x2")
+    if any(e[2] == 0 and e[3] == 0 for e in sprime.f.terms):
+        raise UsageError("line does not lie on the surface")
     return t, sprime
 
 

@@ -13,6 +13,10 @@ Internal variable layout: the pencil form g lives in a 4-variable ring
 pencil parameter; it is read off the normalized quartic by an exponent
 map.  There is no second chart: the fiber at infinity is taken from the
 normalized quartic on {x3 = 0}, as a cubic in (x1, x2, x4).
+
+The singular points of the fiber cubics, and the lambda-discriminant,
+come from `geometry`'s path from elimination conditions to points
+(`first_variable_conditions`, `eliminant`, `lift_tails`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .errors import CapabilityError, InconsistencyError, UsageError
 from .field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
 from .geometry import (FormLevels, Line, QuarticSurface, canonical_point,
-                       centred_frames, first_variable_conditions,
+                       centred_frames, eliminant, first_variable_conditions,
                        gcd_at_tail, lift_tails, mat_inverse, normalize_line,
                        vec_mat)
 from .poly import (Poly, SparsePoly, binary_roots, divide_by_linear,
@@ -178,26 +182,22 @@ def _cubic_singular_points(cubic: SparsePoly, top: int
     characteristic 2.)
 
     The GF(2) frames of `centred_frames`, centred at (1:1:0) first, are
-    tried in turn: in each, y1 is eliminated from the moved partials by
-    the shared kernel `first_variable_conditions`, and `_frame_points`
-    finds the points from the <= 3 binary conditions left, unless none is
-    left.  (A finite fiber of a pencil first tries the
-    lambda-discriminant's frame specialised at its position, through the
-    same step; see `classify_fiber`.)"""
+    tried in turn: in each, `_frame_points` finds the points from the
+    <= 3 binary conditions left after eliminating y1, unless none is
+    left."""
     if all(cubic.derivative(i).is_zero() for i in range(3)):
         raise InconsistencyError("cubic with identically vanishing partials")
     for fr in centred_frames(_CENTRE):
         parts, conds = _frame_conditions(cubic, fr)
-        dehom = [(c.restrict({0: 0, 1: 1}), c.total_degree())
-                 for c in itertools.islice(conds, 3) if c.total_degree()]
-        found = _frame_points(parts, dehom, fr, top)
+        found = _frame_points(parts, list(itertools.islice(conds, 3)), fr,
+                              top)
         if found is not None:
             return found
     raise CapabilityError(
         "singular-point elimination degenerated in every frame")
 
 
-def _frame_points(parts: List[SparsePoly], dehom: List[Tuple[Poly, int]],
+def _frame_points(parts: List[SparsePoly], binary: List[SparsePoly],
                   frame, top: int
                   ) -> Optional[List[Tuple[Tuple[int, int, int], int]]]:
     """The singular points of degree <= top of a plane cubic from one
@@ -205,34 +205,25 @@ def _frame_points(parts: List[SparsePoly], dehom: List[Tuple[Poly, int]],
     condition is left.
 
     `parts` are the cubic's nonzero partials moved by the frame (x = y.m)
-    and `dehom` the dehomogenizations in t = y3/y2 of binary conditions
-    in the elimination ideal of `parts` and k[y2, y3], none zero, each
-    with its formal degree, at least 1.  Every singular point other than
-    the frame's centre (1:0:0) then has a direction (y2 : y3) that is a
-    common root of the conditions: a root of the gcd of their
-    dehomogenizations, grouped by `root_orbits`, or (0 : 1) when every
-    condition drops degree.  The directions are lifted to points by
-    `lift_tails`, which checks the centre directly and every candidate on
-    all partials, so a common root of the conditions that carries no
-    singular point costs one check and changes no answer."""
-    if not dehom:
+    and `binary` nonzero forms in (y2, y3) in the elimination ideal of
+    `parts` and k[y2, y3].  Every singular point other than the frame's
+    centre (1:0:0) then has a direction (y2 : y3) that is a common zero
+    of the conditions, found by `lift_tails` as on the quartic: the tail
+    y3 = 1 is lifted to the roots of the gcd in y2, and (1 : 0) is
+    checked directly.  The directions are lifted to points on the
+    partials the same way, every candidate checked on all of them, so a
+    common root of the conditions that carries no singular point costs
+    one check and changes no answer."""
+    if not binary:
         return None
-    spec = dehom[0][0].spec
-    g = dehom[0][0]
-    for p, _ in dehom[1:]:
-        g = g.gcd(p)
-    levels, _ = root_orbits(g.coeffs, spec, top)
-    dirs = [((1, r), d) for d, (_, roots) in enumerate(levels, 1)
-            for r in roots]
-    if all(p.degree() < deg for p, deg in dehom):
-        dirs.append(((0, 1), 1))
+    dirs = lift_tails(FormLevels(binary), [((1,), 1)], top)
     forms = FormLevels(parts)
     found = lift_tails(forms, dirs, top)
     if found is None:
         raise InconsistencyError(
             "cubic singular along a whole line (non-reduced)")
-    out = {(canonical_point(vec_mat(y, frame, forms.field(e)),
-                            forms.field(e)), e)
+    out = {(canonical_point(vec_mat(y, frame, forms.spec.level(e)),
+                            forms.spec.level(e)), e)
            for y, e in found}
     return sorted(out, key=lambda pe: (pe[1], pe[0]))
 
@@ -323,9 +314,9 @@ def classify_fiber(cubic: SparsePoly,
     a single one is read off its local expansion.
 
     `frame`, when given, is a frame already prepared for this cubic, as
-    (moved partials, dehomogenized conditions, frame): `singular_fibers`
-    passes the lambda-discriminant's frame specialised at the fiber's
-    position (`_PencilFrame.at`).  The singular points come from it
+    (moved partials, binary conditions in (y2, y3), frame):
+    `singular_fibers` passes the lambda-discriminant's frame specialised
+    at the fiber's position (`_PencilFrame.at`).  The singular points come from it
     (`_frame_points`) unless it leaves no condition, and else from the
     cubic's own frames (`_cubic_singular_points`)."""
     if cubic.nvars != 3 or cubic.spec is None:
@@ -474,29 +465,25 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
 
 class _PencilFrame(NamedTuple):
     """The frame of the lambda-discriminant, kept for the fibers: the
-    moved pencil partials, forms in (y1, y2, y3, lambda), and for each
-    condition on (y2 : y3) its coefficients as a binary form in (y2, y3),
-    y2-major, each a polynomial in lambda (`SparsePoly.rows` at
-    y2 = 1)."""
+    moved pencil partials, forms in (y1, y2, y3, lambda), and the
+    conditions left after eliminating y1, forms in (y2, y3, lambda)."""
     frame: Tuple[Tuple[int, int, int], ...]
     parts: List[SparsePoly]
-    conds: List[List[Poly]]
+    conds: List[SparsePoly]
 
     def embed(self, emb) -> "_PencilFrame":
         return _PencilFrame(self.frame, [p.embed(emb) for p in self.parts],
-                            [[c.embed(emb) for c in cs] for cs in self.conds])
+                            [c.embed(emb) for c in self.conds])
 
     def at(self, lam: int):
         """The frame of the fiber at lambda = lam, in the coefficient field,
-        as `classify_fiber` takes it."""
+        as `classify_fiber` takes it: the nonzero partials and conditions
+        there (`SparsePoly.restrict`)."""
         parts = [q for q in (p.restrict({3: lam}) for p in self.parts)
                  if not q.is_zero()]
-        dehom = []
-        for cs in self.conds:
-            p = Poly(self.parts[0].spec, [c.eval_int(lam) for c in cs])
-            if len(cs) >= 2 and not p.is_zero():
-                dehom.append((p, len(cs) - 1))
-        return parts, dehom, self.frame
+        binary = [b for b in (c.restrict({2: lam}) for c in self.conds)
+                  if not b.is_zero()]
+        return parts, binary, self.frame
 
 
 def _lambda_discriminant(pencil: ResidualPencil
@@ -521,44 +508,28 @@ def _lambda_discriminant(pencil: ResidualPencil
     condition times that gcd misses nothing.  A frame whose centre gcd
     vanishes identically (every fiber singular at P, so the surface is
     singular) is skipped."""
-    spec = pencil.spec
     partials = [pencil.g.derivative(i) for i in range(3)]
     for frame in centred_frames(_CENTRE):
         at_centre = gcd_at_tail(partials, 3, frame[0])
         if at_centre is None:
             continue
         parts, conds = _frame_conditions(pencil.g, frame)
-        # each condition, a form in (y2 : y3), at y2 = 1, by its rows
-        coeffs = [c.restrict({0: 0, 1: 1}).rows(
-            max(e[1] + e[2] for e in c.terms) + 1) for c in conds]
-        if len(coeffs) < 2:
-            continue
-        dm: Optional[Poly] = None
-        pure = [cs[0] for cs in coeffs if len(cs) == 1]
-        if pure:
-            dm = pure[0]
-        else:
-            for fa, fb in itertools.combinations(coeffs, 2):
-                r = sylvester_resultant(fa, fb, Poly.zero(spec))
-                if not r.is_zero():
-                    dm = r
-                    break
-        if dm is not None and not dm.is_zero():
-            return dm * at_centre, _PencilFrame(frame, parts, coeffs)
-    return Poly.zero(spec), None
-
-
-# Positions of degree past this over the pencil's field are flagged, not
-# classified.
-_FIBER_MAX_EXT = 6
+        conds = list(conds)
+        # each condition, a form in (y2 : y3) of its formal degree, at
+        # y2 = 1, by its rows
+        dm = eliminant([c.restrict({0: 1}).rows(
+            max(e[0] + e[1] for e in c.terms) + 1) for c in conds])
+        if dm is not None:
+            return dm * at_centre, _PencilFrame(frame, parts, conds)
+    return Poly.zero(pencil.spec), None
 
 
 def singular_fibers(pencil: ResidualPencil,
                     flags: Optional[List[str]] = None) -> List[FiberReport]:
-    """All singular fibers at positions of degree <= _FIBER_MAX_EXT over
-    the pencil's field (and at most GF(2^16)).  Full Galois orbits are
-    reported: conjugate positions each get their own report, so component
-    counts add up to the geometric valency of the line.
+    """All singular fibers at positions in fields up to GF(2^16), the cap
+    of `root_orbits`.  Full Galois orbits are reported: conjugate
+    positions each get their own report, so component counts add up to
+    the geometric valency of the line.
 
     `flags`, when given, gets what the reports may miss: the total degree
     of the orbits past the cap, left unsplit by `root_orbits`; and when
@@ -581,7 +552,7 @@ def singular_fibers(pencil: ResidualPencil,
             "lambda-discriminant degenerated in every frame")
 
     found: List[FiberReport] = []
-    levels, rest = root_orbits(disc.coeffs, spec, _FIBER_MAX_EXT)
+    levels, rest = root_orbits(disc.coeffs, spec, MAX_DEGREE // spec.degree)
     for m, (target, roots) in enumerate(levels, 1):
         if not roots:
             continue
@@ -696,17 +667,6 @@ def _eval_form(form: Sequence[int], u0: int, v0: int,
     return out
 
 
-def _form_root_multiplicity(form: Sequence[int], root: Tuple[int, int],
-                            spec: FieldSpec) -> int:
-    """Multiplicity of a projective root (1 : t) or (0 : 1) in a nonzero
-    binary form (u-major): that of t in form(1, t), or the form's drop in
-    degree at (0 : 1)."""
-    f = Poly(spec, form)
-    if root[0]:
-        return f.multiplicity_at(root[1])
-    return len(form) - 1 - f.degree()
-
-
 def ramification_type(pencil: ResidualPencil) -> RamificationData:
     """Ramification of the degree-3 map p -> [A(p) : B(p)] from the line
     to the lambda-line.
@@ -750,7 +710,7 @@ def ramification_type(pencil: ResidualPencil) -> RamificationData:
         b0 = _eval_form(bd, u0, v0, target)
         fiber_form = [target.mul_int(b0, x) ^ target.mul_int(a0, y)
                       for x, y in zip(ad, bd)]
-        e = _form_root_multiplicity(fiber_form, (u0, v0), target)
+        e = dict(binary_roots(fiber_form, target)).get((u0, v0), 0)
         if e not in (2, 3):
             raise InconsistencyError(
                 f"ramification index {e} outside {{2, 3}}")

@@ -468,13 +468,17 @@ class SparsePoly:
         return self._like(out)
 
     def linear_change(self, m: Sequence[Sequence[int]]) -> "SparsePoly":
-        """The form in y with x = y.m on the first len(m) variables
-        (x_c -> sum_j m[j][c] y_j); later variables are untouched."""
+        """The form in y with x = y.m for an r x n matrix m, r <= n: each
+        of the first n variables x_c goes to sum_j m[j][c] y_j, and the
+        form is in y_1..y_r, then the later variables, untouched.  Two
+        rows p1, p2 give the restriction to the line through them."""
+        r, n = len(m), len(m[0])
         unit = [tuple(int(i == j) for i in range(self.nvars))
-                for j in range(len(m))]
-        return self.substitute({c: self._like({unit[j]: m[j][c]
-                                               for j in range(len(m))})
-                                for c in range(len(m))})
+                for j in range(r)]
+        moved = self.substitute({c: self._like({unit[j]: m[j][c]
+                                                for j in range(r)})
+                                 for c in range(n)})
+        return moved.drop_vars([*range(r), *range(n, self.nvars)])
 
     def evaluate(self, vals: Sequence[int]) -> int:
         """Evaluate at a point given by raw coefficients (bitmasks or ints)."""

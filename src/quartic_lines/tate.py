@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import CapabilityError, InconsistencyError, UsageError
-from .field import MAX_DEGREE, FieldSpec, json_natural, root_orbits
+from .field import (MAX_DEGREE, FieldSpec, json_hex, json_natural, json_of,
+                    root_orbits)
 from .poly import Poly
 
 _BIG = 10 ** 9
@@ -73,9 +74,11 @@ class WeierstrassModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "WeierstrassModel":
+        data = json_of(data, dict, "model")
         spec = FieldSpec.default(json_natural(data["field-degree"],
                                               "field-degree"))
-        a = tuple(Poly(spec, [spec.element(int(c, 16)) for c in data[n]])
+        a = tuple(Poly(spec, [spec.element(json_hex(c, n))
+                              for c in json_of(data[n], list, n)])
                   for n in ("a1", "a2", "a3", "a4", "a6"))
         return cls(spec, a, json_natural(data.get("chi", 2), "chi"))
 
@@ -305,18 +308,18 @@ def tate_classify(model: WeierstrassModel, place: Place
     return LocalFiberReport(place, kod, ordmin, scalings)
 
 
-def finite_places(model: WeierstrassModel, max_ext: int = 6
-                  ) -> List[Place]:
+def finite_places(model: WeierstrassModel) -> List[Place]:
     """Zeroes of the discriminant, one per conjugacy orbit: the orbit's
-    smallest bitmask at its own level.  Orbits of degree past max_ext
-    (or past GF(2^16)) are not split; they raise CapabilityError naming
-    their total degree."""
+    smallest bitmask at its own level.  Orbits past GF(2^16), the cap of
+    `root_orbits`, are not split; they raise CapabilityError naming their
+    total degree."""
     spec = model.spec
-    levels, rest = root_orbits(model.discriminant().coeffs, spec, max_ext)
+    levels, rest = root_orbits(model.discriminant().coeffs, spec,
+                               MAX_DEGREE // spec.degree)
     if len(rest) > 1:
         raise CapabilityError(
             f"discriminant orbits of total degree {len(rest) - 1} past the "
-            f"field cap (max_ext={max_ext}, at most GF(2^{MAX_DEGREE}))")
+            f"field cap GF(2^{MAX_DEGREE})")
     out: List[Place] = []
     for d, (target, roots) in enumerate(levels, 1):
         left = set(roots)
@@ -329,19 +332,18 @@ def finite_places(model: WeierstrassModel, max_ext: int = 6
     return out
 
 
-def classify_all(model: WeierstrassModel, max_ext: int = 6
-                 ) -> List[LocalFiberReport]:
+def classify_all(model: WeierstrassModel) -> List[LocalFiberReport]:
     """Reports at every zero of the discriminant (one per conjugacy orbit,
     weighted once) plus infinity."""
-    places = finite_places(model, max_ext) + ["inf"]
+    places = finite_places(model) + ["inf"]
     return [tate_classify(model, p) for p in places]
 
 
-def ord_delta_total(model: WeierstrassModel, max_ext: int = 6) -> int:
+def ord_delta_total(model: WeierstrassModel) -> int:
     """Sum of minimal discriminant orders over all places, counting each
     conjugacy orbit with its field degree."""
     total = 0
-    for place in finite_places(model, max_ext):
+    for place in finite_places(model):
         ext = place[1] if isinstance(place, tuple) else 1
         total += ext * tate_classify(model, place).ord_delta_min
     total += tate_classify(model, "inf").ord_delta_min

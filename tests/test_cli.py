@@ -1,7 +1,8 @@
+import hashlib
 import json
 from pathlib import Path
 
-from quartic_lines.cli import main
+from quartic_lines.cli import _VERIFY, main
 from quartic_lines.field import FieldSpec
 from quartic_lines.geometry import QuarticSurface
 from quartic_lines.surfaces import get_surface
@@ -217,3 +218,54 @@ def test_surface_coefficient_outside_the_field_is_input_error(tmp_path,
                          _json_file(tmp_path, data))
     assert code == 2 and out == ""
     assert "0x1f is not an element of GF(2^2)" in err
+
+
+def test_malformed_json_file_is_input_error(tmp_path, capsys):
+    # each once ended in a traceback and exit 1, the verification-failure
+    # code: a number where a hex string belongs, a list for the surface
+    surface = get_surface("z0").to_json()
+    coeff_number = json.loads(json.dumps(surface))
+    coeff_number["terms"][0]["coeff"] = 1
+    modulus_number = json.loads(json.dumps(surface))
+    modulus_number["field"]["modulus"] = 7
+    model = json.loads(Path(_gf2_model_file(tmp_path)).read_text())
+    cases = [("lines", "--surface", coeff_number, "term coefficient"),
+             ("lines", "--surface", modulus_number, "field modulus"),
+             ("lines", "--surface", [surface], "surface must be a JSON"),
+             ("tate", "--model", {**model, "a6": 5}, "a6 must be a JSON")]
+    for command, option, data, what in cases:
+        extra = ["--place", "0"] if command == "tate" else []
+        code, out, err = run(capsys, command, option,
+                             _json_file(tmp_path, data), *extra)
+        assert code == 2 and out == "", what
+        assert err.startswith("error:") and what in err, err
+
+
+# SHA-256 of each `verify` report, taken before the fiber cubics' search
+# moved onto the quartic's elimination path: the reports must not change
+VERIFY_REPORTS = {
+    "s5-60":
+        "d7236c180017de116e81ef23dd01247590a95647ef4b978b444b49262795fa44",
+    "family-x":
+        "8c12fb1544415c6b7b0860138f62eefe1cdb777128e72450fa287334c39eea15",
+    "schur-degenerate":
+        "5fc3e3e68a8945b3bd070025cb02c4ec14f26c22ba7758789c0333a638db6b9a",
+    "fermat-degenerate":
+        "ac2f6da4a6ef98159a8103be3b8457924de0df299086839453bcf59e550b0602",
+    "z0":
+        "889178cdd30a709b9ad963f2ec65377f09b56926b472f0c660f5777849ca6cfb",
+    "hessian-universal":
+        "6f9eb1e057547abc2930318b6a0966377dad52d3d314da70a79b62d025d2a391",
+    "example-6-4":
+        "1a439ae8e79982c6103aa7e55c8196e9970bee8f709a15a52d35eb51e598ea47",
+    "config-table":
+        "aa3a9c3fd35866df8802dfaf096048f79204deda567fac52e46f18fc39c6dd65",
+}
+
+
+def test_verify_reports_match_their_pinned_digests(capsys):
+    assert sorted(VERIFY_REPORTS) == sorted(_VERIFY)
+    for target, digest in VERIFY_REPORTS.items():
+        code, out, _ = run(capsys, "verify", target)
+        assert code == 0, target
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, target

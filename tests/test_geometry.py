@@ -14,15 +14,16 @@ from quartic_lines.geometry import (SCHUBERT_CELLS, IntersectionGraph,
                                     _cell_free_positions, _chart,
                                     canonical_point, centred_frames,
                                     _eval_on_grid, _points_in_frame,
-                                    _x3_eliminant, axis_line,
-                                    count_candidate_lines,
-                                    detect_configurations, enumerate_lines,
+                                    axis_line, count_candidate_lines,
+                                    detect_configurations, eliminant,
+                                    enumerate_lines,
                                     first_variable_conditions,
                                     lines_meet, mat_rank, normalize_line,
-                                    orbit, rref, singular_point_search,
+                                    orbit, restrict_form, rref,
+                                    singular_point_search,
                                     square_fibration_partition,
                                     surface_preserved_by)
-from quartic_lines.poly import SparsePoly
+from quartic_lines.poly import Poly, SparsePoly, sylvester_resultant
 from quartic_lines.surfaces import (get_surface, s5_generators,
                                     schur_char2_surface, z0_surface)
 
@@ -60,6 +61,42 @@ def test_lines_meet(gf4):
     l3 = Line(gf4, [(1, 0, 0, 1), (0, 1, 1, 0)])
     # skew check is symmetric
     assert (lines_meet(l1, l3) is None) == (lines_meet(l3, l1) is None)
+
+
+def _restrict_by_expansion(form, p1, p2):
+    """The former `restrict_form`: each term's product of linear factors
+    s*p1[i] + t*p2[i] multiplied out by hand, s-major."""
+    mul = form.spec.mul_int
+    out = [0] * (form.total_degree() + 1)
+    for e, c in form.terms.items():
+        factor = [c]
+        for i, k in enumerate(e):
+            for _ in range(k):
+                nxt = [0] * (len(factor) + 1)
+                for j, fc in enumerate(factor):
+                    if fc:
+                        nxt[j] ^= mul(fc, p1[i])
+                        nxt[j + 1] ^= mul(fc, p2[i])
+                factor = nxt
+        for j, fc in enumerate(factor):
+            out[j] ^= fc
+    return out
+
+
+def test_restrict_form_matches_the_expansion():
+    rng = random.Random(5)
+    for k, nvars, deg in itertools.product((1, 2, 8), (3, 4), range(1, 5)):
+        spec = FieldSpec.default(k)
+        monos = [e for e in itertools.product(range(deg + 1), repeat=nvars)
+                 if sum(e) == deg]
+        for _ in range(6):
+            form = SparsePoly(nvars, spec, {
+                e: rng.randrange(1, spec.size)
+                for e in rng.sample(monos, rng.randint(1, len(monos)))})
+            p1, p2 = ([rng.randrange(spec.size) for _ in range(nvars)]
+                      for _ in range(2))
+            assert restrict_form(form, p1, p2) == \
+                _restrict_by_expansion(form, p1, p2), (form, p1, p2)
 
 
 def test_surface_rejects_non_quartic(gf4):
@@ -238,6 +275,29 @@ def _conic_surface():
     return QuarticSurface(f), a, b
 
 
+def test_eliminant_takes_a_pure_condition_or_the_first_nonzero_resultant(
+        gf4):
+    # rows of binary forms in (w : x2) with entries in GF(4)[x3]
+    zero, one, t = Poly.zero(gf4), Poly.one(gf4), Poly.x(gf4)
+    a = [one, t]                        # w + x3 x2
+    b = [t, t * t]                      # x3 (w + x3 x2): a root shared with a
+    c = [one, one + t.scale(2)]         # w + (1 + u x3) x2, u^2 = u + 1
+    assert sylvester_resultant(a, b, zero).is_zero()
+    want = sylvester_resultant(a, c, zero)
+    assert not want.is_zero()
+    # the first pair's resultant vanishes, so the next pair's is taken
+    assert eliminant([a, b, c]) == want
+    # a condition free of the eliminated variable is its own eliminant
+    pure = [t * t + one]
+    assert eliminant([a, b, pure]) == pure[0]
+    assert eliminant([pure, a]) == pure[0]
+    # fewer than two conditions, or no nonzero resultant: no eliminant
+    assert eliminant([]) is None
+    assert eliminant([a]) is None
+    assert eliminant([pure]) is None
+    assert eliminant([a, b]) is None
+
+
 def test_singular_along_a_conic_is_listed_by_its_directions(gf2,
                                                             monkeypatch):
     # S vanishes identically in the identity frame: the listing pass takes
@@ -245,7 +305,8 @@ def test_singular_along_a_conic_is_listed_by_its_directions(gf2,
     surf, a, b = _conic_surface()
     conds = itertools.islice(
         first_variable_conditions([surf.f] + surf.partials()), 2)
-    assert _x3_eliminant([r.drop_vars([1, 2, 3]) for r in conds]) is None
+    assert eliminant([r.restrict({2: 1}).rows(r.degree_in(0) + 1)
+                      for r in conds]) is None
     listed = []
     every = geometry.all_orbits
     monkeypatch.setattr(geometry, "all_orbits",

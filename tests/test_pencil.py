@@ -13,9 +13,8 @@ from quartic_lines.geometry import (QuarticSurface, axis_line,
                                     canonical_point, enumerate_lines,
                                     restrict_form, singular_point_search,
                                     vec_mat)
-from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, _FIBER_MAX_EXT,
-                                  POS_INF, POS_ZERO, PencilPosition,
-                                  ResidualPencil,
+from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, POS_INF,
+                                  POS_ZERO, PencilPosition, ResidualPencil,
                                   _audit_one_fiber,
                                   _cubic_singular_points, _eval_form,
                                   _form_derivs, _frame_points,
@@ -308,24 +307,26 @@ def test_short_euler_sum_with_no_flag_is_flagged(s5_surface, monkeypatch):
     # hide the record pencil's two I1 fibers of degree 2 by keeping only
     # the rational roots of its lambda-discriminant, with no rest: what
     # is left is I2 and I3 fibers summing to 22
+    pencil = ResidualPencil(s5_surface, s5_mu0_seed_line())
+    disc = _lambda_discriminant(pencil)[0].coeffs
+
     def rational_only(coeffs, spec, cap):
         levels, rest = root_orbits(coeffs, spec, cap)
-        if cap != _FIBER_MAX_EXT:
+        if list(coeffs) != list(disc):
             return levels, rest
         return levels[:1] + [(f, []) for f, _ in levels[1:]], [1]
 
     monkeypatch.setattr(pencil_module, "root_orbits", rational_only)
     flags = []
-    fibers = singular_fibers(
-        ResidualPencil(s5_surface, s5_mu0_seed_line()), flags)
+    fibers = singular_fibers(pencil, flags)
     assert sorted({f.kodaira for f in fibers}) == ["I2", "I3"]
     assert flags == ["Euler sum 22 < 24: surface singular or fiber missed"]
 
 
 def test_root_orbits_take_no_frobenius_step_past_the_cap(monkeypatch):
     # the first 07b surface's lambda-discriminant leaves orbits of total
-    # degree 16 over GF(8) past the cap 5: one Frobenius power per degree
-    # up to the cap, and none to split what is left
+    # degree 16 over GF(8) past the field cap 5: one Frobenius power per
+    # degree up to the cap, and none to split what is left
     pencil = ResidualPencil(_sweep_surfaces(1)[0],
                             axis_line(FieldSpec.default(3)))
     disc, _ = _lambda_discriminant(pencil)
@@ -337,7 +338,8 @@ def test_root_orbits_take_no_frobenius_step_past_the_cap(monkeypatch):
         return frobenius(*args)
 
     monkeypatch.setattr(field, "_frobenius", spy)
-    levels, rest = root_orbits(disc.coeffs, pencil.spec, _FIBER_MAX_EXT)
+    levels, rest = root_orbits(disc.coeffs, pencil.spec,
+                               MAX_DEGREE // pencil.spec.degree)
     assert len(levels) == 5 and len(rest) - 1 == 16
     assert len(calls) <= 5
 
@@ -547,15 +549,16 @@ def test_fiber_frames_match_the_cubics_own_frames(s5_surface, s5_lines):
 
 def test_fiber_frame_without_conditions_falls_back_to_the_cubics_frames():
     # zero every condition of the z0 axis pencil's frame: each finite
-    # fiber's search (five of type IV) must find no condition there and
-    # redo the elimination in the cubic's own frames, with the same answer
+    # fiber's search (five of type IV) must find no binary condition
+    # there and redo the elimination in the cubic's own frames, with the
+    # same answer
     pencil = ResidualPencil(get_surface("z0"), axis_line(FieldSpec.default(2)))
     singular = 0
     for pos, cubic, top, on_level in _pencil_fiber_frames(pencil):
-        zero = Poly.zero(cubic.spec)
+        zero = SparsePoly.zero(3, cubic.spec)
         zeroed = on_level._replace(
-            conds=[[zero] * len(cs) for cs in on_level.conds]).at(pos.bits)
-        assert zeroed[1] == [] and zeroed[0]
+            conds=[zero] * len(on_level.conds)).at(pos.bits)
+        assert on_level.conds and zeroed[1] == [] and zeroed[0]
         assert _frame_points(*zeroed, top) is None
         want = classify_fiber(cubic, pos).to_json()
         assert classify_fiber(cubic, pos, frame=zeroed).to_json() == want

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from quartic_lines.errors import CapabilityError, UsageError
-from quartic_lines.field import FieldSpec
+from quartic_lines.field import FieldSpec, _gf2_poly_irreducible
 from quartic_lines.poly import Poly
 from quartic_lines.tate import (WeierstrassModel, build_integral_model,
                                 classify_all,
@@ -116,16 +116,21 @@ def test_finite_places_groups_conjugates():
 
 
 def test_orbit_past_the_cap_is_not_dropped():
-    # Delta = a6 = (t^7 + t + 1) t^3: an orbit of degree 7 besides t = 0
+    # Delta = a6 = (t^17 + t^3 + 1) t^3: an orbit of degree 17 besides
+    # t = 0, past GF(2^16), is refused by name
     spec, t, one, zero = gf2_polys()
-    a6 = (t ** 7 + t + one) * t ** 3
+    assert _gf2_poly_irreducible((1 << 17) | 0b1001, 17)
+    a6 = (t ** 17 + t ** 3 + one) * t ** 3
     m = WeierstrassModel(spec, (one, zero, zero, zero, a6))
-    with pytest.raises(CapabilityError, match="degree 7"):
-        finite_places(m, max_ext=6)
-    with pytest.raises(CapabilityError, match="degree 7"):
-        ord_delta_total(m, max_ext=6)
-    assert finite_places(m, max_ext=7) == [0, (2, 7)]
-    assert ord_delta_total(m, max_ext=7) == 24
+    with pytest.raises(CapabilityError, match="degree 17"):
+        finite_places(m)
+    with pytest.raises(CapabilityError, match="degree 17"):
+        ord_delta_total(m)
+    # Delta = (t^7 + t + 1) t^3: the orbit of degree 7 is split
+    m = WeierstrassModel(spec, (one, zero, zero, zero,
+                                (t ** 7 + t + one) * t ** 3))
+    assert finite_places(m) == [0, (2, 7)]
+    assert ord_delta_total(m) == 24
 
 
 def test_catalog_discriminant_sums():
