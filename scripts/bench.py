@@ -15,10 +15,12 @@ alternating.  For every metric it prints each side's median and
 quartiles and the number of pairs the working tree won (every metric is
 lower-is-better).  For each end-to-end metric of BENCHMARK.json it also
 prints the relative change of the medians next to that metric's bound,
-and a verdict: `unresolved` when the parent's own quartile spread,
-relative to its median, is wider than the bound and not every run of the
-working tree beats every run of the parent; else `worse` past the bound,
-or `within`.  It writes the same figures, the raw runs and the
+and a verdict: `gain` when the working tree won at least nine tenths of
+the pairs (ties count for neither) and its median is lower than the
+parent's by more than the parent's own quartile spread; else
+`unresolved` when that spread, relative to the parent's median, is
+wider than the bound and not every run of the working tree beats every
+run of the parent; else `worse` past the bound, or `within`.  It writes the same figures, the raw runs and the
 per-workload `# report` figures to the JSON file named by `--out`.
 It hashes the working tree's `src/` and `perfbench/` `.py` files before
 the first pair and after each run, and exits non-zero naming the files
@@ -127,12 +129,17 @@ def spread(xs: List[float]) -> Dict[str, float]:
 
 
 def against_bound(a: List[float], b: List[float], bound: float) -> dict:
-    """The change's median relative to the parent's (runs a, b), the
-    parent's quartile spread relative to its median, and the verdict."""
+    """The change's median relative to the parent's (runs a, b, paired
+    in order), the parent's quartile spread relative to its median, and
+    the verdict."""
     p, c = spread(a), spread(b)
     change = (c["median"] - p["median"]) / p["median"]
     parent_spread = (p["q3"] - p["q1"]) / p["median"]
-    if parent_spread > bound and not max(b) < min(a):
+    won = sum(y < x for x, y in zip(a, b))
+    if 10 * won >= 9 * len(a) and \
+            p["median"] - c["median"] > p["q3"] - p["q1"]:
+        verdict = "gain"
+    elif parent_spread > bound and not max(b) < min(a):
         verdict = "unresolved"
     else:
         verdict = "worse" if change > bound else "within"

@@ -91,6 +91,14 @@ def json_of(value, kind: type, what: str):
     return value
 
 
+def json_key(data: dict, key: str, what: str):
+    """data[key] of a JSON object, refused as bad input naming the object
+    and the key when the object lacks it."""
+    if key not in data:
+        raise UsageError(f"{what} lacks the key {key!r}")
+    return data[key]
+
+
 def _gf2_poly_degree(p: int) -> int:
     return p.bit_length() - 1
 
@@ -177,8 +185,10 @@ class FieldSpec:
     @classmethod
     def from_json(cls, data: dict) -> "FieldSpec":
         data = json_of(data, dict, "field")
-        return cls(json_natural(data["degree"], "field degree"),
-                   json_hex(data["modulus"], "field modulus"))
+        return cls(json_natural(json_key(data, "degree", "field"),
+                                "field degree"),
+                   json_hex(json_key(data, "modulus", "field"),
+                            "field modulus"))
 
     def level(self, d: int) -> "FieldSpec":
         """GF(q^d) over this field GF(q): itself for d = 1, else the

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CapabilityError, InconsistencyError, UsageError
 from .field import (MAX_DEGREE, FieldSpec, all_orbits, json_hex, json_natural,
-                    json_of, root_orbits)
+                    json_key, json_of, root_orbits)
 from .poly import Poly, SparsePoly, squarefree_test, sylvester_resultant
 
 Row = Tuple[int, int, int, int]
@@ -116,23 +116,6 @@ def mat_inverse(m: Sequence[Sequence[int]], spec: FieldSpec
     return [row[n:] for row in red]
 
 
-def kernel_vector(rows: Sequence[Sequence[int]], spec: FieldSpec
-                  ) -> Optional[List[int]]:
-    """One nonzero kernel vector of the matrix (rows act on column vectors),
-    or None if the kernel is trivial."""
-    red, pivots = rref(rows, spec)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    c = free[0]
-    v = [0] * ncols
-    v[c] = 1
-    for i, p in enumerate(pivots):
-        v[p] = red[i][c]  # char 2: -x = x
-    return v
-
-
 def canonical_point(coords: Sequence[int], spec: FieldSpec) -> Row:
     lead = next((c for c in coords if c), None)
     if lead is None:
@@ -199,7 +182,8 @@ class Line:
 
     @classmethod
     def from_json(cls, data: dict, spec: FieldSpec) -> "Line":
-        rows = json_of(json_of(data, dict, "line")["rows"], list, "rows")
+        rows = json_of(json_key(json_of(data, dict, "line"), "rows", "line"),
+                       list, "rows")
         vals = [json_hex(h, "line entry") for h in rows]
         return cls(spec, [vals[:4], vals[4:]])
 
@@ -207,33 +191,6 @@ class Line:
 def axis_line(spec: FieldSpec) -> Line:
     """The normal-form line {x3 = x4 = 0}."""
     return Line(spec, [[1, 0, 0, 0], [0, 1, 0, 0]])
-
-
-def lines_meet(l1: Line, l2: Line) -> Optional[Row]:
-    """Intersection point of two distinct lines, or None if disjoint.
-
-    Two lines meet iff the stacked 4x4 matrix has rank 3; the point is
-    found from a kernel relation between the two bases.
-    """
-    if l1.spec != l2.spec:
-        raise UsageError("lines over different fields")
-    if l1 == l2:
-        raise UsageError("lines_meet requires distinct lines")
-    spec = l1.spec
-    stacked = [list(l1.rows[0]), list(l1.rows[1]),
-               list(l2.rows[0]), list(l2.rows[1])]
-    # kernel of the transpose: a*r1 + b*r2 + c*s1 + d*s2 = 0
-    cols = [[stacked[j][i] for j in range(4)] for i in range(4)]
-    v = kernel_vector(cols, spec)
-    if v is None:
-        return None
-    a, b = v[0], v[1]
-    mul = spec.mul_int
-    pt = tuple(mul(a, x) ^ mul(b, y)
-               for x, y in zip(l1.rows[0], l1.rows[1]))
-    if not any(pt):  # kernel vector touched only one line's basis
-        raise InconsistencyError("degenerate kernel for distinct lines")
-    return canonical_point(pt, spec)
 
 
 # -- surfaces -----------------------------------------------------------------
@@ -308,16 +265,18 @@ class QuarticSurface:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuarticSurface":
-        spec = FieldSpec.from_json(json_of(data, dict, "surface")["field"])
+        data = json_of(data, dict, "surface")
+        spec = FieldSpec.from_json(json_key(data, "field", "surface"))
         terms = {}
-        for t in json_of(data["terms"], list, "surface terms"):
+        for t in json_of(json_key(data, "terms", "surface"), list,
+                         "surface terms"):
             t = json_of(t, dict, "surface term")
-            exps = tuple(json_natural(e, "exponent")
-                         for e in json_of(t["exps"], list, "exponents"))
+            exps = tuple(json_natural(e, "exponent") for e in json_of(
+                json_key(t, "exps", "surface term"), list, "exponents"))
             if len(exps) != 4:
                 raise UsageError("term exponent vector must have length 4")
-            terms[exps] = terms.get(exps, 0) ^ spec.element(
-                json_hex(t["coeff"], "term coefficient"))
+            terms[exps] = terms.get(exps, 0) ^ spec.element(json_hex(
+                json_key(t, "coeff", "surface term"), "term coefficient"))
         f = SparsePoly(4, spec, terms)
         return cls(f, data.get("label", "file"))
 
@@ -334,14 +293,19 @@ def _eval_on_grid(p: SparsePoly, grids: Sequence, spec: FieldSpec
                   ) -> np.ndarray:
     """p at the points whose coordinates `grids` (arrays and ints)
     broadcast together: a coordinate of one value folds into the
-    coefficients, each power of another is computed once, on its own
-    array."""
+    coefficients (a term with a positive power of a fixed 0 goes, a
+    fixed 1 costs nothing), each power of another is computed once, on
+    its own array."""
     val = np.zeros(np.broadcast(*grids).shape, dtype=np.uint32)
     fixed = {i: g if isinstance(g, int) else int(g.flat[0])
              for i, g in enumerate(grids) if np.size(g) == 1}
+    zeros = [i for i, x in fixed.items() if x == 0]
+    fold = [(i, x) for i, x in fixed.items() if x > 1]
     powers = {}
     for e, c in p.terms.items():
-        for i, x in fixed.items():
+        if any(e[i] for i in zeros):
+            continue
+        for i, x in fold:
             c = spec.mul_int(c, spec.pow_int(x, e[i]))
         term = c
         for i, k in enumerate(e):
@@ -746,20 +710,67 @@ def singular_point_search(surface: QuarticSurface,
 # -- intersection graphs and configurations -----------------------------------
 
 
+# The Pluecker coordinates p_ij, i < j, of a line in this order: the
+# complement of pair k is pair 5 - k
+_PAIRS = list(itertools.combinations(range(4), 2))
+
+
 class IntersectionGraph:
-    """Pairwise incidence of a set of lines on one surface."""
+    """Pairwise incidence of a set of distinct lines over one field.
+
+    All pairs are decided at once, on n x n arrays (`FieldSpec.mul_arr`).
+    A line through the points a and b has the Pluecker coordinates
+    p_ij = a_i b_j + a_j b_i (characteristic 2), and two distinct lines
+    meet iff the sum of p_ij q_kl over the three splittings of
+    {1, 2, 3, 4} into pairs {i, j} and {k, l} vanishes.  Where lines a b
+    and L' meet, a plane H through L' that does not contain a b cuts
+    that line in H(b) a + H(a) b; the plane through L' and the unit
+    point e_m has the coefficient q_kl at x_l, {k, l} the complement of
+    {m, l}, and 0 at x_m, and the first m whose plane gives a nonzero
+    point is taken, for all meeting pairs at once, then canonicalised."""
 
     def __init__(self, lines: Sequence[Line]):
         self.lines = list(lines)
         n = len(self.lines)
         self.adj = np.zeros((n, n), dtype=bool)
         self.points: Dict[Tuple[int, int], Row] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                pt = lines_meet(self.lines[i], self.lines[j])
-                if pt is not None:
-                    self.adj[i, j] = self.adj[j, i] = True
-                    self.points[(i, j)] = pt
+        if n < 2:
+            return
+        spec = self.lines[0].spec
+        if any(ln.spec != spec for ln in self.lines):
+            raise UsageError("lines over different fields")
+        if len(set(self.lines)) != n:
+            raise UsageError("an intersection graph needs distinct lines")
+        mul = spec.mul_arr
+        a, b = (np.array([ln.rows[r] for ln in self.lines], dtype=np.uint32)
+                for r in (0, 1))
+        p = np.stack([mul(a[:, i], b[:, j]) ^ mul(a[:, j], b[:, i])
+                      for i, j in _PAIRS], axis=1)
+        pairing = np.zeros((n, n), dtype=np.uint32)
+        for k in range(6):
+            pairing ^= mul(p[:, k, None], p[None, :, 5 - k])
+        self.adj = pairing == 0
+        np.fill_diagonal(self.adj, False)
+        first, second = np.nonzero(np.triu(self.adj))
+        a, b, q = a[first], b[first], p[second]
+        pts = np.zeros_like(a)
+        todo = np.ones(len(first), dtype=bool)
+        for m in range(4):
+            plane = {l: q[:, 5 - _PAIRS.index(tuple(sorted((m, l))))]
+                     for l in range(4) if l != m}
+            ha, hb = (np.bitwise_xor.reduce(
+                [mul(h, x[:, l]) for l, h in plane.items()])
+                for x in (a, b))
+            cand = mul(hb[:, None], a) ^ mul(ha[:, None], b)
+            take = todo & cand.any(axis=1)
+            pts[take] = cand[take]
+            todo &= ~take
+        if todo.any():
+            raise InconsistencyError("meeting lines with no common point")
+        lead = pts[np.arange(len(pts)), np.argmax(pts != 0, axis=1)]
+        pts = mul(pts, spec.pow_arr(lead, spec.order - 1)[:, None])
+        self.points = {(i, j): tuple(pt) for i, j, pt in zip(
+            first.tolist(), second.tolist(), pts.tolist())}
 
     def __len__(self) -> int:
         return len(self.lines)

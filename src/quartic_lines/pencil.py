@@ -12,11 +12,14 @@ Internal variable layout: the pencil form g lives in a 4-variable ring
 (x1, x2, z, lambda), where z = x3 is the plane coordinate and lambda the
 pencil parameter; it is read off the normalized quartic by an exponent
 map.  There is no second chart: the fiber at infinity is taken from the
-normalized quartic on {x3 = 0}, as a cubic in (x1, x2, x4).
+normalized quartic on {x3 = 0}, as a cubic in (x1, x2, x4), and it is
+also g's part at mu = 1/lambda = 0, so the lambda-discriminant's frame
+serves it too (`_PencilFrame.at_infinity`).
 
 The singular points of the fiber cubics, and the lambda-discriminant,
 come from `geometry`'s path from elimination conditions to points
-(`first_variable_conditions`, `eliminant`, `lift_tails`).
+(`first_variable_conditions`, `eliminant`, `lift_tails`), once per
+Galois orbit of positions (`_conjugates`).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, InconsistencyError, UsageError
 from .field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
@@ -103,9 +106,10 @@ def residual_cubic(pencil: ResidualPencil,
     the position's field.  At a finite position it is g, embedded there,
     at lambda = the position (`SparsePoly.restrict`), in (x1, x2, x3).
     At infinity it is the plane x3 = 0: the terms of the normalized
-    quartic free of x3, divided by x4, in (x1, x2, x4).  That fiber is
-    searched in its own frames: the lambda-discriminant keeps its frame's
-    conditions as polynomials in lambda, not read at mu = 1/lambda = 0."""
+    quartic free of x3, divided by x4, in (x1, x2, x4): the terms of g
+    with deg_lambda - deg_z = 1, at lambda = 1 with z read as x4, which
+    is how `_PencilFrame.at_infinity` reads its frame off the
+    lambda-discriminant's."""
     if pos.is_infinite():
         return SparsePoly(3, pencil.spec, {
             (i, j, l - 1): c for (i, j, k, l), c
@@ -210,22 +214,51 @@ def _frame_points(parts: List[SparsePoly], binary: List[SparsePoly],
     centre (1:0:0) then has a direction (y2 : y3) that is a common zero
     of the conditions, found by `lift_tails` as on the quartic: the tail
     y3 = 1 is lifted to the roots of the gcd in y2, and (1 : 0) is
-    checked directly.  The directions are lifted to points on the
-    partials the same way, every candidate checked on all of them, so a
-    common root of the conditions that carries no singular point costs
-    one check and changes no answer."""
+    checked directly.  Over a direction, the point is the root of the
+    form s1 y1 + s0 of `_linear_in_y1`, y1 = s0 / s1, where s1 does not
+    vanish there; over the other directions it comes from the gcd in y1
+    of the partials (`lift_tails`).  Every candidate is checked on all
+    partials, so a common root of the conditions that carries no
+    singular point costs one check and changes no answer."""
     if not binary:
         return None
     dirs = lift_tails(FormLevels(binary), [((1,), 1)], top)
     forms = FormLevels(parts)
-    found = lift_tails(forms, dirs, top)
-    if found is None:
+    lin = _linear_in_y1(parts)
+    lins = None if lin is None else FormLevels([lin])
+    found, rest = [], []
+    for tail, d in dirs:
+        at = Poly.zero(forms.spec) if lins is None else \
+            lins.at(d)[0].restrict({1: tail[0], 2: tail[1]})
+        if not at[1]:
+            rest.append((tail, d))
+            continue
+        pt = [forms.spec.level(d).div_int(at[0], at[1]), *tail]
+        if all(h.evaluate(pt) == 0 for h in forms.at(d)):
+            found.append((tuple(pt), d))
+    more = lift_tails(forms, rest, top)
+    if more is None:
         raise InconsistencyError(
             "cubic singular along a whole line (non-reduced)")
     out = {(canonical_point(vec_mat(y, frame, forms.spec.level(e)),
                             forms.spec.level(e)), e)
-           for y, e in found}
+           for y, e in found + more}
     return sorted(out, key=lambda pe: (pe[1], pe[0]))
+
+
+def _linear_in_y1(parts: List[SparsePoly]) -> Optional[SparsePoly]:
+    """A form s1 y1 + s0 with s1 nonzero in the ideal of a cubic's moved
+    partials, quadrics in (y1, y2, y3): a partial of degree 1 in y1, or
+    else b A + a B for two A, B of degree 2 in y1, a and b their
+    coefficients of y1^2 (constants): the first subresultant in y1 of a
+    pair of quadrics.  None when there is neither.  Where s1 does not
+    vanish, A and B share at most the root y1 = s0 / s1."""
+    with_y1 = [p for p in parts if p.degree_in(0) >= 1]
+    lin = next((p for p in with_y1 if p.degree_in(0) == 1), None)
+    if lin is None and len(with_y1) >= 2:
+        a, b = with_y1[:2]
+        lin = a.scale(b.terms[2, 0, 0]) + b.scale(a.terms[2, 0, 0])
+    return lin if lin is not None and lin.degree_in(0) == 1 else None
 
 
 def _local_quadratic(cubic: SparsePoly, pt: Sequence[int]):
@@ -297,6 +330,12 @@ def _line_form_through(p1: Sequence[int], p2: Sequence[int],
     return canonical_point((a, b, c), spec)
 
 
+def _point_cap(spec: FieldSpec) -> int:
+    """The largest degree of a fiber cubic's singular point searched over
+    its field GF(2^k): 3, lowered to stay within GF(2^16)."""
+    return min(3, MAX_DEGREE // spec.degree)
+
+
 def classify_fiber(cubic: SparsePoly,
                    position: Optional[PencilPosition] = None, *,
                    frame=None) -> FiberReport:
@@ -313,21 +352,24 @@ def classify_fiber(cubic: SparsePoly,
     points are the nodes of I2 or I3, joined by the line components, and
     a single one is read off its local expansion.
 
-    `frame`, when given, is a frame already prepared for this cubic, as
-    (moved partials, binary conditions in (y2, y3), frame):
-    `singular_fibers` passes the lambda-discriminant's frame specialised
-    at the fiber's position (`_PencilFrame.at`).  The singular points come from it
-    (`_frame_points`) unless it leaves no condition, and else from the
-    cubic's own frames (`_cubic_singular_points`)."""
+    `frame`, when given, says where the singular points come from:
+    a frame already prepared for this cubic (`_FiberFrame`, the
+    lambda-discriminant's frame at the fiber's position), searched by
+    `_frame_points` unless it leaves no condition, or the points
+    themselves, already found (`_Found`: `singular_fibers` passes each
+    fiber of a Galois orbit of positions the conjugates of the points
+    of the orbit's first).  Without it, and when the frame leaves no
+    condition, they come from the cubic's own frames
+    (`_cubic_singular_points`).  Either way the type is read off as
+    above, with every check."""
     if cubic.nvars != 3 or cubic.spec is None:
         raise UsageError("fiber must be a ternary form over a field")
     if cubic.is_zero() or not cubic.is_homogeneous(3):
         raise InconsistencyError("residual fiber is not a cubic form")
     k = cubic.spec.degree
-    top = min(3, MAX_DEGREE // k)
-    sing = None if frame is None else _frame_points(*frame, top)
-    if sing is None:
-        sing = _cubic_singular_points(cubic, top)
+    top = _point_cap(cubic.spec)
+    sing = _cubic_singular_points(cubic, top) if frame is None else \
+        frame.points(cubic, top)
 
     flags: List[str] = []
     if top == 1 or (top == 2 and not sing):
@@ -463,19 +505,83 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
 # -- the lambda-discriminant and singular fibers ------------------------------
 
 
+class _FiberFrame(NamedTuple):
+    """A frame prepared for one fiber cubic, as `_frame_points` takes it:
+    the nonzero moved partials, forms in (y1, y2, y3), the nonzero binary
+    conditions in (y2, y3) and the frame."""
+    parts: List[SparsePoly]
+    binary: List[SparsePoly]
+    frame: Tuple[Tuple[int, int, int], ...]
+
+    def points(self, cubic: SparsePoly, top: int):
+        """The cubic's singular points of degree <= top from this frame,
+        or from the cubic's own frames when it leaves no condition."""
+        found = _frame_points(*self, top)
+        return _cubic_singular_points(cubic, top) if found is None else found
+
+
+class _Found(NamedTuple):
+    """A fiber cubic's singular points, already found, as
+    `_cubic_singular_points` returns them."""
+    found: List[Tuple[Tuple[int, int, int], int]]
+
+    def points(self, cubic: SparsePoly, top: int):
+        return self.found
+
+
+# On g, in (x1, x2, z, lambda), every term has deg_lambda - deg_z <= 1:
+# c x1^i x2^j x3^k x4^l of the quartic became c x1^i x2^j z^(k+l-1)
+# lambda^l, with 1 - k.  A frame that leaves z alone keeps that bound on
+# the moved g and on its partials in y1 and y2, and d/dz raises it by one.
+# The terms at the bound are those with k = 0: the fiber at infinity.
+_PART_BOUNDS = (1, 1, 2)
+
+
+def _bounded_conditions(parts: List[Tuple[SparsePoly, int]]
+                        ) -> List[Tuple[SparsePoly, int]]:
+    """The conditions of `first_variable_conditions` on the forms of
+    `parts`, pairs (form, bound on deg_lambda - deg_z), in its order,
+    each with its bound.  They are formed pair by pair, so that each
+    carries its own: a form free of y1 keeps its bound, and the
+    resultant in y1 of forms of y1-degrees n and m with bounds a and b
+    is homogeneous of degree m in the coefficients of the first and n in
+    those of the second, so its bound is m a + n b, and its terms at the
+    bound are the resultant of theirs."""
+    out = [(c, b) for p, b in parts if p.degree_in(0) == 0
+           for c in first_variable_conditions([p])]
+    with_y1 = [(p, b) for p, b in parts if p.degree_in(0) >= 1]
+    if with_y1:
+        first, a = with_y1[0]
+        n = first.degree_in(0)
+        out += [(r, p.degree_in(0) * a + n * b) for p, b in with_y1[1:]
+                for r in first_variable_conditions([first, p])]
+    return out
+
+
+def _at_bound(p: SparsePoly, bound: int) -> SparsePoly:
+    """The terms of p, in (..., z, lambda), with deg_lambda - deg_z equal
+    to `bound`, with lambda set to 1 and dropped."""
+    return SparsePoly(p.nvars - 1, p.spec, {
+        e[:-1]: c for e, c in p.terms.items() if e[-1] - e[-2] == bound})
+
+
 class _PencilFrame(NamedTuple):
     """The frame of the lambda-discriminant, kept for the fibers: the
-    moved pencil partials, forms in (y1, y2, y3, lambda), and the
-    conditions left after eliminating y1, forms in (y2, y3, lambda)."""
+    moved pencil partials, forms in (y1, y2, y3, lambda), the conditions
+    left after eliminating y1, forms in (y2, y3, lambda), and the bound
+    on deg_lambda - deg_z of each (`_PART_BOUNDS`,
+    `_bounded_conditions`)."""
     frame: Tuple[Tuple[int, int, int], ...]
     parts: List[SparsePoly]
     conds: List[SparsePoly]
+    part_bounds: Tuple[int, ...]
+    cond_bounds: Tuple[int, ...]
 
     def embed(self, emb) -> "_PencilFrame":
-        return _PencilFrame(self.frame, [p.embed(emb) for p in self.parts],
-                            [c.embed(emb) for c in self.conds])
+        return self._replace(parts=[p.embed(emb) for p in self.parts],
+                             conds=[c.embed(emb) for c in self.conds])
 
-    def at(self, lam: int):
+    def at(self, lam: int) -> _FiberFrame:
         """The frame of the fiber at lambda = lam, in the coefficient field,
         as `classify_fiber` takes it: the nonzero partials and conditions
         there (`SparsePoly.restrict`)."""
@@ -483,7 +589,22 @@ class _PencilFrame(NamedTuple):
                  if not q.is_zero()]
         binary = [b for b in (c.restrict({2: lam}) for c in self.conds)
                   if not b.is_zero()]
-        return parts, binary, self.frame
+        return _FiberFrame(parts, binary, self.frame)
+
+    def at_infinity(self) -> Optional[_FiberFrame]:
+        """The frame of the fiber at infinity, read off at mu = 1/lambda
+        = 0, or None when the frame moves z.  Each form's terms at its
+        bound, with lambda set to 1 and z read as x4, are the form of the
+        cubic at infinity (`residual_cubic`) moved by the same frame: its
+        partials, and the resultants of theirs at the formal y1-degrees
+        of the pencil's, which lie in its elimination ideal as well."""
+        if [row[2] for row in self.frame] != [0, 0, 1]:
+            return None
+        parts = [q for q in map(_at_bound, self.parts, self.part_bounds)
+                 if not q.is_zero()]
+        binary = [b for b in map(_at_bound, self.conds, self.cond_bounds)
+                  if not b.is_zero()]
+        return _FiberFrame(parts, binary, self.frame)
 
 
 def _lambda_discriminant(pencil: ResidualPencil
@@ -513,14 +634,20 @@ def _lambda_discriminant(pencil: ResidualPencil
         at_centre = gcd_at_tail(partials, 3, frame[0])
         if at_centre is None:
             continue
-        parts, conds = _frame_conditions(pencil.g, frame)
-        conds = list(conds)
+        moved = pencil.g.linear_change(frame)
+        parts = [(d, b) for d, b in zip(
+            (moved.derivative(i) for i in range(3)), _PART_BOUNDS)
+            if not d.is_zero()]
+        conds = _bounded_conditions(parts)
         # each condition, a form in (y2 : y3) of its formal degree, at
         # y2 = 1, by its rows
         dm = eliminant([c.restrict({0: 1}).rows(
-            max(e[0] + e[1] for e in c.terms) + 1) for c in conds])
+            max(e[0] + e[1] for e in c.terms) + 1) for c, _ in conds])
         if dm is not None:
-            return dm * at_centre, _PencilFrame(frame, parts, conds)
+            forms, bounds = zip(*parts)
+            return dm * at_centre, _PencilFrame(
+                frame, list(forms), [c for c, _ in conds], bounds,
+                tuple(b for _, b in conds))
     return Poly.zero(pencil.spec), None
 
 
@@ -541,9 +668,13 @@ def singular_fibers(pencil: ResidualPencil,
     frame, embedded once per level and specialised at the root: a formal
     resultant is a polynomial identity in its inputs' coefficients, so it
     commutes with setting lambda, and the specialised conditions lie in
-    the elimination ideal of the fiber's moved partials.  When they all
-    vanish at a root, the fiber falls back to its own frames.  The fiber
-    at infinity is searched in its own frames (see `residual_cubic`)."""
+    the elimination ideal of the fiber's moved partials.  They are
+    searched once per Galois orbit of roots, at its first; each conjugate
+    gets the conjugates of those points (`_conjugates`) and its own
+    `classify_fiber`.  The fiber at infinity reads the same frame at
+    mu = 1/lambda = 0 (`_PencilFrame.at_infinity`).  When the conditions
+    all vanish at a root, or at infinity, or the frame moves z, the fiber
+    falls back to its own frames."""
     spec = pencil.spec
     disc, frame = _lambda_discriminant(pencil)
     if disc.is_zero():
@@ -558,11 +689,19 @@ def singular_fibers(pencil: ResidualPencil,
             continue
         on_level = frame if m == 1 else frame.embed(
             spec.embedding_to(target))
+        top = _point_cap(target)
+        conjugate = {}
         for r in roots:
             pos = PencilPosition("finite", r, m)
-            found.append(classify_fiber(residual_cubic(pencil, pos), pos,
-                                        frame=on_level.at(r)))
-    found.append(classify_fiber(residual_cubic(pencil, POS_INF), POS_INF))
+            cubic = residual_cubic(pencil, pos)
+            known = conjugate.pop(r, None)
+            if known is None:
+                known = _Found(on_level.at(r).points(cubic, top))
+                conjugate.update(_conjugates(r, known.found, target,
+                                             spec.size, m))
+            found.append(classify_fiber(cubic, pos, frame=known))
+    found.append(classify_fiber(residual_cubic(pencil, POS_INF), POS_INF,
+                                frame=frame.at_infinity()))
     reports = [rep for rep in found if rep.kodaira != "smooth"]
     if flags is None:
         return reports
@@ -582,6 +721,23 @@ def singular_fibers(pencil: ResidualPencil,
             flags.append(f"Euler sum {total} < 24: surface singular or "
                          "fiber missed")
     return reports
+
+
+def _conjugates(r: int, points, field: FieldSpec, q: int, m: int
+                ) -> Dict[int, _Found]:
+    """The singular points of the fibers at the conjugates of a position
+    r of degree m over GF(q) in `field`, from those at r: sigma^j, x ->
+    x^(q^j), maps the cubic at r to the cubic at sigma^j(r), so it maps
+    each point to one of the same degree there, applied in the point's
+    own field.  Keyed by sigma^j(r), j = 1, ..., m - 1, each list sorted
+    by degree, then point, as `_cubic_singular_points` sorts."""
+    out = {}
+    for j in range(1, m):
+        e = q ** j
+        out[field.pow_int(r, e)] = _Found(sorted(
+            ((tuple(field.level(d).pow_int(c, e) for c in pt), d)
+             for pt, d in points), key=lambda pd: (pd[1], pd[0])))
+    return out
 
 
 def _probe_generic_smoothness(pencil: ResidualPencil) -> None:

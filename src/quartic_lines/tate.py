@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import CapabilityError, InconsistencyError, UsageError
-from .field import (MAX_DEGREE, FieldSpec, json_hex, json_natural, json_of,
-                    root_orbits)
+from .field import (MAX_DEGREE, FieldSpec, json_hex, json_key, json_natural,
+                    json_of, root_orbits)
 from .poly import Poly
 
 _BIG = 10 ** 9
@@ -75,10 +75,10 @@ class WeierstrassModel:
     @classmethod
     def from_json(cls, data: dict) -> "WeierstrassModel":
         data = json_of(data, dict, "model")
-        spec = FieldSpec.default(json_natural(data["field-degree"],
-                                              "field-degree"))
-        a = tuple(Poly(spec, [spec.element(json_hex(c, n))
-                              for c in json_of(data[n], list, n)])
+        spec = FieldSpec.default(json_natural(
+            json_key(data, "field-degree", "model"), "field-degree"))
+        a = tuple(Poly(spec, [spec.element(json_hex(c, n)) for c in
+                              json_of(json_key(data, n, "model"), list, n)])
                   for n in ("a1", "a2", "a3", "a4", "a6"))
         return cls(spec, a, json_natural(data.get("chi", 2), "chi"))
 

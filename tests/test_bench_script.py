@@ -32,3 +32,28 @@ def test_changed_sources_names_each_edited_added_or_removed_file(tmp_path):
     (tmp_path / "perfbench/spans.py").write_text("s = 0\n")
     assert bench.changed_sources(before, str(tmp_path)) == [
         "perfbench/spans.py", "src/pkg/a.py", "src/pkg/b.py"]
+
+
+def test_gain_verdict_on_synthetic_runs():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    # every pair won, by far more than the parent's quartile spread
+    gate = bench.against_bound(parent, [0.85 * x for x in parent], 0.25)
+    assert gate["verdict"] == "gain" and round(gate["change"], 6) == -0.15
+    # a tie wins no pair
+    assert bench.against_bound(parent, parent, 0.25)["verdict"] == "within"
+    # eight of ten pairs won is not enough, however large the gain
+    eight = [0.5 * x for x in parent[:8]] + parent[8:]
+    assert bench.against_bound(parent, eight, 0.25)["verdict"] == "within"
+    # every pair won, by less than the parent's own quartile spread
+    wide = [1.0, 1.4, 0.7, 1.2, 0.8, 1.3, 0.75, 1.1, 0.9, 1.25]
+    gate = bench.against_bound(wide, [x - 0.05 for x in wide], 0.25)
+    assert gate["parent_spread"] > 0.25 and gate["verdict"] == "unresolved"
+    gate = bench.against_bound(wide, [x - 0.05 for x in wide], 0.5)
+    assert gate["verdict"] == "within"
+    # the summary carries the verdict of each bounded metric
+    runs = {side: [{"values": {"op_p50_s": x, "calls": 1}} for x in xs]
+            for side, xs in (("parent", parent),
+                             ("change", [0.85 * x for x in parent]))}
+    out = bench.summarize(runs, {"op_p50_s": 0.25})
+    assert out["op_p50_s"]["gate"]["verdict"] == "gain"
+    assert out["op_p50_s"]["change_won"] == 10 and "gate" not in out["calls"]

@@ -2,9 +2,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from quartic_lines.cli import _VERIFY, main
+from quartic_lines.errors import UsageError
 from quartic_lines.field import FieldSpec
-from quartic_lines.geometry import QuarticSurface
+from quartic_lines.geometry import Line, QuarticSurface, axis_line
 from quartic_lines.surfaces import get_surface
 
 
@@ -239,6 +242,34 @@ def test_malformed_json_file_is_input_error(tmp_path, capsys):
                              _json_file(tmp_path, data), *extra)
         assert code == 2 and out == "", what
         assert err.startswith("error:") and what in err, err
+
+
+def test_json_without_a_key_names_the_object_and_the_key(tmp_path,
+                                                        capsys):
+    # a missing key once exited with only the quoted key, "error: 'terms'"
+    surface = get_surface("z0").to_json()
+    no_terms = {k: v for k, v in surface.items() if k != "terms"}
+    no_degree = {**surface, "field": {"modulus": "0x7"}}
+    no_coeff = json.loads(json.dumps(surface))
+    del no_coeff["terms"][0]["coeff"]
+    model = json.loads(Path(_gf2_model_file(tmp_path)).read_text())
+    no_a6 = {k: v for k, v in model.items() if k != "a6"}
+    cases = [("lines", "--surface", no_terms, "surface lacks the key 'terms'"),
+             ("lines", "--surface", no_degree,
+              "field lacks the key 'degree'"),
+             ("lines", "--surface", no_coeff,
+              "surface term lacks the key 'coeff'"),
+             ("tate", "--model", no_a6, "model lacks the key 'a6'")]
+    for command, option, data, what in cases:
+        extra = ["--place", "0"] if command == "tate" else []
+        code, out, err = run(capsys, command, option,
+                             _json_file(tmp_path, data), *extra)
+        assert code == 2 and out == "", what
+        assert err == f"error: {what}\n"
+    gf4 = FieldSpec.default(2)
+    assert Line.from_json(axis_line(gf4).to_json(), gf4) == axis_line(gf4)
+    with pytest.raises(UsageError, match="line lacks the key 'rows'"):
+        Line.from_json({"cell": 0}, gf4)
 
 
 # SHA-256 of each `verify` report, taken before the fiber cubics' search

@@ -7,13 +7,14 @@ from collections import Counter
 import pytest
 from test_acceptance import (_random_smooth_surface_with_line,
                              _smooth_family_z_surfaces)
+from test_geometry import _kernel_vector
 from test_pencil import _sweep_surfaces, xyz
 
 from quartic_lines import pencil as pencil_module
 from quartic_lines.errors import InconsistencyError
 from quartic_lines.field import FieldSpec
 from quartic_lines.geometry import (Line, axis_line, canonical_point,
-                                    enumerate_lines, kernel_vector, mat_rank,
+                                    enumerate_lines, mat_rank,
                                     restrict_form, rref)
 from quartic_lines.pencil import (CubicSingularity, FiberReport,
                                   ResidualPencil, _direction_point,
@@ -71,7 +72,7 @@ def _conic_nucleus(conic):
         rows.append(row)
     if not any(any(r) for r in rows):
         return None
-    return canonical_point(kernel_vector(rows, conic.spec), conic.spec)
+    return canonical_point(_kernel_vector(rows, conic.spec), conic.spec)
 
 
 def _split_conic(conic, nucleus):
@@ -193,7 +194,7 @@ def _former_classify_in_field(cubic, sing, work, position, flags):
             for f in components:
                 rest = divide_by_linear(rest, f)
             assert rest is not None and rest.total_degree() == 0
-            vertices = {canonical_point(kernel_vector([list(fa), list(fb)],
+            vertices = {canonical_point(_kernel_vector([list(fa), list(fb)],
                                                       work), work)
                         for i, fa in enumerate(components)
                         for fb in components[i + 1:]}

@@ -18,7 +18,7 @@ from quartic_lines.geometry import (SCHUBERT_CELLS, IntersectionGraph,
                                     detect_configurations, eliminant,
                                     enumerate_lines,
                                     first_variable_conditions,
-                                    lines_meet, mat_rank, normalize_line,
+                                    mat_rank, normalize_line,
                                     orbit, restrict_form, rref,
                                     singular_point_search,
                                     square_fibration_partition,
@@ -53,14 +53,105 @@ def test_line_canonical_form_and_json_roundtrip(gf4):
     assert back.rows == ln.rows and back.spec == ln.spec
 
 
+def _kernel_vector(rows, spec):
+    """One nonzero kernel vector of the matrix (rows act on column
+    vectors), or None if the kernel is trivial."""
+    red, pivots = rref(rows, spec)
+    ncols = len(rows[0])
+    free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return None
+    c = free[0]
+    v = [0] * ncols
+    v[c] = 1
+    for i, p in enumerate(pivots):
+        v[p] = red[i][c]  # char 2: -x = x
+    return v
+
+
+def _lines_meet(l1, l2):
+    """The former pair test of `IntersectionGraph`, kept as oracle: the
+    point where two distinct lines meet, or None, from a kernel relation
+    a r1 + b r2 + c s1 + d s2 = 0 between the two bases (rank 3)."""
+    spec = l1.spec
+    stacked = [*l1.rows, *l2.rows]
+    cols = [[stacked[j][i] for j in range(4)] for i in range(4)]
+    v = _kernel_vector(cols, spec)
+    if v is None:
+        return None
+    mul = spec.mul_int
+    pt = tuple(mul(v[0], x) ^ mul(v[1], y)
+               for x, y in zip(l1.rows[0], l1.rows[1]))
+    assert any(pt)
+    return canonical_point(pt, spec)
+
+
+def _pairwise_points(lines):
+    """Every meeting pair of the lines and its point, by the oracle."""
+    out = {}
+    for i, j in itertools.combinations(range(len(lines)), 2):
+        pt = _lines_meet(lines[i], lines[j])
+        if pt is not None:
+            out[i, j] = pt
+    return out
+
+
 def test_lines_meet(gf4):
     l1 = axis_line(gf4)                       # x3 = x4 = 0
     l2 = Line(gf4, [(1, 0, 0, 0), (0, 0, 1, 0)])   # x2 = x4 = 0
-    pt = lines_meet(l1, l2)
-    assert pt is not None
     l3 = Line(gf4, [(1, 0, 0, 1), (0, 1, 1, 0)])
-    # skew check is symmetric
-    assert (lines_meet(l1, l3) is None) == (lines_meet(l3, l1) is None)
+    graph = IntersectionGraph([l1, l2, l3])
+    assert graph.point(0, 1) == graph.point(1, 0) == (1, 0, 0, 0)
+    # the skew check is symmetric
+    assert graph.adj[0, 2] == graph.adj[2, 0]
+    assert graph.points == _pairwise_points([l1, l2, l3])
+    with pytest.raises(UsageError):
+        IntersectionGraph([l1, l2, l1])
+    with pytest.raises(UsageError):
+        IntersectionGraph([l1, axis_line(FieldSpec.default(4))])
+
+
+@pytest.mark.parametrize("make, ext", [
+    pytest.param(surfaces.s5_mu0_surface, 2, id="record"),
+    pytest.param(surfaces.family_x_surface, 6, id="family-x"),
+    pytest.param(z0_surface, 1, id="z0")])
+def test_intersection_graph_matches_the_pair_oracle(make, ext):
+    lines = enumerate_lines(make(), ext=ext)
+    graph = IntersectionGraph(lines)
+    want = _pairwise_points(lines)
+    assert graph.points == want
+    assert {tuple(ij) for ij in np.argwhere(np.triu(graph.adj))} == set(want)
+    assert (graph.adj == graph.adj.T).all() and not graph.adj.diagonal().any()
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_intersection_graph_of_random_line_pairs(k):
+    # random lines, and for each a second line through a random point of
+    # it, so the pairs both meet and miss; each pair is its own graph
+    spec = FieldSpec.default(k)
+    rng = random.Random(f"graph-pairs:{k}")
+
+    def draw(first_row=None):
+        while True:
+            rows = [first_row or [rng.randrange(spec.size) for _ in range(4)],
+                    [rng.randrange(spec.size) for _ in range(4)]]
+            if mat_rank(rows, spec) == 2:
+                return Line(spec, rows)
+
+    meeting = 0
+    for _ in range(200):
+        first = draw()
+        s, t = rng.randrange(spec.size), rng.randrange(1, spec.size)
+        on = [spec.mul_int(s, x) ^ spec.mul_int(t, y)
+              for x, y in zip(*first.rows)]
+        second = draw(on if rng.random() < 0.5 else None)
+        if second == first:
+            continue
+        lines = [first, second]
+        graph = IntersectionGraph(lines)
+        assert graph.points == _pairwise_points(lines)
+        meeting += bool(graph.points)
+    assert 60 < meeting < 180
 
 
 def _restrict_by_expansion(form, p1, p2):

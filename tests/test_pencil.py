@@ -1,16 +1,19 @@
+import functools
 import itertools
 import math
 import random
 from collections import Counter
 
 import pytest
-from test_acceptance import SEED, _random_smooth_surface_with_line
+from test_acceptance import (SEED, _random_smooth_surface_with_line,
+                             _smooth_family_z_surfaces)
 
 from quartic_lines import field, pencil as pencil_module
 from quartic_lines.errors import InconsistencyError, UsageError
 from quartic_lines.field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
-from quartic_lines.geometry import (QuarticSurface, axis_line,
-                                    canonical_point, enumerate_lines,
+from quartic_lines.geometry import (FormLevels, QuarticSurface, axis_line,
+                                    canonical_point, centred_frames,
+                                    enumerate_lines, lift_tails,
                                     restrict_form, singular_point_search,
                                     vec_mat)
 from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, POS_INF,
@@ -28,7 +31,7 @@ from quartic_lines.poly import (Poly, SparsePoly, binary_roots,
                                 squarefree_test, sylvester_resultant)
 from quartic_lines.segre import build_dossier
 from quartic_lines.surfaces import (family_z_surface, get_surface,
-                                    s5_mu0_seed_line)
+                                    s5_mu0_seed_line, s5_mu0_surface)
 
 
 GF256 = FieldSpec.default(8)
@@ -845,3 +848,141 @@ def test_ramification_matches_the_level_scan(s5_surface):
     for pencil in pencils:
         assert ramification_type(pencil).to_json()["points"] == \
             _level_scan_ramification(pencil)
+
+
+# -- one elimination per fiber: the oracles of the frame at infinity, the
+# conjugate fibers and the lift by a form linear in y1 -----------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_pencils():
+    """Every record and z0 line, and the axis lines of the first 10 07b
+    surfaces and of 10 smooth family-Z surfaces per field GF(2), GF(4),
+    GF(8)."""
+    s5, z0 = s5_mu0_surface(), get_surface("z0")
+    pencils = [ResidualPencil(s5, ln) for ln in enumerate_lines(s5, ext=2)]
+    pencils += [ResidualPencil(z0, ln) for ln in enumerate_lines(z0, ext=1)]
+    pencils += [ResidualPencil(surf, axis_line(FieldSpec.default(3)))
+                for surf in _sweep_surfaces(10)]
+    for k in (1, 2, 3):
+        spec = FieldSpec.default(k)
+        pencils += [ResidualPencil(surf, axis_line(spec))
+                    for surf in _smooth_family_z_surfaces(spec, 10)]
+    return pencils
+
+
+def _own_frame(cubic, frame):
+    """The nonzero partials of the cubic moved by the frame, and its first
+    three conditions there, as `_cubic_singular_points` forms them."""
+    moved = cubic.linear_change(frame)
+    parts = [p for p in (moved.derivative(i) for i in range(3))
+             if not p.is_zero()]
+    conds = itertools.islice(
+        pencil_module.first_variable_conditions(parts), 3)
+    return parts, list(conds), frame
+
+
+def test_fiber_at_infinity_read_off_the_frame_matches_its_own_frames():
+    read = 0
+    for pencil in _oracle_pencils():
+        _, frame = _lambda_discriminant(pencil)
+        cubic = residual_cubic(pencil, POS_INF)
+        top = min(3, MAX_DEGREE // cubic.spec.degree)
+        inf = frame.at_infinity()
+        assert inf is not None
+        # the pencil's moved partials at their bounds are the cubic's own
+        own = _own_frame(cubic, frame.frame)
+        assert inf.parts == own[0]
+        if inf.binary:
+            read += 1
+            assert _frame_points(*inf, top) == \
+                _cubic_singular_points(cubic, top)
+        assert classify_fiber(cubic, POS_INF, frame=inf).to_json() == \
+            classify_fiber(cubic, POS_INF).to_json()
+    assert read == len(_oracle_pencils()) == 107
+
+
+def test_fiber_at_infinity_falls_back_in_a_frame_that_moves_z(monkeypatch):
+    # with the lambda-discriminant's frames centred at (1:1:1) first, the
+    # answering frame moves z: the fiber at infinity is searched in its
+    # own frames, with the same reports
+    pencils = [ResidualPencil(s5_mu0_surface(), s5_mu0_seed_line()),
+               ResidualPencil(get_surface("z0"),
+                              axis_line(FieldSpec.default(2)))]
+    pencils += [ResidualPencil(surf, axis_line(FieldSpec.default(3)))
+                for surf in _sweep_surfaces(3)]
+    want = [[r.to_json() for r in singular_fibers(p)] for p in pencils]
+    frames = []
+    current = pencil_module.classify_fiber
+
+    def spy(cubic, position=None, *, frame=None):
+        if position == POS_INF:
+            frames.append(frame)
+        return current(cubic, position, frame=frame)
+
+    monkeypatch.setattr(pencil_module, "_CENTRE", (1, 1, 1))
+    monkeypatch.setattr(pencil_module, "classify_fiber", spy)
+    for pencil, reports in zip(pencils, want):
+        assert _lambda_discriminant(pencil)[1].frame[0] == (1, 1, 1)
+        assert [r.to_json() for r in singular_fibers(pencil)] == reports
+    assert frames == [None] * len(pencils)
+    # of the GF(2) frames, those that leave z alone are read at infinity
+    _, frame = _lambda_discriminant(pencils[0])
+    for fr in centred_frames((1, 1, 0)):
+        leaves_z = [row[2] for row in fr] == [0, 0, 1]
+        assert (frame._replace(frame=fr).at_infinity() is None) != leaves_z
+
+
+def test_conjugate_fibers_match_their_own_search():
+    # the record seed line's I1 pair and the orbits of degree 2 to 5 of
+    # the first 20 07b surfaces: each conjugate's report, from the
+    # conjugates of the first fiber's points, is the one its own search
+    # in the frame gives
+    pencils = [ResidualPencil(s5_mu0_surface(), s5_mu0_seed_line())]
+    pencils += [ResidualPencil(surf, axis_line(FieldSpec.default(3)))
+                for surf in _sweep_surfaces(20)]
+    degrees = Counter()
+    for pencil in pencils:
+        got = {r.position: r.to_json() for r in singular_fibers(pencil)}
+        for pos, cubic, top, on_level in _pencil_fiber_frames(pencil):
+            if pos.ext == 1:
+                continue
+            want = classify_fiber(cubic, pos, frame=on_level.at(pos.bits))
+            assert got.get(pos) == (want.to_json() if want.kodaira
+                                    != "smooth" else None), pos
+            degrees[pos.ext, want.kodaira] += 1
+    assert degrees[2, "I1"] >= 2
+    assert {m for m, _ in degrees} == {2, 3, 4, 5}
+
+
+def _frame_points_by_gcd(parts, binary, frame, top):
+    """The former `_frame_points`: every direction lifted to P^2 by the
+    gcd in y1 of the partials there (`lift_tails`)."""
+    if not binary:
+        return None
+    dirs = lift_tails(FormLevels(binary), [((1,), 1)], top)
+    forms = FormLevels(parts)
+    found = lift_tails(forms, dirs, top)
+    assert found is not None
+    return sorted({(canonical_point(vec_mat(y, frame, forms.spec.level(e)),
+                                    forms.spec.level(e)), e)
+                   for y, e in found}, key=lambda pe: (pe[1], pe[0]))
+
+
+def test_linear_lift_finds_the_points_of_the_gcd_lift():
+    # every fiber of the oracle pencils, in the lambda-discriminant's
+    # frame (the one at infinity included) and in the cubic's first own
+    # frame
+    lifted = 0
+    for pencil in _oracle_pencils():
+        _, frame = _lambda_discriminant(pencil)
+        fibers = [(residual_cubic(pencil, POS_INF), frame.at_infinity())]
+        fibers += [(cubic, on_level.at(pos.bits)) for pos, cubic, _, on_level
+                   in _pencil_fiber_frames(pencil)]
+        for cubic, at in fibers:
+            top = min(3, MAX_DEGREE // cubic.spec.degree)
+            for fr in (at, _own_frame(cubic, next(centred_frames((1, 1, 0))))):
+                want = _frame_points_by_gcd(*fr, top)
+                assert _frame_points(*fr, top) == want
+                lifted += bool(want)
+    assert lifted > 1000

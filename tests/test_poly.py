@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from quartic_lines.errors import InconsistencyError
 from quartic_lines.field import FieldSpec
-from quartic_lines.poly import (Poly, SparsePoly, binary_roots, det_generic,
-                                divide_by_linear, squarefree_test,
-                                sylvester_resultant)
+from quartic_lines.poly import (Poly, SparsePoly, _bareiss_det, binary_roots,
+                                det_generic, divide_by_linear,
+                                squarefree_test, sylvester_resultant)
 
 SPEC16 = FieldSpec.default(4)
 SPEC8 = FieldSpec.default(3)
@@ -126,11 +126,38 @@ def test_resultant_of_binary_forms_matches_root_products():
 @given(st.lists(polys(SPEC16, 2), min_size=2, max_size=4),
        st.lists(polys(SPEC16, 2), min_size=2, max_size=4))
 def test_poly_resultant_matches_generic_expansion(f, g):
-    # binary forms over GF(16)[lambda]: the fraction-free elimination used
-    # for Poly entries agrees with the division-free expansion
+    # binary forms over GF(16)[lambda]: the resultant of `Poly` entries
+    # agrees with the division-free expansion of the Sylvester matrix
     zero = Poly.zero(SPEC16)
     want = det_generic(sylvester_matrix(f, g, zero), zero)
     assert sylvester_resultant(f, g, zero) == want
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_bareiss_matches_the_expansion_on_random_poly_matrices(k):
+    # sizes 1 to 7 on both sides of the size at which `sylvester_resultant`
+    # moves from the expansion to Bareiss; every other matrix singular,
+    # one row a multiple of another (a zero entry at size 1)
+    spec = FieldSpec.default(k)
+    rng = random.Random(f"bareiss:{k}")
+    zero = Poly.zero(spec)
+
+    def entry():
+        return Poly(spec, [rng.randrange(spec.size)
+                           for _ in range(rng.randrange(5))])
+
+    nonsingular = 0
+    for n in range(1, 8):
+        for trial in range(6 if n <= 5 else 2):
+            rows = [[entry() for _ in range(n)] for _ in range(n)]
+            if trial % 2:
+                c = entry()
+                rows[0] = [c * x for x in rows[-1]] if n > 1 else [zero]
+            det = _bareiss_det(rows)
+            assert det == det_generic(rows, zero), (n, trial)
+            assert det.is_zero() or not trial % 2
+            nonsingular += not det.is_zero()
+    assert nonsingular >= 10
 
 
 def _forms(entries, max_deg):
