@@ -28,7 +28,10 @@ that changed, since a source edited mid-run makes the remaining runs
 measure a different program.  It also times one run of the tier-1
 suite (`python -m pytest -q --continue-on-collection-errors` with `src`
 on the path) in each side's tree, parent first, and writes that wall
-time under `tier1`.
+time under `tier1`.  After the pairs of a workload it makes one traced
+run (`perfbench/run.py --trace 1`, seed 1, the same length) per side and
+writes its per-layer metrics side by side under `trace`, each with the
+change's value relative to the parent's.
 """
 
 from __future__ import annotations
@@ -84,13 +87,14 @@ def changed_sources(before: Dict[str, str], tree: str) -> List[str]:
                   if before.get(p) != after.get(p))
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: str, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One perfbench run: its result line plus the `# report` figures."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         capture_output=True, text=True, env=env, cwd=tree)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -161,6 +165,19 @@ def summarize(runs: Dict[str, List[dict]], bounds: Dict[str, float]) -> dict:
     return out
 
 
+def side_by_side(parent: Dict[str, float], change: Dict[str, float]
+                 ) -> Dict[str, dict]:
+    """The metrics of one run per side, by name: both values (None where
+    a side lacks the metric) and the change's relative to the parent's
+    (None where that is undefined)."""
+    out = {}
+    for name in sorted(parent.keys() | change.keys()):
+        p, c = parent.get(name), change.get(name)
+        out[name] = {"parent": p, "change": c,
+                     "ratio": c / p if p and c is not None else None}
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="git revision")
@@ -179,7 +196,7 @@ def main(argv=None) -> int:
            "pairs": args.pairs, "seconds": seconds,
            "seeds": list(range(1, args.pairs + 1)),
            "python": sys.version.split()[0], "bytecode": "precompiled",
-           "workloads": {}}
+           "workloads": {}, "trace": {}}
     with tempfile.TemporaryDirectory() as tmp:
         extract(parent_rev, tmp)
         trees = {"parent": tmp, "change": ROOT}
@@ -187,18 +204,22 @@ def main(argv=None) -> int:
         for tree in trees.values():
             if not compileall.compile_dir(tree, quiet=1):
                 sys.exit(f"bench: byte-compiling {tree} failed")
+
+        def run(side: str, workload: str, seed: int, trace: int = 0):
+            out = run_once(trees[side], workload, seed, seconds, trace)
+            changed = changed_sources(sources, ROOT)
+            if changed:
+                sys.exit("bench: working-tree sources changed during the "
+                         "run: " + ", ".join(changed))
+            return out
+
         for workload in args.workload:
             runs: Dict[str, List[dict]] = {"parent": [], "change": []}
             for i, seed in enumerate(doc["seeds"]):
                 order = ["parent", "change"] if i % 2 == 0 else \
                     ["change", "parent"]
                 for side in order:
-                    runs[side].append(run_once(trees[side], workload, seed,
-                                               seconds))
-                    changed = changed_sources(sources, ROOT)
-                    if changed:
-                        sys.exit("bench: working-tree sources changed "
-                                 "during the run: " + ", ".join(changed))
+                    runs[side].append(run(side, workload, seed))
                 print(f"# {workload} pair {i + 1}/{args.pairs} seed {seed}",
                       file=sys.stderr, flush=True)
             metrics = summarize(runs, bounds)
@@ -218,6 +239,12 @@ def main(argv=None) -> int:
                     print(f"{workload} {name}: median {g['change']:+.1%} "
                           f"(bound {g['bound']:.0%}, parent spread "
                           f"{g['parent_spread']:.1%}) {g['verdict']}")
+            doc["trace"][workload] = side_by_side(
+                *(run(side, workload, 1, trace=1)["values"]
+                  for side in ("parent", "change")))
+            for name, t in doc["trace"][workload].items():
+                print(f"{workload} trace {name}: parent {t['parent']} "
+                      f"change {t['change']}")
         doc["tier1"] = {side: time_suite(trees[side])
                         for side in ("parent", "change")}
         for side, t in doc["tier1"].items():

@@ -17,9 +17,12 @@ also g's part at mu = 1/lambda = 0, so the lambda-discriminant's frame
 serves it too (`_PencilFrame.at_infinity`).
 
 The singular points of the fiber cubics, and the lambda-discriminant,
-come from `geometry`'s path from elimination conditions to points
-(`first_variable_conditions`, `eliminant`, `lift_tails`), once per
-Galois orbit of positions (`_conjugates`).
+come from one elimination of y1 in a GF(2) frame whose centre is the
+nucleus of the conic its partial cuts (`_nucleus`): closed-form
+conditions in (y2 : y3), their resultant for the positions, and the
+roots of one of them for the directions, lifted by `geometry.lift_tails`
+where a linear form in y1 does not reach, once per Galois orbit of
+positions (`_conjugates`).
 """
 
 from __future__ import annotations
@@ -32,11 +35,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .errors import CapabilityError, InconsistencyError, UsageError
 from .field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
 from .geometry import (FormLevels, Line, QuarticSurface, canonical_point,
-                       centred_frames, eliminant, first_variable_conditions,
-                       gcd_at_tail, lift_tails, mat_inverse, normalize_line,
-                       vec_mat)
-from .poly import (Poly, SparsePoly, binary_roots, divide_by_linear,
-                   sylvester_resultant)
+                       centred_frames, eliminant, gcd_at_tail, lift_tails,
+                       mat_inverse, normalize_line, vec_mat)
+from .poly import (Poly, SparsePoly, _square, binary_roots,
+                   divide_by_linear, sylvester_resultant)
 
 
 # -- positions on the lambda-line ---------------------------------------------
@@ -168,13 +170,69 @@ class FiberReport:
 _CENTRE = (1, 1, 0)
 
 
-def _frame_conditions(p: SparsePoly, frame):
-    """The nonzero partials in the first three variables of p moved by the
-    frame, and the lazy conditions left after eliminating y1 from them."""
-    moved = p.linear_change(frame)
-    parts = [d for d in (moved.derivative(i) for i in range(3))
-             if not d.is_zero()]
-    return parts, first_variable_conditions(parts)
+def _y1_coefficients(p: SparsePoly) -> List[SparsePoly]:
+    """The coefficients of y1^0, y1^1 and y1^2 of a form of y1-degree at
+    most 2, each a form in the other variables."""
+    out: List[Dict[Tuple[int, ...], int]] = [{}, {}, {}]
+    for e, c in p.terms.items():
+        out[e[0]][e[1:]] = c
+    return [SparsePoly(p.nvars - 1, p.spec, t) for t in out]
+
+
+class _Nucleus(NamedTuple):
+    """The conditions a frame leaves after eliminating y1 (`_nucleus`),
+    each with its bound on deg_lambda - deg_z, and a_2 and U_2 when the
+    binary cubic V heads them, N_2 next (else None)."""
+    conds: List[Tuple[SparsePoly, int]]
+    alpha: Optional[SparsePoly]
+    u: Optional[SparsePoly]
+
+
+def _nucleus(parts: Sequence[SparsePoly],
+             bounds: Sequence[int] = (0, 0, 0)) -> _Nucleus:
+    """The conditions left after eliminating y1 from the partials P1, P2,
+    P3 of a cubic F moved by a frame (forms in y1, y2, y3, then any other
+    variables), in closed form, with their bounds from `bounds`, those of
+    the partials.
+
+    In characteristic 2 the y1^k coefficient of P1 = dF/dy1 is k + 1
+    times one of F, so P1 = A y1^2 + C has no odd power of y1: the frame's
+    centre is the nucleus of the conic P1 (Hirschfeld, *Projective
+    Geometries over Finite Fields*, ch. 7), A is F's value there and C a
+    form in (y2, y3).  With P_j = b_j y1^2 + a_j y1 + c_j (j = 2, 3),
+    A P_j + b_j P1 = A a_j y1 + U_j, U_j = A c_j + b_j C, is linear in
+    y1, so the ideal of the partials holds
+    - N_j = U_j^2 + A a_j^2 C, the resultant in y1 of P1 and P_j;
+    - the binary cubic V = a_2 U_3 + a_3 U_2, the sum of a_2 (A P_3 +
+      b_3 P1) and a_3 (A P_2 + b_2 P1);
+    - U_j itself when a_j = 0.
+    A form free of y1 (P1 when A = 0, a P_j with a_j = b_j = 0) stays its
+    own condition, and with A = 0 the other partials give none.  The
+    order is V, when both a_j are nonzero, then each partial's own: N_j,
+    U_j or the form.  Bounds add as the forms multiply: A and C have
+    P1's, a_j, b_j and c_j that of P_j.  Zero conditions are left out."""
+    (c1, _, a1), *rest = [_y1_coefficients(p) for p in parts]
+    b1 = bounds[0]
+    own = [(c1, b1)] if a1.is_zero() else []
+    pairs = []
+    for (c, a, b), bj in zip(rest, bounds[1:]):
+        if a.is_zero() and b.is_zero():
+            own.append((c, bj))
+        elif not a1.is_zero():
+            u = a1 * c + b * c1
+            own.append((u, b1 + bj) if a.is_zero() else
+                       (_square(u) + a1 * _square(a) * c1, 2 * (b1 + bj)))
+            pairs.append((a, u))
+    conds = [(f, b) for f, b in own if not f.is_zero()]
+    if len(pairs) == 2 and not (pairs[0][0].is_zero()
+                                or pairs[1][0].is_zero()
+                                or own[0][0].is_zero()):
+        (a2, u2), (a3, u3) = pairs
+        v = a2 * u3 + a3 * u2
+        if not v.is_zero():
+            return _Nucleus([(v, b1 + bounds[1] + bounds[2])] + conds,
+                            a2, u2)
+    return _Nucleus(conds, None, None)
 
 
 def _cubic_singular_points(cubic: SparsePoly, top: int
@@ -187,18 +245,29 @@ def _cubic_singular_points(cubic: SparsePoly, top: int
 
     The GF(2) frames of `centred_frames`, centred at (1:1:0) first, are
     tried in turn: in each, `_frame_points` finds the points from the
-    <= 3 binary conditions left after eliminating y1, unless none is
-    left."""
+    conditions of `_nucleus`, unless none is left."""
     if all(cubic.derivative(i).is_zero() for i in range(3)):
         raise InconsistencyError("cubic with identically vanishing partials")
     for fr in centred_frames(_CENTRE):
-        parts, conds = _frame_conditions(cubic, fr)
-        found = _frame_points(parts, list(itertools.islice(conds, 3)), fr,
-                              top)
+        moved = cubic.linear_change(fr)
+        parts = [moved.derivative(i) for i in range(3)]
+        found = _frame_points([p for p in parts if not p.is_zero()],
+                              [c for c, _ in _nucleus(parts).conds], fr, top)
         if found is not None:
             return found
     raise CapabilityError(
         "singular-point elimination degenerated in every frame")
+
+
+def _directions(form: SparsePoly, top: int) -> List[Tuple[tuple, int]]:
+    """The zeros (y2 : y3) of degree d <= top of a nonzero binary form over
+    GF(q), as (coordinates over GF(q^d), d): (1 : 0) when the form's
+    y2-power coefficient is zero, then (r : 1) for each root r of
+    form(y2, 1), grouped by `root_orbits`."""
+    dirs = [((1, 0), 1)] if form.restrict({1: 0}).is_zero() else []
+    levels, _ = root_orbits(form.restrict({1: 1}).coeffs, form.spec, top)
+    return dirs + [((r, 1), d) for d, (_, roots) in enumerate(levels, 1)
+                   for r in roots]
 
 
 def _frame_points(parts: List[SparsePoly], binary: List[SparsePoly],
@@ -211,18 +280,17 @@ def _frame_points(parts: List[SparsePoly], binary: List[SparsePoly],
     `parts` are the cubic's nonzero partials moved by the frame (x = y.m)
     and `binary` nonzero forms in (y2, y3) in the elimination ideal of
     `parts` and k[y2, y3].  Every singular point other than the frame's
-    centre (1:0:0) then has a direction (y2 : y3) that is a common zero
-    of the conditions, found by `lift_tails` as on the quartic: the tail
-    y3 = 1 is lifted to the roots of the gcd in y2, and (1 : 0) is
+    centre (1:0:0) then has a direction (y2 : y3) that is a zero of the
+    first of them, of degree at most top (`_directions`); the centre is
     checked directly.  Over a direction, the point is the root of the
     form s1 y1 + s0 of `_linear_in_y1`, y1 = s0 / s1, where s1 does not
     vanish there; over the other directions it comes from the gcd in y1
     of the partials (`lift_tails`).  Every candidate is checked on all
-    partials, so a common root of the conditions that carries no
-    singular point costs one check and changes no answer."""
+    partials, so a root of the condition that carries no singular point
+    costs one check and changes no answer."""
     if not binary:
         return None
-    dirs = lift_tails(FormLevels(binary), [((1,), 1)], top)
+    dirs = _directions(binary[0], top)
     forms = FormLevels(parts)
     lin = _linear_in_y1(parts)
     lins = None if lin is None else FormLevels([lin])
@@ -507,8 +575,8 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
 
 class _FiberFrame(NamedTuple):
     """A frame prepared for one fiber cubic, as `_frame_points` takes it:
-    the nonzero moved partials, forms in (y1, y2, y3), the nonzero binary
-    conditions in (y2, y3) and the frame."""
+    the nonzero moved partials, forms in (y1, y2, y3), nonzero binary
+    conditions in (y2, y3), of which it reads the first, and the frame."""
     parts: List[SparsePoly]
     binary: List[SparsePoly]
     frame: Tuple[Tuple[int, int, int], ...]
@@ -537,27 +605,6 @@ class _Found(NamedTuple):
 _PART_BOUNDS = (1, 1, 2)
 
 
-def _bounded_conditions(parts: List[Tuple[SparsePoly, int]]
-                        ) -> List[Tuple[SparsePoly, int]]:
-    """The conditions of `first_variable_conditions` on the forms of
-    `parts`, pairs (form, bound on deg_lambda - deg_z), in its order,
-    each with its bound.  They are formed pair by pair, so that each
-    carries its own: a form free of y1 keeps its bound, and the
-    resultant in y1 of forms of y1-degrees n and m with bounds a and b
-    is homogeneous of degree m in the coefficients of the first and n in
-    those of the second, so its bound is m a + n b, and its terms at the
-    bound are the resultant of theirs."""
-    out = [(c, b) for p, b in parts if p.degree_in(0) == 0
-           for c in first_variable_conditions([p])]
-    with_y1 = [(p, b) for p, b in parts if p.degree_in(0) >= 1]
-    if with_y1:
-        first, a = with_y1[0]
-        n = first.degree_in(0)
-        out += [(r, p.degree_in(0) * a + n * b) for p, b in with_y1[1:]
-                for r in first_variable_conditions([first, p])]
-    return out
-
-
 def _at_bound(p: SparsePoly, bound: int) -> SparsePoly:
     """The terms of p, in (..., z, lambda), with deg_lambda - deg_z equal
     to `bound`, with lambda set to 1 and dropped."""
@@ -568,9 +615,9 @@ def _at_bound(p: SparsePoly, bound: int) -> SparsePoly:
 class _PencilFrame(NamedTuple):
     """The frame of the lambda-discriminant, kept for the fibers: the
     moved pencil partials, forms in (y1, y2, y3, lambda), the conditions
-    left after eliminating y1, forms in (y2, y3, lambda), and the bound
-    on deg_lambda - deg_z of each (`_PART_BOUNDS`,
-    `_bounded_conditions`)."""
+    of `_nucleus` on them, forms in (y2, y3, lambda), V first when it is
+    there, and the bound on deg_lambda - deg_z of each (`_PART_BOUNDS`;
+    the conditions' follow from them)."""
     frame: Tuple[Tuple[int, int, int], ...]
     parts: List[SparsePoly]
     conds: List[SparsePoly]
@@ -583,28 +630,73 @@ class _PencilFrame(NamedTuple):
 
     def at(self, lam: int) -> _FiberFrame:
         """The frame of the fiber at lambda = lam, in the coefficient field,
-        as `classify_fiber` takes it: the nonzero partials and conditions
-        there (`SparsePoly.restrict`)."""
+        as `classify_fiber` takes it: the nonzero partials there and the
+        first condition that does not vanish there, which is all
+        `_frame_points` reads (`SparsePoly.restrict`)."""
         parts = [q for q in (p.restrict({3: lam}) for p in self.parts)
                  if not q.is_zero()]
-        binary = [b for b in (c.restrict({2: lam}) for c in self.conds)
-                  if not b.is_zero()]
-        return _FiberFrame(parts, binary, self.frame)
+        first = next((b for b in (c.restrict({2: lam}) for c in self.conds)
+                      if not b.is_zero()), None)
+        return _FiberFrame(parts, [] if first is None else [first],
+                           self.frame)
 
     def at_infinity(self) -> Optional[_FiberFrame]:
         """The frame of the fiber at infinity, read off at mu = 1/lambda
         = 0, or None when the frame moves z.  Each form's terms at its
         bound, with lambda set to 1 and z read as x4, are the form of the
         cubic at infinity (`residual_cubic`) moved by the same frame: its
-        partials, and the resultants of theirs at the formal y1-degrees
-        of the pencil's, which lie in its elimination ideal as well."""
+        partials, and each closed form of `_nucleus` in theirs, since
+        every such form is a sum of products whose bounds add up to its
+        own, so that its terms at the bound are the same form in the
+        partials' terms at theirs; that lies in the cubic's elimination
+        ideal as well."""
         if [row[2] for row in self.frame] != [0, 0, 1]:
             return None
         parts = [q for q in map(_at_bound, self.parts, self.part_bounds)
                  if not q.is_zero()]
         binary = [b for b in map(_at_bound, self.conds, self.cond_bounds)
                   if not b.is_zero()]
-        return _FiberFrame(parts, binary, self.frame)
+        return _FiberFrame(parts, binary[:1], self.frame)
+
+
+def _binary_rows(form: SparsePoly, length: int) -> List[Poly]:
+    """A form in (y2, y3, lambda), binary of formal degree length - 1 in
+    (y2 : y3), at y2 = 1 by its rows: coefficients y2-major, each a
+    polynomial in lambda, as `sylvester_resultant` reads them."""
+    return form.restrict({0: 1}).rows(length)
+
+
+def _positions(nucleus: _Nucleus) -> Optional[Poly]:
+    """A nonzero polynomial in lambda vanishing wherever the conditions of
+    `_nucleus` on the pencil share a zero (y2 : y3), or None.
+
+    When V heads them, G = Res(N_2, V) / U_2(b, a)^2, (b : a) the zero of
+    a_2 = a y2 + b y3.  Over a root r of N_2, the point of {P1 = 0,
+    A P_2 + b_2 P1 = 0} has y1 = U_2 / (A a_2), so V(r) is a_2(r) times
+    the value there of A P_3 + b_3 P1, and N_3(r) is that value squared,
+    since A y1^2 = C there.  Hence Res(N_2, V) = Res(N_2, a_2) G, with
+    Res(N_2, a_2) = N_2(b, a) = U_2(b, a)^2, so the division is exact (and
+    checked), and G^2 = Res(N_2, N_3), the eliminant of the two
+    y1-resultants: G has the same roots at half the degree.  None when
+    U_2(b, a) = 0, since N_2 and V then share a zero.  Without V, the
+    first nonzero resultant of two conditions (`eliminant`)."""
+    conds = [c for c, _ in nucleus.conds]
+    if nucleus.alpha is None:
+        return eliminant([_binary_rows(c, max(e[0] + e[1] for e in c.terms)
+                                       + 1) for c in conds])
+    a, b = _binary_rows(nucleus.alpha, 2)
+    u = _binary_rows(nucleus.u, 3)
+    at_zero = u[0] * b * b + u[1] * a * b + u[2] * a * a
+    if at_zero.is_zero():
+        return None
+    res = sylvester_resultant(_binary_rows(conds[1], 5),
+                              _binary_rows(conds[0], 4),
+                              Poly.zero(at_zero.spec))
+    g, rem = res.divmod(at_zero * at_zero)
+    if not rem.is_zero():
+        raise InconsistencyError(
+            "Res(N_2, V) is not divisible by U_2^2 at the zero of a_2")
+    return None if g.is_zero() else g
 
 
 def _lambda_discriminant(pencil: ResidualPencil
@@ -616,38 +708,34 @@ def _lambda_discriminant(pencil: ResidualPencil
 
     Strategy: in the first usable GF(2) frame of `centred_frames`, the
     one centred at (1:1:0) on the line first, eliminate y1 from the three
-    partials of the fiber cubic by formal resultants, then eliminate
-    (y2 : y3) by a binary-form resultant, leaving a condition in lambda
-    (the second resultant's entries are univariate in lambda, so it runs
-    over GF(2^k)[lambda]).  That frame leaves z alone, so every moved
-    partial keeps the weight of g, whose coefficient of z^m has
-    lambda-degree at most m + 1: on the record lines the condition has
-    degree 44 to 52, against 74 to 76 in the frame centred at (1:1:1).
-    The frame can only miss a singular fiber whose every singular point
-    sits at its centre P, the image of e1.  The fibers singular at P are
-    the roots of the gcd over i of dg/dx_i(P, lambda), so the frame
-    condition times that gcd misses nothing.  A frame whose centre gcd
-    vanishes identically (every fiber singular at P, so the surface is
-    singular) is skipped."""
+    partials of the fiber cubic in closed form (`_nucleus`), then
+    (y2 : y3) by one binary-form resultant over GF(2^k)[lambda]
+    (`_positions`).  That frame leaves z alone, so every moved partial
+    keeps the weight of g, whose coefficient of z^m has lambda-degree at
+    most m + 1: on the record lines the condition has degree 22 to 26,
+    the square root of the former resultant of two y1-resultants (44 to
+    52; 74 to 76 in the frame centred at (1:1:1)).  The frame can only
+    miss a singular fiber whose every singular point sits at its centre
+    P, the image of e1.  The fibers singular at P are the roots of the
+    gcd over i of dg/dx_i(P, lambda), so the frame condition times that
+    gcd misses nothing.  A frame whose centre gcd vanishes identically
+    (every fiber singular at P, so the surface is singular) is skipped,
+    and so is one that leaves no positions."""
     partials = [pencil.g.derivative(i) for i in range(3)]
     for frame in centred_frames(_CENTRE):
         at_centre = gcd_at_tail(partials, 3, frame[0])
         if at_centre is None:
             continue
         moved = pencil.g.linear_change(frame)
-        parts = [(d, b) for d, b in zip(
-            (moved.derivative(i) for i in range(3)), _PART_BOUNDS)
-            if not d.is_zero()]
-        conds = _bounded_conditions(parts)
-        # each condition, a form in (y2 : y3) of its formal degree, at
-        # y2 = 1, by its rows
-        dm = eliminant([c.restrict({0: 1}).rows(
-            max(e[0] + e[1] for e in c.terms) + 1) for c, _ in conds])
+        parts = [moved.derivative(i) for i in range(3)]
+        nucleus = _nucleus(parts, _PART_BOUNDS)
+        dm = _positions(nucleus)
         if dm is not None:
-            forms, bounds = zip(*parts)
+            forms, bounds = zip(*[(p, b) for p, b in zip(parts, _PART_BOUNDS)
+                                  if not p.is_zero()])
+            conds, cond_bounds = zip(*nucleus.conds)
             return dm * at_centre, _PencilFrame(
-                frame, list(forms), [c for c, _ in conds], bounds,
-                tuple(b for _, b in conds))
+                frame, list(forms), list(conds), bounds, cond_bounds)
     return Poly.zero(pencil.spec), None
 
 
@@ -665,9 +753,10 @@ def singular_fibers(pencil: ResidualPencil,
     fibers and no flag at all, the sum itself.
 
     A finite fiber's singular points come from the lambda-discriminant's
-    frame, embedded once per level and specialised at the root: a formal
-    resultant is a polynomial identity in its inputs' coefficients, so it
-    commutes with setting lambda, and the specialised conditions lie in
+    frame, embedded once per level and specialised at the root: each
+    closed form of `_nucleus` is a polynomial identity in the partials'
+    coefficients, so it commutes with setting lambda, and the specialised
+    conditions lie in
     the elimination ideal of the fiber's moved partials.  They are
     searched once per Galois orbit of roots, at its first; each conjugate
     gets the conjugates of those points (`_conjugates`) and its own

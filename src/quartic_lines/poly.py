@@ -702,6 +702,14 @@ def divide_by_linear(p: SparsePoly, ell: Sequence[int]
     return p._like(quot)
 
 
+def _square(p: SparsePoly) -> SparsePoly:
+    """p^2 over GF(2^k), one term per term of p: in characteristic 2,
+    (sum a_e x^e)^2 = sum a_e^2 x^(2e), the cross terms cancelling."""
+    mul = p.spec.mul_int
+    return p._like({tuple(2 * k for k in e): mul(c, c)
+                    for e, c in p.terms.items()})
+
+
 def _square_root(p: SparsePoly) -> Optional[SparsePoly]:
     """The g with g^2 = p when every exponent of p is even, else None: in
     characteristic 2, (sum a_e x^e)^2 = sum a_e^2 x^(2e)."""

@@ -140,15 +140,43 @@ def segre_resultant(pencil: ResidualPencil) -> Poly:
     cubic, so R_mu(mu) = mu^(3 + 15)*R(1/mu) = mu^18*R(1/mu), and the
     multiplicity at infinity is 18 - deg R (`resultant_multiplicity`).
     """
-    # only h on {z = 0} is read: specialise the terms free of z alone
-    h = _specialize(pencil.g, (0, 1, 2), _odd_terms(True))
     # both on {z = 0} at x1 = 1: binary cubics over GF(q)[lambda]
-    on_line = [p.restrict({0: 1, 2: 0}).rows(4) for p in (pencil.g, h)]
-    r = sylvester_resultant(*on_line, Poly.zero(pencil.spec))
+    r = sylvester_resultant(pencil.g.restrict({0: 1, 2: 0}).rows(4),
+                            _hessian_on_line(pencil.g),
+                            Poly.zero(pencil.spec))
     if r.degree() > 18:
         raise InconsistencyError(
             f"resultant degree {r.degree()} exceeds 18")
     return r
+
+
+def _hessian_on_line(g: SparsePoly) -> List[Poly]:
+    """h = char2_hessian(g) on {z = 0} at x1 = 1, g a cubic in (x1, x2, z)
+    over GF(q)[lambda], by its rows: the coefficients of x2^0 .. x2^3,
+    each a polynomial in lambda.  Only the 22 universal terms free of z
+    (`_odd_terms(True)`) are read, with each a_m, g's coefficient of the
+    monomial m, a `Poly` in lambda, and its powers cached."""
+    spec = g.spec
+    coeffs: Dict[Tuple[int, ...], List[int]] = {}
+    for (i, j, k, lam), c in g.terms.items():
+        row = coeffs.setdefault((i, j, k), [])
+        row += [0] * (lam + 1 - len(row))
+        row[lam] = c
+    powers: Dict[Tuple[int, int], Poly] = {}
+    rows = [Poly.zero(spec)] * 4
+    for a_exps, (_, j, _) in _odd_terms(True):
+        term = Poly.one(spec)
+        for idx, k in a_exps:
+            a = coeffs.get(MONOMIALS3[idx])
+            if a is None:
+                break
+            piece = powers.get((idx, k))
+            if piece is None:
+                piece = powers[idx, k] = Poly(spec, a) ** k
+            term = term * piece
+        else:
+            rows[j] = rows[j] + term
+    return rows
 
 
 def resultant_multiplicity(pencil: ResidualPencil, r: Poly,

@@ -57,3 +57,21 @@ def test_gain_verdict_on_synthetic_runs():
     out = bench.summarize(runs, {"op_p50_s": 0.25})
     assert out["op_p50_s"]["gate"]["verdict"] == "gain"
     assert out["op_p50_s"]["change_won"] == 10 and "gate" not in out["calls"]
+
+
+def test_traced_metrics_side_by_side_on_synthetic_runs():
+    parent = {"pencil.lambda_disc_s": 0.02, "poly.det_generic.calls": 400,
+              "trace.spans": 0, "segre.segre_resultant.s": 0.01}
+    change = {"pencil.lambda_disc_s": 0.015, "poly.det_generic.calls": 300,
+              "trace.spans": 0, "report.new": 2.0}
+    out = bench.side_by_side(parent, change)
+    assert list(out) == sorted(parent.keys() | change.keys())
+    assert out["pencil.lambda_disc_s"] == {
+        "parent": 0.02, "change": 0.015, "ratio": 0.015 / 0.02}
+    assert out["poly.det_generic.calls"]["ratio"] == 0.75
+    # a zero on the parent's side, or a metric one side lacks, has no ratio
+    assert out["trace.spans"] == {"parent": 0, "change": 0, "ratio": None}
+    assert out["segre.segre_resultant.s"] == {
+        "parent": 0.01, "change": None, "ratio": None}
+    assert out["report.new"] == {"parent": None, "change": 2.0,
+                                 "ratio": None}

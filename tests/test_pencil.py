@@ -13,9 +13,10 @@ from quartic_lines.errors import InconsistencyError, UsageError
 from quartic_lines.field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
 from quartic_lines.geometry import (FormLevels, QuarticSurface, axis_line,
                                     canonical_point, centred_frames,
-                                    enumerate_lines, lift_tails,
-                                    restrict_form, singular_point_search,
-                                    vec_mat)
+                                    eliminant, enumerate_lines,
+                                    first_variable_conditions, gcd_at_tail,
+                                    lift_tails, restrict_form,
+                                    singular_point_search, vec_mat)
 from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, POS_INF,
                                   POS_ZERO, PencilPosition, ResidualPencil,
                                   _audit_one_fiber,
@@ -27,7 +28,7 @@ from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, POS_INF,
                                   ramification_type,
                                   residual_cubic, second_kind_fiber_audit,
                                   singular_fibers)
-from quartic_lines.poly import (Poly, SparsePoly, binary_roots,
+from quartic_lines.poly import (Poly, SparsePoly, _square, binary_roots,
                                 squarefree_test, sylvester_resultant)
 from quartic_lines.segre import build_dossier
 from quartic_lines.surfaces import (family_z_surface, get_surface,
@@ -872,14 +873,12 @@ def _oracle_pencils():
 
 
 def _own_frame(cubic, frame):
-    """The nonzero partials of the cubic moved by the frame, and its first
-    three conditions there, as `_cubic_singular_points` forms them."""
+    """The nonzero partials of the cubic moved by the frame, and its
+    conditions there, as `_cubic_singular_points` forms them."""
     moved = cubic.linear_change(frame)
-    parts = [p for p in (moved.derivative(i) for i in range(3))
-             if not p.is_zero()]
-    conds = itertools.islice(
-        pencil_module.first_variable_conditions(parts), 3)
-    return parts, list(conds), frame
+    parts = [moved.derivative(i) for i in range(3)]
+    conds = [c for c, _ in pencil_module._nucleus(parts).conds]
+    return [p for p in parts if not p.is_zero()], conds, frame
 
 
 def test_fiber_at_infinity_read_off_the_frame_matches_its_own_frames():
@@ -986,3 +985,126 @@ def test_linear_lift_finds_the_points_of_the_gcd_lift():
                 assert _frame_points(*fr, top) == want
                 lifted += bool(want)
     assert lifted > 1000
+
+
+# -- the centre of a frame is the nucleus of its partial's conic: y1 is
+# eliminated in closed form ---------------------------------------------------
+
+
+def _random_form(rng, nvars, spec, degree):
+    return SparsePoly(nvars, spec, {
+        e: rng.randrange(spec.size)
+        for e in itertools.product(range(degree + 1), repeat=nvars)
+        if sum(e) == degree})
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+def test_the_centres_partial_has_no_odd_power_of_y1(nvars):
+    # d/dy1 of y1^k is k y1^(k-1), zero in characteristic 2 for even k:
+    # the moved form's partial along the centre is even in y1, in every
+    # GF(2) frame, for forms of every degree and field
+    rng = random.Random(f"nucleus:{nvars}")
+    first = (1,) + (0,) * (nvars - 1)
+    seen = 0
+    for k in range(1, 9):
+        spec = FieldSpec.default(k)
+        for degree in (2, 3, 4):
+            form = _random_form(rng, nvars, spec, degree)
+            for frame in centred_frames(first):
+                p1 = form.linear_change(frame).derivative(0)
+                assert all(e[0] % 2 == 0 for e in p1.terms), (k, frame)
+                seen += any(e[0] for e in p1.terms)
+    assert seen > 100
+
+
+def _y1_resultant(p, q):
+    """The resultant in y1 of two forms of y1-degree at most 2, at formal
+    degree 2, in the other variables."""
+    def coeffs(f):
+        by_power = f.coefficients_in(0)
+        zero = SparsePoly.zero(f.nvars, f.spec)
+        return [by_power.get(k, zero).drop_vars(range(1, f.nvars))
+                for k in (2, 1, 0)]
+    return sylvester_resultant(coeffs(p), coeffs(q),
+                               SparsePoly.zero(p.nvars - 1, p.spec))
+
+
+def _nucleus_cases():
+    """(moved partials P1, P2, P3) of random cubics over GF(2) to GF(256)
+    in every GF(2) frame, and of the oracle pencils in their
+    lambda-discriminant's frame."""
+    rng = random.Random("nucleus-cases")
+    for k in range(1, 9):
+        spec = FieldSpec.default(k)
+        for _ in range(3):
+            cubic = _random_form(rng, 3, spec, 3)
+            for frame in centred_frames((1, 1, 0)):
+                moved = cubic.linear_change(frame)
+                yield [moved.derivative(i) for i in range(3)]
+    for pencil in _oracle_pencils():
+        moved = pencil.g.linear_change(_LINE_FRAME)
+        yield [moved.derivative(i) for i in range(3)]
+
+
+def test_nucleus_conditions_are_the_y1_resultants():
+    # N_j = U_j^2 + A a_j^2 C' is Res_y1(P1, P_j), and when a_j = 0 the
+    # condition U_j is its square root; with both a_j nonzero the binary
+    # cubic V heads the conditions; with A = 0 the forms free of y1 are
+    with_v = roots = 0
+    for parts in _nucleus_cases():
+        nucleus = pencil_module._nucleus(parts)
+        conds = [c for c, _ in nucleus.conds]
+        free = [p.drop_vars(range(1, p.nvars)) for p in parts
+                if not p.is_zero() and p.degree_in(0) == 0]
+        if parts[0].degree_in(0) < 2:
+            assert conds == free
+            continue
+        res = [_y1_resultant(parts[0], p) for p in parts[1:]]
+        if nucleus.alpha is not None:
+            with_v += 1
+            assert all(e[0] + e[1] == 3 for e in conds[0].terms)
+            assert conds[1:] == [r for r in res if not r.is_zero()]
+            continue
+        for c in conds:
+            if c not in free:
+                roots += 1
+                assert _square(c) in res
+    assert with_v > 100 and roots > 0
+
+
+def _former_eliminant(pencil, frame):
+    """The former positions polynomial of a frame: the resultant in
+    (y2 : y3) of the y1-resultants of the moved partials
+    (`first_variable_conditions`, `eliminant`)."""
+    moved = pencil.g.linear_change(frame)
+    parts = [p for p in (moved.derivative(i) for i in range(3))
+             if not p.is_zero()]
+    conds = first_variable_conditions(parts)
+    return eliminant([c.restrict({0: 1}).rows(
+        max(e[0] + e[1] for e in c.terms) + 1) for c in conds])
+
+
+def test_positions_polynomial_is_the_square_root_of_the_former():
+    # G = Res(N_2, V) / U_2(b, a)^2 squares to the former Res(N_2, N_3)
+    # wherever V is formed; where both a_j vanish (every z0 line, two
+    # family-Z axis lines) the conditions U_j, or a partial free of y1,
+    # give the same roots; either way root_orbits of the
+    # lambda-discriminant are the former ones, levels and rest
+    squares = 0
+    for pencil in _oracle_pencils():
+        disc, frame = _lambda_discriminant(pencil)
+        moved = pencil.g.linear_change(frame.frame)
+        nucleus = pencil_module._nucleus(
+            [moved.derivative(i) for i in range(3)])
+        g = pencil_module._positions(nucleus)
+        former = _former_eliminant(pencil, frame.frame)
+        at_centre = gcd_at_tail([pencil.g.derivative(i) for i in range(3)],
+                                3, frame.frame[0])
+        assert disc == g * at_centre
+        if nucleus.alpha is not None:
+            squares += 1
+            assert g * g == former
+        cap = MAX_DEGREE // pencil.spec.degree
+        assert root_orbits(disc.coeffs, pencil.spec, cap) == \
+            root_orbits((former * at_centre).coeffs, pencil.spec, cap)
+    assert squares == 98

@@ -160,6 +160,49 @@ def test_bareiss_matches_the_expansion_on_random_poly_matrices(k):
     assert nonsingular >= 10
 
 
+def test_bareiss_resultants_match_the_sylvester_determinant_at_points():
+    # formal degrees 6 to 8 against 1 to 3 over GF(256)[lambda], so that
+    # `sylvester_resultant` takes its hybrid Bezout matrix past
+    # `_EXPANSION_MAX` to Bareiss: at each of a few points lambda = t the
+    # result is the Sylvester determinant of the forms there, expanded by
+    # `det_generic` on constant entries; every third pair shares a linear
+    # factor, so its resultant is zero
+    spec = FieldSpec.default(8)
+    rng = random.Random("bareiss-resultants")
+    zero = Poly.zero(spec)
+
+    def entry():
+        return Poly(spec, [rng.randrange(spec.size) for _ in range(3)])
+
+    def times(form, lin):
+        # the binary form times a linear one, coefficients x-major
+        out = [zero] * len(form) + [zero]
+        for i, c in enumerate(form):
+            out[i] = out[i] + c * lin[0]
+            out[i + 1] = out[i + 1] + c * lin[1]
+        return out
+
+    shared = 0
+    for trial in range(9):
+        n, m = rng.randrange(6, 9), rng.randrange(1, 4)
+        f = [entry() for _ in range(n + 1)]
+        g = [entry() for _ in range(m + 1)]
+        if trial % 4 == 1:
+            f[0] = zero        # a formal leading zero
+        if trial % 3 == 2:
+            lin = [entry(), entry()]
+            f, g = times(f[:-1], lin), times(g[:-1], lin)
+        res = sylvester_resultant(f, g, zero)
+        assert res.is_zero() == (trial % 3 == 2), trial
+        shared += res.is_zero()
+        for t in rng.sample(range(spec.size), 3):
+            at = [[Poly.constant(spec, c.eval_int(t)) for c in form]
+                  for form in (f, g)]
+            want = det_generic(sylvester_matrix(*at, zero), zero)
+            assert Poly.constant(spec, res.eval_int(t)) == want, (trial, t)
+    assert shared == 3
+
+
 def _forms(entries, max_deg):
     """Binary forms of formal degree 1..max_deg, the leading (x^deg)
     coefficient forced to zero when the flag is set."""

@@ -4,13 +4,15 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from test_pencil import _residual_cubic_by_substitution, _two_chart_forms
+from test_pencil import (_oracle_pencils, _residual_cubic_by_substitution,
+                         _two_chart_forms)
 
 from quartic_lines.errors import UsageError
 from quartic_lines.geometry import QuarticSurface, axis_line, enumerate_lines
 from quartic_lines.pencil import POS_INF, ResidualPencil, residual_cubic
 from quartic_lines.poly import SparsePoly
-from quartic_lines.segre import (_odd_terms, _specialize, build_dossier,
+from quartic_lines.segre import (_hessian_on_line, _odd_terms, _specialize,
+                                 build_dossier,
                                  char2_hessian,
                                  coplanar_line_multiplicity,
                                  family_z_531_instance, family_z_fiber_lines,
@@ -185,6 +187,18 @@ def test_on_line_hessian_is_the_hessian_at_z_zero(s5_surface, s5_lines, gf8):
             want = SparsePoly(4, g.spec, {e: c for e, c in full.terms.items()
                                           if e[2] == 0})
             assert _specialize(g, (0, 1, 2), _odd_terms(True)) == want
+
+
+def test_hessian_rows_on_the_line_match_the_term_dicts():
+    # segre_resultant reads h on {z = 0} at x1 = 1 off the 22 on-line
+    # terms with each a_m a polynomial in lambda: the rows of the former
+    # specialisation in 4-variable term dicts, on every oracle pencil
+    pencils = _oracle_pencils()
+    assert len(pencils) == 107
+    for pencil in pencils:
+        want = _specialize(pencil.g, (0, 1, 2), _odd_terms(True)).restrict(
+            {0: 1, 2: 0}).rows(4)
+        assert _hessian_on_line(pencil.g) == want
 
 
 def _digest(dossiers, drop=()):
