@@ -31,13 +31,15 @@ on the path) in each side's tree, parent first, and writes that wall
 time under `tier1`.  After the pairs of a workload it makes one traced
 run (`perfbench/run.py --trace 1`, seed 1, the same length) per side and
 writes its per-layer metrics side by side under `trace`, each with the
-change's value relative to the parent's.
+change's value relative to the parent's.  It writes each side's code
+size, the total of `wc -l src/quartic_lines/*.py`, under `src_lines`.
 """
 
 from __future__ import annotations
 
 import argparse
 import compileall
+import glob
 import hashlib
 import io
 import json
@@ -85,6 +87,17 @@ def changed_sources(before: Dict[str, str], tree: str) -> List[str]:
     after = source_hashes(tree)
     return sorted(p for p in before.keys() | after.keys()
                   if before.get(p) != after.get(p))
+
+
+def src_lines(tree: str) -> int:
+    """The lines of the tree's `src/quartic_lines/*.py`, counted as
+    `wc -l` counts them: newline characters."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "quartic_lines",
+                                       "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float,
@@ -200,6 +213,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         extract(parent_rev, tmp)
         trees = {"parent": tmp, "change": ROOT}
+        doc["src_lines"] = {side: src_lines(tree)
+                            for side, tree in trees.items()}
+        print("src_lines: parent {parent} change {change}".format(
+            **doc["src_lines"]))
         sources = source_hashes(ROOT)
         for tree in trees.values():
             if not compileall.compile_dir(tree, quiet=1):

@@ -419,11 +419,17 @@ def enumerate_lines(surface: QuarticSurface, ext: int = 1) -> List[Line]:
     surf = surface.base_change(target)
     partials = surf.partials()
     lines = []
-    for p2 in range(1, 4):
-        qs = _surface_points(surf.f, p2, range(p2 + 1, 4), target)
-        if qs is not None:
-            for p1 in range(p2):
-                lines += _cell_lines(surf, partials, p1, p2, qs)
+    try:
+        for p2 in range(1, 4):
+            qs = _surface_points(surf.f, p2, range(p2 + 1, 4), target)
+            if qs is not None:
+                for p1 in range(p2):
+                    lines += _cell_lines(surf, partials, p1, p2, qs)
+    except MemoryError:
+        # a chart holds q^2 points, 2^32 at GF(2^16)
+        raise CapabilityError(
+            f"the census charts over GF(2^{k * ext}) do not fit in "
+            "memory") from None
     lines.sort(key=Line.key)
     return lines
 

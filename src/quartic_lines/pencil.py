@@ -14,15 +14,16 @@ pencil parameter; it is read off the normalized quartic by an exponent
 map.  There is no second chart: the fiber at infinity is taken from the
 normalized quartic on {x3 = 0}, as a cubic in (x1, x2, x4), and it is
 also g's part at mu = 1/lambda = 0, so the lambda-discriminant's frame
-serves it too (`_PencilFrame.at_infinity`).
+serves it too (`_Frame.at_infinity`).
 
 The singular points of the fiber cubics, and the lambda-discriminant,
 come from one elimination of y1 in a GF(2) frame whose centre is the
-nucleus of the conic its partial cuts (`_nucleus`): closed-form
-conditions in (y2 : y3), their resultant for the positions, and the
-roots of one of them for the directions, lifted by `geometry.lift_tails`
-where a linear form in y1 does not reach, once per Galois orbit of
-positions (`_conjugates`).
+nucleus of the conic its partial cuts, held in one `_Frame` (`_frame`):
+closed-form conditions in (y2 : y3), their resultant for the positions,
+the roots of one of them for the directions, and a form linear in y1
+that lifts them, with `geometry.lift_tails` where it does not reach.
+The pencil's frame is read at each fiber, once per Galois orbit of
+positions (`_conjugates`), and `classify_fiber` takes the points found.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def residual_cubic(pencil: ResidualPencil,
     At infinity it is the plane x3 = 0: the terms of the normalized
     quartic free of x3, divided by x4, in (x1, x2, x4): the terms of g
     with deg_lambda - deg_z = 1, at lambda = 1 with z read as x4, which
-    is how `_PencilFrame.at_infinity` reads its frame off the
+    is how `_Frame.at_infinity` reads its frame off the
     lambda-discriminant's."""
     if pos.is_infinite():
         return SparsePoly(3, pencil.spec, {
@@ -179,21 +180,129 @@ def _y1_coefficients(p: SparsePoly) -> List[SparsePoly]:
     return [SparsePoly(p.nvars - 1, p.spec, t) for t in out]
 
 
-class _Nucleus(NamedTuple):
-    """The conditions a frame leaves after eliminating y1 (`_nucleus`),
-    each with its bound on deg_lambda - deg_z, and a_2 and U_2 when the
-    binary cubic V heads them, N_2 next (else None)."""
-    conds: List[Tuple[SparsePoly, int]]
-    alpha: Optional[SparsePoly]
-    u: Optional[SparsePoly]
+# On g, in (x1, x2, z, lambda), every term has deg_lambda - deg_z <= 1:
+# c x1^i x2^j x3^k x4^l of the quartic became c x1^i x2^j z^(k+l-1)
+# lambda^l, with 1 - k.  A frame that leaves z alone keeps that bound on
+# the moved g and on its partials in y1 and y2, and d/dz raises it by one.
+# The terms at the bound are those with k = 0: the fiber at infinity.
+_PART_BOUNDS = (1, 1, 2)
 
 
-def _nucleus(parts: Sequence[SparsePoly],
-             bounds: Sequence[int] = (0, 0, 0)) -> _Nucleus:
-    """The conditions left after eliminating y1 from the partials P1, P2,
-    P3 of a cubic F moved by a frame (forms in y1, y2, y3, then any other
-    variables), in closed form, with their bounds from `bounds`, those of
-    the partials.
+def _at_bound(p: SparsePoly, bound: int) -> SparsePoly:
+    """The terms of p, in (..., z, lambda), with deg_lambda - deg_z equal
+    to `bound`, with lambda set to 1 and dropped."""
+    return SparsePoly(p.nvars - 1, p.spec, {
+        e[:-1]: c for e, c in p.terms.items() if e[-1] - e[-2] == bound})
+
+
+class _Frame(NamedTuple):
+    """The elimination of y1 from a form's partials in one GF(2) frame
+    (`_frame`): the frame, the nonzero moved partials, forms in (y1, y2,
+    y3, then any other variables), the conditions they leave in (y2, y3,
+    ...), V first when it is there, and the form s1 y1 + s0 = A P_j +
+    b_j P1 (None without one); a_2 and U_2 when V heads the conditions,
+    for `_positions` (else None); and the bound on deg_lambda - deg_z of
+    each partial, condition and of the linear form (`_PART_BOUNDS`), by
+    which a fiber's frame is read off its pencil's (`at`,
+    `at_infinity`), which holds no a_2, U_2 or bounds."""
+    frame: Tuple[Tuple[int, int, int], ...]
+    parts: List[SparsePoly]
+    conds: List[SparsePoly]
+    lin: Optional[SparsePoly]
+    alpha: Optional[SparsePoly] = None
+    u: Optional[SparsePoly] = None
+    part_bounds: Tuple[int, ...] = ()
+    cond_bounds: Tuple[int, ...] = ()
+    lin_bound: int = 0
+
+    def embed(self, emb) -> "_Frame":
+        def up(p):
+            return None if p is None else p.embed(emb)
+        return self._replace(parts=[p.embed(emb) for p in self.parts],
+                             conds=[c.embed(emb) for c in self.conds],
+                             lin=up(self.lin), alpha=up(self.alpha),
+                             u=up(self.u))
+
+    def at(self, lam: int) -> "_Frame":
+        """The frame of the fiber at lambda = lam, in the coefficient
+        field: the nonzero partials and the linear form there, and the
+        first condition that does not vanish there, which is all `points`
+        reads (`SparsePoly.restrict`).  Each closed form of `_frame` is a
+        polynomial identity in the partials' coefficients, so it commutes
+        with setting lambda."""
+        parts = [q for q in (p.restrict({3: lam}) for p in self.parts)
+                 if not q.is_zero()]
+        first = next((b for b in (c.restrict({2: lam}) for c in self.conds)
+                      if not b.is_zero()), None)
+        return _Frame(self.frame, parts, [] if first is None else [first],
+                      None if self.lin is None else
+                      self.lin.restrict({3: lam}))
+
+    def at_infinity(self) -> Optional["_Frame"]:
+        """The frame of the fiber at infinity, read off at mu = 1/lambda
+        = 0, or None when the frame moves z.  Each form's terms at its
+        bound, with lambda set to 1 and z read as x4, are the form of the
+        cubic at infinity (`residual_cubic`) moved by the same frame: its
+        partials, and each closed form of `_frame` in theirs, since every
+        such form is a sum of products whose bounds add up to its own, so
+        that its terms at the bound are the same form in the partials'
+        terms at theirs; that lies in the cubic's elimination ideal as
+        well."""
+        if [row[2] for row in self.frame] != [0, 0, 1]:
+            return None
+        parts = [q for q in map(_at_bound, self.parts, self.part_bounds)
+                 if not q.is_zero()]
+        conds = [b for b in map(_at_bound, self.conds, self.cond_bounds)
+                 if not b.is_zero()]
+        return _Frame(self.frame, parts, conds[:1],
+                      None if self.lin is None else
+                      _at_bound(self.lin, self.lin_bound))
+
+    def points(self, top: int
+               ) -> Optional[List[Tuple[Tuple[int, int, int], int]]]:
+        """The singular points of degree <= top of a plane cubic from this
+        frame of it, as `_cubic_singular_points` returns them; None when
+        no condition is left.
+
+        Every singular point other than the frame's centre (1:0:0) has a
+        direction (y2 : y3) that is a zero of the first condition, of
+        degree at most top (`_directions`); the centre is checked
+        directly.  Over a direction, the point is the root y1 = s0 / s1
+        of the linear form, where s1 does not vanish there; over the other
+        directions it comes from the gcd in y1 of the partials
+        (`lift_tails`).  Every candidate is checked on all partials, so a
+        root of the condition that carries no singular point costs one
+        check and changes no answer."""
+        if not self.conds:
+            return None
+        forms = FormLevels(self.parts)
+        lins = None if self.lin is None else FormLevels([self.lin])
+        found, rest = [], []
+        for tail, d in _directions(self.conds[0], top):
+            at = Poly.zero(forms.spec) if lins is None else \
+                lins.at(d)[0].restrict({1: tail[0], 2: tail[1]})
+            if not at[1]:
+                rest.append((tail, d))
+                continue
+            pt = [forms.spec.level(d).div_int(at[0], at[1]), *tail]
+            if all(h.evaluate(pt) == 0 for h in forms.at(d)):
+                found.append((tuple(pt), d))
+        more = lift_tails(forms, rest, top)
+        if more is None:
+            raise InconsistencyError(
+                "cubic singular along a whole line (non-reduced)")
+        out = {(canonical_point(vec_mat(y, self.frame, forms.spec.level(e)),
+                                forms.spec.level(e)), e)
+               for y, e in found + more}
+        return sorted(out, key=lambda pe: (pe[1], pe[0]))
+
+
+def _frame(form: SparsePoly, frame, bounds: Sequence[int] = (0, 0, 0)
+           ) -> _Frame:
+    """The elimination of y1 from the partials P1, P2, P3 of a form F
+    moved by a frame (x = y.m), in closed form, with the bounds of the
+    partials given by `bounds`, and those of the other forms following
+    from them.
 
     In characteristic 2 the y1^k coefficient of P1 = dF/dy1 is k + 1
     times one of F, so P1 = A y1^2 + C has no odd power of y1: the frame's
@@ -201,7 +310,8 @@ def _nucleus(parts: Sequence[SparsePoly],
     Geometries over Finite Fields*, ch. 7), A is F's value there and C a
     form in (y2, y3).  With P_j = b_j y1^2 + a_j y1 + c_j (j = 2, 3),
     A P_j + b_j P1 = A a_j y1 + U_j, U_j = A c_j + b_j C, is linear in
-    y1, so the ideal of the partials holds
+    y1: the frame's linear form is the first with A a_j nonzero.  So the
+    ideal of the partials holds
     - N_j = U_j^2 + A a_j^2 C, the resultant in y1 of P1 and P_j;
     - the binary cubic V = a_2 U_3 + a_3 U_2, the sum of a_2 (A P_3 +
       b_3 P1) and a_3 (A P_2 + b_2 P1);
@@ -211,10 +321,12 @@ def _nucleus(parts: Sequence[SparsePoly],
     order is V, when both a_j are nonzero, then each partial's own: N_j,
     U_j or the form.  Bounds add as the forms multiply: A and C have
     P1's, a_j, b_j and c_j that of P_j.  Zero conditions are left out."""
+    moved = form.linear_change(frame)
+    parts = [moved.derivative(i) for i in range(3)]
     (c1, _, a1), *rest = [_y1_coefficients(p) for p in parts]
     b1 = bounds[0]
     own = [(c1, b1)] if a1.is_zero() else []
-    pairs = []
+    pairs, lin, lin_bound = [], None, 0
     for (c, a, b), bj in zip(rest, bounds[1:]):
         if a.is_zero() and b.is_zero():
             own.append((c, bj))
@@ -223,16 +335,24 @@ def _nucleus(parts: Sequence[SparsePoly],
             own.append((u, b1 + bj) if a.is_zero() else
                        (_square(u) + a1 * _square(a) * c1, 2 * (b1 + bj)))
             pairs.append((a, u))
+            if lin is None and not a.is_zero():
+                terms = {(0,) + e: t for e, t in u.terms.items()}
+                terms.update(((1,) + e, t) for e, t in (a1 * a).terms.items())
+                lin, lin_bound = SparsePoly(form.nvars, form.spec,
+                                            terms), b1 + bj
     conds = [(f, b) for f, b in own if not f.is_zero()]
+    alpha = u2 = None
     if len(pairs) == 2 and not (pairs[0][0].is_zero()
                                 or pairs[1][0].is_zero()
                                 or own[0][0].is_zero()):
-        (a2, u2), (a3, u3) = pairs
-        v = a2 * u3 + a3 * u2
+        v = pairs[0][0] * pairs[1][1] + pairs[1][0] * pairs[0][1]
         if not v.is_zero():
-            return _Nucleus([(v, b1 + bounds[1] + bounds[2])] + conds,
-                            a2, u2)
-    return _Nucleus(conds, None, None)
+            conds.insert(0, (v, b1 + bounds[1] + bounds[2]))
+            alpha, u2 = pairs[0]
+    nonzero = [(p, b) for p, b in zip(parts, bounds) if not p.is_zero()]
+    return _Frame(frame, [p for p, _ in nonzero], [c for c, _ in conds], lin,
+                  alpha, u2, tuple(b for _, b in nonzero),
+                  tuple(b for _, b in conds), lin_bound)
 
 
 def _cubic_singular_points(cubic: SparsePoly, top: int
@@ -244,15 +364,12 @@ def _cubic_singular_points(cubic: SparsePoly, top: int
     characteristic 2.)
 
     The GF(2) frames of `centred_frames`, centred at (1:1:0) first, are
-    tried in turn: in each, `_frame_points` finds the points from the
-    conditions of `_nucleus`, unless none is left."""
+    tried in turn: in each, `_Frame.points` finds the points, unless no
+    condition is left."""
     if all(cubic.derivative(i).is_zero() for i in range(3)):
         raise InconsistencyError("cubic with identically vanishing partials")
     for fr in centred_frames(_CENTRE):
-        moved = cubic.linear_change(fr)
-        parts = [moved.derivative(i) for i in range(3)]
-        found = _frame_points([p for p in parts if not p.is_zero()],
-                              [c for c, _ in _nucleus(parts).conds], fr, top)
+        found = _frame(cubic, fr).points(top)
         if found is not None:
             return found
     raise CapabilityError(
@@ -268,65 +385,6 @@ def _directions(form: SparsePoly, top: int) -> List[Tuple[tuple, int]]:
     levels, _ = root_orbits(form.restrict({1: 1}).coeffs, form.spec, top)
     return dirs + [((r, 1), d) for d, (_, roots) in enumerate(levels, 1)
                    for r in roots]
-
-
-def _frame_points(parts: List[SparsePoly], binary: List[SparsePoly],
-                  frame, top: int
-                  ) -> Optional[List[Tuple[Tuple[int, int, int], int]]]:
-    """The singular points of degree <= top of a plane cubic from one
-    frame, as `_cubic_singular_points` returns them; None when no
-    condition is left.
-
-    `parts` are the cubic's nonzero partials moved by the frame (x = y.m)
-    and `binary` nonzero forms in (y2, y3) in the elimination ideal of
-    `parts` and k[y2, y3].  Every singular point other than the frame's
-    centre (1:0:0) then has a direction (y2 : y3) that is a zero of the
-    first of them, of degree at most top (`_directions`); the centre is
-    checked directly.  Over a direction, the point is the root of the
-    form s1 y1 + s0 of `_linear_in_y1`, y1 = s0 / s1, where s1 does not
-    vanish there; over the other directions it comes from the gcd in y1
-    of the partials (`lift_tails`).  Every candidate is checked on all
-    partials, so a root of the condition that carries no singular point
-    costs one check and changes no answer."""
-    if not binary:
-        return None
-    dirs = _directions(binary[0], top)
-    forms = FormLevels(parts)
-    lin = _linear_in_y1(parts)
-    lins = None if lin is None else FormLevels([lin])
-    found, rest = [], []
-    for tail, d in dirs:
-        at = Poly.zero(forms.spec) if lins is None else \
-            lins.at(d)[0].restrict({1: tail[0], 2: tail[1]})
-        if not at[1]:
-            rest.append((tail, d))
-            continue
-        pt = [forms.spec.level(d).div_int(at[0], at[1]), *tail]
-        if all(h.evaluate(pt) == 0 for h in forms.at(d)):
-            found.append((tuple(pt), d))
-    more = lift_tails(forms, rest, top)
-    if more is None:
-        raise InconsistencyError(
-            "cubic singular along a whole line (non-reduced)")
-    out = {(canonical_point(vec_mat(y, frame, forms.spec.level(e)),
-                            forms.spec.level(e)), e)
-           for y, e in found + more}
-    return sorted(out, key=lambda pe: (pe[1], pe[0]))
-
-
-def _linear_in_y1(parts: List[SparsePoly]) -> Optional[SparsePoly]:
-    """A form s1 y1 + s0 with s1 nonzero in the ideal of a cubic's moved
-    partials, quadrics in (y1, y2, y3): a partial of degree 1 in y1, or
-    else b A + a B for two A, B of degree 2 in y1, a and b their
-    coefficients of y1^2 (constants): the first subresultant in y1 of a
-    pair of quadrics.  None when there is neither.  Where s1 does not
-    vanish, A and B share at most the root y1 = s0 / s1."""
-    with_y1 = [p for p in parts if p.degree_in(0) >= 1]
-    lin = next((p for p in with_y1 if p.degree_in(0) == 1), None)
-    if lin is None and len(with_y1) >= 2:
-        a, b = with_y1[:2]
-        lin = a.scale(b.terms[2, 0, 0]) + b.scale(a.terms[2, 0, 0])
-    return lin if lin is not None and lin.degree_in(0) == 1 else None
 
 
 def _local_quadratic(cubic: SparsePoly, pt: Sequence[int]):
@@ -406,7 +464,7 @@ def _point_cap(spec: FieldSpec) -> int:
 
 def classify_fiber(cubic: SparsePoly,
                    position: Optional[PencilPosition] = None, *,
-                   frame=None) -> FiberReport:
+                   points=None) -> FiberReport:
     """Kodaira type of a reduced plane cubic over GF(2^k).
 
     A reduced plane cubic has at most three singular points and the set is
@@ -420,24 +478,20 @@ def classify_fiber(cubic: SparsePoly,
     points are the nodes of I2 or I3, joined by the line components, and
     a single one is read off its local expansion.
 
-    `frame`, when given, says where the singular points come from:
-    a frame already prepared for this cubic (`_FiberFrame`, the
-    lambda-discriminant's frame at the fiber's position), searched by
-    `_frame_points` unless it leaves no condition, or the points
-    themselves, already found (`_Found`: `singular_fibers` passes each
-    fiber of a Galois orbit of positions the conjugates of the points
-    of the orbit's first).  Without it, and when the frame leaves no
-    condition, they come from the cubic's own frames
-    (`_cubic_singular_points`).  Either way the type is read off as
-    above, with every check."""
+    `points`, when given, are the singular points, already found, as
+    `_cubic_singular_points` returns them (`singular_fibers` finds them
+    in the lambda-discriminant's frame, and passes each fiber of a
+    Galois orbit of positions the conjugates of the points of the
+    orbit's first); an empty list is a smooth cubic.  Without them they
+    come from the cubic's own frames (`_cubic_singular_points`).  Either
+    way the type is read off as above, with every check."""
     if cubic.nvars != 3 or cubic.spec is None:
         raise UsageError("fiber must be a ternary form over a field")
     if cubic.is_zero() or not cubic.is_homogeneous(3):
         raise InconsistencyError("residual fiber is not a cubic form")
     k = cubic.spec.degree
     top = _point_cap(cubic.spec)
-    sing = _cubic_singular_points(cubic, top) if frame is None else \
-        frame.points(cubic, top)
+    sing = _cubic_singular_points(cubic, top) if points is None else points
 
     flags: List[str] = []
     if top == 1 or (top == 2 and not sing):
@@ -573,92 +627,6 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
 # -- the lambda-discriminant and singular fibers ------------------------------
 
 
-class _FiberFrame(NamedTuple):
-    """A frame prepared for one fiber cubic, as `_frame_points` takes it:
-    the nonzero moved partials, forms in (y1, y2, y3), nonzero binary
-    conditions in (y2, y3), of which it reads the first, and the frame."""
-    parts: List[SparsePoly]
-    binary: List[SparsePoly]
-    frame: Tuple[Tuple[int, int, int], ...]
-
-    def points(self, cubic: SparsePoly, top: int):
-        """The cubic's singular points of degree <= top from this frame,
-        or from the cubic's own frames when it leaves no condition."""
-        found = _frame_points(*self, top)
-        return _cubic_singular_points(cubic, top) if found is None else found
-
-
-class _Found(NamedTuple):
-    """A fiber cubic's singular points, already found, as
-    `_cubic_singular_points` returns them."""
-    found: List[Tuple[Tuple[int, int, int], int]]
-
-    def points(self, cubic: SparsePoly, top: int):
-        return self.found
-
-
-# On g, in (x1, x2, z, lambda), every term has deg_lambda - deg_z <= 1:
-# c x1^i x2^j x3^k x4^l of the quartic became c x1^i x2^j z^(k+l-1)
-# lambda^l, with 1 - k.  A frame that leaves z alone keeps that bound on
-# the moved g and on its partials in y1 and y2, and d/dz raises it by one.
-# The terms at the bound are those with k = 0: the fiber at infinity.
-_PART_BOUNDS = (1, 1, 2)
-
-
-def _at_bound(p: SparsePoly, bound: int) -> SparsePoly:
-    """The terms of p, in (..., z, lambda), with deg_lambda - deg_z equal
-    to `bound`, with lambda set to 1 and dropped."""
-    return SparsePoly(p.nvars - 1, p.spec, {
-        e[:-1]: c for e, c in p.terms.items() if e[-1] - e[-2] == bound})
-
-
-class _PencilFrame(NamedTuple):
-    """The frame of the lambda-discriminant, kept for the fibers: the
-    moved pencil partials, forms in (y1, y2, y3, lambda), the conditions
-    of `_nucleus` on them, forms in (y2, y3, lambda), V first when it is
-    there, and the bound on deg_lambda - deg_z of each (`_PART_BOUNDS`;
-    the conditions' follow from them)."""
-    frame: Tuple[Tuple[int, int, int], ...]
-    parts: List[SparsePoly]
-    conds: List[SparsePoly]
-    part_bounds: Tuple[int, ...]
-    cond_bounds: Tuple[int, ...]
-
-    def embed(self, emb) -> "_PencilFrame":
-        return self._replace(parts=[p.embed(emb) for p in self.parts],
-                             conds=[c.embed(emb) for c in self.conds])
-
-    def at(self, lam: int) -> _FiberFrame:
-        """The frame of the fiber at lambda = lam, in the coefficient field,
-        as `classify_fiber` takes it: the nonzero partials there and the
-        first condition that does not vanish there, which is all
-        `_frame_points` reads (`SparsePoly.restrict`)."""
-        parts = [q for q in (p.restrict({3: lam}) for p in self.parts)
-                 if not q.is_zero()]
-        first = next((b for b in (c.restrict({2: lam}) for c in self.conds)
-                      if not b.is_zero()), None)
-        return _FiberFrame(parts, [] if first is None else [first],
-                           self.frame)
-
-    def at_infinity(self) -> Optional[_FiberFrame]:
-        """The frame of the fiber at infinity, read off at mu = 1/lambda
-        = 0, or None when the frame moves z.  Each form's terms at its
-        bound, with lambda set to 1 and z read as x4, are the form of the
-        cubic at infinity (`residual_cubic`) moved by the same frame: its
-        partials, and each closed form of `_nucleus` in theirs, since
-        every such form is a sum of products whose bounds add up to its
-        own, so that its terms at the bound are the same form in the
-        partials' terms at theirs; that lies in the cubic's elimination
-        ideal as well."""
-        if [row[2] for row in self.frame] != [0, 0, 1]:
-            return None
-        parts = [q for q in map(_at_bound, self.parts, self.part_bounds)
-                 if not q.is_zero()]
-        binary = [b for b in map(_at_bound, self.conds, self.cond_bounds)
-                  if not b.is_zero()]
-        return _FiberFrame(parts, binary[:1], self.frame)
-
-
 def _binary_rows(form: SparsePoly, length: int) -> List[Poly]:
     """A form in (y2, y3, lambda), binary of formal degree length - 1 in
     (y2 : y3), at y2 = 1 by its rows: coefficients y2-major, each a
@@ -666,9 +634,9 @@ def _binary_rows(form: SparsePoly, length: int) -> List[Poly]:
     return form.restrict({0: 1}).rows(length)
 
 
-def _positions(nucleus: _Nucleus) -> Optional[Poly]:
+def _positions(frame: _Frame) -> Optional[Poly]:
     """A nonzero polynomial in lambda vanishing wherever the conditions of
-    `_nucleus` on the pencil share a zero (y2 : y3), or None.
+    a pencil's frame share a zero (y2 : y3), or None.
 
     When V heads them, G = Res(N_2, V) / U_2(b, a)^2, (b : a) the zero of
     a_2 = a y2 + b y3.  Over a root r of N_2, the point of {P1 = 0,
@@ -680,12 +648,12 @@ def _positions(nucleus: _Nucleus) -> Optional[Poly]:
     y1-resultants: G has the same roots at half the degree.  None when
     U_2(b, a) = 0, since N_2 and V then share a zero.  Without V, the
     first nonzero resultant of two conditions (`eliminant`)."""
-    conds = [c for c, _ in nucleus.conds]
-    if nucleus.alpha is None:
+    conds = frame.conds
+    if frame.alpha is None:
         return eliminant([_binary_rows(c, max(e[0] + e[1] for e in c.terms)
                                        + 1) for c in conds])
-    a, b = _binary_rows(nucleus.alpha, 2)
-    u = _binary_rows(nucleus.u, 3)
+    a, b = _binary_rows(frame.alpha, 2)
+    u = _binary_rows(frame.u, 3)
     at_zero = u[0] * b * b + u[1] * a * b + u[2] * a * a
     if at_zero.is_zero():
         return None
@@ -700,7 +668,7 @@ def _positions(nucleus: _Nucleus) -> Optional[Poly]:
 
 
 def _lambda_discriminant(pencil: ResidualPencil
-                         ) -> Tuple[Poly, Optional[_PencilFrame]]:
+                         ) -> Tuple[Poly, Optional[_Frame]]:
     """A univariate polynomial in lambda vanishing at every singular
     finite fiber (spurious extra roots allowed; they are filtered by the
     classifier), and the frame it was found in; zero and None when every
@@ -708,7 +676,7 @@ def _lambda_discriminant(pencil: ResidualPencil
 
     Strategy: in the first usable GF(2) frame of `centred_frames`, the
     one centred at (1:1:0) on the line first, eliminate y1 from the three
-    partials of the fiber cubic in closed form (`_nucleus`), then
+    partials of the fiber cubic in closed form (`_frame`), then
     (y2 : y3) by one binary-form resultant over GF(2^k)[lambda]
     (`_positions`).  That frame leaves z alone, so every moved partial
     keeps the weight of g, whose coefficient of z^m has lambda-degree at
@@ -722,20 +690,14 @@ def _lambda_discriminant(pencil: ResidualPencil
     (every fiber singular at P, so the surface is singular) is skipped,
     and so is one that leaves no positions."""
     partials = [pencil.g.derivative(i) for i in range(3)]
-    for frame in centred_frames(_CENTRE):
-        at_centre = gcd_at_tail(partials, 3, frame[0])
+    for fr in centred_frames(_CENTRE):
+        at_centre = gcd_at_tail(partials, 3, fr[0])
         if at_centre is None:
             continue
-        moved = pencil.g.linear_change(frame)
-        parts = [moved.derivative(i) for i in range(3)]
-        nucleus = _nucleus(parts, _PART_BOUNDS)
-        dm = _positions(nucleus)
+        frame = _frame(pencil.g, fr, _PART_BOUNDS)
+        dm = _positions(frame)
         if dm is not None:
-            forms, bounds = zip(*[(p, b) for p, b in zip(parts, _PART_BOUNDS)
-                                  if not p.is_zero()])
-            conds, cond_bounds = zip(*nucleus.conds)
-            return dm * at_centre, _PencilFrame(
-                frame, list(forms), list(conds), bounds, cond_bounds)
+            return dm * at_centre, frame
     return Poly.zero(pencil.spec), None
 
 
@@ -753,17 +715,13 @@ def singular_fibers(pencil: ResidualPencil,
     fibers and no flag at all, the sum itself.
 
     A finite fiber's singular points come from the lambda-discriminant's
-    frame, embedded once per level and specialised at the root: each
-    closed form of `_nucleus` is a polynomial identity in the partials'
-    coefficients, so it commutes with setting lambda, and the specialised
-    conditions lie in
-    the elimination ideal of the fiber's moved partials.  They are
-    searched once per Galois orbit of roots, at its first; each conjugate
-    gets the conjugates of those points (`_conjugates`) and its own
+    frame, embedded once per level and read at the root (`_Frame.at`),
+    once per Galois orbit of roots, at its first; each conjugate gets the
+    conjugates of those points (`_conjugates`) and its own
     `classify_fiber`.  The fiber at infinity reads the same frame at
-    mu = 1/lambda = 0 (`_PencilFrame.at_infinity`).  When the conditions
-    all vanish at a root, or at infinity, or the frame moves z, the fiber
-    falls back to its own frames."""
+    mu = 1/lambda = 0 (`_Frame.at_infinity`).  When the conditions all
+    vanish at a root, or at infinity, or the frame moves z, the fiber
+    falls back to its own frames (`_cubic_singular_points`)."""
     spec = pencil.spec
     disc, frame = _lambda_discriminant(pencil)
     if disc.is_zero():
@@ -783,14 +741,17 @@ def singular_fibers(pencil: ResidualPencil,
         for r in roots:
             pos = PencilPosition("finite", r, m)
             cubic = residual_cubic(pencil, pos)
-            known = conjugate.pop(r, None)
-            if known is None:
-                known = _Found(on_level.at(r).points(cubic, top))
-                conjugate.update(_conjugates(r, known.found, target,
-                                             spec.size, m))
-            found.append(classify_fiber(cubic, pos, frame=known))
-    found.append(classify_fiber(residual_cubic(pencil, POS_INF), POS_INF,
-                                frame=frame.at_infinity()))
+            points = conjugate.pop(r, None)
+            if points is None:
+                points = on_level.at(r).points(top)
+                if points is None:
+                    points = _cubic_singular_points(cubic, top)
+                conjugate.update(_conjugates(r, points, target, spec.size, m))
+            found.append(classify_fiber(cubic, pos, points=points))
+    inf = frame.at_infinity()
+    found.append(classify_fiber(
+        residual_cubic(pencil, POS_INF), POS_INF,
+        points=None if inf is None else inf.points(_point_cap(spec))))
     reports = [rep for rep in found if rep.kodaira != "smooth"]
     if flags is None:
         return reports
@@ -813,7 +774,7 @@ def singular_fibers(pencil: ResidualPencil,
 
 
 def _conjugates(r: int, points, field: FieldSpec, q: int, m: int
-                ) -> Dict[int, _Found]:
+                ) -> Dict[int, List[Tuple[Tuple[int, int, int], int]]]:
     """The singular points of the fibers at the conjugates of a position
     r of degree m over GF(q) in `field`, from those at r: sigma^j, x ->
     x^(q^j), maps the cubic at r to the cubic at sigma^j(r), so it maps
@@ -823,9 +784,9 @@ def _conjugates(r: int, points, field: FieldSpec, q: int, m: int
     out = {}
     for j in range(1, m):
         e = q ** j
-        out[field.pow_int(r, e)] = _Found(sorted(
+        out[field.pow_int(r, e)] = sorted(
             ((tuple(field.level(d).pow_int(c, e) for c in pt), d)
-             for pt, d in points), key=lambda pd: (pd[1], pd[0])))
+             for pt, d in points), key=lambda pd: (pd[1], pd[0]))
     return out
 
 

@@ -1,5 +1,6 @@
-"""The source check of scripts/bench.py: a paired run stops when a file
-it measures changes under it."""
+"""scripts/bench.py on synthetic trees and runs: the source check (a
+paired run stops when a file it measures changes under it), the
+verdicts, the traced metrics side by side and the code size."""
 
 import importlib.util
 from pathlib import Path
@@ -75,3 +76,20 @@ def test_traced_metrics_side_by_side_on_synthetic_runs():
         "parent": 0.01, "change": None, "ratio": None}
     assert out["report.new"] == {"parent": None, "change": 2.0,
                                  "ratio": None}
+
+
+def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
+    files = {"src/quartic_lines/a.py": "x = 1\ny = 2\n",
+             "src/quartic_lines/b.py": "\n\n\nz = 3",  # no last newline
+             "src/quartic_lines/notes.txt": "n\n" * 50,
+             "src/quartic_lines/sub/c.py": "c = 1\n" * 7,
+             "src/other/d.py": "d = 1\n" * 9,
+             "scripts/e.py": "e = 1\n" * 11}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    # wc -l src/quartic_lines/*.py: 2 + 3 newlines, nothing else
+    assert bench.src_lines(str(tmp_path)) == 5
+    (tmp_path / "src/quartic_lines/a.py").write_text("x = 1\n" * 40)
+    (tmp_path / "src/quartic_lines/b.py").unlink()
+    assert bench.src_lines(str(tmp_path)) == 40

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from quartic_lines import geometry
 from quartic_lines.cli import _VERIFY, main
 from quartic_lines.errors import UsageError
 from quartic_lines.field import FieldSpec
@@ -148,6 +149,18 @@ def test_limit_is_not_an_input_error(capsys):
     code, out, err = run(capsys, "lines", "--surface", "z0", "--ext", "9")
     assert code == 3 and out == ""
     assert err.startswith("error: limit:") and "2^16" in err
+
+
+def test_census_chart_out_of_memory_is_a_limit(capsys, monkeypatch):
+    # a chart that cannot be allocated (2^32 points at GF(2^16)) is a
+    # limit, not a traceback; simulated, since the real chart is 16 GiB
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(geometry, "_eval_on_grid", out_of_memory)
+    code, out, err = run(capsys, "lines", "--surface", "z0", "--ext", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("error: limit:") and "GF(2^4)" in err
 
 
 def _gf2_model_file(tmp_path, a6=("0x0", "0x0", "0x0", "0x0", "0x1")):

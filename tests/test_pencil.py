@@ -21,8 +21,9 @@ from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, POS_INF,
                                   POS_ZERO, PencilPosition, ResidualPencil,
                                   _audit_one_fiber,
                                   _cubic_singular_points, _eval_form,
-                                  _form_derivs, _frame_points,
+                                  _form_derivs, _frame,
                                   _lambda_discriminant, _local_quadratic,
+                                  _positions,
                                   classify_fiber,
                                   euler_budget_audit, fiber_line_count,
                                   ramification_type,
@@ -509,8 +510,8 @@ def test_fiber_singular_only_at_the_frame_centre():
     # centre by its direct check
     frames = {pos: on_level.at(pos.bits)
               for pos, _, _, on_level in _pencil_fiber_frames(pencil)}
-    assert frames[lam][2] == _LINE_FRAME
-    assert _frame_points(*frames[lam], 3) == [((1, 1, 0), 1)]
+    assert frames[lam].frame == _LINE_FRAME
+    assert frames[lam].points(3) == [((1, 1, 0), 1)]
 
 
 def _pencil_fiber_frames(pencil, max_ext=6):
@@ -542,7 +543,7 @@ def test_fiber_frames_match_the_cubics_own_frames(s5_surface, s5_lines):
     singular = 0
     for pencil in pencils:
         for pos, cubic, top, on_level in _pencil_fiber_frames(pencil):
-            got = _frame_points(*on_level.at(pos.bits), top)
+            got = on_level.at(pos.bits).points(top)
             assert got is not None, pos
             assert got == _cubic_singular_points(cubic, top), pos
             seen.add((cubic.spec.degree, pos.ext, top))
@@ -562,12 +563,13 @@ def test_fiber_frame_without_conditions_falls_back_to_the_cubics_frames():
         zero = SparsePoly.zero(3, cubic.spec)
         zeroed = on_level._replace(
             conds=[zero] * len(on_level.conds)).at(pos.bits)
-        assert on_level.conds and zeroed[1] == [] and zeroed[0]
-        assert _frame_points(*zeroed, top) is None
+        assert on_level.conds and zeroed.conds == [] and zeroed.parts
+        assert zeroed.points(top) is None
         want = classify_fiber(cubic, pos).to_json()
-        assert classify_fiber(cubic, pos, frame=zeroed).to_json() == want
-        assert classify_fiber(cubic, pos, frame=on_level.at(
-            pos.bits)).to_json() == want
+        assert classify_fiber(cubic, pos, points=zeroed.points(
+            top)).to_json() == want
+        assert classify_fiber(cubic, pos, points=on_level.at(
+            pos.bits).points(top)).to_json() == want
         singular += want["kodaira"] != "smooth"
     assert singular == 5
 
@@ -627,7 +629,8 @@ def test_residual_cubic_matches_the_substitution(s5_surface):
             lam = SparsePoly.constant(4, target, pos.bits)
             want = [p.substitute({3: lam}).drop_vars([0, 1, 2])
                     for p in on.parts]
-            assert on.at(pos.bits)[0] == [p for p in want if not p.is_zero()]
+            assert on.at(pos.bits).parts == [p for p in want
+                                             if not p.is_zero()]
 
 
 def _in_y1_at(p, y2, y3):
@@ -872,15 +875,6 @@ def _oracle_pencils():
     return pencils
 
 
-def _own_frame(cubic, frame):
-    """The nonzero partials of the cubic moved by the frame, and its
-    conditions there, as `_cubic_singular_points` forms them."""
-    moved = cubic.linear_change(frame)
-    parts = [moved.derivative(i) for i in range(3)]
-    conds = [c for c, _ in pencil_module._nucleus(parts).conds]
-    return [p for p in parts if not p.is_zero()], conds, frame
-
-
 def test_fiber_at_infinity_read_off_the_frame_matches_its_own_frames():
     read = 0
     for pencil in _oracle_pencils():
@@ -890,13 +884,12 @@ def test_fiber_at_infinity_read_off_the_frame_matches_its_own_frames():
         inf = frame.at_infinity()
         assert inf is not None
         # the pencil's moved partials at their bounds are the cubic's own
-        own = _own_frame(cubic, frame.frame)
-        assert inf.parts == own[0]
-        if inf.binary:
+        assert inf.parts == _frame(cubic, frame.frame).parts
+        if inf.conds:
             read += 1
-            assert _frame_points(*inf, top) == \
-                _cubic_singular_points(cubic, top)
-        assert classify_fiber(cubic, POS_INF, frame=inf).to_json() == \
+            assert inf.points(top) == _cubic_singular_points(cubic, top)
+        assert classify_fiber(cubic, POS_INF,
+                              points=inf.points(top)).to_json() == \
             classify_fiber(cubic, POS_INF).to_json()
     assert read == len(_oracle_pencils()) == 107
 
@@ -911,20 +904,20 @@ def test_fiber_at_infinity_falls_back_in_a_frame_that_moves_z(monkeypatch):
     pencils += [ResidualPencil(surf, axis_line(FieldSpec.default(3)))
                 for surf in _sweep_surfaces(3)]
     want = [[r.to_json() for r in singular_fibers(p)] for p in pencils]
-    frames = []
+    found = []
     current = pencil_module.classify_fiber
 
-    def spy(cubic, position=None, *, frame=None):
+    def spy(cubic, position=None, *, points=None):
         if position == POS_INF:
-            frames.append(frame)
-        return current(cubic, position, frame=frame)
+            found.append(points)
+        return current(cubic, position, points=points)
 
     monkeypatch.setattr(pencil_module, "_CENTRE", (1, 1, 1))
     monkeypatch.setattr(pencil_module, "classify_fiber", spy)
     for pencil, reports in zip(pencils, want):
         assert _lambda_discriminant(pencil)[1].frame[0] == (1, 1, 1)
         assert [r.to_json() for r in singular_fibers(pencil)] == reports
-    assert frames == [None] * len(pencils)
+    assert found == [None] * len(pencils)
     # of the GF(2) frames, those that leave z alone are read at infinity
     _, frame = _lambda_discriminant(pencils[0])
     for fr in centred_frames((1, 1, 0)):
@@ -946,7 +939,8 @@ def test_conjugate_fibers_match_their_own_search():
         for pos, cubic, top, on_level in _pencil_fiber_frames(pencil):
             if pos.ext == 1:
                 continue
-            want = classify_fiber(cubic, pos, frame=on_level.at(pos.bits))
+            want = classify_fiber(cubic, pos, points=on_level.at(
+                pos.bits).points(top))
             assert got.get(pos) == (want.to_json() if want.kodaira
                                     != "smooth" else None), pos
             degrees[pos.ext, want.kodaira] += 1
@@ -954,18 +948,20 @@ def test_conjugate_fibers_match_their_own_search():
     assert {m for m, _ in degrees} == {2, 3, 4, 5}
 
 
-def _frame_points_by_gcd(parts, binary, frame, top):
+def _frame_points_by_gcd(fr, top):
     """The former `_frame_points`: every direction lifted to P^2 by the
     gcd in y1 of the partials there (`lift_tails`)."""
-    if not binary:
+    if not fr.conds:
         return None
-    dirs = lift_tails(FormLevels(binary), [((1,), 1)], top)
-    forms = FormLevels(parts)
+    dirs = lift_tails(FormLevels(fr.conds), [((1,), 1)], top)
+    forms = FormLevels(fr.parts)
     found = lift_tails(forms, dirs, top)
     assert found is not None
-    return sorted({(canonical_point(vec_mat(y, frame, forms.spec.level(e)),
-                                    forms.spec.level(e)), e)
-                   for y, e in found}, key=lambda pe: (pe[1], pe[0]))
+    out = set()
+    for y, e in found:
+        spec = forms.spec.level(e)
+        out.add((canonical_point(vec_mat(y, fr.frame, spec), spec), e))
+    return sorted(out, key=lambda pe: (pe[1], pe[0]))
 
 
 def test_linear_lift_finds_the_points_of_the_gcd_lift():
@@ -980,9 +976,9 @@ def test_linear_lift_finds_the_points_of_the_gcd_lift():
                    in _pencil_fiber_frames(pencil)]
         for cubic, at in fibers:
             top = min(3, MAX_DEGREE // cubic.spec.degree)
-            for fr in (at, _own_frame(cubic, next(centred_frames((1, 1, 0))))):
-                want = _frame_points_by_gcd(*fr, top)
-                assert _frame_points(*fr, top) == want
+            for fr in (at, _frame(cubic, next(centred_frames((1, 1, 0))))):
+                want = _frame_points_by_gcd(fr, top)
+                assert fr.points(top) == want
                 lifted += bool(want)
     assert lifted > 1000
 
@@ -1030,20 +1026,23 @@ def _y1_resultant(p, q):
 
 
 def _nucleus_cases():
-    """(moved partials P1, P2, P3) of random cubics over GF(2) to GF(256)
-    in every GF(2) frame, and of the oracle pencils in their
-    lambda-discriminant's frame."""
+    """(form, frame): random cubics over GF(2) to GF(256) in every GF(2)
+    frame, and the oracle pencils in their lambda-discriminant's frame."""
     rng = random.Random("nucleus-cases")
     for k in range(1, 9):
         spec = FieldSpec.default(k)
         for _ in range(3):
             cubic = _random_form(rng, 3, spec, 3)
             for frame in centred_frames((1, 1, 0)):
-                moved = cubic.linear_change(frame)
-                yield [moved.derivative(i) for i in range(3)]
+                yield cubic, frame
     for pencil in _oracle_pencils():
-        moved = pencil.g.linear_change(_LINE_FRAME)
-        yield [moved.derivative(i) for i in range(3)]
+        yield pencil.g, _LINE_FRAME
+
+
+def _moved_partials(form, frame):
+    """The partials P1, P2, P3 of the form moved by the frame."""
+    moved = form.linear_change(frame)
+    return [moved.derivative(i) for i in range(3)]
 
 
 def test_nucleus_conditions_are_the_y1_resultants():
@@ -1051,9 +1050,10 @@ def test_nucleus_conditions_are_the_y1_resultants():
     # condition U_j is its square root; with both a_j nonzero the binary
     # cubic V heads the conditions; with A = 0 the forms free of y1 are
     with_v = roots = 0
-    for parts in _nucleus_cases():
-        nucleus = pencil_module._nucleus(parts)
-        conds = [c for c, _ in nucleus.conds]
+    for form, frame in _nucleus_cases():
+        parts = _moved_partials(form, frame)
+        nucleus = _frame(form, frame)
+        conds = nucleus.conds
         free = [p.drop_vars(range(1, p.nvars)) for p in parts
                 if not p.is_zero() and p.degree_in(0) == 0]
         if parts[0].degree_in(0) < 2:
@@ -1070,6 +1070,29 @@ def test_nucleus_conditions_are_the_y1_resultants():
                 roots += 1
                 assert _square(c) in res
     assert with_v > 100 and roots > 0
+
+
+def test_frame_linear_form_is_a_p_j_plus_b_j_p1():
+    # s1 y1 + s0 = A P_j + b_j P1, of y1-degree 1, for the first j with
+    # A a_j nonzero (A, a_j, b_j: the y1^2 coefficient of P1, the y1 and
+    # y1^2 coefficients of P_j); None when A = 0 or no a_j is nonzero
+    formed = without_a = 0
+    for form, frame in _nucleus_cases():
+        parts = _moved_partials(form, frame)
+        lin = _frame(form, frame).lin
+        zero = SparsePoly.zero(form.nvars, form.spec)
+        by_power = [p.coefficients_in(0) for p in parts]
+        a = by_power[0].get(2, zero)
+        j = next((j for j in (1, 2)
+                  if not (a * by_power[j].get(1, zero)).is_zero()), None)
+        if j is None:
+            without_a += a.is_zero()
+            assert lin is None
+            continue
+        formed += 1
+        assert lin == a * parts[j] + by_power[j].get(2, zero) * parts[0]
+        assert lin.degree_in(0) == 1
+    assert formed > 100 and without_a > 0
 
 
 def _former_eliminant(pencil, frame):
@@ -1093,18 +1116,41 @@ def test_positions_polynomial_is_the_square_root_of_the_former():
     squares = 0
     for pencil in _oracle_pencils():
         disc, frame = _lambda_discriminant(pencil)
-        moved = pencil.g.linear_change(frame.frame)
-        nucleus = pencil_module._nucleus(
-            [moved.derivative(i) for i in range(3)])
-        g = pencil_module._positions(nucleus)
+        own = _frame(pencil.g, frame.frame)
+        g = _positions(own)
         former = _former_eliminant(pencil, frame.frame)
         at_centre = gcd_at_tail([pencil.g.derivative(i) for i in range(3)],
                                 3, frame.frame[0])
         assert disc == g * at_centre
-        if nucleus.alpha is not None:
+        if own.alpha is not None:
             squares += 1
             assert g * g == former
         cap = MAX_DEGREE // pencil.spec.degree
         assert root_orbits(disc.coeffs, pencil.spec, cap) == \
             root_orbits((former * at_centre).coeffs, pencil.spec, cap)
     assert squares == 98
+
+
+def test_a_to_the_fourth_divides_the_positions_polynomial():
+    # where V heads the conditions, A, the y1^2 coefficient of the moved
+    # P1 (the fiber cubic's value at the frame's centre, of degree at most
+    # 1 in lambda; 1 on 94 of them), divides the positions polynomial G
+    # four times over: the ground of Delta = G / A^4; the other 9 oracle
+    # pencils form no V
+    divided = linear = without_v = 0
+    for pencil in _oracle_pencils():
+        _, frame = _lambda_discriminant(pencil)
+        if frame.alpha is None:
+            without_v += 1
+            continue
+        p1 = pencil.g.linear_change(frame.frame).derivative(0)
+        coeffs = [0, 0]
+        for e, c in p1.terms.items():
+            if e[0] == 2:
+                coeffs[e[3]] ^= c
+        a = Poly(pencil.spec, coeffs)
+        _, rem = _positions(frame).divmod(a * a * a * a)
+        assert rem.is_zero() and a.degree() in (0, 1)
+        divided += 1
+        linear += a.degree() == 1
+    assert divided == 98 and linear == 94 and without_v == 9
