@@ -20,8 +20,8 @@ The singular points of the fiber cubics, and the lambda-discriminant,
 come from one elimination of y1 in a GF(2) frame whose centre is the
 nucleus of the conic its partial cuts, held in one `_Frame` (`_frame`):
 closed-form conditions in (y2 : y3), their resultant for the positions,
-the roots of one of them for the directions, and a form linear in y1
-that lifts them, with `geometry.lift_tails` where it does not reach.
+the roots of one of them for the directions, and forms linear in y1
+that lift them, with `geometry.lift_tails` where they do not reach.
 The pencil's frame is read at each fiber, once per Galois orbit of
 positions (`_conjugates`), and `classify_fiber` takes the points found.
 """
@@ -199,64 +199,64 @@ class _Frame(NamedTuple):
     """The elimination of y1 from a form's partials in one GF(2) frame
     (`_frame`): the frame, the nonzero moved partials, forms in (y1, y2,
     y3, then any other variables), the conditions they leave in (y2, y3,
-    ...), V first when it is there, and the form s1 y1 + s0 = A P_j +
-    b_j P1 (None without one); a_2 and U_2 when V heads the conditions,
-    for `_positions` (else None); and the bound on deg_lambda - deg_z of
-    each partial, condition and of the linear form (`_PART_BOUNDS`), by
-    which a fiber's frame is read off its pencil's (`at`,
-    `at_infinity`), which holds no a_2, U_2 or bounds."""
+    ...), V first when it is there, and forms s1 y1 + s0 with s1 nonzero
+    that the partials' ideal holds (`_frame`); a_2 and U_2 when V heads
+    the conditions, for `_positions` (else None).  The pencil's frame
+    alone has `bounds`: those on deg_lambda - deg_z of each partial,
+    condition and linear form (`_PART_BOUNDS`), by which the fiber at
+    infinity is read off it (`at_infinity`).  A cubic's own frame has
+    none; an embedded frame (`embed`) and a fiber's (`at`) hold the first
+    four fields only."""
     frame: Tuple[Tuple[int, int, int], ...]
     parts: List[SparsePoly]
     conds: List[SparsePoly]
-    lin: Optional[SparsePoly]
+    lins: List[SparsePoly]
     alpha: Optional[SparsePoly] = None
     u: Optional[SparsePoly] = None
-    part_bounds: Tuple[int, ...] = ()
-    cond_bounds: Tuple[int, ...] = ()
-    lin_bound: int = 0
+    bounds: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     def embed(self, emb) -> "_Frame":
-        def up(p):
-            return None if p is None else p.embed(emb)
-        return self._replace(parts=[p.embed(emb) for p in self.parts],
-                             conds=[c.embed(emb) for c in self.conds],
-                             lin=up(self.lin), alpha=up(self.alpha),
-                             u=up(self.u))
+        """The forms that `at` reads, over a larger field."""
+        return _Frame(self.frame, *[[f.embed(emb) for f in forms] for forms
+                                    in (self.parts, self.conds, self.lins)])
 
     def at(self, lam: int) -> "_Frame":
         """The frame of the fiber at lambda = lam, in the coefficient
-        field: the nonzero partials and the linear form there, and the
-        first condition that does not vanish there, which is all `points`
-        reads (`SparsePoly.restrict`).  Each closed form of `_frame` is a
+        field (`SparsePoly.restrict`).  Each closed form of `_frame` is a
         polynomial identity in the partials' coefficients, so it commutes
         with setting lambda."""
-        parts = [q for q in (p.restrict({3: lam}) for p in self.parts)
-                 if not q.is_zero()]
-        first = next((b for b in (c.restrict({2: lam}) for c in self.conds)
-                      if not b.is_zero()), None)
-        return _Frame(self.frame, parts, [] if first is None else [first],
-                      None if self.lin is None else
-                      self.lin.restrict({3: lam}))
+        return self._read((p.restrict({3: lam}) for p in self.parts),
+                          (c.restrict({2: lam}) for c in self.conds),
+                          (f.restrict({3: lam}) for f in self.lins))
 
     def at_infinity(self) -> Optional["_Frame"]:
-        """The frame of the fiber at infinity, read off at mu = 1/lambda
-        = 0, or None when the frame moves z.  Each form's terms at its
-        bound, with lambda set to 1 and z read as x4, are the form of the
-        cubic at infinity (`residual_cubic`) moved by the same frame: its
-        partials, and each closed form of `_frame` in theirs, since every
-        such form is a sum of products whose bounds add up to its own, so
-        that its terms at the bound are the same form in the partials'
-        terms at theirs; that lies in the cubic's elimination ideal as
-        well."""
+        """The frame of the fiber at infinity, read off the pencil's frame
+        at mu = 1/lambda = 0, or None when the frame moves z.  Each form's
+        terms at its bound, with lambda set to 1 and z read as x4, are the
+        form of the cubic at infinity (`residual_cubic`) moved by the same
+        frame: its partials, and each closed form of `_frame` in theirs,
+        since every such form is a sum of products whose bounds add up to
+        its own, so that its terms at the bound are the same form in the
+        partials' terms at theirs; that lies in the cubic's elimination
+        ideal as well."""
+        if self.bounds is None:
+            raise ValueError("only the pencil's frame is read at infinity")
         if [row[2] for row in self.frame] != [0, 0, 1]:
             return None
-        parts = [q for q in map(_at_bound, self.parts, self.part_bounds)
-                 if not q.is_zero()]
-        conds = [b for b in map(_at_bound, self.conds, self.cond_bounds)
-                 if not b.is_zero()]
-        return _Frame(self.frame, parts, conds[:1],
-                      None if self.lin is None else
-                      _at_bound(self.lin, self.lin_bound))
+        return self._read(*(map(_at_bound, forms, bounds) for forms, bounds
+                            in zip((self.parts, self.conds, self.lins),
+                                   self.bounds)))
+
+    def _read(self, parts, conds, lins) -> "_Frame":
+        """A fiber's frame from the pencil's forms read at the fiber: its
+        nonzero partials, the first condition that does not vanish and
+        the first linear form that keeps an y1 term, which is all
+        `points` reads."""
+        first = next((c for c in conds if not c.is_zero()), None)
+        return _Frame(self.frame, [p for p in parts if not p.is_zero()],
+                      [] if first is None else [first],
+                      next(([f] for f in lins if any(e[0] for e in f.terms)),
+                           []))
 
     def points(self, top: int
                ) -> Optional[List[Tuple[Tuple[int, int, int], int]]]:
@@ -268,25 +268,26 @@ class _Frame(NamedTuple):
         direction (y2 : y3) that is a zero of the first condition, of
         degree at most top (`_directions`); the centre is checked
         directly.  Over a direction, the point is the root y1 = s0 / s1
-        of the linear form, where s1 does not vanish there; over the other
-        directions it comes from the gcd in y1 of the partials
+        of the first linear form whose s1 does not vanish there; over the
+        other directions it comes from the gcd in y1 of the partials
         (`lift_tails`).  Every candidate is checked on all partials, so a
         root of the condition that carries no singular point costs one
         check and changes no answer."""
         if not self.conds:
             return None
         forms = FormLevels(self.parts)
-        lins = None if self.lin is None else FormLevels([self.lin])
+        lins = FormLevels(self.lins) if self.lins else None
         found, rest = [], []
         for tail, d in _directions(self.conds[0], top):
-            at = Poly.zero(forms.spec) if lins is None else \
-                lins.at(d)[0].restrict({1: tail[0], 2: tail[1]})
-            if not at[1]:
+            for lin in lins.at(d) if lins else ():
+                at = lin.restrict({1: tail[0], 2: tail[1]})
+                if at[1]:
+                    pt = [forms.spec.level(d).div_int(at[0], at[1]), *tail]
+                    if all(h.evaluate(pt) == 0 for h in forms.at(d)):
+                        found.append((tuple(pt), d))
+                    break
+            else:
                 rest.append((tail, d))
-                continue
-            pt = [forms.spec.level(d).div_int(at[0], at[1]), *tail]
-            if all(h.evaluate(pt) == 0 for h in forms.at(d)):
-                found.append((tuple(pt), d))
         more = lift_tails(forms, rest, top)
         if more is None:
             raise InconsistencyError(
@@ -297,12 +298,19 @@ class _Frame(NamedTuple):
         return sorted(out, key=lambda pe: (pe[1], pe[0]))
 
 
-def _frame(form: SparsePoly, frame, bounds: Sequence[int] = (0, 0, 0)
-           ) -> _Frame:
+def _in_y1(s1: SparsePoly, s0: SparsePoly) -> SparsePoly:
+    """The form s1 y1 + s0, y1 put first, from forms in the other
+    variables."""
+    terms = {(1,) + e: c for e, c in s1.terms.items()}
+    terms.update(((0,) + e, c) for e, c in s0.terms.items())
+    return SparsePoly(s1.nvars + 1, s1.spec, terms)
+
+
+def _frame(form: SparsePoly, frame,
+           bounds: Optional[Sequence[int]] = None) -> _Frame:
     """The elimination of y1 from the partials P1, P2, P3 of a form F
-    moved by a frame (x = y.m), in closed form, with the bounds of the
-    partials given by `bounds`, and those of the other forms following
-    from them.
+    moved by a frame (x = y.m), in closed form; with the bounds of the
+    partials, when given, those of the other forms follow from them.
 
     In characteristic 2 the y1^k coefficient of P1 = dF/dy1 is k + 1
     times one of F, so P1 = A y1^2 + C has no odd power of y1: the frame's
@@ -310,8 +318,9 @@ def _frame(form: SparsePoly, frame, bounds: Sequence[int] = (0, 0, 0)
     Geometries over Finite Fields*, ch. 7), A is F's value there and C a
     form in (y2, y3).  With P_j = b_j y1^2 + a_j y1 + c_j (j = 2, 3),
     A P_j + b_j P1 = A a_j y1 + U_j, U_j = A c_j + b_j C, is linear in
-    y1: the frame's linear form is the first with A a_j nonzero.  So the
-    ideal of the partials holds
+    y1, and so is b_3 P_2 + b_2 P_3: these, in that order, are the
+    frame's linear forms, those with an y1 term (b_3 P_2 + b_2 P_3 serves
+    where A vanishes).  The ideal of the partials holds
     - N_j = U_j^2 + A a_j^2 C, the resultant in y1 of P1 and P_j;
     - the binary cubic V = a_2 U_3 + a_3 U_2, the sum of a_2 (A P_3 +
       b_3 P1) and a_3 (A P_2 + b_2 P1);
@@ -323,11 +332,12 @@ def _frame(form: SparsePoly, frame, bounds: Sequence[int] = (0, 0, 0)
     P1's, a_j, b_j and c_j that of P_j.  Zero conditions are left out."""
     moved = form.linear_change(frame)
     parts = [moved.derivative(i) for i in range(3)]
+    weights = bounds or (0, 0, 0)
     (c1, _, a1), *rest = [_y1_coefficients(p) for p in parts]
-    b1 = bounds[0]
+    b1 = weights[0]
     own = [(c1, b1)] if a1.is_zero() else []
-    pairs, lin, lin_bound = [], None, 0
-    for (c, a, b), bj in zip(rest, bounds[1:]):
+    pairs, lins = [], []
+    for (c, a, b), bj in zip(rest, weights[1:]):
         if a.is_zero() and b.is_zero():
             own.append((c, bj))
         elif not a1.is_zero():
@@ -335,11 +345,12 @@ def _frame(form: SparsePoly, frame, bounds: Sequence[int] = (0, 0, 0)
             own.append((u, b1 + bj) if a.is_zero() else
                        (_square(u) + a1 * _square(a) * c1, 2 * (b1 + bj)))
             pairs.append((a, u))
-            if lin is None and not a.is_zero():
-                terms = {(0,) + e: t for e, t in u.terms.items()}
-                terms.update(((1,) + e, t) for e, t in (a1 * a).terms.items())
-                lin, lin_bound = SparsePoly(form.nvars, form.spec,
-                                            terms), b1 + bj
+            if not a.is_zero():
+                lins.append((_in_y1(a1 * a, u), b1 + bj))
+    (c2, a2, b2), (c3, a3, b3) = rest
+    s1 = b3 * a2 + b2 * a3
+    if not s1.is_zero():
+        lins.append((_in_y1(s1, b3 * c2 + b2 * c3), weights[1] + weights[2]))
     conds = [(f, b) for f, b in own if not f.is_zero()]
     alpha = u2 = None
     if len(pairs) == 2 and not (pairs[0][0].is_zero()
@@ -347,12 +358,14 @@ def _frame(form: SparsePoly, frame, bounds: Sequence[int] = (0, 0, 0)
                                 or own[0][0].is_zero()):
         v = pairs[0][0] * pairs[1][1] + pairs[1][0] * pairs[0][1]
         if not v.is_zero():
-            conds.insert(0, (v, b1 + bounds[1] + bounds[2]))
+            conds.insert(0, (v, b1 + weights[1] + weights[2]))
             alpha, u2 = pairs[0]
-    nonzero = [(p, b) for p, b in zip(parts, bounds) if not p.is_zero()]
-    return _Frame(frame, [p for p, _ in nonzero], [c for c, _ in conds], lin,
-                  alpha, u2, tuple(b for _, b in nonzero),
-                  tuple(b for _, b in conds), lin_bound)
+    nonzero = [(p, b) for p, b in zip(parts, weights) if not p.is_zero()]
+    return _Frame(frame, [p for p, _ in nonzero], [c for c, _ in conds],
+                  [f for f, _ in lins], alpha, u2,
+                  None if bounds is None else tuple(
+                      tuple(b for _, b in forms)
+                      for forms in (nonzero, conds, lins)))
 
 
 def _cubic_singular_points(cubic: SparsePoly, top: int

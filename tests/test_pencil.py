@@ -552,26 +552,47 @@ def test_fiber_frames_match_the_cubics_own_frames(s5_surface, s5_lines):
     assert singular > 100
 
 
-def test_fiber_frame_without_conditions_falls_back_to_the_cubics_frames():
+def test_fiber_frame_without_conditions_falls_back_to_the_cubics_frames(
+        monkeypatch):
     # zero every condition of the z0 axis pencil's frame: each finite
-    # fiber's search (five of type IV) must find no binary condition
-    # there and redo the elimination in the cubic's own frames, with the
-    # same answer
+    # fiber (five of type IV, in three Galois orbits) finds no condition
+    # at its root, so `singular_fibers` redoes its elimination in the
+    # cubic's own frames (`_cubic_singular_points`), once per orbit, and
+    # so does the fiber at infinity, with the same reports
     pencil = ResidualPencil(get_surface("z0"), axis_line(FieldSpec.default(2)))
-    singular = 0
+    disc, frame = _lambda_discriminant(pencil)
+    zero = SparsePoly.zero(3, pencil.spec)
+    zeroed = frame._replace(conds=[zero] * len(frame.conds))
     for pos, cubic, top, on_level in _pencil_fiber_frames(pencil):
-        zero = SparsePoly.zero(3, cubic.spec)
-        zeroed = on_level._replace(
-            conds=[zero] * len(on_level.conds)).at(pos.bits)
-        assert on_level.conds and zeroed.conds == [] and zeroed.parts
-        assert zeroed.points(top) is None
-        want = classify_fiber(cubic, pos).to_json()
-        assert classify_fiber(cubic, pos, points=zeroed.points(
-            top)).to_json() == want
-        assert classify_fiber(cubic, pos, points=on_level.at(
-            pos.bits).points(top)).to_json() == want
-        singular += want["kodaira"] != "smooth"
-    assert singular == 5
+        at = on_level._replace(conds=[SparsePoly.zero(3, cubic.spec)]
+                               * len(frame.conds)).at(pos.bits)
+        assert frame.conds and at.conds == [] and at.parts
+        assert at.points(top) is None
+    searched = []
+    current = pencil_module._cubic_singular_points
+
+    def spy(cubic, top):
+        searched.append(cubic)
+        return current(cubic, top)
+
+    monkeypatch.setattr(pencil_module, "_cubic_singular_points", spy)
+    want = [r.to_json() for r in singular_fibers(pencil)]
+    assert searched == []
+    assert [r["kodaira"] for r in want] == ["IV"] * 6
+    monkeypatch.setattr(pencil_module, "_lambda_discriminant",
+                        lambda _: (disc, zeroed))
+    assert [r.to_json() for r in singular_fibers(pencil)] == want
+    firsts, seen = [], set()
+    for m, (target, roots) in enumerate(root_orbits(disc.coeffs,
+                                                    pencil.spec, 8)[0], 1):
+        for r in roots:
+            if r not in seen:
+                firsts.append(PencilPosition("finite", r, m))
+                seen.update(target.pow_int(r, pencil.spec.size ** j)
+                            for j in range(m))
+    assert [pos.ext for pos in firsts] == [1, 2, 2]
+    assert searched == [residual_cubic(pencil, pos)
+                        for pos in firsts + [POS_INF]]
 
 
 def _divided(p, var):
@@ -883,8 +904,10 @@ def test_fiber_at_infinity_read_off_the_frame_matches_its_own_frames():
         top = min(3, MAX_DEGREE // cubic.spec.degree)
         inf = frame.at_infinity()
         assert inf is not None
-        # the pencil's moved partials at their bounds are the cubic's own
-        assert inf.parts == _frame(cubic, frame.frame).parts
+        # the pencil's moved partials at their bounds are the cubic's own,
+        # and so is the first of its linear forms at its bound
+        own = _frame(cubic, frame.frame)
+        assert inf.parts == own.parts and inf.lins == own.lins[:1]
         if inf.conds:
             read += 1
             assert inf.points(top) == _cubic_singular_points(cubic, top)
@@ -892,6 +915,18 @@ def test_fiber_at_infinity_read_off_the_frame_matches_its_own_frames():
                               points=inf.points(top)).to_json() == \
             classify_fiber(cubic, POS_INF).to_json()
     assert read == len(_oracle_pencils()) == 107
+
+
+def test_only_the_pencils_frame_is_read_at_infinity():
+    # a fiber's frame and a cubic's own frame hold no bounds
+    pencil = ResidualPencil(get_surface("z0"), axis_line(FieldSpec.default(2)))
+    _, frame = _lambda_discriminant(pencil)
+    cubic = residual_cubic(pencil, POS_INF)
+    assert frame.bounds is not None
+    for other in (frame.at(1), frame.at_infinity(), _frame(cubic, frame.frame)):
+        assert other.bounds is None
+        with pytest.raises(ValueError):
+            other.at_infinity()
 
 
 def test_fiber_at_infinity_falls_back_in_a_frame_that_moves_z(monkeypatch):
@@ -1072,26 +1107,30 @@ def test_nucleus_conditions_are_the_y1_resultants():
     assert with_v > 100 and roots > 0
 
 
-def test_frame_linear_form_is_a_p_j_plus_b_j_p1():
-    # s1 y1 + s0 = A P_j + b_j P1, of y1-degree 1, for the first j with
-    # A a_j nonzero (A, a_j, b_j: the y1^2 coefficient of P1, the y1 and
-    # y1^2 coefficients of P_j); None when A = 0 or no a_j is nonzero
+def test_frame_linear_forms_are_the_y1_squared_free_pairs():
+    # the linear forms are beta_k P_i + beta_i P_k, i < k, beta_i the
+    # y1^2 coefficient of P_i, those with an y1 term, in that order: the
+    # first is A P_j + b_j P1 for the first j with A a_j nonzero (A =
+    # beta_1), and where A = 0, b_3 P_2 + b_2 P_3 still gives one
     formed = without_a = 0
     for form, frame in _nucleus_cases():
         parts = _moved_partials(form, frame)
-        lin = _frame(form, frame).lin
+        lins = _frame(form, frame).lins
         zero = SparsePoly.zero(form.nvars, form.spec)
-        by_power = [p.coefficients_in(0) for p in parts]
-        a = by_power[0].get(2, zero)
-        j = next((j for j in (1, 2)
-                  if not (a * by_power[j].get(1, zero)).is_zero()), None)
-        if j is None:
-            without_a += a.is_zero()
-            assert lin is None
-            continue
-        formed += 1
-        assert lin == a * parts[j] + by_power[j].get(2, zero) * parts[0]
-        assert lin.degree_in(0) == 1
+        beta = [p.coefficients_in(0).get(2, zero) for p in parts]
+        want = [f for f in (beta[k] * parts[i] + beta[i] * parts[k]
+                            for i, k in ((0, 1), (0, 2), (1, 2)))
+                if f.degree_in(0) == 1]
+        assert lins == want
+        a = beta[0]
+        j = next((j for j in (1, 2) if not (a * parts[j].coefficients_in(
+            0).get(1, zero)).is_zero()), None)
+        if j is not None:
+            formed += 1
+            assert lins[0] == a * parts[j] + beta[j] * parts[0]
+        elif a.is_zero() and lins:
+            without_a += 1
+            assert lins == [beta[2] * parts[1] + beta[1] * parts[2]]
     assert formed > 100 and without_a > 0
 
 
