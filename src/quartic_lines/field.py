@@ -151,7 +151,7 @@ class FieldSpec:
         self._log = None
         self._exps = None
         self._logs = None
-        self._arr_tables = None         # mul_arr's, on its first call
+        self._arr_tables = None         # the array kernels', on first use
         self._embeddings = {}
         self._artin_schreier = None     # echelon of s -> s^2 + s, on demand
 
@@ -242,12 +242,17 @@ class FieldSpec:
 
     @property
     def exp_table(self) -> np.ndarray:
+        """g^i for i < 2*order, as uint32: one period, then a second, so
+        a sum of two logs indexes it directly."""
         if self._exp is None:
             self._build_tables()
         return self._exp
 
     @property
     def log_table(self) -> np.ndarray:
+        """The log of each nonzero element to the base g, as int64; the
+        entry at 0 is 0 and means nothing (the array kernels' own copy
+        puts a sentinel there, `_array_tables`)."""
         if self._log is None:
             self._build_tables()
         return self._log
@@ -306,14 +311,20 @@ class FieldSpec:
     # -- vectorized arithmetic on uint32 arrays ------------------------------
 
     def _array_tables(self):
-        # log(0) = 2*order passes every sum of two nonzero logs, exp is 0
-        # from there to 4*order: a zero factor reads 0 in the one gather.
-        # int32 holds every sum (< 2^18); the 2-byte scalar tables cannot.
+        # The log-domain tables of the array kernels (mul_arr, and the
+        # census's `geometry._eval_on_grid`).  log(0) = Z = 5*order passes
+        # a coefficient's log plus four nonzero logs, the most a term of a
+        # quartic adds; exp repeats with period order below Z and is 0 from
+        # Z to 4Z + order - 1, four zero coordinates plus a coefficient: a
+        # zero factor reads 0 in the one gather, and mul_arr's sum of two
+        # logs is a case.  int32 holds every sum (< 2^21); the 2-byte
+        # scalar tables cannot.
         order = self.order
-        exp = np.zeros(4 * order + 1, dtype=np.uint32)
-        exp[:2 * order] = self.exp_table
+        zero = 5 * order
+        exp = np.zeros(4 * zero + order, dtype=np.uint32)
+        exp[:zero] = np.tile(self.exp_table[:order], 5)
         log = self.log_table.astype(np.int32)
-        log[0] = 2 * order
+        log[0] = zero
         self._arr_tables = exp, log
         return exp, log
 

@@ -28,14 +28,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CapabilityError, InconsistencyError, UsageError
-from .field import (MAX_DEGREE, FieldSpec, all_orbits, json_hex, json_natural,
-                    json_key, json_of, root_orbits)
+from .field import (MAX_DEGREE, FieldSpec, _tables, all_orbits, json_hex,
+                    json_key, json_natural, json_of, root_orbits)
 from .poly import Poly, SparsePoly, squarefree_test, sylvester_resultant
 
 Row = Tuple[int, int, int, int]
@@ -289,32 +290,60 @@ class QuarticSurface:
 # -- evaluation on grids of points -------------------------------------------
 
 
+_SIZE = operator.attrgetter("size")
+
+
 def _eval_on_grid(p: SparsePoly, grids: Sequence, spec: FieldSpec
                   ) -> np.ndarray:
-    """p at the points whose coordinates `grids` (arrays and ints)
-    broadcast together: a coordinate of one value folds into the
-    coefficients (a term with a positive power of a fixed 0 goes, a
-    fixed 1 costs nothing), each power of another is computed once, on
-    its own array."""
+    """p, a form of degree at most 4, at the points whose coordinates
+    `grids` (arrays and ints) broadcast together, in the log domain of
+    the field's array tables: a term is one gather of exp at its
+    coefficient's log plus each coordinate's log times its power, where
+    log 0 passes every sum of nonzero logs.  A coordinate of one value
+    folds into the coefficient's log (a term with a positive power of a
+    fixed 0 goes), k*log of another is taken once, on its own array, and
+    the terms with no array coordinate fold into one constant."""
+    exp, log = spec._arr_tables or spec._array_tables()
+    exps, logs = _tables(spec)
     val = np.zeros(np.broadcast(*grids).shape, dtype=np.uint32)
-    fixed = {i: g if isinstance(g, int) else int(g.flat[0])
-             for i, g in enumerate(grids) if np.size(g) == 1}
+    fixed, free = {}, []
+    for i, g in enumerate(grids):
+        if isinstance(g, int):
+            fixed[i] = g
+        elif g.size == 1:
+            fixed[i] = int(g.flat[0])
+        else:
+            free.append(i)
     zeros = [i for i, x in fixed.items() if x == 0]
-    fold = [(i, x) for i, x in fixed.items() if x > 1]
-    powers = {}
+    fold = [(i, logs[x]) for i, x in fixed.items() if x > 1]
+    klogs = {}
+    const = 0
     for e, c in p.terms.items():
         if any(e[i] for i in zeros):
             continue
-        for i, x in fold:
-            c = spec.mul_int(c, spec.pow_int(x, e[i]))
-        term = c
-        for i, k in enumerate(e):
-            if c and k and i not in fixed:
-                if (i, k) not in powers:
-                    powers[i, k] = (spec.pow_arr(grids[i], k) if k > 1
-                                    else grids[i])
-                term = spec.mul_arr(powers[i, k], term)
-        val ^= term
+        s = logs[c]
+        if fold:
+            s = (s + sum(e[i] * lx for i, lx in fold)) % spec.order
+        parts = []
+        for i in free:
+            k = e[i]
+            if k:
+                if (i, k) not in klogs:
+                    if (i, 1) not in klogs:
+                        klogs[i, 1] = log[grids[i]]
+                    klogs[i, k] = k * klogs[i, 1]
+                parts.append(klogs[i, k])
+        if not parts:
+            const ^= exps[s]
+            continue
+        if len(parts) > 1:
+            parts.sort(key=_SIZE)
+        t = parts[0] + s if s else parts[0]
+        for a in parts[1:]:
+            t = t + a
+        val ^= exp[t]
+    if const:
+        val ^= const
     return val
 
 

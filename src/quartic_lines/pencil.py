@@ -803,9 +803,17 @@ def _conjugates(r: int, points, field: FieldSpec, q: int, m: int
     return out
 
 
+class _ThroughSingularPoint(UsageError):
+    """The line passes through a singular point of the surface, so every
+    fiber of its pencil is singular."""
+
+
 def _probe_generic_smoothness(pencil: ResidualPencil) -> None:
-    """Distinguish a generically singular pencil (an inconsistency for a
-    smooth quartic) from a mere elimination failure."""
+    """Distinguish a generically singular pencil from a mere elimination
+    failure.  Such a pencil is bad input when the line passes through a
+    singular point of the quartic (`_ThroughSingularPoint`, naming the
+    first such point over the line's field), and an inconsistency
+    otherwise."""
     k = pencil.spec.degree
     ext = 2 if 2 * k <= MAX_DEGREE else 1
     probe_spec = pencil.spec.level(ext)
@@ -814,6 +822,13 @@ def _probe_generic_smoothness(pencil: ResidualPencil) -> None:
         rep = classify_fiber(residual_cubic(pencil, pos), pos)
         if rep.kodaira == "smooth":
             return
+    partials = pencil.surface.base_change(pencil.spec).partials()
+    for pt in pencil.line.points():
+        if not any(g.evaluate(pt) for g in partials):
+            raise _ThroughSingularPoint(
+                "the line passes through the singular point ("
+                + ":".join(f"{c:x}" for c in pt) + ") of the surface, "
+                "so every fiber of its pencil is singular")
     raise InconsistencyError(
         "pencil appears generically singular; this cannot happen for a "
         "line on a smooth quartic in this setting")

@@ -20,8 +20,8 @@ from .errors import CapabilityError, InconsistencyError, UsageError
 from .field import FieldSpec
 from .geometry import Line, QuarticSurface, restrict_form
 from .pencil import (POS_INF, FiberReport, PencilPosition, RamificationData,
-                     ResidualPencil, fiber_line_count, ramification_over,
-                     ramification_type, singular_fibers)
+                     ResidualPencil, _ThroughSingularPoint, fiber_line_count,
+                     ramification_over, ramification_type, singular_fibers)
 from .poly import Poly, SparsePoly, _mul_terms, sylvester_resultant
 from .surfaces import family_z_surface
 
@@ -256,7 +256,10 @@ def build_dossier(surface: QuarticSurface, line: Line) -> LineDossier:
                      "no ramification data")
     except CapabilityError as exc:
         flags.append(str(exc))
-    fibers = singular_fibers(pencil, flags)
+    try:
+        fibers = singular_fibers(pencil, flags)
+    except _ThroughSingularPoint as exc:
+        fibers, flags = [], [str(exc)]
     valency = fiber_line_count(fibers)
     dossier = LineDossier(line, kind, r, valency, pencil, fibers,
                           ram, [], flags)

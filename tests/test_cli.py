@@ -81,6 +81,38 @@ def test_fibers(capsys):
         for f in data["fibers"])
 
 
+FAMILY_X_NODE = "singular point (0:0:0:1) of the surface"
+
+
+def test_classify_keeps_the_dossiers_of_a_singular_surface(capsys):
+    # family X is singular at (0:0:0:1): its four lines through the point
+    # get an entry with no fibers and one flag naming it, and the other
+    # 64 lines their dossiers
+    code, out, _ = run(capsys, "classify", "--surface", "family_x",
+                       "--ext", "6")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data) == 68
+    spec = FieldSpec.default(6)
+    through = [(0, 0, 0, 1) in Line.from_json(d["line"], spec).points()
+               for d in data]
+    assert through.count(True) == 4
+    for d, node in zip(data, through):
+        named = [FAMILY_X_NODE in flag for flag in d["flags"]]
+        if node:
+            assert named == [True]
+            assert d["fibers"] == [] and d["valency"] == 0
+        else:
+            assert not any(named) and d["fibers"]
+
+
+def test_fibers_of_a_line_through_a_singular_point_is_input_error(capsys):
+    code, out, err = run(capsys, "fibers", "--surface", "family_x",
+                         "--ext", "6", "--line", "64")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and FAMILY_X_NODE in err
+
+
 def test_graph_and_lattice(capsys):
     code, out, _ = run(capsys, "graph", "--surface", "z0", "--ext", "1")
     assert code == 0

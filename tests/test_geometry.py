@@ -690,6 +690,67 @@ def test_record_census_over_gf256(s5_surface):
     assert set(IntersectionGraph(lines).valencies()) == {17}
 
 
+def _random_mixed_form(rng, spec):
+    """A random polynomial of degree at most 4, not homogeneous, with
+    x_i^4 and x1 x2 x3 x4: at all-zero coordinates these read the last
+    entries of the array tables."""
+    terms = {(4, 0, 0, 0): 0, (1, 1, 1, 1): 0}
+    for _ in range(rng.randrange(3, 12)):
+        e = [0] * 4
+        for _ in range(rng.randrange(5)):
+            e[rng.randrange(4)] += 1
+        terms[tuple(e)] = 0
+    i = rng.randrange(4)
+    terms[tuple(4 * (j == i) for j in range(4))] = 0
+    return SparsePoly(4, spec, {e: rng.randrange(1, spec.size)
+                                for e in terms})
+
+
+def _grid_layouts(rng, spec):
+    """Coordinates as `_eval_on_grid` takes them: every layout the census
+    makes, with values 0, 1 and others."""
+    n = 7
+    col = rng.choices(range(spec.size), k=n)
+    row = rng.choices(range(spec.size), k=n)
+    col[:2], row[-2:] = [0, 1], [1, 0]
+    col = np.array(col, dtype=np.uint32).reshape(n, 1)
+    row = np.array(row, dtype=np.uint32).reshape(1, n)
+    other = rng.randrange(2, spec.size) if spec.size > 2 else 1
+    for fixed in itertools.product((0, 1, other), repeat=2):
+        # the (q, 1) x (1, q) broadcast of a chart, two coordinates fixed
+        yield [col, fixed[0], row, fixed[1]]
+        yield [fixed[0], col, fixed[1], row]
+        # one array axis, and a fixed value as a size-1 array
+        yield [np.array([fixed[0]], dtype=np.uint32), col, fixed[1], 1]
+    for pt in itertools.product((0, 1, other), repeat=4):
+        yield list(pt)
+    # 1-D gathered points, the all-zero one among them
+    pts = np.array([[rng.randrange(spec.size) for _ in range(4)]
+                    for _ in range(n)] + [[0] * 4, [0, 0, 0, 1]],
+                   dtype=np.uint32)
+    yield list(pts.T)
+    yield [pts[:, 0], 0, pts[:, 2], np.uint32(other)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 12, 16])
+def test_eval_on_grid_matches_the_scalar_evaluation(k):
+    # the log-domain kernel against SparsePoly.evaluate at every point of
+    # every layout, on random forms of degree at most 4 and the zero form
+    spec = FieldSpec.default(k)
+    rng = random.Random(f"eval-on-grid:{k}")
+    forms = [_random_mixed_form(rng, spec) for _ in range(3)]
+    forms += [_random_form(spec, rng, d) for d in (3, 4)]
+    forms.append(SparsePoly.zero(4, spec))
+    for grids in _grid_layouts(rng, spec):
+        shape = np.broadcast(*grids).shape
+        coords = [np.broadcast_to(g, shape).ravel().tolist() for g in grids]
+        for f in forms:
+            got = _eval_on_grid(f, grids, spec)
+            assert got.dtype == np.uint32 and got.shape == shape
+            assert got.ravel().tolist() == [
+                f.evaluate(pt) for pt in zip(*coords)], (f, grids)
+
+
 def _flat_chart(lead, free, q):
     """The chart's q^len(free) points as flat coordinate arrays, free
     coordinate j the j-th base-q digit of the point's index."""
