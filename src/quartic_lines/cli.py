@@ -19,8 +19,9 @@ from typing import List, Optional, Sequence
 
 from .errors import CapabilityError, InconsistencyError, UsageError
 from .field import FieldSpec
-from .geometry import (IntersectionGraph, Line, detect_configurations,
-                       enumerate_lines, singular_point_search)
+from .geometry import (ConfigurationReport, IntersectionGraph, Line,
+                       detect_configurations, enumerate_lines,
+                       singular_point_search)
 from .lattice import GramLattice, gram_from_graph
 from .pencil import (POS_ZERO, ResidualPencil, euler_budget_audit,
                      fiber_line_count, singular_fibers)
@@ -62,24 +63,18 @@ class CensusReport:
     ext: int
     lines: List[Line]
     graph: IntersectionGraph
-    case: Optional[str] = None
+    configurations: ConfigurationReport
     lattice: Optional[GramLattice] = None
 
-    def check_consistency(self) -> None:
-        vals = self.graph.valencies()
-        if len(vals) != len(self.lines):
-            raise InconsistencyError("graph size differs from line count")
-
     def to_json(self) -> dict:
-        self.check_consistency()
         out = {"surface": self.surface_id,
                "field-degree": self.field_degree,
                "ext": self.ext,
                "line-count": len(self.lines),
                "lines": [ln.to_json() for ln in self.lines],
                "valencies": self.graph.valencies()}
-        if self.case is not None:
-            out["configuration-case"] = self.case
+        if self.lines:
+            out["configuration-case"] = self.configurations.case
         if self.lattice is not None:
             out["lattice"] = self.lattice.to_json()
         return out
@@ -90,8 +85,8 @@ def _build_census(surface_id: str, ext: int,
     surface = get_surface(surface_id)
     lines = enumerate_lines(surface, ext=ext)
     graph = IntersectionGraph(lines)
-    rep = CensusReport(surface.label, surface.spec.degree, ext, lines, graph)
-    rep.case = detect_configurations(graph).case if lines else None
+    rep = CensusReport(surface.label, surface.spec.degree, ext, lines, graph,
+                       detect_configurations(graph))
     if with_lattice and lines:
         rep.lattice = gram_from_graph(graph)
     return rep
@@ -151,9 +146,8 @@ def cmd_fibers(args) -> int:
 
 def cmd_graph(args) -> int:
     rep = _build_census(args.surface, args.ext)
-    cfg = detect_configurations(rep.graph)
     payload = rep.to_json()
-    payload["configurations"] = cfg.to_json()
+    payload["configurations"] = rep.configurations.to_json()
     rows = [[i, v] for i, v in enumerate(rep.graph.valencies())]
     _emit(payload, args, rows, ["line", "valency"])
     return 0

@@ -243,15 +243,10 @@ class QuarticSurface:
         return QuarticSurface(self.f.linear_change(m), self.label,
                               check=False)
 
-    def restrict_to_line(self, line: Line) -> List[int]:
-        """Coefficients [c0..c4] of the binary quartic f(u r1 + v r2),
-        c_i = coefficient of u^(4-i) v^i."""
-        return restrict_form(self.f, *line.rows)
-
     def contains_line(self, line: Line) -> bool:
         if line.spec != self.spec:
             raise UsageError("line not over the surface's field")
-        return all(c == 0 for c in self.restrict_to_line(line))
+        return not any(restrict_form(self.f, *line.rows))
 
     def partials(self) -> List[SparsePoly]:
         return [self.f.derivative(i) for i in range(4)]

@@ -24,6 +24,8 @@ the roots of one of them for the directions, and forms linear in y1
 that lift them, with `geometry.lift_tails` where they do not reach.
 The pencil's frame is read at each fiber, once per Galois orbit of
 positions (`_conjugates`), and `classify_fiber` takes the points found.
+A singular point of the surface on the line is a common zero of A and
+B, the restrictions of df/dx3 and df/dx4 (`_meets_no_singular_point`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapabilityError, InconsistencyError, UsageError
-from .field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
+from .field import MAX_DEGREE, FieldSpec, poly_gcd, poly_mul, root_orbits
 from .geometry import (FormLevels, Line, QuarticSurface, canonical_point,
                        centred_frames, eliminant, gcd_at_tail, lift_tails,
                        mat_inverse, normalize_line, vec_mat)
@@ -75,20 +77,18 @@ POS_ZERO = PencilPosition("finite", 0, 1)
 class ResidualPencil:
     """The residual-cubic pencil of a line, in normalized coordinates."""
 
-    __slots__ = ("surface", "line", "spec", "transform", "normalized",
-                 "g", "A", "B")
+    __slots__ = ("surface", "line", "spec", "transform", "g", "A", "B")
 
     def __init__(self, surface: QuarticSurface, line: Line):
         spec = line.spec
         if spec.degree % surface.spec.degree != 0:
             raise UsageError("line field does not extend the surface field")
-        surf = surface.base_change(spec) if spec != surface.spec else surface
+        surf = surface.base_change(spec)
         t, sprime = normalize_line(surf, line)
         self.surface = surface
         self.line = line
         self.spec = spec
         self.transform = t
-        self.normalized = sprime
         # the cut by x4 = lambda*x3, divided by x3: c x1^i x2^j x3^k x4^l
         # becomes c x1^i x2^j z^(k+l-1) lambda^l, an injective exponent map
         # (normalize_line refuses monomials in x1, x2 only)
@@ -109,14 +109,12 @@ def residual_cubic(pencil: ResidualPencil,
     the position's field.  At a finite position it is g, embedded there,
     at lambda = the position (`SparsePoly.restrict`), in (x1, x2, x3).
     At infinity it is the plane x3 = 0: the terms of the normalized
-    quartic free of x3, divided by x4, in (x1, x2, x4): the terms of g
-    with deg_lambda - deg_z = 1, at lambda = 1 with z read as x4, which
-    is how `_Frame.at_infinity` reads its frame off the
+    quartic free of x3, divided by x4, in (x1, x2, x4), which are the
+    terms of g with deg_lambda - deg_z = 1, at lambda = 1 with z read as
+    x4 (`_at_bound`), as `_Frame.at_infinity` reads its frame off the
     lambda-discriminant's."""
     if pos.is_infinite():
-        return SparsePoly(3, pencil.spec, {
-            (i, j, l - 1): c for (i, j, k, l), c
-            in pencil.normalized.f.terms.items() if k == 0})
+        return _at_bound(pencil.g, 1)
     target = pencil.position_field(pos)
     g = pencil.g
     if target != pencil.spec:
@@ -506,23 +504,25 @@ def classify_fiber(cubic: SparsePoly,
     top = _point_cap(cubic.spec)
     sing = _cubic_singular_points(cubic, top) if points is None else points
 
-    flags: List[str] = []
-    if top == 1 or (top == 2 and not sing):
-        flags.append("singular-point search capped at extension degree "
-                     f"{top}")
+    capped = f"singular-point search capped at extension degree {top}"
     if not sing:
-        return FiberReport(position, "smooth", k, [], [], 0, flags)
-
+        return FiberReport(position, "smooth", k, [], [], 0,
+                           [capped] if top < 3 else [])
     wd = k * math.lcm(*(d for _, d in sing))
     if wd > MAX_DEGREE:
         raise CapabilityError(
             "fiber classification needs fields past GF(2^16)")
     work = cubic.spec if wd == k else FieldSpec.default(wd)
-    return _classify_in_field(cubic, sing, work, position, flags)
+    rep = _classify_in_field(cubic, sing, work, position)
+    # a point found leaves the others rational, or an I3's conjugate
+    # vertices read off it: only those can hide past the cap
+    if rep.kodaira == "I3" and len(rep.singular_points) == 1:
+        rep.flags.append(capped)
+    return rep
 
 
 def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
-                       position, flags) -> FiberReport:
+                       position) -> FiberReport:
     """Classification over one working field containing all singular
     points.
 
@@ -565,8 +565,7 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
                                      "are not the nodes of I2 or I3")
         return FiberReport(
             position, "I2" if len(pts) == 2 else "I3", work.degree, lines,
-            [CubicSingularity(p, d, "node") for p, (_, d) in zip(pts, sing)],
-            0, flags)
+            [CubicSingularity(p, d, "node") for p, (_, d) in zip(pts, sing)])
 
     components: List[Tuple[int, int, int]] = []
     hidden = 0
@@ -634,7 +633,7 @@ def _classify_in_field(cubic: SparsePoly, sing, work: FieldSpec,
         raise InconsistencyError(
             f"{ncomp} components through a lone {local}")
     return FiberReport(position, kod, work.degree, sorted(components),
-                       [CubicSingularity(ptw, d, local)], hidden, flags)
+                       [CubicSingularity(ptw, d, local)], hidden)
 
 
 # -- the lambda-discriminant and singular fibers ------------------------------
@@ -734,13 +733,18 @@ def singular_fibers(pencil: ResidualPencil,
     `classify_fiber`.  The fiber at infinity reads the same frame at
     mu = 1/lambda = 0 (`_Frame.at_infinity`).  When the conditions all
     vanish at a root, or at infinity, or the frame moves z, the fiber
-    falls back to its own frames (`_cubic_singular_points`)."""
+    falls back to its own frames (`_cubic_singular_points`).  A
+    lambda-discriminant zero in every frame is `_ThroughSingularPoint`
+    when the line meets a singular point (`_meets_no_singular_point`),
+    else a limit: every fiber may be singular (quasi-elliptic)."""
     spec = pencil.spec
     disc, frame = _lambda_discriminant(pencil)
     if disc.is_zero():
-        _probe_generic_smoothness(pencil)
+        _meets_no_singular_point(pencil)
         raise CapabilityError(
-            "lambda-discriminant degenerated in every frame")
+            "lambda-discriminant vanishes in every frame on a line through "
+            "no singular point (a quasi-elliptic pencil, or a degenerate "
+            "elimination)")
 
     found: List[FiberReport] = []
     levels, rest = root_orbits(disc.coeffs, spec, MAX_DEGREE // spec.degree)
@@ -804,34 +808,35 @@ def _conjugates(r: int, points, field: FieldSpec, q: int, m: int
 
 
 class _ThroughSingularPoint(UsageError):
-    """The line passes through a singular point of the surface, so every
-    fiber of its pencil is singular."""
+    """Every fiber of the line's pencil is singular, and the line passes
+    through a singular point of the surface."""
 
 
-def _probe_generic_smoothness(pencil: ResidualPencil) -> None:
-    """Distinguish a generically singular pencil from a mere elimination
-    failure.  Such a pencil is bad input when the line passes through a
-    singular point of the quartic (`_ThroughSingularPoint`, naming the
-    first such point over the line's field), and an inconsistency
-    otherwise."""
-    k = pencil.spec.degree
-    ext = 2 if 2 * k <= MAX_DEGREE else 1
-    probe_spec = pencil.spec.level(ext)
-    for bits in range(2, min(probe_spec.size, 8)):
-        pos = PencilPosition("finite", bits, ext)
-        rep = classify_fiber(residual_cubic(pencil, pos), pos)
-        if rep.kodaira == "smooth":
-            return
-    partials = pencil.surface.base_change(pencil.spec).partials()
-    for pt in pencil.line.points():
-        if not any(g.evaluate(pt) for g in partials):
-            raise _ThroughSingularPoint(
-                "the line passes through the singular point ("
-                + ":".join(f"{c:x}" for c in pt) + ") of the surface, "
-                "so every fiber of its pencil is singular")
-    raise InconsistencyError(
-        "pencil appears generically singular; this cannot happen for a "
-        "line on a smooth quartic in this setting")
+def _meets_no_singular_point(pencil: ResidualPencil) -> None:
+    """Raise `_ThroughSingularPoint` when the line meets a singular point
+    of the surface over F-bar: with the line at {x3 = x4 = 0}, where
+    df/dx1 and df/dx2 vanish, a common zero of A and B, so a root of
+    gcd(A(1, t), B(1, t)), or (0 : 1) when both top coefficients vanish
+    (also when A = B = 0).  A rational zero (u : v) is named as the point
+    u row1 + v row2, first in the order of `Line.points`; else the gcd,
+    with no rational root, is irreducible and named by its degree."""
+    spec, a, b = pencil.spec, pencil.A, pencil.B
+    common = poly_gcd(a, b, spec)
+    rational = [] if a[3] or b[3] else [(0, 1)]
+    if len(common) > 1:
+        rational += [(1, t) for t in root_orbits(common, spec, 1)[0][0][1]]
+    if rational:
+        (u, v), mul = rational[0], spec.mul_int
+        pt = canonical_point([mul(u, x) ^ mul(v, y) for x, y
+                              in zip(*pencil.line.rows)], spec)
+        where = "the singular point (" + ":".join(f"{c:x}" for c in pt) + ")"
+    elif len(common) > 1:
+        where = f"a singular point of degree {len(common) - 1}"
+    else:
+        return
+    raise _ThroughSingularPoint(
+        f"the line passes through {where} of the surface, so every fiber "
+        "of its pencil is singular")
 
 
 _EULER_MIN = {"I1": 1, "I2": 2, "I3": 3, "II": 4, "III": 4, "IV": 4}

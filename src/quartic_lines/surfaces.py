@@ -8,8 +8,9 @@ Ids accepted by `get_surface`:
                       mu0 = 1 + a^2 + a^3 for the fifth root of unity a.
 * ``family_x[:<hex lambda>[@<field degree>]]`` -- the singular 68-line
                       family (x1^3+x2^3)x3 + lambda*x2^3*x4 + x1*x2*x4^2
-                      + x3^4; default parameter chosen per
-                      `default_family_x_lambda`.
+                      + x3^4; default parameter lambda = 1 over GF(2),
+                      whose member is singular at (0:0:0:1) only, as
+                      `verify family-x` certifies up to degree 4.
 * ``schur_char2``   -- x1^4 + x1*x2^3 + x3^4 + x3*x4^3 (singular, loads with
                       the squarefree check only).
 * ``fermat_char2``  -- (x1+x2+x3+x4)^4; always rejected (4th power).
@@ -22,12 +23,11 @@ Ids accepted by `get_surface`:
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .errors import UsageError
 from .field import FieldSpec
-from .geometry import Line, QuarticSurface, singular_point_search
+from .geometry import Line, QuarticSurface
 from .poly import SparsePoly
 
 
@@ -109,30 +109,9 @@ def family_x_form(spec: FieldSpec, lam: int) -> SparsePoly:
             + x[0] * x[1] * x[3] ** 2 + x[2] ** 4)
 
 
-@lru_cache(maxsize=None)
-def default_family_x_lambda(spec: Optional[FieldSpec] = None
-                            ) -> Tuple[FieldSpec, int]:
-    """Smallest lambda in the base field whose member has [0:0:0:1] as its
-    only singular point up to extension degree 4 (searched once per
-    field)."""
-    spec = spec or FieldSpec.default(1)
-    for lam in range(spec.size):
-        try:
-            surf = QuarticSurface(family_x_form(spec, lam), "family_x-probe")
-        except UsageError:
-            continue
-        pts = singular_point_search(surf, max_ext=4)
-        if [(p.point, p.ext) for p in pts] == [((0, 0, 0, 1), 1)]:
-            return spec, lam
-    raise UsageError("no suitable family-x parameter in the base field")
-
-
-def family_x_surface(lam: Optional[int] = None,
+def family_x_surface(lam: int = 1,
                      spec: Optional[FieldSpec] = None) -> QuarticSurface:
-    if lam is None:
-        spec, lam = default_family_x_lambda(spec)
-    else:
-        spec = spec or FieldSpec.default(1)
+    spec = spec or FieldSpec.default(1)
     return QuarticSurface(family_x_form(spec, lam),
                           f"family_x:{hex(lam)}@{spec.degree}")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import CapabilityError, InconsistencyError, UsageError
@@ -54,17 +53,8 @@ class WeierstrassModel:
                 "zero discriminant: the equation is not elliptic "
                 "(quasi-elliptic or degenerate)")
 
-    def b_invariants(self) -> Tuple[Poly, Poly, Poly, Poly]:
-        """(b2, b4, b6, b8), characteristic-2 reductions of the universal
-        integer formulas."""
-        return _b_of(self.a)
-
     def discriminant(self) -> Poly:
         return _delta_of(self.a)
-
-    def j_invariant(self) -> Tuple[Poly, Poly]:
-        """j as the exact fraction (a1^12, Delta)."""
-        return self.a[0] ** 12, self.discriminant()
 
     def to_json(self) -> dict:
         names = ("a1", "a2", "a3", "a4", "a6")
@@ -332,13 +322,6 @@ def finite_places(model: WeierstrassModel) -> List[Place]:
     return out
 
 
-def classify_all(model: WeierstrassModel) -> List[LocalFiberReport]:
-    """Reports at every zero of the discriminant (one per conjugacy orbit,
-    weighted once) plus infinity."""
-    places = finite_places(model) + ["inf"]
-    return [tate_classify(model, p) for p in places]
-
-
 def ord_delta_total(model: WeierstrassModel) -> int:
     """Sum of minimal discriminant orders over all places, counting each
     conjugacy orbit with its field degree."""
@@ -399,28 +382,21 @@ def example_6_4_instance(spec: Optional[FieldSpec] = None
 
 
 #: type -> (euler minimum, line capacity, wild flag).  Wild types (II and
-#: III in characteristic 2) may contribute any Euler number >= 4.
+#: III in characteristic 2) may contribute any Euler number >= 4.  The
+#: square cases, of a K3 and of a rational surface, share one table.
+_SQUARE_TYPES = {"I1": (1, 0, False), "I2": (2, 1, False),
+                 "I3": (3, 2, False), "I4": (4, 4, False),
+                 "II": (4, 0, True), "III": (4, 1, True),
+                 "IV": (4, 2, False)}
 _PRESETS = {
-    "psi-square-case": {
-        "budget": 24,
-        "types": {"I1": (1, 0, False), "I2": (2, 1, False),
-                  "I3": (3, 2, False), "I4": (4, 4, False),
-                  "II": (4, 0, True), "III": (4, 1, True),
-                  "IV": (4, 2, False)},
-    },
+    "psi-square-case": {"budget": 24, "types": _SQUARE_TYPES},
     "pi-cubic-case": {
         "budget": 24,
         "types": {"I1": (1, 0, False), "I2": (2, 1, False),
                   "I3": (3, 3, False), "II": (4, 0, True),
                   "III": (4, 1, True), "IV": (4, 3, False)},
     },
-    "rational-square-case": {
-        "budget": 12,
-        "types": {"I1": (1, 0, False), "I2": (2, 1, False),
-                  "I3": (3, 2, False), "I4": (4, 4, False),
-                  "II": (4, 0, True), "III": (4, 1, True),
-                  "IV": (4, 2, False)},
-    },
+    "rational-square-case": {"budget": 12, "types": _SQUARE_TYPES},
 }
 
 
@@ -490,32 +466,3 @@ def enumerate_fiber_configs(preset: str, min_lines: int,
     rec(0, 0, 0, 0, [])
     out.sort(key=lambda c: (-c.lines, c.fibers))
     return out
-
-
-def max_line_bearing_fibers(preset: str,
-                            restrict_types: Optional[Sequence[str]] = None
-                            ) -> int:
-    """Largest number of line-carrying fibers over all admissible
-    configurations (0-capacity types do not count)."""
-    info = _PRESETS.get(preset)
-    if info is None:
-        raise UsageError(f"unknown preset {preset!r}")
-    best = 0
-    for cand in enumerate_fiber_configs(preset, 0, restrict_types):
-        bearing = sum(n for t, n in cand.fibers
-                      if info["types"][t][1] > 0)
-        best = max(best, bearing)
-    return best
-
-
-# -- the quasi-elliptic height obstruction ------------------------------------
-
-
-def qe_height_obstruction(s: int, r: int) -> Tuple[Fraction, str]:
-    """The height value 10 + 6s - (3/2) r and whether it is nonzero."""
-    if s < 0:
-        raise UsageError("s must be nonnegative")
-    if not 0 <= r <= 20:
-        raise UsageError("r must lie in [0, 20]")
-    value = Fraction(10 + 6 * s) - Fraction(3, 2) * r
-    return value, ("nonzero" if value != 0 else "zero")

@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from quartic_lines import geometry
+from quartic_lines import geometry, pencil
 from quartic_lines.cli import _VERIFY, main
 from quartic_lines.errors import UsageError
 from quartic_lines.field import FieldSpec
 from quartic_lines.geometry import Line, QuarticSurface, axis_line
+from quartic_lines.poly import Poly
 from quartic_lines.surfaces import get_surface
 
 
@@ -111,6 +112,18 @@ def test_fibers_of_a_line_through_a_singular_point_is_input_error(capsys):
                          "--ext", "6", "--line", "64")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and FAMILY_X_NODE in err
+
+
+def test_fibers_of_a_vanishing_discriminant_off_singular_points_is_a_limit(
+        capsys, monkeypatch):
+    # in characteristic 2 every fiber of a pencil on a smooth surface may
+    # be singular (quasi-elliptic): a limit, not an inconsistency
+    monkeypatch.setattr(pencil, "_lambda_discriminant",
+                        lambda p: (Poly.zero(p.spec), None))
+    code, out, err = run(capsys, "fibers", "--surface", "s5_mu0", "--ext",
+                         "2", "--line", "0")
+    assert code == 3 and out == ""
+    assert err.startswith("error: limit:") and "quasi-elliptic" in err
 
 
 def test_graph_and_lattice(capsys):

@@ -94,7 +94,7 @@ def _split_conic(conic, nucleus):
     return out
 
 
-def _former_classify_in_field(cubic, sing, work, position, flags):
+def _former_classify_in_field(cubic, sing, work, position):
     """The former `_classify_in_field`: a tangent line is a component when
     the cubic restricted to it vanishes; conjugate tangent lines when the
     moved cubic is the conic Q times a linear form, solved for as a linear
@@ -202,10 +202,10 @@ def _former_classify_in_field(cubic, sing, work, position, flags):
     else:
         raise InconsistencyError(f"{ncomp} components")
     return FiberReport(position, kod, work.degree, sorted(components),
-                       singularities, hidden, flags)
+                       singularities, hidden)
 
 
-def _by_local_expansion(cubic, sing, work, position, flags):
+def _by_local_expansion(cubic, sing, work, position):
     """The local-expansion route of `_classify_in_field` as it stood for
     every fiber, kept as oracle for the fibers with two or three singular
     points: tangent directions at each point, the third line of a
@@ -281,7 +281,7 @@ def _by_local_expansion(cubic, sing, work, position, flags):
         assert rest is not None and rest.total_degree() == 0
         kod = "I3"
     return FiberReport(position, kod, work.degree, sorted(components),
-                       singularities, hidden, flags)
+                       singularities, hidden)
 
 
 @pytest.fixture
@@ -292,10 +292,9 @@ def compared(monkeypatch):
     kinds = []
     current = pencil_module._classify_in_field
 
-    def both(cubic, sing, work, position, flags):
-        got = current(cubic, sing, work, position, list(flags))
-        want = _former_classify_in_field(cubic, sing, work, position,
-                                         list(flags))
+    def both(cubic, sing, work, position):
+        got = current(cubic, sing, work, position)
+        want = _former_classify_in_field(cubic, sing, work, position)
         assert got.to_json() == want.to_json(), cubic
         kinds.append(got.kodaira)
         return got
@@ -385,11 +384,10 @@ def test_node_route_matches_the_local_expansion(monkeypatch, s5_surface):
     kinds = Counter()
     current = pencil_module._classify_in_field
 
-    def both(cubic, sing, work, position, flags):
-        got = current(cubic, sing, work, position, list(flags))
+    def both(cubic, sing, work, position):
+        got = current(cubic, sing, work, position)
         if got.kodaira in ("I2", "I3"):
-            want = _by_local_expansion(cubic, sing, work, position,
-                                       list(flags))
+            want = _by_local_expansion(cubic, sing, work, position)
             assert got.to_json() == want.to_json(), cubic
             kinds[got.kodaira, len(sing)] += 1
         return got

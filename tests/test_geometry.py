@@ -886,17 +886,9 @@ def test_smooth_census_valencies_match_graph(s5_graph):
     assert all(0 <= v < len(s5_graph) for v in vals)
 
 
-def test_default_family_x_lambda_is_searched_once_per_field(gf2,
-                                                            monkeypatch):
-    spec, lam = surfaces.default_family_x_lambda(gf2)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return singular_point_search(*args, **kwargs)
-
-    monkeypatch.setattr(surfaces, "singular_point_search", counting)
-    assert surfaces.default_family_x_lambda(gf2) == (spec, lam)
-    assert surfaces.family_x_surface(spec=gf2).label == \
-        f"family_x:{hex(lam)}@1"
-    assert calls == []
+def test_family_x_defaults_to_lambda_one(gf4):
+    # lambda = 1, singular at (0:0:0:1) only, as `verify family-x` checks
+    assert surfaces.family_x_surface().label == "family_x:0x1@1"
+    assert surfaces.get_surface("family_x").f == \
+        surfaces.family_x_form(FieldSpec.default(1), 1)
+    assert surfaces.family_x_surface(spec=gf4).label == "family_x:0x1@2"

@@ -146,8 +146,6 @@ PENDING = {
     "geometry.py:orbit", "geometry.py:square_fibration_partition",
     "pencil.py:second_kind_fiber_audit", "segre.py:family_z_symbolic_resultant",
     "surfaces.py:s5_generators", "surfaces.py:s5_mu0_seed_line",
-    "tate.py:b_invariants", "tate.py:j_invariant", "tate.py:classify_all",
-    "tate.py:max_line_bearing_fibers", "tate.py:qe_height_obstruction",
 }
 
 

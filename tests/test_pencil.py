@@ -9,7 +9,8 @@ from test_acceptance import (SEED, _random_smooth_surface_with_line,
                              _smooth_family_z_surfaces)
 
 from quartic_lines import field, pencil as pencil_module
-from quartic_lines.errors import InconsistencyError, UsageError
+from quartic_lines.errors import (CapabilityError, InconsistencyError,
+                                  UsageError)
 from quartic_lines.field import MAX_DEGREE, FieldSpec, poly_mul, root_orbits
 from quartic_lines.geometry import (FormLevels, QuarticSurface, axis_line,
                                     canonical_point, centred_frames,
@@ -23,7 +24,8 @@ from quartic_lines.pencil import (_ALLOWED, _EULER_MIN, POS_INF,
                                   _cubic_singular_points, _eval_form,
                                   _form_derivs, _frame,
                                   _lambda_discriminant, _local_quadratic,
-                                  _positions,
+                                  _meets_no_singular_point, _positions,
+                                  _ThroughSingularPoint,
                                   classify_fiber,
                                   euler_budget_audit, fiber_line_count,
                                   ramification_type,
@@ -143,12 +145,57 @@ def test_local_expansion_refused_at_a_smooth_point(gf4):
 
 def test_truncation_flag_only_when_a_point_can_hide():
     # over GF(256) the search reaches degree 2 only: a singular point found
-    # rules out a degree-3 orbit, an empty search does not
+    # rules out a degree-3 orbit, an empty search does not.  Over GF(2^9)
+    # it reaches degree 1, and a rational point found leaves no other
+    # point to hide but the conjugate vertices of an I3 read off it
     x, y, z = xyz(GF256)
     assert classify_fiber(x * y * z).flags == []
     smooth = classify_fiber(x ** 3 + y ** 3 + z ** 3)
     assert smooth.flags == [
         "singular-point search capped at extension degree 2"]
+    x, y, z = xyz(FieldSpec.default(9))
+    node = classify_fiber(x * y * z + x ** 3 + y ** 3)
+    assert (node.kodaira, node.flags) == ("I1", [])
+    smooth = classify_fiber(x ** 3 + y ** 3 + z ** 3)
+    assert smooth.flags == [
+        "singular-point search capped at extension degree 1"]
+
+
+def test_a_line_through_a_singular_point_is_read_off_gcd_a_b(s5_surface,
+                                                              gf2):
+    _meets_no_singular_point(ResidualPencil(s5_surface, s5_mu0_seed_line()))
+    family_x = get_surface("family_x")
+    line = enumerate_lines(family_x, ext=6)[64]
+    with pytest.raises(_ThroughSingularPoint,
+                       match=r"the singular point \(0:0:0:1\)"):
+        _meets_no_singular_point(ResidualPencil(family_x, line))
+    # A = x1 c and B = x2 c on the axis line, c = x1^2 + x1 x2 + x2^2:
+    # singular at the conjugate pair (1:w:0:0), c(1, w) = 0, where
+    # gcd(A(1, t), B(1, t)) = c(1, t); every fiber is a cusp, so the
+    # lambda-discriminant vanishes
+    x1, x2, x3, x4 = [SparsePoly.variable(i, 4, gf2) for i in range(4)]
+    c = x1 * x1 + x1 * x2 + x2 * x2
+    pair = QuarticSurface(x3 * x1 * c + x4 * x2 * c + x1 * x4 ** 3, "pair")
+    for call in (_meets_no_singular_point, singular_fibers):
+        with pytest.raises(_ThroughSingularPoint,
+                           match="a singular point of degree 2 "):
+            call(ResidualPencil(pair, axis_line(gf2)))
+    # A = B = 0: singular along the line, named at (0 : 1)
+    along = QuarticSurface(x1 * x1 * x3 * x3 + x2 * x2 * x4 * x4
+                           + x1 * x2 * x3 * x4 + x3 ** 4 + x1 * x4 ** 3,
+                           "along")
+    with pytest.raises(_ThroughSingularPoint,
+                       match=r"the singular point \(0:1:0:0\)"):
+        _meets_no_singular_point(ResidualPencil(along, axis_line(gf2)))
+
+
+def test_vanishing_discriminant_off_singular_points_is_a_limit(
+        s5_surface, monkeypatch):
+    pencil = ResidualPencil(s5_surface, s5_mu0_seed_line())
+    monkeypatch.setattr(pencil_module, "_lambda_discriminant",
+                        lambda p: (Poly.zero(p.spec), None))
+    with pytest.raises(CapabilityError, match="quasi-elliptic"):
+        singular_fibers(pencil)
 
 
 def test_z0_axis_pencil_full_dossier(gf4):
@@ -607,7 +654,8 @@ def _two_chart_forms(pencil):
     (g, g_inf) in (x1, x2, z, param) of the lambda chart x4 = lambda*x3
     and of the mu chart x3 = mu*x4, each by substitution and exact
     division by the plane coordinate."""
-    fp = pencil.normalized.f
+    fp = pencil.surface.base_change(pencil.spec).transform(
+        pencil.transform).f
     plane = SparsePoly.monomial(4, pencil.spec, (0, 0, 1, 1))
     g = _divided(fp.substitute({3: plane}), 2)
     gi = _divided(fp.substitute({2: plane}), 3)

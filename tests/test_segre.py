@@ -4,10 +4,12 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from test_acceptance import _smooth_family_z_surfaces
 from test_pencil import (_oracle_pencils, _residual_cubic_by_substitution,
                          _two_chart_forms)
 
 from quartic_lines.errors import UsageError
+from quartic_lines.field import FieldSpec
 from quartic_lines.geometry import QuarticSurface, axis_line, enumerate_lines
 from quartic_lines.pencil import POS_INF, ResidualPencil, residual_cubic
 from quartic_lines.poly import SparsePoly
@@ -201,10 +203,14 @@ def test_hessian_rows_on_the_line_match_the_term_dicts():
         assert _hessian_on_line(pencil.g) == want
 
 
-def _digest(dossiers, drop=()):
-    """SHA-256 of the dossiers' sorted-key JSON, the keys `drop` left out."""
+def _digest(dossiers, drop=(), fiber_flags=True):
+    """SHA-256 of the dossiers' sorted-key JSON, the keys `drop` left out,
+    and each fiber's flags too unless `fiber_flags`."""
     docs = [{k: v for k, v in d.to_json().items() if k not in drop}
             for d in dossiers]
+    for doc in docs if not fiber_flags else ():
+        for fib in doc["fibers"]:
+            del fib["flags"]
     return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()
                           ).hexdigest()
 
@@ -269,11 +275,27 @@ def test_dossiers_are_byte_identical_to_the_pinned_digests(s5_dossiers,
 
 def test_07b_dossiers_are_byte_identical_to_the_pinned_digest(
         gf8_07b_dossiers):
-    # the same for the 50 dossiers of acceptance test 07b, and for them
-    # with the dossier flags left out: that digest was taken before the
-    # lambda-discriminant's frame moved onto the line, which dropped the
-    # capped-orbit flags on its spurious roots and changed no fiber
+    # the same for the 50 dossiers of acceptance test 07b, for them with
+    # the dossier flags left out, and with each fiber's flags left out:
+    # that digest was taken before an I1 found past the search's cap lost
+    # its capped flag, which changed nothing else
     assert _digest(gf8_07b_dossiers) == \
-        "31b0175098666c00ecc1c6d50842b20e2b478fd9e2d0cf4d5b5694bc51ed5849"
+        "1038826e493965239d309e19cdd22e8fb7fd4e4dc1e10dcdaa55f624b82374b6"
     assert _digest(gf8_07b_dossiers, drop={"flags"}) == \
-        "79cf45cc3f08f716b607177875545d95b8f247a1771736bf7ccab8cdc8f1923d"
+        "722a9ea30090a83430fccba84c524d9ff78293d839e1f312a0214afb8199aff7"
+    assert _digest(gf8_07b_dossiers, fiber_flags=False) == \
+        "d6755f425b529c8b4d19dbbd04e9b93e167ad553ab47d8d93f24be493a13e976"
+
+
+def test_family_z_dossiers_are_byte_identical_to_the_pinned_digest():
+    # the 30 second-kind axis dossiers of the acceptance sample, 10 per
+    # field GF(2), GF(4), GF(8), in full and with each fiber's flags left
+    # out: that digest was taken before a fiber whose singular points were
+    # all found lost its capped flag
+    dossiers = [build_dossier(surf, axis_line(spec))
+                for spec in map(FieldSpec.default, (1, 2, 3))
+                for surf in _smooth_family_z_surfaces(spec, 10)]
+    assert _digest(dossiers) == \
+        "f39932f88275bd0d324db70e7061418fd69a9e5f91006ce856737f24b1192688"
+    assert _digest(dossiers, fiber_flags=False) == \
+        "73cca522c8aeb7ecf4f57f66c710cc2fd877da00364c1b7b4ac8925785ab8a4b"
